@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import dataio
 from .config import (
+    BOOL,
+    SETTINGS,
+    SETTINGS_BY_KEY,
     PipelineConfig,
+    apply_settings,
     config_hash,
     config_to_ini,
     default_config,
@@ -95,7 +98,7 @@ def stage_train(cfg: PipelineConfig, kinds: Optional[Sequence[str]] = None) -> N
     models_dir.mkdir(parents=True, exist_ok=True)
     for kind in kinds or MODEL_KINDS:
         spec = RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed)
-        model = train_model(spec, train, threads=cfg.threads)
+        model = train_model(spec, train)
         save_model(model, models_dir / f"{kind}.json")
 
 
@@ -134,11 +137,45 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     stage_evaluate(cfg)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=str, default=None, help="INI config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (required unless set in config)")
-    parser.add_argument("--out", type=str, default=None, help="working directory for all artifacts")
-    parser.add_argument("--threads", type=int, default=None, help="thread cap for forest training")
+# Override flags of each subcommand, as the (section, key) each one sets.
+# The flag is the key with dashes; its value goes through the key's own
+# parser, exactly like a file value. Every subcommand also takes
+# --seed and --out; show-config takes every flag, to preview any command.
+_CLI_FLAGS = (("cli", "seed"), ("cli", "out"))
+_SIMULATE_FLAGS = (("simgen", "n_assets"), ("simgen", "n_runs_total"), ("simgen", "cycle_length"))
+_FEATURE_FLAGS = (("features", "horizon"), ("features", "train_frac"))
+_EVALUATE_FLAGS = (("eval", "dump_predictions"),)
+_TRAIN_FLAGS = tuple(
+    ("models", key)
+    for key in (
+        "dt_max_depth", "dt_min_samples_leaf", "rf_n_trees", "rf_max_depth",
+        "rf_features_per_split", "knn_k", "svr_epsilon", "svr_steps",
+        "mlp_hidden_units", "mlp_epochs",
+    )
+)
+COMMANDS = {
+    "simulate": ("generate the synthetic dataset CSVs", _SIMULATE_FLAGS),
+    "derive-hi": ("fit segments and extract the health index", (("hi", "analysis_limit"),)),
+    "build-features": ("build the horizon-N supervised split", _FEATURE_FLAGS),
+    "train": ("train forecasting models", _TRAIN_FLAGS),
+    "evaluate": ("score models and benchmarks, write report.json", _EVALUATE_FLAGS),
+    "pipeline": ("run all stages in order", _SIMULATE_FLAGS + _FEATURE_FLAGS + _EVALUATE_FLAGS),
+}
+COMMANDS["show-config"] = (
+    "print the fully resolved configuration",
+    tuple(dict.fromkeys(flag for _, flags in COMMANDS.values() for flag in flags)),
+)
+
+
+def _add_override(parser: argparse.ArgumentParser, section: str, key: str) -> None:
+    setting = SETTINGS_BY_KEY[(section, key)]
+    flag = "--" + key.replace("_", "-")
+    if setting.fmt is BOOL:
+        parser.add_argument(flag, dest=f"{section}.{key}", action="store_const", const="true",
+                            help=f"set [{section}] {key} = true")
+    else:
+        parser.add_argument(flag, dest=f"{section}.{key}", metavar="VALUE",
+                            help=f"override [{section}] {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,103 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chamber contamination health index: simulate, derive, forecast, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate the synthetic dataset CSVs")
-    _add_common_flags(p)
-    p.add_argument("--n-assets", type=int, default=None)
-    p.add_argument("--n-runs-total", type=int, default=None)
-    p.add_argument("--cycle-length", type=int, default=None)
-
-    p = sub.add_parser("derive-hi", help="fit segments and extract the health index")
-    _add_common_flags(p)
-    p.add_argument("--analysis-limit", type=int, default=None)
-
-    p = sub.add_parser("build-features", help="build the horizon-N supervised split")
-    _add_common_flags(p)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--train-frac", type=float, default=None)
-
-    p = sub.add_parser("train", help="train forecasting models")
-    _add_common_flags(p)
-    p.add_argument("--model", choices=list(MODEL_KINDS) + ["all"], default="all")
-    p.add_argument("--dt-max-depth", type=int, default=None)
-    p.add_argument("--dt-min-samples-leaf", type=int, default=None)
-    p.add_argument("--rf-n-trees", type=int, default=None)
-    p.add_argument("--rf-max-depth", type=int, default=None)
-    p.add_argument("--rf-features-per-split", type=int, default=None)
-    p.add_argument("--knn-k", type=int, default=None)
-    p.add_argument("--svr-epsilon", type=float, default=None)
-    p.add_argument("--svr-steps", type=int, default=None)
-    p.add_argument("--mlp-hidden-units", type=int, default=None)
-    p.add_argument("--mlp-epochs", type=int, default=None)
-
-    p = sub.add_parser("evaluate", help="score models and benchmarks, write report.json")
-    _add_common_flags(p)
-    p.add_argument("--dump-predictions", action="store_true", default=None)
-
-    p = sub.add_parser("pipeline", help="run all stages in order")
-    _add_common_flags(p)
-    p.add_argument("--n-assets", type=int, default=None)
-    p.add_argument("--n-runs-total", type=int, default=None)
-    p.add_argument("--cycle-length", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--train-frac", type=float, default=None)
-    p.add_argument("--dump-predictions", action="store_true", default=None)
-
-    p = sub.add_parser("show-config", help="print the fully resolved configuration")
-    _add_common_flags(p)
-
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", type=str, default=None, help="INI config file")
+        if command == "train":
+            p.add_argument("--model", choices=list(MODEL_KINDS) + ["all"], default="all")
+        for section, key in _CLI_FLAGS + flags:
+            _add_override(p, section, key)
     return parser
-
-
-_MODEL_FLAGS = {
-    "dt_max_depth": ("dt", "max_depth"),
-    "dt_min_samples_leaf": ("dt", "min_samples_leaf"),
-    "rf_n_trees": ("rf", "n_trees"),
-    "rf_max_depth": ("rf", "max_depth"),
-    "rf_features_per_split": ("rf", "features_per_split"),
-    "knn_k": ("knn", "k"),
-    "svr_epsilon": ("svr", "epsilon"),
-    "svr_steps": ("svr", "steps"),
-    "mlp_hidden_units": ("mlp", "hidden_units"),
-    "mlp_epochs": ("mlp", "epochs"),
-}
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then config file, then command-line flags."""
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        cfg = replace(cfg, threads=args.threads)
-
-    simple = {
-        "n_assets": "n_assets",
-        "n_runs_total": "n_runs_total",
-        "cycle_length": "sim_cycle_length",
-        "analysis_limit": "analysis_limit",
-        "horizon": "horizon",
-        "train_frac": "train_frac",
-        "dump_predictions": "dump_predictions",
+    flags = {
+        (s.section, s.key): value
+        for s in SETTINGS
+        if (value := getattr(args, f"{s.section}.{s.key}", None)) is not None
     }
-    for flag, attr in simple.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg = replace(cfg, **{attr: value})
-
-    overrides: dict[str, dict[str, float]] = {k: dict(v) for k, v in cfg.model_params.items()}
-    for flag, (kind, name) in _MODEL_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides.setdefault(kind, {})[name] = value
-    if overrides != dict(cfg.model_params):
-        cfg = replace(cfg, model_params=overrides)
-    return cfg
+    return apply_settings(cfg, flags)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -2,10 +2,12 @@
 
 The config file is INI-style ``key = value`` with one section per
 module ([simgen], [hi], [features], [models], [eval]) plus [cli] for
-seed, output directory and thread cap. Flags override file keys; every
-subcommand prints the fully resolved form before acting. The config
-hash covers only the science-relevant sections, so runs that differ
-merely in output path or thread count reproduce identical reports.
+seed and output directory. Every key is declared once, in ``SETTINGS``,
+which drives the INI writer, the INI reader and the CLI override flags.
+Flags override file keys; every subcommand prints the fully resolved
+form before acting. The config hash covers only the science-relevant
+sections, so runs that differ merely in output path reproduce
+identical reports.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .core import SegmentSpec, SensorSpec
 from .errors import ConfigError
@@ -50,7 +52,6 @@ class PipelineConfig:
     dump_predictions: bool = False
     seed: Optional[int] = None
     out_dir: str = "out"
-    threads: int = 1
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -62,99 +63,156 @@ def default_config() -> PipelineConfig:
     return PipelineConfig()
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+# -- value formats -------------------------------------------------------------
 
 
-def _sensors_to_str(sensors) -> str:
-    return ", ".join(
-        f"{s.sensor_id}:{_fmt_value(s.valid_range[0])}:{_fmt_value(s.valid_range[1])}:{s.priority}"
-        for s in sensors
-    )
+def _parse_list(text: str, n_fields: int) -> list[list[str]]:
+    """Split ``a:b, c:d`` into non-empty entries of n ':'-separated fields."""
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = [p.strip() for p in chunk.split(":")]
+        if len(parts) != n_fields:
+            raise ValueError(f"bad entry {chunk!r}: expected {n_fields} ':'-separated fields")
+        out.append(parts)
+    if not out:
+        raise ValueError("list must not be empty")
+    return out
 
 
-def _segments_to_str(segments) -> str:
-    return ", ".join(
-        f"{s.index}:{_fmt_value(s.upper)}:{_fmt_value(s.lower)}" for s in segments
-    )
-
-
-def _recipes_to_str(recipes) -> str:
-    return ", ".join(
-        f"{r.recipe_id}:{_fmt_value(r.deposition_weight)}:{_fmt_value(r.duration_scale)}"
-        for r in recipes
-    )
+def _parse_mapping(text: str) -> dict[str, float]:
+    return {p[0]: float(p[1]) for p in _parse_list(text, 2)}
 
 
 def _mapping_to_str(mapping: Mapping[str, float]) -> str:
-    return ", ".join(f"{k}:{_fmt_value(float(v))}" for k, v in mapping.items())
+    return ", ".join(f"{k}:{float(v)!r}" for k, v in mapping.items())
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"bad boolean: {text!r}")
+
+
+@dataclass(frozen=True)
+class Format:
+    """How one key's value is written as INI text and parsed back."""
+
+    write: Callable[[Any], str]
+    parse: Callable[[str], Any]
+
+
+INT = Format(str, int)
+FLOAT = Format(repr, float)
+TEXT = Format(str, str)
+BOOL = Format(lambda v: "true" if v else "false", _parse_bool)
+SEED = Format(lambda v: "" if v is None else str(v), lambda t: None if t == "" else int(t))
+MAPPING = Format(_mapping_to_str, _parse_mapping)
+# a scalar applies to every sensor; written back as the per-sensor mapping
+NOISE = Format(_mapping_to_str, lambda t: _parse_mapping(t) if ":" in t else float(t))
+SENSORS = Format(
+    lambda sensors: ", ".join(
+        f"{s.sensor_id}:{s.valid_range[0]!r}:{s.valid_range[1]!r}:{s.priority}" for s in sensors
+    ),
+    lambda t: tuple(
+        SensorSpec(p[0], (float(p[1]), float(p[2])), int(p[3]))
+        for p in _parse_list(t, 4)
+    ),
+)
+SEGMENTS = Format(
+    lambda segments: ", ".join(f"{s.index}:{s.upper!r}:{s.lower!r}" for s in segments),
+    lambda t: tuple(
+        SegmentSpec(int(p[0]), float(p[1]), float(p[2])) for p in _parse_list(t, 3)
+    ),
+)
+RECIPES = Format(
+    lambda recipes: ", ".join(
+        f"{r.recipe_id}:{r.deposition_weight!r}:{r.duration_scale!r}" for r in recipes
+    ),
+    lambda t: tuple(
+        RecipeSpec(p[0], float(p[1]), float(p[2])) for p in _parse_list(t, 3)
+    ),
+)
+_NUMBER_FORMATS = {int: INT, float: FLOAT}
+
+
+# -- the settings table --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One INI key: where it lives in the file and in the config objects.
+
+    ``scope`` names the object holding ``field``: "pipeline" for a
+    PipelineConfig attribute, "chamber" for a ChamberConfig attribute,
+    or a model kind for one of its hyperparameters.
+    """
+
+    section: str
+    key: str
+    scope: str
+    field: str
+    fmt: Format
+
+    def read(self, cfg: PipelineConfig) -> Any:
+        if self.scope == "pipeline":
+            return getattr(cfg, self.field)
+        if self.scope == "chamber":
+            if self.field == "noise_sigma":
+                return cfg.chamber.sigma_by_sensor()
+            return getattr(cfg.chamber, self.field)
+        params = cfg.model_params.get(self.scope, {})
+        return params.get(self.field, DEFAULT_HYPERPARAMS[self.scope][self.field])
+
+
+# max_samples is a generator safety cap, not a setting
+_CHAMBER_FORMATS = {"noise_sigma": NOISE, "sensors": SENSORS}
+_CHAMBER_SETTINGS = tuple(
+    Setting(
+        "simgen", f.name, "chamber", f.name,
+        _CHAMBER_FORMATS.get(f.name) or _NUMBER_FORMATS[type(f.default)],
+    )
+    for f in fields(ChamberConfig)
+    if f.name != "max_samples"
+)
+_MODEL_SETTINGS = tuple(
+    Setting("models", f"{kind}_{name}", kind, name, _NUMBER_FORMATS[type(default)])
+    for kind in MODEL_KINDS
+    for name, default in DEFAULT_HYPERPARAMS[kind].items()
+)
+
+SETTINGS: tuple[Setting, ...] = (
+    Setting("cli", "seed", "pipeline", "seed", SEED),
+    Setting("cli", "out", "pipeline", "out_dir", TEXT),
+    Setting("simgen", "n_assets", "pipeline", "n_assets", INT),
+    Setting("simgen", "n_runs_total", "pipeline", "n_runs_total", INT),
+    Setting("simgen", "cycle_length", "pipeline", "sim_cycle_length", INT),
+    *_CHAMBER_SETTINGS,
+    Setting("simgen", "recipes", "pipeline", "recipes", RECIPES),
+    Setting("simgen", "recipe_probs", "pipeline", "recipe_probs", MAPPING),
+    Setting("hi", "segments", "pipeline", "segments", SEGMENTS),
+    Setting("hi", "cycle_length", "pipeline", "hi_cycle_length", INT),
+    Setting("hi", "analysis_limit", "pipeline", "analysis_limit", INT),
+    Setting("features", "horizon", "pipeline", "horizon", INT),
+    Setting("features", "train_frac", "pipeline", "train_frac", FLOAT),
+    *_MODEL_SETTINGS,
+    Setting("eval", "dump_predictions", "pipeline", "dump_predictions", BOOL),
+)
+SETTINGS_BY_KEY = {(s.section, s.key): s for s in SETTINGS}
+SECTIONS = tuple(dict.fromkeys(s.section for s in SETTINGS))
 
 
 def config_to_ini(cfg: PipelineConfig) -> str:
     """Canonical resolved INI text (also the hashing input)."""
-    chamber = cfg.chamber
-    sigma = chamber.sigma_by_sensor()
     parser = configparser.ConfigParser(interpolation=None)
-    parser["cli"] = {
-        "seed": "" if cfg.seed is None else str(cfg.seed),
-        "out": cfg.out_dir,
-        "threads": str(cfg.threads),
-    }
-    parser["simgen"] = {
-        "n_assets": str(cfg.n_assets),
-        "n_runs_total": str(cfg.n_runs_total),
-        "cycle_length": str(cfg.sim_cycle_length),
-        "tau_stage1": _fmt_value(chamber.tau_stage1),
-        "tau_stage2": _fmt_value(chamber.tau_stage2),
-        "crossover_pressure": _fmt_value(chamber.crossover_pressure),
-        "p_atm": _fmt_value(chamber.p_atm),
-        "base_outgassing_q0": _fmt_value(chamber.base_outgassing_q0),
-        "outgassing_per_unit": _fmt_value(chamber.outgassing_per_unit),
-        "target_pressure": _fmt_value(chamber.target_pressure),
-        "sample_dt": _fmt_value(chamber.sample_dt),
-        "tail_samples": str(chamber.tail_samples),
-        "noise_sigma": _mapping_to_str(sigma),
-        "sensors": _sensors_to_str(chamber.sensors),
-        "seasonal_amplitude": _fmt_value(chamber.seasonal_amplitude),
-        "seasonal_period_s": _fmt_value(chamber.seasonal_period_s),
-        "weather_sigma": _fmt_value(chamber.weather_sigma),
-        "weather_rho": _fmt_value(chamber.weather_rho),
-        "maintenance_residual": _fmt_value(chamber.maintenance_residual),
-        "time_origin": _fmt_value(chamber.time_origin),
-        "run_interval_s": _fmt_value(chamber.run_interval_s),
-        "temp_base_c": _fmt_value(chamber.temp_base_c),
-        "temp_seasonal_amplitude": _fmt_value(chamber.temp_seasonal_amplitude),
-        "temp_run_noise": _fmt_value(chamber.temp_run_noise),
-        "temp_sample_noise": _fmt_value(chamber.temp_sample_noise),
-        "flow_base": _fmt_value(chamber.flow_base),
-        "flow_per_weight": _fmt_value(chamber.flow_per_weight),
-        "flow_run_noise": _fmt_value(chamber.flow_run_noise),
-        "flow_sample_noise": _fmt_value(chamber.flow_sample_noise),
-        "recipes": _recipes_to_str(cfg.recipes),
-        "recipe_probs": _mapping_to_str(cfg.recipe_probs),
-    }
-    parser["hi"] = {
-        "segments": _segments_to_str(cfg.segments),
-        "cycle_length": str(cfg.hi_cycle_length),
-        "analysis_limit": str(cfg.analysis_limit),
-    }
-    parser["features"] = {
-        "horizon": str(cfg.horizon),
-        "train_frac": _fmt_value(cfg.train_frac),
-    }
-    models_section = {}
-    for kind in MODEL_KINDS:
-        resolved = dict(DEFAULT_HYPERPARAMS[kind])
-        resolved.update(cfg.model_params.get(kind, {}))
-        for key, value in resolved.items():
-            models_section[f"{kind}_{key}"] = _fmt_value(value)
-    parser["models"] = models_section
-    parser["eval"] = {"dump_predictions": _fmt_value(cfg.dump_predictions)}
-
+    parser.read_dict({section: {} for section in SECTIONS})
+    for s in SETTINGS:
+        parser[s.section][s.key] = s.fmt.write(s.read(cfg))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -171,56 +229,32 @@ def config_hash(cfg: PipelineConfig) -> str:
     return digest.hexdigest()[:16]
 
 
-def _parse_triples(text: str, what: str, n_fields: int) -> list[list[str]]:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(":")]
-        if len(parts) != n_fields:
-            raise ConfigError(f"bad {what} entry {chunk!r}: expected {n_fields} ':'-separated fields")
-        out.append(parts)
-    if not out:
-        raise ConfigError(f"{what} must not be empty")
-    return out
+def apply_settings(cfg: PipelineConfig, values: Mapping[tuple[str, str], str]) -> PipelineConfig:
+    """Parse the text of each (section, key) and set it on ``cfg``.
 
-
-def _parse_sensors(text: str) -> tuple[SensorSpec, ...]:
-    return tuple(
-        SensorSpec(p[0], (float(p[1]), float(p[2])), int(p[3]))
-        for p in _parse_triples(text, "sensor", 4)
-    )
-
-
-def _parse_segments(text: str) -> tuple[SegmentSpec, ...]:
-    return tuple(
-        SegmentSpec(int(p[0]), float(p[1]), float(p[2]))
-        for p in _parse_triples(text, "segment", 3)
-    )
-
-
-def _parse_recipes(text: str) -> tuple[RecipeSpec, ...]:
-    return tuple(
-        RecipeSpec(p[0], float(p[1]), float(p[2]))
-        for p in _parse_triples(text, "recipe", 3)
-    )
-
-
-def _parse_mapping(text: str, what: str) -> dict[str, float]:
-    try:
-        return {p[0]: float(p[1]) for p in _parse_triples(text, what, 2)}
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {exc}") from None
-
-
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {text!r}")
+    All chamber keys go into one ``replace()``, so cross-field checks
+    (a noise mapping against the sensor list) see them together.
+    """
+    top: dict[str, Any] = {}
+    chamber: dict[str, Any] = {}
+    params = {kind: dict(kv) for kind, kv in cfg.model_params.items()}
+    for (section, key), text in values.items():
+        setting = SETTINGS_BY_KEY.get((section, key))
+        if setting is None:
+            raise ConfigError(f"unknown [{section}] key: {key}")
+        try:
+            value = setting.fmt.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value for [{section}] {key}: {exc}") from None
+        if setting.scope == "pipeline":
+            top[setting.field] = value
+        elif setting.scope == "chamber":
+            chamber[setting.field] = value
+        else:
+            params.setdefault(setting.scope, {})[setting.field] = value
+    if chamber:
+        top["chamber"] = replace(cfg.chamber, **chamber)
+    return replace(cfg, model_params=params, **top)
 
 
 def config_from_ini(text: str) -> PipelineConfig:
@@ -230,112 +264,15 @@ def config_from_ini(text: str) -> PipelineConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from None
-    known = set(HASHED_SECTIONS) | {"cli"}
-    unknown = set(parser.sections()) - known
+    unknown = set(parser.sections()) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    cfg = default_config()
-    chamber_kwargs: dict = {}
-
-    def get(section: str, key: str) -> Optional[str]:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
-
-    try:
-        if (v := get("cli", "seed")) not in (None, ""):
-            cfg = replace(cfg, seed=int(v))
-        if (v := get("cli", "out")) is not None:
-            cfg = replace(cfg, out_dir=v)
-        if (v := get("cli", "threads")) is not None:
-            cfg = replace(cfg, threads=int(v))
-
-        int_keys = {"tail_samples"}
-        float_keys = {
-            "tau_stage1", "tau_stage2", "crossover_pressure", "p_atm",
-            "base_outgassing_q0", "outgassing_per_unit", "target_pressure",
-            "sample_dt", "seasonal_amplitude", "seasonal_period_s",
-            "weather_sigma", "weather_rho",
-            "maintenance_residual", "time_origin", "run_interval_s",
-            "temp_base_c", "temp_seasonal_amplitude", "temp_run_noise",
-            "temp_sample_noise", "flow_base", "flow_per_weight",
-            "flow_run_noise", "flow_sample_noise",
-        }
-        if parser.has_section("simgen"):
-            for key, value in parser["simgen"].items():
-                if key == "n_assets":
-                    cfg = replace(cfg, n_assets=int(value))
-                elif key == "n_runs_total":
-                    cfg = replace(cfg, n_runs_total=int(value))
-                elif key == "cycle_length":
-                    cfg = replace(cfg, sim_cycle_length=int(value))
-                elif key == "recipes":
-                    cfg = replace(cfg, recipes=_parse_recipes(value))
-                elif key == "recipe_probs":
-                    cfg = replace(cfg, recipe_probs=_parse_mapping(value, "recipe_probs"))
-                elif key == "sensors":
-                    chamber_kwargs["sensors"] = _parse_sensors(value)
-                elif key == "noise_sigma":
-                    if ":" in value:
-                        chamber_kwargs["noise_sigma"] = _parse_mapping(value, "noise_sigma")
-                    else:
-                        chamber_kwargs["noise_sigma"] = float(value)
-                elif key in int_keys:
-                    chamber_kwargs[key] = int(value)
-                elif key in float_keys:
-                    chamber_kwargs[key] = float(value)
-                else:
-                    raise ConfigError(f"unknown [simgen] key: {key}")
-
-        if (v := get("hi", "segments")) is not None:
-            cfg = replace(cfg, segments=_parse_segments(v))
-        if (v := get("hi", "cycle_length")) is not None:
-            cfg = replace(cfg, hi_cycle_length=int(v))
-        if (v := get("hi", "analysis_limit")) is not None:
-            cfg = replace(cfg, analysis_limit=int(v))
-        if parser.has_section("hi"):
-            unknown_keys = set(parser["hi"]) - {"segments", "cycle_length", "analysis_limit"}
-            if unknown_keys:
-                raise ConfigError(f"unknown [hi] keys: {sorted(unknown_keys)}")
-
-        if (v := get("features", "horizon")) is not None:
-            cfg = replace(cfg, horizon=int(v))
-        if (v := get("features", "train_frac")) is not None:
-            cfg = replace(cfg, train_frac=float(v))
-        if parser.has_section("features"):
-            unknown_keys = set(parser["features"]) - {"horizon", "train_frac"}
-            if unknown_keys:
-                raise ConfigError(f"unknown [features] keys: {sorted(unknown_keys)}")
-
-        if parser.has_section("models"):
-            params: dict[str, dict[str, float]] = {}
-            for key, value in parser["models"].items():
-                kind, _, name = key.partition("_")
-                if kind not in MODEL_KINDS or name not in DEFAULT_HYPERPARAMS[kind]:
-                    raise ConfigError(f"unknown [models] key: {key}")
-                # keep the default's type so counts stay integers
-                if isinstance(DEFAULT_HYPERPARAMS[kind][name], int):
-                    params.setdefault(kind, {})[name] = int(float(value))
-                else:
-                    params.setdefault(kind, {})[name] = float(value)
-            merged = {k: dict(v) for k, v in cfg.model_params.items()}
-            for kind, kv in params.items():
-                merged.setdefault(kind, {}).update(kv)
-            cfg = replace(cfg, model_params=merged)
-
-        if (v := get("eval", "dump_predictions")) is not None:
-            cfg = replace(cfg, dump_predictions=_parse_bool(v, "dump_predictions"))
-        if parser.has_section("eval"):
-            unknown_keys = set(parser["eval"]) - {"dump_predictions"}
-            if unknown_keys:
-                raise ConfigError(f"unknown [eval] keys: {sorted(unknown_keys)}")
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-
-    if chamber_kwargs:
-        cfg = replace(cfg, chamber=replace(cfg.chamber, **chamber_kwargs))
-    return cfg
+    values = {
+        (section, key): value
+        for section in parser.sections()
+        for key, value in parser[section].items()
+    }
+    return apply_settings(default_config(), values)
 
 
 def load_config(path: Union[str, Path]) -> PipelineConfig:

@@ -211,6 +211,13 @@ def read_dataset(
             )
         )
 
+    missing = [rid for rid in meta if rid not in grouped]
+    if missing:
+        raise DataError(
+            f"{len(missing)} run(s) listed in {RUN_META_CSV} but missing from {RUNS_CSV}, "
+            f"first {missing[0]}"
+        )
+
     plan_header, plan_rows = read_csv(in_dir / PLAN_CSV)
     if plan_header != ["asset_id", "position", "recipe_id"]:
         raise DataError(f"bad {PLAN_CSV} header: {plan_header}")

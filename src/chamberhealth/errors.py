@@ -92,10 +92,6 @@ class DivergedLoss(ModelError):
     """Training loss became non-finite."""
 
 
-class EmptyTrain(ModelError):
-    """Benchmark requires a non-empty train set."""
-
-
 # -- eval ---------------------------------------------------------------
 
 class LengthMismatch(DataError):

@@ -9,29 +9,22 @@ average cycle curve indexed by the target run's cycle position (bm2,
 deliberately a hindsight benchmark), and the global train mean (bm3).
 
 Every predict is pure and deterministic once fitted; all randomness is
-driven by explicit seeds through independent substreams, so a forest
-trained on eight threads predicts bit-identically to a serial one.
+driven by explicit seeds, with an independent substream per forest
+tree.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DivergedLoss,
-    EmptyTrain,
-    EmptyTraining,
-    KTooLarge,
-    ModelError,
-)
+from .dataio import atomic_write_text
+from .errors import ConfigError, DivergedLoss, EmptyTraining, KTooLarge, ModelError
 from .features import Standardizer, SupervisedSet
 
 MODEL_KINDS = ("dt", "rf", "knn", "svr", "mlp")
@@ -286,7 +279,7 @@ def _fit_forest_tree(
     features_per_split: int,
     bootstrap: bool,
 ) -> _Node:
-    # independent substream per (seed, tree): parallel == serial
+    # independent substream per (seed, tree)
     rng = np.random.default_rng(np.random.SeedSequence((seed, tree_index)))
     if bootstrap:
         idx = rng.integers(0, y.size, size=y.size)
@@ -306,7 +299,6 @@ def fit_random_forest(
     features_per_split: Optional[int] = None,
     seed: int = 0,
     bootstrap: bool = True,
-    threads: int = 1,
 ) -> RFModel:
     """Bagged CART trees with a uniform random feature subset at each split.
 
@@ -322,15 +314,10 @@ def fit_random_forest(
     m = X.shape[1]
     fps = int(features_per_split) if features_per_split else int(math.ceil(m / 3))
     fps = max(1, min(fps, m))
-
-    def build(i: int) -> _Node:
-        return _fit_forest_tree(X, y, i, seed, max_depth, min_samples_leaf, fps, bootstrap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_trees)))
-    else:
-        trees = [build(i) for i in range(n_trees)]
+    trees = [
+        _fit_forest_tree(X, y, i, seed, max_depth, min_samples_leaf, fps, bootstrap)
+        for i in range(n_trees)
+    ]
     return RFModel(
         trees=trees,
         n_trees=n_trees,
@@ -423,15 +410,13 @@ def fit_linear_svr(
     reg_lambda: float = 1e-4,
     steps: int = 10_000,
     step_size: float = 0.1,
-    seed: int = 0,
 ) -> SVRModel:
     """Minimize lambda*||w||^2 + mean(max(0, |y - w.x - b| - epsilon)).
 
     Full-batch subgradient descent with step decay step_size/sqrt(1+t),
     starting from w = 0, b = mean(y); the final iterate is returned.
     The loss is a mean, so duplicating every row leaves the fit
-    unchanged. Full-batch updates are already deterministic; the seed is
-    accepted for interface uniformity but never consumed.
+    unchanged. Full-batch updates are deterministic, so no seed is needed.
     """
     X = np.asarray(X_std, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -574,7 +559,7 @@ def benchmark_predict(
     bm3 is the global train target mean.
     """
     if train.n_rows == 0:
-        raise EmptyTrain("benchmarks need a non-empty train set")
+        raise EmptyTraining("benchmarks need a non-empty train set")
     if kind == "bm1":
         return np.array([m.hi_current for m in test.meta], dtype=np.float64)
     if kind == "bm3":
@@ -624,7 +609,7 @@ class TrainedModel:
         return self.inner.predict(X)
 
 
-def train_model(spec: RegressorSpec, train: SupervisedSet, threads: int = 1) -> TrainedModel:
+def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
     """Fit one model kind on a (fully encoded) train set."""
     params = spec.resolved()
     std = None
@@ -645,7 +630,6 @@ def train_model(spec: RegressorSpec, train: SupervisedSet, threads: int = 1) -> 
             min_samples_leaf=int(params["min_samples_leaf"]),
             features_per_split=int(params["features_per_split"]) or None,
             seed=spec.seed,
-            threads=threads,
         )
     elif spec.kind == "knn":
         inner = fit_knn(X, train.y, int(params["k"]))
@@ -657,7 +641,6 @@ def train_model(spec: RegressorSpec, train: SupervisedSet, threads: int = 1) -> 
             reg_lambda=float(params["reg_lambda"]),
             steps=int(params["steps"]),
             step_size=float(params["step_size"]),
-            seed=spec.seed,
         )
     else:
         inner = fit_mlp(
@@ -727,7 +710,7 @@ def model_from_json(text: str) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(model_to_json(model))
+    atomic_write_text(path, model_to_json(model))
 
 
 def load_model(path: Union[str, Path]) -> TrainedModel:

@@ -1,11 +1,12 @@
 """End-to-end CLI tests on a small synthetic config."""
 
+import argparse
 import json
 
 import pytest
 
 from chamberhealth import dataio
-from chamberhealth.cli import main
+from chamberhealth.cli import build_parser, main
 
 SMALL_INI = """
 [cli]
@@ -70,14 +71,6 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, small_config):
         assert (out / name).read_bytes() == first[name], name
 
 
-def test_threads_do_not_change_report(tmp_path, small_config):
-    out1 = tmp_path / "w1"
-    out8 = tmp_path / "w8"
-    assert run_cli("pipeline", "--config", small_config, "--out", out1, "--threads", 1) == 0
-    assert run_cli("pipeline", "--config", small_config, "--out", out8, "--threads", 8) == 0
-    assert (out1 / dataio.REPORT_JSON).read_bytes() == (out8 / dataio.REPORT_JSON).read_bytes()
-
-
 def test_stage_prefixes_run_standalone(tmp_path, small_config):
     out = tmp_path / "work"
     for command in ("simulate", "derive-hi", "build-features", "train", "evaluate"):
@@ -117,10 +110,44 @@ def test_error_line_is_machine_parsable(tmp_path, small_config, capsys):
     assert err.startswith("ERROR DataError:") or err.startswith("ERROR ModelError:")
 
 
-def test_flag_overrides_config(tmp_path, small_config, capsys):
-    run_cli("show-config", "--config", small_config, "--seed", 1, "--threads", 4)
-    text = capsys.readouterr().out
-    assert "threads = 4" in text
+def _override_flags() -> dict[str, argparse.Action]:
+    """Every flag of every subcommand that sets a config key."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for command in sub.choices.values():
+        for action in command._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag not in ("--help", "--config", "--model"):
+                    flags[flag] = action
+    return flags
+
+
+@pytest.mark.parametrize("flag", sorted(_override_flags()))
+def test_flag_overrides_config(small_config, capsys, flag):
+    key = flag[2:].replace("-", "_")
+    if _override_flags()[flag].nargs == 0:
+        args, expected = [flag], {f"{key} = true"}
+    else:
+        args, expected = [flag, 7], {f"{key} = 7", f"{key} = 7.0"}
+    assert run_cli("show-config", "--config", small_config, *args) == 0
+    assert expected & set(capsys.readouterr().out.splitlines())
+
+
+def test_flag_value_uses_the_key_parser(small_config, capsys):
+    assert run_cli("show-config", "--config", small_config, "--rf-n-trees", "10.7") == 2
+    assert capsys.readouterr().err.startswith("ERROR ConfigError:")
+
+
+def test_run_missing_from_runs_csv_is_data_error(tmp_path, small_config):
+    out = tmp_path / "work"
+    assert run_cli("simulate", "--config", small_config, "--out", out) == 0
+    path = out / dataio.RUNS_CSV
+    lines = path.read_text().splitlines(keepends=True)
+    last_run = lines[-1].split(",", 1)[0]
+    path.write_text("".join(line for line in lines if not line.startswith(last_run + ",")))
+    assert run_cli("derive-hi", "--config", small_config, "--out", out) == 3
+    assert not (out / dataio.HI_CSV).exists()
 
 
 def test_dump_predictions_flag(tmp_path, small_config):

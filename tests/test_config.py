@@ -64,6 +64,11 @@ def test_unknown_keys_and_sections_rejected():
         config_from_ini("[models]\ndt_bogus = 1\n")
     with pytest.raises(ConfigError):
         config_from_ini("[hi]\nwhat = 1\n")
+    with pytest.raises(ConfigError):
+        config_from_ini("[cli]\nsed = 3\n")
+    # the thread cap was removed; old config dumps still carrying it fail loudly
+    with pytest.raises(ConfigError, match=r"unknown \[cli\] key: threads"):
+        config_from_ini("[cli]\nthreads = 1\n")
 
 
 def test_bad_values_rejected():
@@ -73,6 +78,9 @@ def test_bad_values_rejected():
         config_from_ini("[eval]\ndump_predictions = maybe\n")
     with pytest.raises(ConfigError):
         config_from_ini("[simgen]\nsensors = bad\n")
+    # integer keys take integers only, never a silently truncated float
+    with pytest.raises(ConfigError):
+        config_from_ini("[models]\nrf_n_trees = 10.7\n")
 
 
 def test_sensor_segment_recipe_parsing():
@@ -96,8 +104,8 @@ segments = 1:100.0:0.01
 
 def test_hash_ignores_cli_section():
     base = default_config()
-    assert config_hash(replace(base, seed=1, out_dir="a", threads=1)) == config_hash(
-        replace(base, seed=2, out_dir="b", threads=8)
+    assert config_hash(replace(base, seed=1, out_dir="a")) == config_hash(
+        replace(base, seed=2, out_dir="b")
     )
 
 

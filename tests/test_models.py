@@ -5,7 +5,6 @@ import pytest
 
 from chamberhealth.errors import (
     ConfigError,
-    EmptyTrain,
     EmptyTraining,
     KTooLarge,
 )
@@ -18,11 +17,13 @@ from chamberhealth.models import (
     fit_linear_svr,
     fit_mlp,
     fit_random_forest,
+    load_model,
     mlp_gradients,
     mlp_init,
     mlp_loss,
     model_from_json,
     model_to_json,
+    save_model,
     train_model,
 )
 
@@ -152,16 +153,6 @@ def test_forest_same_seed_same_predictions():
     a = fit_random_forest(X, y, n_trees=12, seed=7)
     b = fit_random_forest(X, y, n_trees=12, seed=7)
     assert np.array_equal(a.predict(q), b.predict(q))
-
-
-def test_forest_threads_do_not_change_predictions():
-    rng = np.random.default_rng(12)
-    X = rng.uniform(size=(80, 4))
-    y = rng.normal(size=80)
-    q = rng.uniform(size=(20, 4))
-    serial = fit_random_forest(X, y, n_trees=8, seed=3, threads=1)
-    threaded = fit_random_forest(X, y, n_trees=8, seed=3, threads=8)
-    assert np.array_equal(serial.predict(q), threaded.predict(q))
 
 
 def test_trees_invariant_under_monotone_feature_transform():
@@ -406,7 +397,7 @@ def test_benchmarks_require_train_rows():
     empty = SupervisedSet(X=np.zeros((0, 1)), y=np.array([]),
                           feature_names=("x0",), meta=(), vocab=("std",))
     test = _toy_set([1.0], [0])
-    with pytest.raises(EmptyTrain):
+    with pytest.raises(EmptyTraining):
         benchmark_predict("bm3", empty, test)
 
 
@@ -443,6 +434,23 @@ def test_model_json_roundtrip_bit_exact(kind):
     assert model_to_json(back) == text
     q = np.random.default_rng(1).uniform(size=(25, 5))
     assert np.array_equal(model.predict(q), back.predict(q))
+
+
+def test_save_model_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
+    train = _train_fixture()
+    path = tmp_path / "dt.json"
+    save_model(train_model(RegressorSpec("dt"), train), path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError):
+        save_model(train_model(RegressorSpec("dt", {"max_depth": 1}), train), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_model(path).kind == "dt"
 
 
 def test_model_file_format_header():
