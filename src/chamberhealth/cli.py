@@ -120,7 +120,7 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         "train_rows": train.n_rows,
         "test_rows": test.n_rows,
     }
-    report = evaluate_all(models, train, test, fingerprint, keep_predictions=True)
+    report = evaluate_all(models, train, test, fingerprint)
     dataio.atomic_write_text(out / dataio.REPORT_JSON, report.to_json() + "\n")
     best_kind = report.results[0][0]
     dataio.write_plot_hi_csv(out / dataio.PLOT_HI_CSV, test, best_kind, report.predictions)

@@ -152,11 +152,6 @@ class RunRecord:
         }
         return PressureSample(t=float(self.t[i]), readings=readings)
 
-    def samples(self):
-        """Iterate samples in time order."""
-        for i in range(self.n_samples):
-            yield self.sample(i)
-
 
 def composite_pressure(sample: PressureSample, sensors: Sequence[SensorSpec]) -> float:
     """Fuse one sample's readings into a single pressure in mbar.

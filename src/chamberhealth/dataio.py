@@ -1,10 +1,17 @@
 """CSV artifact schemas and atomic file writing.
 
 All files are UTF-8, comma-delimited, '.' decimal separator, with a
-mandatory header row. Floats are rendered with repr() so that every
-write/read cycle round-trips bit-exactly; an empty field in a sensor
-column means the reading was invalid. Files are written to a temp path
-and renamed into place, so a failing stage never leaves a partial file.
+mandatory header row, and every row has as many fields as the header.
+Floats are rendered with repr() so that every write/read cycle
+round-trips bit-exactly. Files are written to a temp path and renamed
+into place, so a failing stage never leaves a partial file.
+
+``runs.csv`` holds each run as one contiguous block of rows in time
+order, and is written and read one block at a time, so no stage holds
+more than one run's text rows. An empty cell is allowed only in a
+sensor column, where it means the reading was invalid. Any other
+malformed input (a wrong field count, a non-numeric or empty cell
+elsewhere, a run split over two blocks) raises DataError.
 """
 
 from __future__ import annotations
@@ -12,15 +19,18 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import RunRecord
 from .errors import DataError
 from .features import RowMeta, SupervisedSet
-from .hi import DegradationFit, HiEntry, HiSeries
+from .hi import DegradationFit, HiSeries
 from .simgen import PlanEntry, SimDataset
 
 PathLike = Union[str, Path]
@@ -66,17 +76,42 @@ def write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -
     os.replace(tmp, path)
 
 
-def read_csv(path: PathLike) -> tuple[list[str], list[list[str]]]:
+@contextmanager
+def _open_csv(path: PathLike) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """Yield the header and a lazy row iterator that rejects a wrong field count."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing input file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        return header, [row for row in reader]
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"empty file: {path}")
+
+        def rows():
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path.name} line {reader.line_num}: {len(row)} fields, "
+                        f"header has {len(header)}"
+                    )
+                yield row
+
+        yield header, rows()
+
+
+def read_csv(path: PathLike) -> tuple[list[str], list[list[str]]]:
+    with _open_csv(path) as (header, rows):
+        return header, list(rows)
+
+
+@contextmanager
+def _cells(name: str):
+    """Map a failed cell conversion inside the block to DataError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"bad cell in {name}: {exc}") from None
 
 
 # -- raw samples + run metadata (core schemas) --------------------------------
@@ -96,12 +131,11 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
 
     def rows():
         for run in runs:
-            extras = [run.extra_channels[name] for name in channels]
-            for i in range(run.n_samples):
-                row = [run.run_id, run.asset_id, float(run.t[i])]
-                row.extend(float(v) for v in run.readings[i])
-                row.extend(float(col[i]) for col in extras)
-                yield row
+            block = np.column_stack(
+                [run.t, run.readings, *(run.extra_channels[name] for name in channels)]
+            )
+            for values in block.tolist():
+                yield [run.run_id, run.asset_id, *values]
 
     write_csv(path, header, rows())
 
@@ -141,77 +175,58 @@ def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:
     write_plan_csv(out / PLAN_CSV, dataset.plan)
 
 
-def _parse_float_cell(cell: str) -> float:
-    return math.nan if cell == "" else float(cell)
-
-
 def read_dataset(
     in_dir: PathLike, sensor_ids: Sequence[str]
 ) -> tuple[list[RunRecord], dict[str, list[str]]]:
     """Load runs + plan back from the three dataset CSVs.
 
     Sensor columns p1..pN are assigned to ``sensor_ids`` in order.
-    Ground truth is not re-attached; it only exists on freshly
-    generated in-memory runs.
+    Runs come back in ``runs.csv`` order. Ground truth is not
+    re-attached; it only exists on freshly generated in-memory runs.
     """
     in_dir = Path(in_dir)
     meta_header, meta_rows = read_csv(in_dir / RUN_META_CSV)
     expected = ["run_id", "asset_id", "start_time", "recipe_id", "n_runs"]
     if meta_header != expected:
         raise DataError(f"bad {RUN_META_CSV} header: {meta_header}")
-    meta = {
-        row[0]: {"asset_id": row[1], "start_time": float(row[2]), "recipe_id": row[3], "n_runs": int(row[4])}
-        for row in meta_rows
-    }
-
-    header, rows = read_csv(in_dir / RUNS_CSV)
-    if header[:3] != ["run_id", "asset_id", "t_s"]:
-        raise DataError(f"bad {RUNS_CSV} header: {header}")
-    sensor_cols = [h for h in header if h.startswith("p") and h.endswith("_mbar")]
-    if len(sensor_cols) != len(sensor_ids):
-        raise DataError(
-            f"{RUNS_CSV} has {len(sensor_cols)} sensor columns, config defines {len(sensor_ids)}"
-        )
-    channel_names = header[3 + len(sensor_cols):]
-
-    grouped: dict[str, list[list[str]]] = {}
-    order: list[str] = []
-    for row in rows:
-        rid = row[0]
-        if rid not in grouped:
-            grouped[rid] = []
-            order.append(rid)
-        grouped[rid].append(row)
+    with _cells(RUN_META_CSV):  # RunRecord fields asset_id, start_time, recipe_id, n_runs
+        meta = {row[0]: (row[1], float(row[2]), row[3], int(row[4])) for row in meta_rows}
 
     runs = []
-    for rid in order:
-        if rid not in meta:
-            raise DataError(f"run {rid} present in {RUNS_CSV} but missing from {RUN_META_CSV}")
-        block = grouped[rid]
-        t = np.array([float(r[2]) for r in block])
-        readings = np.array(
-            [[_parse_float_cell(c) for c in r[3 : 3 + len(sensor_ids)]] for r in block]
-        )
-        extra = {
-            name: np.array([float(r[3 + len(sensor_ids) + j]) for r in block])
-            for j, name in enumerate(channel_names)
-        }
-        m = meta[rid]
-        runs.append(
-            RunRecord(
-                run_id=rid,
-                asset_id=m["asset_id"],
-                start_time=m["start_time"],
-                recipe_id=m["recipe_id"],
-                n_runs=m["n_runs"],
-                t=t,
-                readings=readings,
-                sensor_ids=tuple(sensor_ids),
-                extra_channels=extra,
+    with _open_csv(in_dir / RUNS_CSV) as (header, rows):
+        if header[:3] != ["run_id", "asset_id", "t_s"]:
+            raise DataError(f"bad {RUNS_CSV} header: {header}")
+        n_sensors = sum(1 for h in header if h.startswith("p") and h.endswith("_mbar"))
+        if n_sensors != len(sensor_ids):
+            raise DataError(
+                f"{RUNS_CSV} has {n_sensors} sensor columns, config defines {len(sensor_ids)}"
             )
-        )
+        channel_names = header[3 + n_sensors:]
+        seen: set[str] = set()
+        for rid, block in groupby(rows, key=itemgetter(0)):
+            if rid in seen:
+                raise DataError(f"run {rid}: rows are not one contiguous block in {RUNS_CSV}")
+            seen.add(rid)
+            if rid not in meta:
+                raise DataError(f"run {rid} present in {RUNS_CSV} but missing from {RUN_META_CSV}")
+            # an empty cell reads as NaN, which only a sensor column may hold
+            with _cells(f"{RUNS_CSV}, run {rid}"):
+                values = np.array([[float(c) if c else math.nan for c in row[2:]] for row in block])
+            t, channels = values[:, 0], values[:, 1 + n_sensors :]
+            if not (np.isfinite(t).all() and np.isfinite(channels).all()):
+                raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
+            runs.append(
+                RunRecord(
+                    rid,
+                    *meta[rid],
+                    t=t,
+                    readings=values[:, 1 : 1 + n_sensors],
+                    sensor_ids=tuple(sensor_ids),
+                    extra_channels={name: channels[:, j] for j, name in enumerate(channel_names)},
+                )
+            )
 
-    missing = [rid for rid in meta if rid not in grouped]
+    missing = [rid for rid in meta if rid not in seen]
     if missing:
         raise DataError(
             f"{len(missing)} run(s) listed in {RUN_META_CSV} but missing from {RUNS_CSV}, "
@@ -222,8 +237,9 @@ def read_dataset(
     if plan_header != ["asset_id", "position", "recipe_id"]:
         raise DataError(f"bad {PLAN_CSV} header: {plan_header}")
     plan: dict[str, list[tuple[int, str]]] = {}
-    for row in plan_rows:
-        plan.setdefault(row[0], []).append((int(row[1]), row[2]))
+    with _cells(PLAN_CSV):
+        for row in plan_rows:
+            plan.setdefault(row[0], []).append((int(row[1]), row[2]))
     plan_ids = {
         asset: [rid for _, rid in sorted(entries)] for asset, entries in plan.items()
     }
@@ -259,19 +275,25 @@ def read_hi_csv(path: PathLike) -> dict[str, float]:
     header, rows = read_csv(path)
     if header != ["run_id", "asset_id", "start_time", "n_runs", "hi_s"]:
         raise DataError(f"bad {HI_CSV} header: {header}")
-    return {row[0]: float(row[4]) for row in rows}
-
-
-def read_hi_entries(path: PathLike) -> list[HiEntry]:
-    header, rows = read_csv(path)
-    if header != ["run_id", "asset_id", "start_time", "n_runs", "hi_s"]:
-        raise DataError(f"bad {HI_CSV} header: {header}")
-    return [
-        HiEntry(row[0], row[1], float(row[2]), int(row[3]), float(row[4])) for row in rows
-    ]
+    with _cells(HI_CSV):
+        return {row[0]: float(row[4]) for row in rows}
 
 
 # -- supervised set -------------------------------------------------------------
+
+
+META_COLUMNS = [
+    "asset_id",
+    "run_id",
+    "run_id_target",
+    "start_time",
+    "n_runs",
+    "n_runs_target",
+    "hi_current",
+    "recipe_id",
+    "plan",
+    "split",
+]
 
 
 def write_supervised(
@@ -284,8 +306,7 @@ def write_supervised(
 
     def feature_rows():
         for part in (train, test):
-            for i in range(part.n_rows):
-                yield [float(v) for v in part.X[i]] + [float(part.y[i])]
+            yield from np.column_stack([part.X, part.y]).tolist()
 
     write_csv(out / FEATURES_CSV, list(train.feature_names) + ["target"], feature_rows())
 
@@ -305,22 +326,7 @@ def write_supervised(
                     split,
                 ]
 
-    write_csv(
-        out / META_CSV,
-        [
-            "asset_id",
-            "run_id",
-            "run_id_target",
-            "start_time",
-            "n_runs",
-            "n_runs_target",
-            "hi_current",
-            "recipe_id",
-            "plan",
-            "split",
-        ],
-        meta_rows(),
-    )
+    write_csv(out / META_CSV, META_COLUMNS, meta_rows())
 
 
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
@@ -330,42 +336,38 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
         raise DataError(f"bad {FEATURES_CSV} header: expected trailing 'target' column")
     names = tuple(f_header[:-1])
     m_header, m_rows = read_csv(in_dir / META_CSV)
+    if m_header != META_COLUMNS:
+        raise DataError(f"bad {META_CSV} header: {m_header}")
     if len(m_rows) != len(f_rows):
         raise DataError(f"{FEATURES_CSV} and {META_CSV} row counts differ")
 
+    with _cells(FEATURES_CSV):
+        values = np.array(f_rows, dtype=np.float64)
+    with _cells(META_CSV):  # RowMeta fields come in META_COLUMNS order
+        meta = [
+            RowMeta(asset, run, target, float(start), int(n), int(n_target), float(hi), recipe,
+                    tuple(plan.split("|")) if plan else ())
+            for asset, run, target, start, n, n_target, hi, recipe, plan, _ in m_rows
+        ]
+    splits = [m_row[9] for m_row in m_rows]
+    bad = set(splits) - {"train", "test"}
+    if bad:
+        raise DataError(f"bad split values {sorted(bad)} in {META_CSV}")
     vocab = tuple(n[len("recipe_") :] for n in names if n.startswith("recipe_"))
-    parts: dict[str, list[tuple[np.ndarray, float, RowMeta]]] = {"train": [], "test": []}
-    for f_row, m_row in zip(f_rows, m_rows):
-        values = np.array([float(c) for c in f_row[:-1]])
-        target = float(f_row[-1])
-        split = m_row[9]
-        if split not in parts:
-            raise DataError(f"bad split value {split!r} in {META_CSV}")
-        meta = RowMeta(
-            asset_id=m_row[0],
-            run_id=m_row[1],
-            run_id_target=m_row[2],
-            start_time=float(m_row[3]),
-            n_runs=int(m_row[4]),
-            n_runs_target=int(m_row[5]),
-            hi_current=float(m_row[6]),
-            recipe_id=m_row[7],
-            plan=tuple(m_row[8].split("|")) if m_row[8] else (),
-        )
-        parts[split].append((values, target, meta))
 
-    def assemble(rows) -> SupervisedSet:
+    def assemble(split: str) -> SupervisedSet:
+        rows = [i for i, s in enumerate(splits) if s == split]
         if not rows:
             raise DataError("empty split in persisted supervised set")
         return SupervisedSet(
-            X=np.stack([r[0] for r in rows]),
-            y=np.array([r[1] for r in rows]),
+            X=values[rows, :-1],
+            y=values[rows, -1],
             feature_names=names,
-            meta=tuple(r[2] for r in rows),
+            meta=tuple(meta[i] for i in rows),
             vocab=vocab or None,
         )
 
-    return assemble(parts["train"]), assemble(parts["test"])
+    return assemble("train"), assemble("test")
 
 
 # -- evaluation artifacts --------------------------------------------------------

@@ -58,7 +58,6 @@ def evaluate_all(
     train: SupervisedSet,
     test: SupervisedSet,
     dataset_fingerprint: Optional[dict] = None,
-    keep_predictions: bool = False,
 ) -> EvalReport:
     """Score every fitted model and every naive benchmark on the same rows.
 
@@ -66,23 +65,22 @@ def evaluate_all(
     appended on serialization so comparisons against sequence models
     stay explicit about what was not implemented here. The report also
     carries the definitional cross-check for bm1: the mean absolute
-    ten-step target difference recomputed from the row metadata.
+    ten-step target difference recomputed from the row metadata, and
+    every model's and benchmark's test predictions.
     """
     results = []
     predictions: dict[str, np.ndarray] = {}
     for kind in sorted(models):
         pred = models[kind].predict(test.X)
         results.append((kind, mae(test.y, pred)))
-        if keep_predictions:
-            predictions[kind] = pred
+        predictions[kind] = pred
     results.sort(key=lambda item: (item[1], item[0]))
 
     benchmarks = {}
     for kind in BENCHMARK_KINDS:
         pred = benchmark_predict(kind, train, test)
         benchmarks[kind] = mae(test.y, pred)
-        if keep_predictions:
-            predictions[kind] = pred
+        predictions[kind] = pred
 
     bm1_identity = float(
         np.mean([abs(y - m.hi_current) for y, m in zip(test.y, test.meta)])

@@ -141,7 +141,8 @@ def build_supervised(
             if cur.run_id not in hi_by_run or tgt.run_id not in hi_by_run:
                 continue
             aggs = aggregate_channels(cur, sensors)
-            numeric = [v for name in sorted(aggs) for v in aggs[name]]
+            channel_names = sorted(aggs)
+            numeric = [v for name in channel_names for v in aggs[name]]
             numeric.append(float(cur.n_runs))
             rows.append(
                 (
@@ -167,7 +168,6 @@ def build_supervised(
         raise TooFewRows("no supervised rows could be built")
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    channel_names = sorted(aggregate_channels(runs[0], sensors)) if runs else []
     names = tuple(
         f"{ch}_{suffix}" for ch in channel_names for suffix in AGGREGATE_SUFFIXES
     ) + ("n_runs",)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import shutil
 
 import pytest
 
@@ -168,3 +169,83 @@ def test_plot_csv_schema(tmp_path, small_config):
     header, rows = dataio.read_csv(out / dataio.PLOT_HI_CSV)
     assert header == ["start_time", "n_runs", "target", "prediction_best", "bm1", "bm2", "bm3"]
     assert rows
+
+
+def _set_cell(lines, i, j, value):
+    cells = lines[i].rstrip("\n").split(",")
+    cells[j] = value
+    return lines[:i] + [",".join(cells) + "\n"] + lines[i + 1 :]
+
+
+def _split_first_run(lines):
+    """Move the first run's last row to the end of the file."""
+    first = lines[1].split(",", 1)[0]
+    i = max(k for k, line in enumerate(lines) if line.startswith(first + ","))
+    return lines[:i] + lines[i + 1 :] + [lines[i]]
+
+
+def _corrupt(path, corruption):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(corruption(lines)))
+
+
+RUNS_CSV_CORRUPTIONS = {
+    "non-numeric-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "abc"),
+    "empty-t-cell": lambda lines: _set_cell(lines, 2, 2, ""),
+    "empty-channel-cell": lambda lines: _set_cell(lines, 1, -1, ""),
+    "cut-mid-row": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
+    "blank-line": lambda lines: lines[: len(lines) // 2] + ["\n"] + lines[len(lines) // 2 :],
+    "run-split-in-two-blocks": _split_first_run,
+}
+
+SUPERVISED_CORRUPTIONS = {
+    "meta-header": (dataio.META_CSV, lambda lines: [lines[0].replace("hi_current", "hi")] + lines[1:]),
+    "short-meta-row": (dataio.META_CSV, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:]),
+    "non-numeric-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "abc")),
+}
+
+
+def _stage_output(tmp_path_factory, command):
+    root = tmp_path_factory.mktemp(command)
+    config = root / "config.ini"
+    config.write_text(SMALL_INI)
+    assert run_cli(command, "--config", config, "--out", root / "work") == 0
+    return config, root / "work"
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    return _stage_output(tmp_path_factory, "simulate")
+
+
+@pytest.fixture(scope="module")
+def pipelined(tmp_path_factory):
+    return _stage_output(tmp_path_factory, "pipeline")
+
+
+@pytest.mark.parametrize("corruption", sorted(RUNS_CSV_CORRUPTIONS))
+def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, corruption):
+    config, work = simulated
+    out = shutil.copytree(work, tmp_path / "work")
+    _corrupt(out / dataio.RUNS_CSV, RUNS_CSV_CORRUPTIONS[corruption])
+    assert run_cli("derive-hi", "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    assert not (out / dataio.HI_CSV).exists()
+    assert not (out / dataio.FITS_CSV).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("corruption", sorted(SUPERVISED_CORRUPTIONS))
+def test_malformed_supervised_set_is_data_error(tmp_path, pipelined, capsys, corruption, command):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    name, corrupt = SUPERVISED_CORRUPTIONS[corruption]
+    _corrupt(out / name, corrupt)
+    output = out / {"train": dataio.MODELS_DIR, "evaluate": dataio.REPORT_JSON}[command]
+    if output.is_dir():
+        shutil.rmtree(output)
+    else:
+        output.unlink()
+    assert run_cli(command, "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    assert not output.exists()

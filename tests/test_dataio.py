@@ -1,5 +1,7 @@
 """CSV round-trip and atomicity tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,45 @@ def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
         assert plan[asset] == [r.recipe_id for r in seq]
 
 
+def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
+    _, ds = small_dataset
+    path = tmp_path / dataio.RUNS_CSV
+    dataio.write_runs_csv(path, ds.runs)
+    channels = sorted(ds.runs[0].extra_channels)
+    expected = []
+    for run in ds.runs:
+        for i in range(run.n_samples):
+            cells = [run.run_id, run.asset_id, float(run.t[i])]
+            cells += [float(v) for v in run.readings[i]]
+            cells += [float(run.extra_channels[name][i]) for name in channels]
+            expected.append(",".join(dataio.fmt(v) for v in cells))
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",")[3:] == ["p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar"] + channels
+    assert lines[1:] == expected
+    assert any(",," in line for line in expected)  # invalid readings are empty cells
+
+
+def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
+    # 1 s sampling halves the rows per run, which keeps the traced read short
+    config = ChamberConfig(sample_dt=1.0)
+    ds = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=200,
+                          cycle_length=20, seed=5)
+    dataio.write_dataset(tmp_path, ds)
+    sensor_ids = [s.sensor_id for s in config.sensors]
+    tracemalloc.start()
+    try:
+        runs, _ = dataio.read_dataset(tmp_path, sensor_ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(
+        r.t.nbytes + r.readings.nbytes + sum(c.nbytes for c in r.extra_channels.values())
+        for r in runs
+    )
+    assert len(runs) == 200
+    assert peak <= 3 * nbytes, peak / nbytes
+
+
 def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
     config, ds = small_dataset
     dataio.write_dataset(tmp_path, ds)
@@ -64,10 +105,8 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
     hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV)
-    assert hi_map == {e.run_id: e.hi for e in series.entries}
-    entries = dataio.read_hi_entries(tmp_path / dataio.HI_CSV)
-    assert [e.run_id for e in entries] == [e.run_id for e in series.entries]
-    assert all(a.hi == b.hi for a, b in zip(entries, series.entries))
+    assert list(hi_map) == [e.run_id for e in series.entries]
+    assert all(hi_map[e.run_id] == e.hi for e in series.entries)
     header, rows = dataio.read_csv(tmp_path / dataio.FITS_CSV)
     assert header == ["segment", "k", "d", "t_bar", "alpha", "r2", "n_points"]
     assert len(rows) == len(fits)

@@ -109,11 +109,9 @@ def test_report_json_shape():
     assert all(r["mae"] is not None for r in doc["results"][:-1])
 
 
-def test_predictions_kept_only_on_request():
+def test_predictions_are_kept():
     train, test = _toy_sets()
     models = {"dt": train_model(RegressorSpec("dt"), train)}
-    lean = evaluate_all(models, train, test)
-    full = evaluate_all(models, train, test, keep_predictions=True)
-    assert lean.predictions == {}
+    full = evaluate_all(models, train, test)
     assert set(full.predictions) == {"dt", "bm1", "bm2", "bm3"}
     assert full.predictions["dt"].shape == (20,)
