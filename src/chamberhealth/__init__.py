@@ -6,12 +6,10 @@ against naive baselines on data from a built-in physics generator.
 """
 
 from .core import (
-    PressureSample,
     RunRecord,
     SegmentSpec,
     SensorSpec,
     composite_curve,
-    composite_pressure,
 )
 from .hi import DegradationFit, HiSeries, derive_hi, extract_segment_duration, impact
 from .simgen import (
@@ -30,7 +28,6 @@ __all__ = [
     "ChamberState",
     "DegradationFit",
     "HiSeries",
-    "PressureSample",
     "RecipeSpec",
     "RunRecord",
     "SegmentSpec",
@@ -38,7 +35,6 @@ __all__ = [
     "__version__",
     "closed_form_segment_duration",
     "composite_curve",
-    "composite_pressure",
     "derive_hi",
     "extract_segment_duration",
     "impact",

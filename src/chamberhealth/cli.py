@@ -26,6 +26,7 @@ from .config import (
     default_config,
     load_config,
 )
+from .core import composite_curve
 from .errors import (
     ChamberHealthError,
     ConfigError,
@@ -33,7 +34,7 @@ from .errors import (
     ModelError,
 )
 from .evaluation import evaluate_all
-from .features import build_supervised, chrono_split
+from .features import build_supervised, chrono_split, summarize_run
 from .hi import derive_hi
 from .models import (
     MODEL_KINDS,
@@ -64,28 +65,34 @@ def stage_simulate(cfg: PipelineConfig) -> None:
 
 
 def stage_derive_hi(cfg: PipelineConfig) -> None:
+    """The HI and each run's channel aggregates, from one pass over runs.csv
+    that fuses every run once."""
     out = Path(cfg.out_dir)
-    sensor_ids = [s.sensor_id for s in cfg.chamber.sensors]
-    runs, _ = dataio.read_dataset(out, sensor_ids)
+    sensors = cfg.chamber.sensors
+    runs, _ = dataio.read_dataset(out, [s.sensor_id for s in sensors])
+    curves = [composite_curve(run, sensors) for run in runs]
     fits, series = derive_hi(
         runs,
-        cfg.chamber.sensors,
+        sensors,
         cfg.segments,
         cycle_length=cfg.hi_cycle_length,
         analysis_limit=cfg.analysis_limit,
+        curves=curves,
     )
+    summaries = [summarize_run(run, curve) for run, curve in zip(runs, curves)]
     dataio.write_fits_csv(out / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(out / dataio.HI_CSV, series)
+    dataio.write_run_aggregates_csv(out / dataio.RUN_AGGREGATES_CSV, summaries)
 
 
 def stage_build_features(cfg: PipelineConfig) -> None:
+    """The supervised split from run_meta.csv, run_aggregates.csv, plan.csv
+    and hi.csv; runs.csv is not read."""
     out = Path(cfg.out_dir)
-    sensor_ids = [s.sensor_id for s in cfg.chamber.sensors]
-    runs, plan = dataio.read_dataset(out, sensor_ids)
+    summaries = dataio.read_run_summaries(out)
+    plan = dataio.read_plan(out)
     hi_map = dataio.read_hi_csv(out / dataio.HI_CSV)
-    sset = build_supervised(
-        runs, hi_map, plan, cfg.chamber.sensors, horizon=cfg.horizon
-    )
+    sset = build_supervised(summaries, hi_map, plan, horizon=cfg.horizon)
     train, test = chrono_split(sset, train_frac=cfg.train_frac)
     dataio.write_supervised(out, train, test)
 

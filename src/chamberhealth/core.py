@@ -1,10 +1,9 @@
 """Domain types for pumpdown runs and multi-sensor pressure fusion.
 
 A chamber is instrumented with four pressure gauges whose valid ranges
-overlap to cover roughly 1e-6 to 1e3 mbar. ``composite_pressure`` fuses
-one sample's readings into a single value by picking the
-highest-priority gauge that is both valid and inside its own range;
-``composite_curve`` applies the same rule to a whole run.
+overlap to cover roughly 1e-6 to 1e3 mbar. ``composite_curve`` fuses
+each sample's readings into a single value by picking the
+highest-priority gauge that is both valid and inside its own range.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -39,36 +38,12 @@ class SensorSpec:
                 f"sensor {self.sensor_id}: valid_range must satisfy 0 < min < max, got {self.valid_range}"
             )
 
-    def in_range(self, value: float) -> bool:
-        lo, hi = self.valid_range
-        return lo <= value <= hi
-
 
 def check_sensor_priorities(sensors: Sequence[SensorSpec]) -> None:
     """Priorities must be unique within one chamber configuration."""
     ranks = [s.priority for s in sensors]
     if len(set(ranks)) != len(ranks):
         raise ConfigError(f"sensor priorities must be unique, got {ranks}")
-
-
-@dataclass(frozen=True)
-class PressureSample:
-    """One timestamped set of gauge readings.
-
-    ``readings`` maps sensor_id to pressure in mbar; an invalid or
-    missing reading is represented as None, never as a sentinel number
-    (sentinels would corrupt log-domain interpolation downstream).
-    """
-
-    t: float
-    readings: Mapping[str, Optional[float]]
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise DataError(f"sample time must be non-negative, got {self.t}")
-        for sid, value in self.readings.items():
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise DataError(f"sensor {sid}: reading must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -143,35 +118,14 @@ class RunRecord:
     def n_samples(self) -> int:
         return int(self.t.size)
 
-    def sample(self, i: int) -> PressureSample:
-        """Materialize sample i as a PressureSample."""
-        row = self.readings[i]
-        readings = {
-            sid: (None if np.isnan(row[j]) else float(row[j]))
-            for j, sid in enumerate(self.sensor_ids)
-        }
-        return PressureSample(t=float(self.t[i]), readings=readings)
-
-
-def composite_pressure(sample: PressureSample, sensors: Sequence[SensorSpec]) -> float:
-    """Fuse one sample's readings into a single pressure in mbar.
-
-    Returns the reading of the highest-priority sensor whose value is
-    valid and inside that sensor's own range. Raises NoValidReading if
-    no sensor qualifies. Pure and deterministic.
-    """
-    for spec in sorted(sensors, key=lambda s: s.priority):
-        value = sample.readings.get(spec.sensor_id)
-        if value is not None and spec.in_range(value):
-            return float(value)
-    raise NoValidReading(f"no valid in-range reading at t={sample.t}: {sample.readings}")
-
 
 def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray:
-    """Apply the composite_pressure rule to every sample of a run.
+    """Fuse every sample of a run into one pressure curve in mbar.
 
-    Vectorized equivalent of calling composite_pressure per sample;
-    raises NoValidReading if any sample has no usable reading.
+    Each sample takes the reading of the highest-priority sensor whose
+    value is valid and inside that sensor's own range. Raises
+    NoValidReading if any sample has no usable reading. Pure and
+    deterministic.
     """
     order = {sid: j for j, sid in enumerate(run.sensor_ids)}
     out = np.full(run.n_samples, np.nan)

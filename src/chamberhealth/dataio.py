@@ -7,16 +7,25 @@ round-trips bit-exactly. Files are written to a temp path and renamed
 into place, so a failing stage never leaves a partial file.
 
 ``runs.csv`` holds each run as one contiguous block of rows in time
-order, and is written and read one block at a time, so no stage holds
-more than one run's text rows. An empty cell is allowed only in a
-sensor column, where it means the reading was invalid. Any other
-malformed input (a wrong field count, a non-numeric or empty cell
-elsewhere, a run split over two blocks) raises DataError.
+order. It is written one block at a time, each block rendered as one
+string, and read one block at a time, so no stage holds more than one
+run's text rows. An empty cell is allowed only in a sensor column, where
+it means the reading was invalid. Any other malformed input (a wrong
+field count, a non-numeric or empty cell elsewhere, a run split over
+two blocks, an ``asset_id`` that differs from ``run_meta.csv``) raises
+DataError, as do bytes that are not UTF-8 in any CSV.
+
+``derive-hi`` is the only stage that reads ``runs.csv``. Beside the HI
+it writes ``run_aggregates.csv``, the channel aggregates of every run
+computed from the composite curve it fused anyway; ``build-features``
+joins that file with ``run_meta.csv`` (``read_run_summaries``), which
+must list the same runs in the same order.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from contextlib import contextmanager
@@ -29,7 +38,7 @@ import numpy as np
 
 from .core import RunRecord
 from .errors import DataError
-from .features import RowMeta, SupervisedSet
+from .features import RowMeta, RunSummary, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
 from .simgen import PlanEntry, SimDataset
 
@@ -37,6 +46,7 @@ PathLike = Union[str, Path]
 
 RUNS_CSV = "runs.csv"
 RUN_META_CSV = "run_meta.csv"
+RUN_AGGREGATES_CSV = "run_aggregates.csv"
 GROUND_TRUTH_CSV = "ground_truth.csv"
 PLAN_CSV = "plan.csv"
 FITS_CSV = "fits.csv"
@@ -58,44 +68,60 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: PathLike, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+@contextmanager
+def atomic_open(path: PathLike) -> Iterator[io.TextIOBase]:
+    """A text file at a temp path, renamed to ``path`` once written."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def atomic_write_text(path: PathLike, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) for v in row])
-    os.replace(tmp, path)
 
 
 @contextmanager
 def _open_csv(path: PathLike) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
-    """Yield the header and a lazy row iterator that rejects a wrong field count."""
+    """Yield the header and a lazy row iterator that rejects a wrong field
+    count, text that is not UTF-8 and text the csv module cannot split."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing input file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+
+        def bad_text(exc: Exception) -> DataError:
+            return DataError(f"{path.name}: unreadable text after line {reader.line_num}: {exc}")
+
+        try:
+            header = next(reader, None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise bad_text(exc) from None
         if header is None:
             raise DataError(f"empty file: {path}")
 
         def rows():
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path.name} line {reader.line_num}: {len(row)} fields, "
-                        f"header has {len(header)}"
-                    )
-                yield row
+            try:
+                for row in reader:
+                    if len(row) != len(header):
+                        raise DataError(
+                            f"{path.name} line {reader.line_num}: {len(row)} fields, "
+                            f"header has {len(header)}"
+                        )
+                    yield row
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise bad_text(exc) from None
 
         yield header, rows()
 
@@ -117,8 +143,20 @@ def _cells(name: str):
 # -- raw samples + run metadata (core schemas) --------------------------------
 
 
+def _csv_line(cells: Sequence[str]) -> str:
+    """One CSV record, quoted as csv.writer quotes it, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()[: -len("\r\n")]
+
+
 def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
-    """`run_id,asset_id,t_s,p1_mbar..pN_mbar[,channel...]`, one row per sample."""
+    """`run_id,asset_id,t_s,p1_mbar..pN_mbar[,channel...]`, one row per sample.
+
+    Each run block is rendered as one string: the quoted id prefix once,
+    then repr() of every value, NaN as an empty cell. The bytes are the
+    ones write_csv would write cell by cell.
+    """
     if not runs:
         raise DataError("no runs to write")
     n_sensors = len(runs[0].sensor_ids)
@@ -128,22 +166,27 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
         + [f"p{j + 1}_mbar" for j in range(n_sensors)]
         + channels
     )
-
-    def rows():
+    with atomic_open(path) as fh:
+        fh.write(_csv_line(header) + "\r\n")
         for run in runs:
+            prefix = _csv_line([run.run_id, run.asset_id]) + ","
             block = np.column_stack(
                 [run.t, run.readings, *(run.extra_channels[name] for name in channels)]
             )
-            for values in block.tolist():
-                yield [run.run_id, run.asset_id, *values]
+            # repr() of a float spells "nan" only for NaN itself
+            fh.write("".join(
+                [prefix + ",".join(map(repr, row)).replace("nan", "") + "\r\n"
+                 for row in block.tolist()]
+            ))
 
-    write_csv(path, header, rows())
+
+RUN_META_COLUMNS = ["run_id", "asset_id", "start_time", "recipe_id", "n_runs"]
 
 
 def write_run_meta_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
     write_csv(
         path,
-        ["run_id", "asset_id", "start_time", "recipe_id", "n_runs"],
+        RUN_META_COLUMNS,
         (
             [r.run_id, r.asset_id, float(r.start_time), r.recipe_id, r.n_runs]
             for r in runs
@@ -175,6 +218,34 @@ def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:
     write_plan_csv(out / PLAN_CSV, dataset.plan)
 
 
+def read_run_meta(in_dir: PathLike) -> list[tuple[str, str, float, str, int]]:
+    """``run_meta.csv`` rows as (run_id, asset_id, start_time, recipe_id, n_runs),
+    in file order; a run_id listed twice raises DataError."""
+    header, rows = read_csv(Path(in_dir) / RUN_META_CSV)
+    if header != RUN_META_COLUMNS:
+        raise DataError(f"bad {RUN_META_CSV} header: {header}")
+    with _cells(RUN_META_CSV):
+        meta = [(rid, asset, float(start), recipe, int(n)) for rid, asset, start, recipe, n in rows]
+    seen: set[str] = set()
+    for rid, *_ in meta:
+        if rid in seen:
+            raise DataError(f"run {rid} listed twice in {RUN_META_CSV}")
+        seen.add(rid)
+    return meta
+
+
+def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
+    """``plan.csv`` as asset_id -> recipe_ids in position order."""
+    header, rows = read_csv(Path(in_dir) / PLAN_CSV)
+    if header != ["asset_id", "position", "recipe_id"]:
+        raise DataError(f"bad {PLAN_CSV} header: {header}")
+    plan: dict[str, list[tuple[int, str]]] = {}
+    with _cells(PLAN_CSV):
+        for row in rows:
+            plan.setdefault(row[0], []).append((int(row[1]), row[2]))
+    return {asset: [rid for _, rid in sorted(entries)] for asset, entries in plan.items()}
+
+
 def read_dataset(
     in_dir: PathLike, sensor_ids: Sequence[str]
 ) -> tuple[list[RunRecord], dict[str, list[str]]]:
@@ -185,12 +256,8 @@ def read_dataset(
     re-attached; it only exists on freshly generated in-memory runs.
     """
     in_dir = Path(in_dir)
-    meta_header, meta_rows = read_csv(in_dir / RUN_META_CSV)
-    expected = ["run_id", "asset_id", "start_time", "recipe_id", "n_runs"]
-    if meta_header != expected:
-        raise DataError(f"bad {RUN_META_CSV} header: {meta_header}")
-    with _cells(RUN_META_CSV):  # RunRecord fields asset_id, start_time, recipe_id, n_runs
-        meta = {row[0]: (row[1], float(row[2]), row[3], int(row[4])) for row in meta_rows}
+    # RunRecord fields asset_id, start_time, recipe_id, n_runs
+    meta = {rid: fields for rid, *fields in read_run_meta(in_dir)}
 
     runs = []
     with _open_csv(in_dir / RUNS_CSV) as (header, rows):
@@ -209,9 +276,17 @@ def read_dataset(
             seen.add(rid)
             if rid not in meta:
                 raise DataError(f"run {rid} present in {RUNS_CSV} but missing from {RUN_META_CSV}")
+            block = list(block)
+            asset = meta[rid][0]
+            if any(row[1] != asset for row in block):
+                raise DataError(
+                    f"run {rid}: asset_id in {RUNS_CSV} differs from {RUN_META_CSV} ({asset})"
+                )
             # an empty cell reads as NaN, which only a sensor column may hold
             with _cells(f"{RUNS_CSV}, run {rid}"):
-                values = np.array([[float(c) if c else math.nan for c in row[2:]] for row in block])
+                values = np.array(
+                    [c or "nan" for row in block for c in row[2:]], dtype=np.float64
+                ).reshape(len(block), -1)
             t, channels = values[:, 0], values[:, 1 + n_sensors :]
             if not (np.isfinite(t).all() and np.isfinite(channels).all()):
                 raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
@@ -232,18 +307,55 @@ def read_dataset(
             f"{len(missing)} run(s) listed in {RUN_META_CSV} but missing from {RUNS_CSV}, "
             f"first {missing[0]}"
         )
+    return runs, read_plan(in_dir)
 
-    plan_header, plan_rows = read_csv(in_dir / PLAN_CSV)
-    if plan_header != ["asset_id", "position", "recipe_id"]:
-        raise DataError(f"bad {PLAN_CSV} header: {plan_header}")
-    plan: dict[str, list[tuple[int, str]]] = {}
-    with _cells(PLAN_CSV):
-        for row in plan_rows:
-            plan.setdefault(row[0], []).append((int(row[1]), row[2]))
-    plan_ids = {
-        asset: [rid for _, rid in sorted(entries)] for asset, entries in plan.items()
-    }
-    return runs, plan_ids
+
+def write_run_aggregates_csv(path: PathLike, summaries: Sequence[RunSummary]) -> None:
+    """`run_id,<channel>_<mean|min|max|std>...`, channels sorted by name."""
+    if not summaries:
+        raise DataError("no runs to write")
+    channels = sorted(summaries[0].aggregates)
+    write_csv(
+        path,
+        ["run_id"] + aggregate_names(channels),
+        ([s.run_id] + [v for ch in channels for v in s.aggregates[ch]] for s in summaries),
+    )
+
+
+def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
+    """``run_meta.csv`` joined with ``run_aggregates.csv``, in run_meta order.
+
+    The aggregates file must list exactly the runs of ``run_meta.csv``,
+    in the same order, under a ``run_id`` plus ``<channel>_<suffix>``
+    header with the channels sorted and ``pressure`` among them.
+    """
+    in_dir = Path(in_dir)
+    meta = read_run_meta(in_dir)
+    header, rows = read_csv(in_dir / RUN_AGGREGATES_CSV)
+    channels = [name[: -len("_mean")] for name in header[1::4]]
+    if (
+        header[:1] != ["run_id"]
+        or header[1:] != aggregate_names(channels)
+        or channels != sorted(set(channels))
+        or "pressure" not in channels
+    ):
+        raise DataError(f"bad {RUN_AGGREGATES_CSV} header: {header}")
+    if [row[0] for row in rows] != [m[0] for m in meta]:
+        raise DataError(
+            f"{RUN_AGGREGATES_CSV} does not list the runs of {RUN_META_CSV} in the same order; "
+            "rerun derive-hi"
+        )
+    with _cells(RUN_AGGREGATES_CSV):
+        values = np.array([row[1:] for row in rows], dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite cell in {RUN_AGGREGATES_CSV}")
+    return [
+        RunSummary(
+            *fields,
+            aggregates={ch: tuple(row[4 * k : 4 * k + 4]) for k, ch in enumerate(channels)},
+        )
+        for fields, row in zip(meta, values.tolist())
+    ]
 
 
 # -- HI artifacts --------------------------------------------------------------

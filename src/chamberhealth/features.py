@@ -12,11 +12,11 @@ partition only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import RunRecord, SensorSpec, composite_curve
+from .core import RunRecord
 from .errors import (
     BadPlanLength,
     DataError,
@@ -28,16 +28,18 @@ from .hi import HiSeries
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
+# channel name -> (mean, min, max, population std)
+Aggregates = dict[str, tuple[float, float, float, float]]
 
-def aggregate_channels(
-    run: RunRecord, sensors: Sequence[SensorSpec]
-) -> dict[str, tuple[float, float, float, float]]:
+
+def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> Aggregates:
     """Per-channel (mean, min, max, population std) for one run.
 
-    Channels are the fused composite pressure plus every extra process
-    channel; population std keeps n=1 channels well defined.
+    Channels are ``pressure``, the run's fused composite curve (see
+    ``core.composite_curve``), plus every extra process channel;
+    population std keeps n=1 channels well defined.
     """
-    channels: dict[str, np.ndarray] = {"pressure": composite_curve(run, sensors)}
+    channels: dict[str, np.ndarray] = {"pressure": pressure}
     channels.update(run.extra_channels)
     out = {}
     for name in sorted(channels):
@@ -51,6 +53,32 @@ def aggregate_channels(
             float(values.std()),
         )
     return out
+
+
+def aggregate_names(channels: Iterable[str]) -> list[str]:
+    """Column names ``<channel>_<mean|min|max|std>``, channel-major."""
+    return [f"{ch}_{suffix}" for ch in channels for suffix in AGGREGATE_SUFFIXES]
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """One run as ``build_supervised`` sees it: identity, recipe,
+    maintenance counter and the channel aggregates of ``aggregate_channels``."""
+
+    run_id: str
+    asset_id: str
+    start_time: float
+    recipe_id: str
+    n_runs: int
+    aggregates: Aggregates
+
+
+def summarize_run(run: RunRecord, pressure: np.ndarray) -> RunSummary:
+    """The RunSummary of a run whose composite curve is ``pressure``."""
+    return RunSummary(
+        run.run_id, run.asset_id, run.start_time, run.recipe_id, run.n_runs,
+        aggregate_channels(run, pressure),
+    )
 
 
 def encode_recipe_plan(
@@ -108,25 +136,25 @@ class SupervisedSet:
 
 
 def build_supervised(
-    runs: Sequence[RunRecord],
+    runs: Sequence[RunSummary],
     hi: Union[HiSeries, Mapping[str, float]],
     plan: Optional[Mapping[str, Sequence[str]]],
-    sensors: Sequence[SensorSpec],
     horizon: int = 10,
 ) -> SupervisedSet:
     """One row per run that has a same-asset run ``horizon`` positions later.
 
-    ``hi`` is the derived health index, either as a HiSeries or a plain
-    run_id -> seconds mapping. ``plan`` maps asset_id to that asset's
-    scheduled recipe sequence; when omitted, the realized recipe
-    sequence stands in for it (they coincide for generated data). Rows
-    spanning a maintenance event are kept: the post-cleaning drop is
-    part of the target. Rows are sorted by start_time.
+    ``runs`` are per-run summaries (``summarize_run``). ``hi`` is the
+    derived health index, either as a HiSeries or a plain run_id ->
+    seconds mapping. ``plan`` maps asset_id to that asset's scheduled
+    recipe sequence; when omitted, the realized recipe sequence stands
+    in for it (they coincide for generated data). Rows spanning a
+    maintenance event are kept: the post-cleaning drop is part of the
+    target. Rows are sorted by start_time.
     """
     if horizon < 1:
         raise DataError(f"horizon must be >= 1, got {horizon}")
     hi_by_run = hi.by_run_id() if hasattr(hi, "by_run_id") else dict(hi)
-    by_asset: dict[str, list[RunRecord]] = {}
+    by_asset: dict[str, list[RunSummary]] = {}
     for run in runs:
         by_asset.setdefault(run.asset_id, []).append(run)
 
@@ -140,9 +168,8 @@ def build_supervised(
             cur, tgt = seq[t], seq[t + horizon]
             if cur.run_id not in hi_by_run or tgt.run_id not in hi_by_run:
                 continue
-            aggs = aggregate_channels(cur, sensors)
-            channel_names = sorted(aggs)
-            numeric = [v for name in channel_names for v in aggs[name]]
+            channel_names = sorted(cur.aggregates)
+            numeric = [v for name in channel_names for v in cur.aggregates[name]]
             numeric.append(float(cur.n_runs))
             rows.append(
                 (
@@ -168,9 +195,7 @@ def build_supervised(
         raise TooFewRows("no supervised rows could be built")
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    names = tuple(
-        f"{ch}_{suffix}" for ch in channel_names for suffix in AGGREGATE_SUFFIXES
-    ) + ("n_runs",)
+    names = tuple(aggregate_names(channel_names)) + ("n_runs",)
     X = np.stack([r[2] for r in rows])
     y = np.array([r[3] for r in rows], dtype=np.float64)
     meta = tuple(r[4] for r in rows)

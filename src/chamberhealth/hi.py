@@ -152,15 +152,15 @@ def impact(k: float, t_bar: float, cycle_length: int = 100) -> float:
 
 def run_segment_durations(
     runs: Sequence[RunRecord],
-    sensors: Sequence[SensorSpec],
+    curves: Sequence[np.ndarray],
     segments: Sequence[SegmentSpec],
 ) -> list[dict[int, Optional[float]]]:
-    """Measured duration of every segment for every run (None = incomplete)."""
-    out = []
-    for run in runs:
-        curve = composite_curve(run, sensors)
-        out.append({seg.index: extract_segment_duration(run.t, curve, seg) for seg in segments})
-    return out
+    """Measured duration of every segment for every run (None = incomplete),
+    given each run's composite curve."""
+    return [
+        {seg.index: extract_segment_duration(run.t, curve, seg) for seg in segments}
+        for run, curve in zip(runs, curves)
+    ]
 
 
 def select_analysis_subset(
@@ -187,8 +187,12 @@ def derive_hi(
     segments: Sequence[SegmentSpec],
     cycle_length: int = 100,
     analysis_limit: int = 400,
+    curves: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[list[DegradationFit], HiSeries]:
     """Fit every segment on the analysis subset and select the HI segment.
+
+    ``curves`` are the runs' composite curves when the caller has
+    already fused them; otherwise each run is fused here.
 
     Selection is argmax R^2, ties broken by larger impact, then lower
     segment index. Incomplete durations are excluded per segment;
@@ -198,7 +202,9 @@ def derive_hi(
     """
     if not runs:
         raise EmptyCurve("no runs to derive a health index from")
-    durations = run_segment_durations(runs, sensors, segments)
+    if curves is None:
+        curves = [composite_curve(run, sensors) for run in runs]
+    durations = run_segment_durations(runs, curves, segments)
     subset = select_analysis_subset(runs, analysis_limit)
 
     fits: list[DegradationFit] = []

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import atomic_write_text
+from .dataio import atomic_open
 from .errors import ConfigError, DivergedLoss, EmptyTraining, KTooLarge, ModelError
 from .features import Standardizer, SupervisedSet
 
@@ -661,19 +661,16 @@ def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
     )
 
 
+# model_to_json and save_model must give the same bytes
+_JSON_LAYOUT = {"sort_keys": True, "indent": 1}
 _PAYLOAD_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}
 
 
-def model_to_json(model: TrainedModel) -> str:
-    """Self-describing JSON with a format-version header.
-
-    Floats are serialized via repr (shortest round-trip form), so a
-    save/load cycle reproduces every parameter bit-exactly.
-    """
+def _model_doc(model: TrainedModel) -> dict:
     std = None
     if model.standardizer is not None:
         std = {"mu": model.standardizer.mu.tolist(), "sigma": model.standardizer.sigma.tolist()}
-    doc = {
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
@@ -682,7 +679,15 @@ def model_to_json(model: TrainedModel) -> str:
         "standardizer": std,
         "payload": model.inner.to_payload(),
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def model_to_json(model: TrainedModel) -> str:
+    """Self-describing JSON with a format-version header.
+
+    Floats are serialized via repr (shortest round-trip form), so a
+    save/load cycle reproduces every parameter bit-exactly.
+    """
+    return json.dumps(_model_doc(model), **_JSON_LAYOUT)
 
 
 def model_from_json(text: str) -> TrainedModel:
@@ -710,7 +715,11 @@ def model_from_json(text: str) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: Union[str, Path]) -> None:
-    atomic_write_text(path, model_to_json(model))
+    """Write ``model_to_json``'s text, streamed: a forest's text is never
+    held whole in memory (with ``indent`` set, json.dumps joins every
+    token of it into one list first)."""
+    with atomic_open(path) as fh:
+        json.dump(_model_doc(model), fh, **_JSON_LAYOUT)
 
 
 def load_model(path: Union[str, Path]) -> TrainedModel:

@@ -3,11 +3,17 @@
 import argparse
 import json
 import shutil
+import sys
+from collections import Counter
 
 import pytest
 
-from chamberhealth import dataio
+from chamberhealth import cli, core, dataio
 from chamberhealth.cli import build_parser, main
+from chamberhealth.config import load_config
+from chamberhealth.features import build_supervised, chrono_split, summarize_run
+from chamberhealth.hi import derive_hi
+from chamberhealth.simgen import simulate_history
 
 SMALL_INI = """
 [cli]
@@ -34,6 +40,7 @@ ARTIFACTS = [
     dataio.PLAN_CSV,
     dataio.FITS_CSV,
     dataio.HI_CSV,
+    dataio.RUN_AGGREGATES_CSV,
     dataio.FEATURES_CSV,
     dataio.META_CSV,
     dataio.REPORT_JSON,
@@ -249,3 +256,128 @@ def test_malformed_supervised_set_is_data_error(tmp_path, pipelined, capsys, cor
     assert run_cli(command, "--config", config, "--out", out) == 3
     assert capsys.readouterr().err.startswith("ERROR DataError:")
     assert not output.exists()
+
+
+def _drop_outputs(out, *names):
+    for name in names:
+        (out / name).unlink(missing_ok=True)
+
+
+def _duplicate_first_meta_row(lines):
+    return lines[:2] + [lines[1]] + lines[2:]
+
+
+def _change_first_runs_asset(lines):
+    return _set_cell(lines, 1, 1, "other-asset")
+
+
+DATASET_CORRUPTIONS = {
+    "run-meta-duplicate-run-id": (dataio.RUN_META_CSV, _duplicate_first_meta_row),
+    "runs-csv-asset-differs-from-run-meta": (dataio.RUNS_CSV, _change_first_runs_asset),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(DATASET_CORRUPTIONS))
+def test_inconsistent_dataset_is_data_error(tmp_path, simulated, capsys, corruption):
+    config, work = simulated
+    out = shutil.copytree(work, tmp_path / "work")
+    name, corrupt = DATASET_CORRUPTIONS[corruption]
+    _corrupt(out / name, corrupt)
+    assert run_cli("derive-hi", "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    assert not (out / dataio.HI_CSV).exists()
+
+
+# (input file, stage that reads it, the stage's outputs)
+DERIVE_OUTPUTS = (dataio.FITS_CSV, dataio.HI_CSV, dataio.RUN_AGGREGATES_CSV)
+FEATURE_OUTPUTS = (dataio.FEATURES_CSV, dataio.META_CSV)
+NOT_UTF8_INPUTS = {
+    dataio.PLAN_CSV: ("derive-hi", DERIVE_OUTPUTS),
+    dataio.RUNS_CSV: ("derive-hi", DERIVE_OUTPUTS),
+    dataio.RUN_AGGREGATES_CSV: ("build-features", FEATURE_OUTPUTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8_INPUTS))
+def test_input_that_is_not_utf8_is_data_error(tmp_path, pipelined, capsys, name):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    command, outputs = NOT_UTF8_INPUTS[name]
+    _drop_outputs(out, *outputs)
+    with open(out / name, "ab") as fh:
+        fh.write(b"\xff")
+    assert run_cli(command, "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"ERROR DataError: {name}: ")
+    assert not [o for o in outputs if (out / o).exists()]
+
+
+RUN_AGGREGATES_CORRUPTIONS = {
+    "missing": lambda lines: None,
+    "reordered": lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+    "short": lambda lines: lines[:-1],
+    "wrong-header": lambda lines: [lines[0].replace("pressure_min", "pressure_low")] + lines[1:],
+    "swapped-header-columns": lambda lines: [
+        lines[0].replace("pressure_min,pressure_max", "pressure_max,pressure_min")
+    ] + lines[1:],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(RUN_AGGREGATES_CORRUPTIONS))
+def test_bad_run_aggregates_is_data_error(tmp_path, pipelined, capsys, corruption):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *FEATURE_OUTPUTS)
+    path = out / dataio.RUN_AGGREGATES_CSV
+    lines = RUN_AGGREGATES_CORRUPTIONS[corruption](path.read_text().splitlines(keepends=True))
+    if lines is None:
+        path.unlink()
+    else:
+        path.write_text("".join(lines))
+    assert run_cli("build-features", "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
+
+
+def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
+    out = tmp_path / "work"
+    for command in ("simulate", "derive-hi"):
+        assert run_cli(command, "--config", small_config, "--out", out) == 0
+    (out / dataio.RUNS_CSV).unlink()
+    assert run_cli("build-features", "--config", small_config, "--out", out) == 0
+
+    # the same split built from the generator's in-memory runs, no CSV in between
+    cfg = load_config(small_config)
+    sensors = cfg.chamber.sensors
+    ds = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
+                          n_runs_total=cfg.n_runs_total, cycle_length=cfg.sim_cycle_length,
+                          seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
+    _, series = derive_hi(ds.runs, sensors, cfg.segments, cycle_length=cfg.hi_cycle_length,
+                          analysis_limit=cfg.analysis_limit)
+    summaries = [summarize_run(run, core.composite_curve(run, sensors)) for run in ds.runs]
+    sset = build_supervised(summaries, series, ds.plan_by_asset(), horizon=cfg.horizon)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    dataio.write_supervised(ref, *chrono_split(sset, train_frac=cfg.train_frac))
+    for name in FEATURE_OUTPUTS:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_pipeline_parses_runs_csv_once_and_fuses_each_run_once(tmp_path, small_config, monkeypatch):
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dataio, "read_dataset", spy("read_dataset", dataio.read_dataset))
+    original = core.composite_curve
+    wrapped = spy("composite_curve", original)
+    for name, module in list(sys.modules.items()):  # every `from .core import composite_curve`
+        if name.startswith("chamberhealth") and getattr(module, "composite_curve", None) is original:
+            monkeypatch.setattr(module, "composite_curve", wrapped)
+    assert cli.composite_curve is wrapped
+    assert run_cli("pipeline", "--config", small_config, "--out", tmp_path / "work",
+                   "--n-runs-total", 300, "--n-assets", 3) == 0
+    assert calls == {"read_dataset": 1, "composite_curve": 300}

@@ -1,19 +1,58 @@
 """Sensor fusion and domain type tests."""
 
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
+
 import numpy as np
 import pytest
 
 from chamberhealth.core import (
-    PressureSample,
     RunRecord,
     SegmentSpec,
     SensorSpec,
     check_sensor_priorities,
     composite_curve,
-    composite_pressure,
 )
 from chamberhealth.errors import ConfigError, DataError, NoValidReading
 from chamberhealth.simgen import ChamberConfig, ChamberState, RecipeSpec, simulate_run
+
+# -- scalar per-sample oracle for the vectorized composite_curve ---------------
+
+
+@dataclass(frozen=True)
+class PressureSample:
+    """One timestamped set of gauge readings; None marks an invalid reading."""
+
+    t: float
+    readings: Mapping[str, Optional[float]]
+
+    def __post_init__(self) -> None:
+        if self.t < 0:
+            raise DataError(f"sample time must be non-negative, got {self.t}")
+        for sid, value in self.readings.items():
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise DataError(f"sensor {sid}: reading must be finite and > 0, got {value}")
+
+
+def composite_pressure(sample: PressureSample, sensors: Sequence[SensorSpec]) -> float:
+    """The reading of the highest-priority sensor that is valid and inside
+    its own range; NoValidReading if no sensor qualifies."""
+    for spec in sorted(sensors, key=lambda s: s.priority):
+        value = sample.readings.get(spec.sensor_id)
+        lo, hi = spec.valid_range
+        if value is not None and lo <= value <= hi:
+            return float(value)
+    raise NoValidReading(f"no valid in-range reading at t={sample.t}: {sample.readings}")
+
+
+def run_sample(run: RunRecord, i: int) -> PressureSample:
+    """Sample i of a run as a PressureSample."""
+    row = run.readings[i]
+    readings = {
+        sid: (None if np.isnan(row[j]) else float(row[j]))
+        for j, sid in enumerate(run.sensor_ids)
+    }
+    return PressureSample(t=float(run.t[i]), readings=readings)
 
 
 def test_single_valid_sensor_wins():
@@ -64,8 +103,9 @@ def test_composite_curve_matches_per_sample_rule():
     config = ChamberConfig()
     run = simulate_run(ChamberState(contamination=30.0), RecipeSpec("std", 0.8), config, seed=3)
     curve = composite_curve(run, config.sensors)
-    for i in (0, 7, run.n_samples // 2, run.n_samples - 1):
-        assert curve[i] == composite_pressure(run.sample(i), config.sensors)
+    assert np.isnan(run.readings).any()  # the rule must skip invalid readings
+    for i in range(run.n_samples):
+        assert curve[i] == composite_pressure(run_sample(run, i), config.sensors)
 
 
 def test_composite_tracks_truth_within_one_percent():

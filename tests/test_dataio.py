@@ -1,13 +1,17 @@
 """CSV round-trip and atomicity tests."""
 
+import csv
+import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chamberhealth import dataio
 from chamberhealth.errors import DataError
-from chamberhealth.features import build_supervised, chrono_split
+from chamberhealth.core import composite_curve
+from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
 from chamberhealth.simgen import (
     ChamberConfig,
@@ -52,20 +56,32 @@ def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
 
 def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
     _, ds = small_dataset
+    # invalid readings in the first and the last sensor column, and ids that need quoting
+    base = ds.runs[0]
+    readings = np.nan_to_num(base.readings, nan=1.0)
+    readings[0, 0] = readings[1, -1] = np.nan
+    readings[2, [0, -1]] = np.nan
+    runs = list(ds.runs) + [
+        replace(base, run_id="r,nan", readings=readings),
+        replace(base, run_id='q"1', asset_id="nan asset"),
+    ]
     path = tmp_path / dataio.RUNS_CSV
-    dataio.write_runs_csv(path, ds.runs)
-    channels = sorted(ds.runs[0].extra_channels)
-    expected = []
-    for run in ds.runs:
+    dataio.write_runs_csv(path, runs)
+    channels = sorted(base.extra_channels)
+    header = ["run_id", "asset_id", "t_s", "p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar"] + channels
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for run in runs:
         for i in range(run.n_samples):
             cells = [run.run_id, run.asset_id, float(run.t[i])]
             cells += [float(v) for v in run.readings[i]]
             cells += [float(run.extra_channels[name][i]) for name in channels]
-            expected.append(",".join(dataio.fmt(v) for v in cells))
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[3:] == ["p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar"] + channels
-    assert lines[1:] == expected
-    assert any(",," in line for line in expected)  # invalid readings are empty cells
+            writer.writerow([dataio.fmt(v) for v in cells])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    rows = [row[3:7] for row in csv.reader(path.read_text().splitlines()) if row[0] == "r,nan"]
+    empty = [[j for j, cell in enumerate(row) if not cell] for row in rows[:4]]
+    assert empty == [[0], [3], [0, 3], []]  # sensor columns p1..p4
 
 
 def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
@@ -116,7 +132,8 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     config, ds = small_dataset
     fits, series = derive_hi(ds.runs, config.sensors, default_segments(),
                              cycle_length=20, analysis_limit=400)
-    sset = build_supervised(ds.runs, series, ds.plan_by_asset(), config.sensors)
+    summaries = [summarize_run(r, composite_curve(r, config.sensors)) for r in ds.runs]
+    sset = build_supervised(summaries, series, ds.plan_by_asset())
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chamberhealth.core import RunRecord, SensorSpec
+from chamberhealth.core import RunRecord, SensorSpec, composite_curve
 from chamberhealth.errors import (
     BadPlanLength,
     DataError,
@@ -17,6 +17,7 @@ from chamberhealth.features import (
     chrono_split,
     encode_recipe_plan,
     standardize,
+    summarize_run,
 )
 from chamberhealth.hi import derive_hi
 from chamberhealth.simgen import (
@@ -29,6 +30,10 @@ from chamberhealth.simgen import (
 )
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
+
+
+def _summaries(runs, sensors=WIDE):
+    return [summarize_run(r, composite_curve(r, sensors)) for r in runs]
 
 
 def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"):
@@ -58,7 +63,7 @@ def test_aggregates_hand_arithmetic():
         t=np.arange(3) * 0.5, readings=np.array([[100.0], [10.0], [1.0]]),
         sensor_ids=("s1",), extra_channels={"ch": np.array([1.0, 2.0, 3.0])},
     )
-    aggs = aggregate_channels(run2, WIDE)
+    aggs = aggregate_channels(run2, composite_curve(run2, WIDE))
     mean, lo, hi, std = aggs["ch"]
     assert (mean, lo, hi) == (2.0, 1.0, 3.0)
     assert std == pytest.approx(0.816496580927726, abs=1e-12)
@@ -70,19 +75,18 @@ def test_aggregates_constant_channel():
         t=np.arange(2) * 0.5, readings=np.array([[100.0], [10.0]]),
         sensor_ids=("s1",), extra_channels={"ch": np.array([5.0, 5.0])},
     )
-    assert aggregate_channels(run, WIDE)["ch"] == (5.0, 5.0, 5.0, 0.0)
+    assert aggregate_channels(run, composite_curve(run, WIDE))["ch"] == (5.0, 5.0, 5.0, 0.0)
 
 
 def test_aggregates_match_two_pass_oracle():
     # derived: naive two-pass mean/std recomputation, exact to 1e-12
-    from chamberhealth.core import composite_curve
     from chamberhealth.simgen import ChamberState, simulate_run
 
     config = ChamberConfig()
     run = simulate_run(ChamberState(contamination=20.0), RecipeSpec("std", 0.8),
                        config, seed=7)
-    aggs = aggregate_channels(run, config.sensors)
     curve = composite_curve(run, config.sensors)
+    aggs = aggregate_channels(run, curve)
     channels = {"pressure": curve, **run.extra_channels}
     for name, values in channels.items():
         v = np.asarray(values)
@@ -98,7 +102,7 @@ def test_aggregates_empty_channel():
     run = make_run(channel=[1.0])
     object.__setattr__(run, "extra_channels", {"bad": np.array([])})
     with pytest.raises(EmptyChannel):
-        aggregate_channels(run, WIDE)
+        aggregate_channels(run, composite_curve(run, WIDE))
 
 
 def test_encode_plan_basic_blocks():
@@ -147,7 +151,7 @@ def _hi_for(runs):
 
 def test_build_supervised_row_count():
     runs = _asset_runs(15)
-    sset = build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
     assert sset.n_rows == 5
 
 
@@ -156,7 +160,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
     for i in range(30):
         runs.append(make_run(run_id=f"r{i:03d}", start=float(i), n=i % 20,
                              channel=[1.0, 2.0]))
-    sset = build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
     spanning = [m for m in sset.meta if m.n_runs_target < m.n_runs]
     assert spanning  # rows crossing the reset survive
     assert sset.n_rows == 20
@@ -164,7 +168,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
 
 def test_build_supervised_pairs_stay_within_asset():
     runs = _asset_runs(15, asset="a1") + _asset_runs(12, asset="a2", start0=0.5)
-    sset = build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
     assert sset.n_rows == 5 + 2
     for m in sset.meta:
         assert m.run_id.split("-")[0] == m.run_id_target.split("-")[0]
@@ -172,7 +176,7 @@ def test_build_supervised_pairs_stay_within_asset():
 
 def test_build_supervised_rows_sorted_by_time():
     runs = _asset_runs(15, asset="a1") + _asset_runs(15, asset="a2", start0=0.5)
-    sset = build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
     times = [m.start_time for m in sset.meta]
     assert times == sorted(times)
 
@@ -184,7 +188,7 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     recipes = (RecipeSpec("std", 0.8),)
     ds = simulate_history(config, recipes, 1, 60, 100, seed=0)
     fits, series = derive_hi(ds.runs, config.sensors, default_segments(), 100)
-    sset = build_supervised(ds.runs, series, ds.plan_by_asset(), config.sensors, horizon=10)
+    sset = build_supervised(_summaries(ds.runs, config.sensors), series, ds.plan_by_asset(), horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
         m = sset.meta[row_idx]
@@ -196,12 +200,12 @@ def test_build_supervised_noiseless_target_matches_closed_form():
 def test_build_supervised_plan_mismatch_raises():
     runs = _asset_runs(15)
     with pytest.raises(DataError):
-        build_supervised(runs, FakeHi(_hi_for(runs)), {"a1": ["std"] * 3}, WIDE, horizon=10)
+        build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), {"a1": ["std"] * 3}, horizon=10)
 
 
 def _supervised_fixture(n=40, asset="a1", start0=0.0):
     runs = _asset_runs(n, asset=asset, start0=start0)
-    return build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    return build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
 
 
 def test_chrono_split_sizes():
@@ -232,7 +236,7 @@ def test_chrono_split_encodes_one_hot_blocks():
     runs = _asset_runs(20, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i % 2 == 0 else "B")
-    sset = build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
     train, test = chrono_split(sset, 0.7)
     assert train.vocab == ("A", "B")
     names = train.feature_names
@@ -251,7 +255,7 @@ def test_unseen_test_recipe_encodes_to_zero_block():
     runs = _asset_runs(30, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i < 24 else "ZNEW")
-    sset = build_supervised(runs, FakeHi(_hi_for(runs)), None, WIDE, horizon=10)
+    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
     train, test = chrono_split(sset, 0.7)
     # ZNEW appears only in late rows; if absent from train vocab its
     # current-recipe block is all zero

@@ -371,14 +371,18 @@ def test_bm2_exact_on_in_distribution_curve():
 def test_bm2_systematically_low_under_drift():
     # derived: with the default late-year drift the train-era average
     # curve under-predicts the drifted test period
-    from chamberhealth.features import build_supervised, chrono_split
+    from chamberhealth.core import composite_curve
+    from chamberhealth.features import build_supervised, chrono_split, summarize_run
     from chamberhealth.hi import derive_hi
     from chamberhealth.simgen import ChamberConfig, default_recipes, default_segments, simulate_history
+
+    def summaries(runs, sensors):
+        return [summarize_run(r, composite_curve(r, sensors)) for r in runs]
 
     config = ChamberConfig(weather_sigma=0.0)
     ds = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
     fits, series = derive_hi(ds.runs, config.sensors, default_segments(), 100)
-    sset = build_supervised(ds.runs, series, ds.plan_by_asset(), config.sensors)
+    sset = build_supervised(summaries(ds.runs, config.sensors), series, ds.plan_by_asset())
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
@@ -386,7 +390,7 @@ def test_bm2_systematically_low_under_drift():
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
     ds2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
     fits2, series2 = derive_hi(ds2.runs, flat.sensors, default_segments(), 100)
-    sset2 = build_supervised(ds2.runs, series2, ds2.plan_by_asset(), flat.sensors)
+    sset2 = build_supervised(summaries(ds2.runs, flat.sensors), series2, ds2.plan_by_asset())
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered
@@ -424,7 +428,7 @@ def _train_fixture(n=60, m=5, seed=0):
 
 
 @pytest.mark.parametrize("kind", ["dt", "rf", "knn", "svr", "mlp"])
-def test_model_json_roundtrip_bit_exact(kind):
+def test_model_json_roundtrip_bit_exact(kind, tmp_path):
     train = _train_fixture()
     params = {"rf": {"n_trees": 5}, "mlp": {"epochs": 3}, "svr": {"steps": 50}}
     spec = RegressorSpec(kind, params.get(kind, {}), seed=4)
@@ -432,6 +436,8 @@ def test_model_json_roundtrip_bit_exact(kind):
     text = model_to_json(model)
     back = model_from_json(text)
     assert model_to_json(back) == text
+    save_model(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == text.encode("utf-8")
     q = np.random.default_rng(1).uniform(size=(25, 5))
     assert np.array_equal(model.predict(q), back.predict(q))
 
