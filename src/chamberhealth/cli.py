@@ -73,11 +73,10 @@ def stage_derive_hi(cfg: PipelineConfig) -> None:
     curves = [composite_curve(run, sensors) for run in runs]
     fits, series = derive_hi(
         runs,
-        sensors,
+        curves,
         cfg.segments,
         cycle_length=cfg.hi_cycle_length,
         analysis_limit=cfg.analysis_limit,
-        curves=curves,
     )
     summaries = [summarize_run(run, curve) for run, curve in zip(runs, curves)]
     dataio.write_fits_csv(out / dataio.FITS_CSV, fits)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunRecord, SegmentSpec, SensorSpec, composite_curve
+from .core import RunRecord, SegmentSpec
 from .errors import (
     DegenerateInput,
     EmptyCurve,
@@ -159,7 +159,7 @@ def run_segment_durations(
     given each run's composite curve."""
     return [
         {seg.index: extract_segment_duration(run.t, curve, seg) for seg in segments}
-        for run, curve in zip(runs, curves)
+        for run, curve in zip(runs, curves, strict=True)
     ]
 
 
@@ -183,16 +183,14 @@ def select_analysis_subset(
 
 def derive_hi(
     runs: Sequence[RunRecord],
-    sensors: Sequence[SensorSpec],
+    curves: Sequence[np.ndarray],
     segments: Sequence[SegmentSpec],
     cycle_length: int = 100,
     analysis_limit: int = 400,
-    curves: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[list[DegradationFit], HiSeries]:
     """Fit every segment on the analysis subset and select the HI segment.
 
-    ``curves`` are the runs' composite curves when the caller has
-    already fused them; otherwise each run is fused here.
+    ``curves`` holds each run's composite pressure curve, in run order.
 
     Selection is argmax R^2, ties broken by larger impact, then lower
     segment index. Incomplete durations are excluded per segment;
@@ -202,8 +200,6 @@ def derive_hi(
     """
     if not runs:
         raise EmptyCurve("no runs to derive a health index from")
-    if curves is None:
-        curves = [composite_curve(run, sensors) for run in runs]
     durations = run_segment_durations(runs, curves, segments)
     subset = select_analysis_subset(runs, analysis_limit)
 

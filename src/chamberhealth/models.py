@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataio import atomic_open
+from .dataio import atomic_write_text
 from .errors import ConfigError, DivergedLoss, EmptyTraining, KTooLarge, ModelError
 from .features import Standardizer, SupervisedSet
 
@@ -661,24 +661,7 @@ def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
     )
 
 
-# model_to_json and save_model must give the same bytes
-_JSON_LAYOUT = {"sort_keys": True, "indent": 1}
 _PAYLOAD_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}
-
-
-def _model_doc(model: TrainedModel) -> dict:
-    std = None
-    if model.standardizer is not None:
-        std = {"mu": model.standardizer.mu.tolist(), "sigma": model.standardizer.sigma.tolist()}
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "seed": model.seed,
-        "feature_names": list(model.feature_names),
-        "standardizer": std,
-        "payload": model.inner.to_payload(),
-    }
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -687,7 +670,19 @@ def model_to_json(model: TrainedModel) -> str:
     Floats are serialized via repr (shortest round-trip form), so a
     save/load cycle reproduces every parameter bit-exactly.
     """
-    return json.dumps(_model_doc(model), **_JSON_LAYOUT)
+    std = None
+    if model.standardizer is not None:
+        std = {"mu": model.standardizer.mu.tolist(), "sigma": model.standardizer.sigma.tolist()}
+    doc = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_FORMAT_VERSION,
+        "kind": model.kind,
+        "seed": model.seed,
+        "feature_names": list(model.feature_names),
+        "standardizer": std,
+        "payload": model.inner.to_payload(),
+    }
+    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def model_from_json(text: str) -> TrainedModel:
@@ -715,11 +710,7 @@ def model_from_json(text: str) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: Union[str, Path]) -> None:
-    """Write ``model_to_json``'s text, streamed: a forest's text is never
-    held whole in memory (with ``indent`` set, json.dumps joins every
-    token of it into one list first)."""
-    with atomic_open(path) as fh:
-        json.dump(_model_doc(model), fh, **_JSON_LAYOUT)
+    atomic_write_text(path, model_to_json(model))
 
 
 def load_model(path: Union[str, Path]) -> TrainedModel:

@@ -351,9 +351,10 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     ds = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
                           n_runs_total=cfg.n_runs_total, cycle_length=cfg.sim_cycle_length,
                           seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
-    _, series = derive_hi(ds.runs, sensors, cfg.segments, cycle_length=cfg.hi_cycle_length,
+    curves = [core.composite_curve(run, sensors) for run in ds.runs]
+    _, series = derive_hi(ds.runs, curves, cfg.segments, cycle_length=cfg.hi_cycle_length,
                           analysis_limit=cfg.analysis_limit)
-    summaries = [summarize_run(run, core.composite_curve(run, sensors)) for run in ds.runs]
+    summaries = [summarize_run(run, curve) for run, curve in zip(ds.runs, curves)]
     sset = build_supervised(summaries, series, ds.plan_by_asset(), horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()

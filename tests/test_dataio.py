@@ -116,7 +116,8 @@ def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
 
 def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
     config, ds = small_dataset
-    fits, series = derive_hi(ds.runs, config.sensors, default_segments(),
+    curves = [composite_curve(r, config.sensors) for r in ds.runs]
+    fits, series = derive_hi(ds.runs, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
@@ -130,9 +131,10 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
 
 def test_supervised_roundtrip(tmp_path, small_dataset):
     config, ds = small_dataset
-    fits, series = derive_hi(ds.runs, config.sensors, default_segments(),
+    curves = [composite_curve(r, config.sensors) for r in ds.runs]
+    fits, series = derive_hi(ds.runs, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
-    summaries = [summarize_run(r, composite_curve(r, config.sensors)) for r in ds.runs]
+    summaries = [summarize_run(r, c) for r, c in zip(ds.runs, curves)]
     sset = build_supervised(summaries, series, ds.plan_by_asset())
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)

@@ -187,7 +187,8 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
     recipes = (RecipeSpec("std", 0.8),)
     ds = simulate_history(config, recipes, 1, 60, 100, seed=0)
-    fits, series = derive_hi(ds.runs, config.sensors, default_segments(), 100)
+    fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
+                             default_segments(), 100)
     sset = build_supervised(_summaries(ds.runs, config.sensors), series, ds.plan_by_asset(), horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):

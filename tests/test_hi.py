@@ -250,10 +250,14 @@ def _wide_sensors():
     return [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
 
+def _curves(runs, sensors):
+    return [composite_curve(run, sensors) for run in runs]
+
+
 def test_derive_hi_single_segment_linear_data():
     runs = _synthetic_selection_case(lambda n: 2.0 + 0.01 * n)
     segments = [SegmentSpec(1, 0.03, 0.002)]
-    fits, series = derive_hi(runs, _wide_sensors(), segments, cycle_length=30)
+    fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), segments, cycle_length=30)
     assert series.selected_segment.index == 1
     assert fits[0].r2 == pytest.approx(1.0, abs=1e-3)
     assert len(series.entries) == len(runs)
@@ -268,7 +272,7 @@ def test_derive_hi_tie_break_prefers_larger_alpha():
         SegmentSpec(1, 0.03, 0.002),       # duration = tau*ln(15)
         SegmentSpec(2, 0.03, 0.03 / 225.0) # duration = tau*ln(225) = 2x
     ]
-    fits, series = derive_hi(runs, _wide_sensors(), segments, cycle_length=30)
+    fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), segments, cycle_length=30)
     by_idx = {f.segment.index: f for f in fits}
     # scaling durations by a constant leaves r2 and alpha unchanged, so
     # the tie falls through to the lower segment index
@@ -294,7 +298,7 @@ def test_derive_hi_alpha_tie_break():
 def test_derive_hi_selects_dp2_on_tuned_default():
     config = ChamberConfig()
     ds = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
-    fits, series = derive_hi(ds.runs, config.sensors, default_segments(), 100, 400)
+    fits, series = derive_hi(ds.runs, _curves(ds.runs, config.sensors), default_segments(), 100, 400)
     assert series.selected_segment.index == 2
     by_idx = {f.segment.index: f for f in fits}
     assert 0.5 <= by_idx[2].r2 <= 0.7
@@ -309,7 +313,7 @@ def test_noiseless_degradation_gives_near_perfect_r2():
     # zero-noise world every segment fits essentially perfectly)
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
     ds = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0)
-    fits, series = derive_hi(ds.runs, config.sensors, default_segments(), 100)
+    fits, series = derive_hi(ds.runs, _curves(ds.runs, config.sensors), default_segments(), 100)
     by_idx = {f.segment.index: f for f in fits}
     assert by_idx[2].r2 > 1.0 - 1e-3
 
@@ -340,7 +344,7 @@ def test_selection_invariant_under_uniform_time_rescaling():
 
     def profile(scale):
         runs = _synthetic_selection_case(lambda n: scale * (2.0 + 0.01 * n + 0.3 * ((n * 7919) % 11) / 11))
-        fits, series = derive_hi(runs, _wide_sensors(), seg, cycle_length=30)
+        fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), seg, cycle_length=30)
         return series.selected_segment.index, {f.segment.index: f.r2 for f in fits}
 
     sel1, r1 = profile(1.0)

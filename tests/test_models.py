@@ -381,7 +381,8 @@ def test_bm2_systematically_low_under_drift():
 
     config = ChamberConfig(weather_sigma=0.0)
     ds = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
-    fits, series = derive_hi(ds.runs, config.sensors, default_segments(), 100)
+    fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
+                             default_segments(), 100)
     sset = build_supervised(summaries(ds.runs, config.sensors), series, ds.plan_by_asset())
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
@@ -389,7 +390,8 @@ def test_bm2_systematically_low_under_drift():
 
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
     ds2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
-    fits2, series2 = derive_hi(ds2.runs, flat.sensors, default_segments(), 100)
+    fits2, series2 = derive_hi(ds2.runs, [composite_curve(r, flat.sensors) for r in ds2.runs],
+                               default_segments(), 100)
     sset2 = build_supervised(summaries(ds2.runs, flat.sensors), series2, ds2.plan_by_asset())
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
