@@ -27,12 +27,7 @@ from .config import (
     load_config,
 )
 from .core import composite_curve
-from .errors import (
-    ChamberHealthError,
-    ConfigError,
-    DataError,
-    ModelError,
-)
+from .errors import ConfigError, DataError, ModelError
 from .evaluation import evaluate_all
 from .features import build_supervised, chrono_split, summarize_run
 from .hi import derive_hi
@@ -69,7 +64,7 @@ def stage_derive_hi(cfg: PipelineConfig) -> None:
     that fuses every run once."""
     out = Path(cfg.out_dir)
     sensors = cfg.chamber.sensors
-    runs, _ = dataio.read_dataset(out, [s.sensor_id for s in sensors])
+    runs = dataio.read_dataset(out, [s.sensor_id for s in sensors])
     curves = [composite_curve(run, sensors) for run in runs]
     fits, series = derive_hi(
         runs,
@@ -117,6 +112,12 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     if not paths:
         raise ModelError(f"no trained models found under {models_dir}")
     models = {p.stem: load_model(p) for p in paths}
+    for kind, model in models.items():
+        if model.feature_names != train.feature_names:
+            raise ModelError(
+                f"{kind}.json was trained on other features than {dataio.FEATURES_CSV}'s; "
+                "rerun train"
+            )
 
     fingerprint = {
         "seed": seed,
@@ -235,13 +236,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run_pipeline(cfg)
         else:  # pragma: no cover - argparse enforces choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except ChamberHealthError as exc:
-        for cls, code in EXIT_CODES.items():
-            if isinstance(exc, cls):
-                sys.stderr.write(f"ERROR {cls.__name__}: {exc}\n")
-                return code
-        sys.stderr.write(f"ERROR {type(exc).__name__}: {exc}\n")
-        return 1
+    except tuple(EXIT_CODES) as exc:
+        cls = next(cls for cls in EXIT_CODES if isinstance(exc, cls))
+        sys.stderr.write(f"ERROR {cls.__name__}: {exc}\n")
+        return EXIT_CODES[cls]
     except FileNotFoundError as exc:
         sys.stderr.write(f"ERROR DataError: {exc}\n")
         return EXIT_CODES[DataError]

@@ -279,4 +279,8 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return config_from_ini(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"bad config file: {path} is not UTF-8 text: {exc}") from None
+    return config_from_ini(text)

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NoValidReading
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray
 
     Each sample takes the reading of the highest-priority sensor whose
     value is valid and inside that sensor's own range. Raises
-    NoValidReading if any sample has no usable reading. Pure and
+    DataError if any sample has no usable reading. Pure and
     deterministic.
     """
     order = {sid: j for j, sid in enumerate(run.sensor_ids)}
@@ -139,5 +139,5 @@ def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray
         out[usable] = col[usable]
     if np.any(np.isnan(out)):
         i = int(np.flatnonzero(np.isnan(out))[0])
-        raise NoValidReading(f"run {run.run_id}: no valid in-range reading at t={run.t[i]}")
+        raise DataError(f"run {run.run_id}: no valid in-range reading at t={run.t[i]}")
     return out

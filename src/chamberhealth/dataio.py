@@ -246,10 +246,8 @@ def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
     return {asset: [rid for _, rid in sorted(entries)] for asset, entries in plan.items()}
 
 
-def read_dataset(
-    in_dir: PathLike, sensor_ids: Sequence[str]
-) -> tuple[list[RunRecord], dict[str, list[str]]]:
-    """Load runs + plan back from the three dataset CSVs.
+def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]:
+    """Load the runs back from ``runs.csv`` and ``run_meta.csv``.
 
     Sensor columns p1..pN are assigned to ``sensor_ids`` in order.
     Runs come back in ``runs.csv`` order. Ground truth is not
@@ -307,7 +305,7 @@ def read_dataset(
             f"{len(missing)} run(s) listed in {RUN_META_CSV} but missing from {RUNS_CSV}, "
             f"first {missing[0]}"
         )
-    return runs, read_plan(in_dir)
+    return runs
 
 
 def write_run_aggregates_csv(path: PathLike, summaries: Sequence[RunSummary]) -> None:

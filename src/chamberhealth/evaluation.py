@@ -13,7 +13,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import Empty, LengthMismatch
+from .errors import DataError
 from .features import SupervisedSet
 from .models import BENCHMARK_KINDS, TrainedModel, benchmark_predict
 
@@ -23,9 +23,9 @@ def mae(y: np.ndarray, y_hat: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.size != y_hat.size:
-        raise LengthMismatch(f"length mismatch: {y.size} targets vs {y_hat.size} predictions")
+        raise DataError(f"length mismatch: {y.size} targets vs {y_hat.size} predictions")
     if y.size == 0:
-        raise Empty("mae needs at least one pair")
+        raise DataError("mae needs at least one pair")
     return float(np.mean(np.abs(y - y_hat)))
 
 

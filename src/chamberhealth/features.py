@@ -17,13 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .core import RunRecord
-from .errors import (
-    BadPlanLength,
-    DataError,
-    EmptyChannel,
-    TooFewRows,
-    VocabularyEmpty,
-)
+from .errors import DataError
 from .hi import HiSeries
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
@@ -45,7 +39,7 @@ def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> Aggregates:
     for name in sorted(channels):
         values = np.asarray(channels[name], dtype=np.float64)
         if values.size == 0:
-            raise EmptyChannel(f"run {run.run_id}: channel {name} is empty")
+            raise DataError(f"run {run.run_id}: channel {name} is empty")
         out[name] = (
             float(values.mean()),
             float(values.min()),
@@ -90,7 +84,7 @@ def encode_recipe_plan(
     encodes to an all-zero block (open-vocabulary fallback).
     """
     if len(plan) != horizon:
-        raise BadPlanLength(f"plan length {len(plan)} != horizon {horizon}")
+        raise DataError(f"plan length {len(plan)} != horizon {horizon}")
     index = {rid: j for j, rid in enumerate(vocab)}
     out = np.zeros(horizon * len(vocab), dtype=np.float64)
     for b, rid in enumerate(plan):
@@ -192,7 +186,7 @@ def build_supervised(
             )
 
     if not rows:
-        raise TooFewRows("no supervised rows could be built")
+        raise DataError("no supervised rows could be built")
     rows.sort(key=lambda r: (r[0], r[1]))
 
     names = tuple(aggregate_names(channel_names)) + ("n_runs",)
@@ -228,12 +222,12 @@ def chrono_split(
     zero block and never changes a train feature.
     """
     if sset.n_rows < 10:
-        raise TooFewRows(f"need >= 10 rows to split, got {sset.n_rows}")
+        raise DataError(f"need >= 10 rows to split, got {sset.n_rows}")
     if not (0.0 < train_frac < 1.0):
         raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
     n_train = int(np.floor(train_frac * sset.n_rows))
     if n_train == 0 or n_train == sset.n_rows:
-        raise TooFewRows(f"degenerate split sizes ({n_train}, {sset.n_rows - n_train})")
+        raise DataError(f"degenerate split sizes ({n_train}, {sset.n_rows - n_train})")
 
     horizon = len(sset.meta[0].plan)
     seen: set[str] = set()
@@ -241,7 +235,7 @@ def chrono_split(
         seen.add(m.recipe_id)
         seen.update(m.plan)
     if not seen:
-        raise VocabularyEmpty("no recipes in the train partition")
+        raise DataError("no recipes in the train partition")
     vocab = tuple(sorted(seen))
 
     def take(lo: int, hi: int) -> SupervisedSet:

@@ -17,14 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import RunRecord, SegmentSpec
-from .errors import (
-    DegenerateInput,
-    EmptyCurve,
-    NoCleanRuns,
-    NoViableSegment,
-    ZeroBaseline,
-    ZeroVariance,
-)
+from .errors import DataError, DegenerateFit
 
 # clean-machine baseline pools runs with n_runs in {0..9}
 CLEAN_RUN_MAX_N = 9
@@ -71,7 +64,7 @@ def first_crossing_time(t: np.ndarray, pressure: np.ndarray, threshold: float) -
     caused by noise are ignored.
     """
     if t.size == 0:
-        raise EmptyCurve("pressure curve has no samples")
+        raise DataError("pressure curve has no samples")
     below = pressure <= threshold
     if not below.any():
         return None
@@ -106,12 +99,12 @@ def fit_ols(n_runs: np.ndarray, durations: np.ndarray) -> tuple[float, float]:
     x = np.asarray(n_runs, dtype=np.float64)
     y = np.asarray(durations, dtype=np.float64)
     if x.size < 2 or y.size != x.size:
-        raise DegenerateInput(f"need >= 2 paired points, got {x.size}")
+        raise DegenerateFit(f"need >= 2 paired points, got {x.size}")
     x_bar = x.mean()
     y_bar = y.mean()
     sxx = float(np.sum((x - x_bar) ** 2))
     if sxx == 0.0:
-        raise DegenerateInput("all n_runs values are equal")
+        raise DegenerateFit("all n_runs values are equal")
     k = float(np.sum((x - x_bar) * (y - y_bar)) / sxx)
     d = float(y_bar - k * x_bar)
     return k, d
@@ -122,10 +115,10 @@ def r_squared(n_runs: np.ndarray, durations: np.ndarray, k: float, d: float) -> 
     x = np.asarray(n_runs, dtype=np.float64)
     y = np.asarray(durations, dtype=np.float64)
     if y.size < 2:
-        raise DegenerateInput(f"need >= 2 points, got {y.size}")
+        raise DegenerateFit(f"need >= 2 points, got {y.size}")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
-        raise ZeroVariance("constant durations: R^2 undefined")
+        raise DegenerateFit("constant durations: R^2 undefined")
     ss_res = float(np.sum((y - (k * x + d)) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -136,7 +129,7 @@ def clean_baseline(n_runs: np.ndarray, durations: np.ndarray) -> float:
     y = np.asarray(durations, dtype=np.float64)
     mask = x <= CLEAN_RUN_MAX_N
     if not mask.any():
-        raise NoCleanRuns("no runs with n_runs <= 9 in the analysis subset")
+        raise DegenerateFit("no runs with n_runs <= 9 in the analysis subset")
     return float(y[mask].mean())
 
 
@@ -146,7 +139,7 @@ def impact(k: float, t_bar: float, cycle_length: int = 100) -> float:
     impact(0.12, 21) = 57.1 %/cycle at the default 100-run cycle.
     """
     if t_bar <= 0:
-        raise ZeroBaseline(f"clean baseline must be > 0, got {t_bar}")
+        raise DegenerateFit(f"clean baseline must be > 0, got {t_bar}")
     return k * cycle_length / t_bar * 100.0
 
 
@@ -199,7 +192,7 @@ def derive_hi(
     completed, not just the analysis subset.
     """
     if not runs:
-        raise EmptyCurve("no runs to derive a health index from")
+        raise DataError("no runs to derive a health index from")
     durations = run_segment_durations(runs, curves, segments)
     subset = select_analysis_subset(runs, analysis_limit)
 
@@ -219,7 +212,7 @@ def derive_hi(
             r2 = r_squared(x, y, k, d)
             t_bar = clean_baseline(x, y)
             alpha = impact(k, t_bar, cycle_length)
-        except (DegenerateInput, ZeroVariance, NoCleanRuns, ZeroBaseline):
+        except DegenerateFit:
             continue
         fits.append(
             DegradationFit(
@@ -228,7 +221,7 @@ def derive_hi(
         )
 
     if not fits:
-        raise NoViableSegment("every segment was degenerate or constant on the analysis subset")
+        raise DataError("every segment was degenerate or constant on the analysis subset")
 
     best = min(fits, key=lambda f: (-f.r2, -f.alpha, f.segment.index))
     entries = tuple(

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dataio import atomic_write_text
-from .errors import ConfigError, DivergedLoss, EmptyTraining, KTooLarge, ModelError
+from .errors import ConfigError, ModelError
 from .features import Standardizer, SupervisedSet
 
 MODEL_KINDS = ("dt", "rf", "knn", "svr", "mlp")
@@ -220,7 +220,7 @@ def fit_decision_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
-        raise EmptyTraining("decision tree needs at least one sample")
+        raise ModelError("decision tree needs at least one sample")
     if max_depth < 0 or min_samples_leaf < 1:
         raise ConfigError("need max_depth >= 0 and min_samples_leaf >= 1")
     root = _build_tree(X, y, 0, max_depth, min_samples_leaf, None, None)
@@ -308,7 +308,7 @@ def fit_random_forest(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
-        raise EmptyTraining("random forest needs at least one sample")
+        raise ModelError("random forest needs at least one sample")
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     m = X.shape[1]
@@ -366,9 +366,9 @@ def fit_knn(X_std: np.ndarray, y: np.ndarray, k: int = 5) -> KNNModel:
     X_std = np.asarray(X_std, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
-        raise EmptyTraining("knn needs at least one sample")
+        raise ModelError("knn needs at least one sample")
     if not 1 <= k <= y.size:
-        raise KTooLarge(f"k must be in [1, {y.size}], got {k}")
+        raise ModelError(f"k must be in [1, {y.size}], got {k}")
     return KNNModel(X=X_std.copy(), y=y.copy(), k=k)
 
 
@@ -421,7 +421,7 @@ def fit_linear_svr(
     X = np.asarray(X_std, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
-        raise EmptyTraining("svr needs at least one sample")
+        raise ModelError("svr needs at least one sample")
     n = y.size
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = float(y.mean())
@@ -522,12 +522,12 @@ def fit_mlp(
 
     Batch order is a seeded permutation per epoch (the final partial
     batch is kept), so the whole trajectory is reproducible from the
-    seed. Raises DivergedLoss as soon as the loss goes non-finite.
+    seed. Raises ModelError as soon as the loss goes non-finite.
     """
     X = np.asarray(X_std, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
-        raise EmptyTraining("mlp needs at least one sample")
+        raise ModelError("mlp needs at least one sample")
     if batch_size < 1 or epochs < 1 or hidden_units < 1:
         raise ConfigError("hidden_units, epochs and batch_size must be >= 1")
     params = list(mlp_init(X.shape[1], hidden_units, seed))
@@ -541,7 +541,7 @@ def fit_mlp(
             for p, g in zip(params, grads):
                 p -= learning_rate * g
         if not math.isfinite(mlp_loss(params, X, y)):
-            raise DivergedLoss("mlp loss became non-finite; lower the learning rate")
+            raise ModelError("mlp loss became non-finite; lower the learning rate")
     return MLPModel(*params)
 
 
@@ -559,7 +559,7 @@ def benchmark_predict(
     bm3 is the global train target mean.
     """
     if train.n_rows == 0:
-        raise EmptyTraining("benchmarks need a non-empty train set")
+        raise ModelError("benchmarks need a non-empty train set")
     if kind == "bm1":
         return np.array([m.hi_current for m in test.meta], dtype=np.float64)
     if kind == "bm3":
@@ -687,7 +687,7 @@ def model_to_json(model: TrainedModel) -> str:
 
 def model_from_json(text: str) -> TrainedModel:
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {doc.get('version')}")
@@ -714,4 +714,14 @@ def save_model(model: TrainedModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> TrainedModel:
-    return model_from_json(Path(path).read_text())
+    """Any file that does not decode to a valid model raises ModelError
+    naming the file."""
+    path = Path(path)
+    try:
+        return model_from_json(path.read_text(encoding="utf-8"))
+    except ModelError as exc:
+        raise ModelError(f"{path.name}: {exc}") from None
+    except (LookupError, TypeError, ValueError) as exc:
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+        reason = f"{type(exc).__name__}: {exc}"
+        raise ModelError(f"{path.name}: malformed model file: {reason}") from None

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .core import RunRecord, SegmentSpec, SensorSpec, check_sensor_priorities
-from .errors import ConfigError, InfeasibleSegment
+from .errors import ConfigError, DataError
 
 SECONDS_PER_YEAR = 365.0 * 86400.0
 
@@ -219,14 +219,14 @@ def closed_form_segment_duration(p_a: float, p_b: float, tau: float, p_ss: float
         t = tau * ln((p_a - p_ss) / (p_b - p_ss))
 
     Strictly increasing in p_ss for fixed bounds. Raises
-    InfeasibleSegment when the pump can never reach p_b.
+    DataError when the pump can never reach p_b.
     """
     if tau <= 0:
         raise ConfigError(f"tau must be > 0, got {tau}")
     if p_ss < 0 or not p_a > p_b:
         raise ConfigError(f"need p_a > p_b and p_ss >= 0, got ({p_a}, {p_b}, {p_ss})")
     if p_b <= p_ss:
-        raise InfeasibleSegment(
+        raise DataError(
             f"target {p_b} mbar is at or below the steady-state floor {p_ss} mbar"
         )
     return tau * math.log((p_a - p_ss) / (p_b - p_ss))

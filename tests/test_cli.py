@@ -1,18 +1,22 @@
 """End-to-end CLI tests on a small synthetic config."""
 
 import argparse
+import io
 import json
 import shutil
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chamberhealth import cli, core, dataio
 from chamberhealth.cli import build_parser, main
 from chamberhealth.config import load_config
 from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
+from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
 
 SMALL_INI = """
@@ -292,7 +296,7 @@ def test_inconsistent_dataset_is_data_error(tmp_path, simulated, capsys, corrupt
 DERIVE_OUTPUTS = (dataio.FITS_CSV, dataio.HI_CSV, dataio.RUN_AGGREGATES_CSV)
 FEATURE_OUTPUTS = (dataio.FEATURES_CSV, dataio.META_CSV)
 NOT_UTF8_INPUTS = {
-    dataio.PLAN_CSV: ("derive-hi", DERIVE_OUTPUTS),
+    dataio.PLAN_CSV: ("build-features", FEATURE_OUTPUTS),
     dataio.RUNS_CSV: ("derive-hi", DERIVE_OUTPUTS),
     dataio.RUN_AGGREGATES_CSV: ("build-features", FEATURE_OUTPUTS),
 }
@@ -382,3 +386,86 @@ def test_pipeline_parses_runs_csv_once_and_fuses_each_run_once(tmp_path, small_c
     assert run_cli("pipeline", "--config", small_config, "--out", tmp_path / "work",
                    "--n-runs-total", 300, "--n-assets", 3) == 0
     assert calls == {"read_dataset": 1, "composite_curve": 300}
+
+
+EVALUATE_OUTPUTS = (dataio.REPORT_JSON, dataio.PLOT_HI_CSV)
+
+
+def _without_svr_w(data: bytes) -> bytes:
+    doc = json.loads(data)
+    del doc["payload"]["w"]
+    return json.dumps(doc).encode()
+
+
+MODEL_FILE_CORRUPTIONS = {
+    "dt-cut-to-1000-bytes": ("dt", lambda data: data[:1000]),
+    "svr-without-payload-w": ("svr", _without_svr_w),
+    "knn-not-utf8": ("knn", lambda data: data + b"\xff"),
+    "mlp-not-an-object": ("mlp", lambda data: b"[]"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(MODEL_FILE_CORRUPTIONS))
+def test_malformed_model_file_is_model_error(tmp_path, pipelined, capsys, corruption):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *EVALUATE_OUTPUTS)
+    kind, corrupt = MODEL_FILE_CORRUPTIONS[corruption]
+    path = out / dataio.MODELS_DIR / f"{kind}.json"
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert run_cli("evaluate", "--config", config, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR ModelError: {kind}.json: ") and err.count("\n") == 1
+    assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]
+
+
+@pytest.fixture(scope="module")
+def models_to_truncate(tmp_path_factory, pipelined):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path_factory.mktemp("truncated") / "work")
+    _drop_outputs(out, *EVALUATE_OUTPUTS)
+    return config, out
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(MODEL_KINDS), data=st.data())
+def test_truncated_model_file_is_model_error(models_to_truncate, kind, data):
+    config, out = models_to_truncate
+    path = out / dataio.MODELS_DIR / f"{kind}.json"
+    original = path.read_bytes()
+    offset = data.draw(st.integers(0, len(original) - 1), label="offset")
+    path.write_bytes(original[:offset])
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run_cli("evaluate", "--config", config, "--out", out)
+    finally:
+        path.write_bytes(original)
+    assert code == 4
+    assert err.getvalue().startswith(f"ERROR ModelError: {kind}.json: ")
+    assert err.getvalue().count("\n") == 1
+    assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]
+
+
+def test_models_trained_on_other_features_are_model_error(tmp_path, pipelined, capsys):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *EVALUATE_OUTPUTS)
+    # the same data stages with recipe "light" renamed to "dim"
+    renamed = tmp_path / "renamed.ini"
+    renamed.write_text(SMALL_INI.replace("[simgen]\n", (
+        "[simgen]\n"
+        "recipes = std:0.8:1.0, dim:0.0:0.85, heavy:2.4:1.25\n"
+        "recipe_probs = std:0.5, dim:0.3, heavy:0.2\n"
+    )))
+    for command in ("simulate", "derive-hi", "build-features"):
+        assert run_cli(command, "--config", renamed, "--out", out) == 0
+    train, _ = dataio.read_supervised(out)
+    assert "recipe_dim" in train.feature_names
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", renamed, "--out", out) == 4
+    assert capsys.readouterr().err == (
+        "ERROR ModelError: dt.json was trained on other features than features.csv's; "
+        "rerun train\n"
+    )
+    assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]

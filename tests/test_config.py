@@ -123,6 +123,10 @@ def test_load_config_missing_file(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[cli]\nseed = 3\n")
     assert load_config(path).seed == 3
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    with pytest.raises(ConfigError, match="c.ini is not UTF-8 text"):
+        load_config(path)
 
 
 def test_require_seed():

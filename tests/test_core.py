@@ -13,7 +13,7 @@ from chamberhealth.core import (
     check_sensor_priorities,
     composite_curve,
 )
-from chamberhealth.errors import ConfigError, DataError, NoValidReading
+from chamberhealth.errors import ConfigError, DataError
 from chamberhealth.simgen import ChamberConfig, ChamberState, RecipeSpec, simulate_run
 
 # -- scalar per-sample oracle for the vectorized composite_curve ---------------
@@ -36,13 +36,13 @@ class PressureSample:
 
 def composite_pressure(sample: PressureSample, sensors: Sequence[SensorSpec]) -> float:
     """The reading of the highest-priority sensor that is valid and inside
-    its own range; NoValidReading if no sensor qualifies."""
+    its own range; DataError if no sensor qualifies."""
     for spec in sorted(sensors, key=lambda s: s.priority):
         value = sample.readings.get(spec.sensor_id)
         lo, hi = spec.valid_range
         if value is not None and lo <= value <= hi:
             return float(value)
-    raise NoValidReading(f"no valid in-range reading at t={sample.t}: {sample.readings}")
+    raise DataError(f"no valid in-range reading at t={sample.t}: {sample.readings}")
 
 
 def run_sample(run: RunRecord, i: int) -> PressureSample:
@@ -86,10 +86,10 @@ def test_priority_decides_overlap():
 def test_no_valid_reading_raises():
     sensors = [SensorSpec("s1", (1.0, 1100.0), priority=1)]
     sample = PressureSample(t=0.0, readings={"s1": None})
-    with pytest.raises(NoValidReading):
+    with pytest.raises(DataError, match="no valid in-range reading"):
         composite_pressure(sample, sensors)
     sample = PressureSample(t=0.0, readings={"s1": 0.01})
-    with pytest.raises(NoValidReading):
+    with pytest.raises(DataError, match="no valid in-range reading"):
         composite_pressure(sample, sensors)
 
 

@@ -33,7 +33,8 @@ def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
     config, ds = small_dataset
     dataio.write_dataset(tmp_path, ds)
     sensor_ids = [s.sensor_id for s in config.sensors]
-    runs, plan = dataio.read_dataset(tmp_path, sensor_ids)
+    runs = dataio.read_dataset(tmp_path, sensor_ids)
+    plan = dataio.read_plan(tmp_path)
     assert len(runs) == len(ds.runs)
     by_id = {r.run_id: r for r in ds.runs}
     for run in runs:
@@ -93,7 +94,7 @@ def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
     sensor_ids = [s.sensor_id for s in config.sensors]
     tracemalloc.start()
     try:
-        runs, _ = dataio.read_dataset(tmp_path, sensor_ids)
+        runs = dataio.read_dataset(tmp_path, sensor_ids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -110,7 +111,7 @@ def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
     dataio.write_dataset(tmp_path, ds)
     text = (tmp_path / dataio.RUNS_CSV).read_text()
     assert ",," in text  # clipped readings serialize as empty cells
-    runs, _ = dataio.read_dataset(tmp_path, [s.sensor_id for s in config.sensors])
+    runs = dataio.read_dataset(tmp_path, [s.sensor_id for s in config.sensors])
     assert any(np.isnan(r.readings).any() for r in runs)
 
 

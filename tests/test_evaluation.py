@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chamberhealth.errors import Empty, LengthMismatch
+from chamberhealth.errors import DataError
 from chamberhealth.evaluation import evaluate_all, mae
 from chamberhealth.features import RowMeta, SupervisedSet
 from chamberhealth.models import RegressorSpec, train_model
@@ -29,9 +29,9 @@ def test_mae_matches_naive_loop_oracle():
 
 
 def test_mae_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="length mismatch: 1 targets vs 2 predictions"):
         mae(np.array([1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(Empty):
+    with pytest.raises(DataError, match="mae needs at least one pair"):
         mae(np.array([]), np.array([]))
 
 

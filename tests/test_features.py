@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from chamberhealth.core import RunRecord, SensorSpec, composite_curve
-from chamberhealth.errors import (
-    BadPlanLength,
-    DataError,
-    EmptyChannel,
-    TooFewRows,
-)
+from chamberhealth.errors import DataError
 from chamberhealth.features import (
     Standardizer,
     aggregate_channels,
@@ -101,7 +96,7 @@ def test_aggregates_match_two_pass_oracle():
 def test_aggregates_empty_channel():
     run = make_run(channel=[1.0])
     object.__setattr__(run, "extra_channels", {"bad": np.array([])})
-    with pytest.raises(EmptyChannel):
+    with pytest.raises(DataError, match="channel bad is empty"):
         aggregate_channels(run, composite_curve(run, WIDE))
 
 
@@ -125,7 +120,7 @@ def test_encode_plan_shape_and_mass():
 
 
 def test_encode_plan_length_mismatch():
-    with pytest.raises(BadPlanLength):
+    with pytest.raises(DataError, match="plan length 1 != horizon 10"):
         encode_recipe_plan(["A"], ["A"], horizon=10)
 
 
@@ -229,7 +224,7 @@ def test_chrono_split_2000_rows_gives_1400_train():
 
 def test_chrono_split_too_few_rows():
     sset = _supervised_fixture(19)  # 9 rows
-    with pytest.raises(TooFewRows):
+    with pytest.raises(DataError, match="need >= 10 rows to split, got 9"):
         chrono_split(sset, 0.7)
 
 

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chamberhealth.core import SegmentSpec, composite_curve
-from chamberhealth.errors import (
-    DegenerateInput,
-    EmptyCurve,
-    NoCleanRuns,
-    ZeroBaseline,
-    ZeroVariance,
-)
+from chamberhealth.errors import DataError, DegenerateFit
 from chamberhealth.hi import (
     clean_baseline,
     derive_hi,
@@ -53,7 +47,7 @@ def test_extraction_incomplete_when_bound_not_crossed():
 
 
 def test_extraction_empty_curve():
-    with pytest.raises(EmptyCurve):
+    with pytest.raises(DataError, match="pressure curve has no samples"):
         extract_segment_duration(np.array([]), np.array([]), SegmentSpec(1, 0.03, 0.002))
 
 
@@ -93,9 +87,9 @@ def test_ols_constant_data():
 
 
 def test_ols_degenerate_inputs():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateFit, match="need >= 2 paired points, got 1"):
         fit_ols(np.array([1]), np.array([2.0]))
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateFit, match="all n_runs values are equal"):
         fit_ols(np.array([3, 3, 3]), np.array([1.0, 2.0, 3.0]))
 
 
@@ -141,7 +135,7 @@ def test_r_squared_of_mean_prediction_is_zero():
 
 
 def test_r_squared_zero_variance():
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(DegenerateFit, match="constant durations"):
         r_squared(np.array([0.0, 1.0]), np.array([2.0, 2.0]), 0.0, 2.0)
 
 
@@ -167,7 +161,7 @@ def test_clean_baseline_pools_cycles():
 
 
 def test_clean_baseline_requires_clean_runs():
-    with pytest.raises(NoCleanRuns):
+    with pytest.raises(DegenerateFit, match="no runs with n_runs <= 9"):
         clean_baseline(np.array([50, 60]), np.array([1.0, 2.0]))
 
 
@@ -203,7 +197,7 @@ def test_impact_zero_slope():
 
 
 def test_impact_zero_baseline():
-    with pytest.raises(ZeroBaseline):
+    with pytest.raises(DegenerateFit, match="clean baseline must be > 0"):
         impact(0.1, 0.0)
 
 
@@ -261,6 +255,19 @@ def test_derive_hi_single_segment_linear_data():
     assert series.selected_segment.index == 1
     assert fits[0].r2 == pytest.approx(1.0, abs=1e-3)
     assert len(series.entries) == len(runs)
+
+
+def test_derive_hi_skips_a_degenerate_segment():
+    # tau 2 s at n_runs = 0, else 10 s: within the 210 s curve only the
+    # n_runs = 0 runs reach 1e-8 mbar, so segment 2's fit has no spread in n_runs
+    runs = _synthetic_selection_case(lambda n: 2.0 if n == 0 else 10.0)
+    curves = _curves(runs, _wide_sensors())
+    usable, degenerate = SegmentSpec(1, 0.03, 0.002), SegmentSpec(2, 0.03, 1e-8)
+    fits, series = derive_hi(runs, curves, [degenerate, usable], cycle_length=30)
+    assert [f.segment.index for f in fits] == [1]
+    assert series.selected_segment.index == 1
+    with pytest.raises(DataError, match="every segment was degenerate"):
+        derive_hi(runs, curves, [degenerate], cycle_length=30)
 
 
 def test_derive_hi_tie_break_prefers_larger_alpha():

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from chamberhealth.errors import (
-    ConfigError,
-    EmptyTraining,
-    KTooLarge,
-)
+from chamberhealth.errors import ConfigError, ModelError
 from chamberhealth.features import RowMeta, SupervisedSet
 from chamberhealth.models import (
     RegressorSpec,
@@ -49,7 +45,7 @@ def test_tree_interpolates_training_data_exactly():
 
 
 def test_tree_empty_training():
-    with pytest.raises(EmptyTraining):
+    with pytest.raises(ModelError, match="decision tree needs at least one sample"):
         fit_decision_tree(np.empty((0, 2)), np.array([]))
 
 
@@ -181,7 +177,7 @@ def test_forest_constant_target():
 
 
 def test_forest_validation():
-    with pytest.raises(EmptyTraining):
+    with pytest.raises(ModelError, match="random forest needs at least one sample"):
         fit_random_forest(np.empty((0, 1)), np.array([]))
     with pytest.raises(ConfigError):
         fit_random_forest(np.ones((3, 1)), np.ones(3), n_trees=0)
@@ -219,9 +215,9 @@ def test_knn_distance_tie_prefers_lower_index():
 
 
 def test_knn_k_bounds():
-    with pytest.raises(KTooLarge):
+    with pytest.raises(ModelError, match=r"k must be in \[1, 3\], got 4"):
         fit_knn(np.ones((3, 1)), np.ones(3), k=4)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(ModelError, match=r"k must be in \[1, 3\], got 0"):
         fit_knn(np.ones((3, 1)), np.ones(3), k=0)
 
 
@@ -403,7 +399,7 @@ def test_benchmarks_require_train_rows():
     empty = SupervisedSet(X=np.zeros((0, 1)), y=np.array([]),
                           feature_names=("x0",), meta=(), vocab=("std",))
     test = _toy_set([1.0], [0])
-    with pytest.raises(EmptyTraining):
+    with pytest.raises(ModelError, match="benchmarks need a non-empty train set"):
         benchmark_predict("bm3", empty, test)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chamberhealth.core import composite_curve
-from chamberhealth.errors import ConfigError, InfeasibleSegment
+from chamberhealth.errors import ConfigError, DataError
 from chamberhealth.hi import extract_segment_duration
 from chamberhealth.simgen import (
     ChamberConfig,
@@ -45,9 +45,9 @@ def test_closed_form_with_floor():
 
 
 def test_closed_form_floor_at_target_is_infeasible():
-    with pytest.raises(InfeasibleSegment):
+    with pytest.raises(DataError, match="at or below the steady-state floor"):
         closed_form_segment_duration(0.03, 0.002, 2.0, 0.002)
-    with pytest.raises(InfeasibleSegment):
+    with pytest.raises(DataError, match="at or below the steady-state floor"):
         closed_form_segment_duration(0.03, 0.002, 2.0, 0.01)
 
 
