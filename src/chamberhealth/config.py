@@ -279,6 +279,8 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if path.is_dir():
+        raise ConfigError(f"bad config file: {path} is a directory")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -453,17 +453,20 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
 
     with _cells(FEATURES_CSV):
         values = np.array(f_rows, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite cell in {FEATURES_CSV}")
     with _cells(META_CSV):  # RowMeta fields come in META_COLUMNS order
         meta = [
             RowMeta(asset, run, target, float(start), int(n), int(n_target), float(hi), recipe,
                     tuple(plan.split("|")) if plan else ())
             for asset, run, target, start, n, n_target, hi, recipe, plan, _ in m_rows
         ]
+    if not all(math.isfinite(m.start_time) and math.isfinite(m.hi_current) for m in meta):
+        raise DataError(f"non-finite start_time or hi_current cell in {META_CSV}")
     splits = [m_row[9] for m_row in m_rows]
     bad = set(splits) - {"train", "test"}
     if bad:
         raise DataError(f"bad split values {sorted(bad)} in {META_CSV}")
-    vocab = tuple(n[len("recipe_") :] for n in names if n.startswith("recipe_"))
 
     def assemble(split: str) -> SupervisedSet:
         rows = [i for i, s in enumerate(splits) if s == split]
@@ -474,7 +477,6 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
             y=values[rows, -1],
             feature_names=names,
             meta=tuple(meta[i] for i in rows),
-            vocab=vocab or None,
         )
 
     return assemble("train"), assemble("test")

@@ -12,13 +12,12 @@ partition only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import RunRecord
 from .errors import DataError
-from .hi import HiSeries
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
@@ -115,14 +114,14 @@ class SupervisedSet:
 
     Straight out of ``build_supervised`` the matrix holds only the
     numeric block; ``chrono_split`` appends the recipe one-hot blocks
-    once the training vocabulary is known and sets ``vocab``.
+    (``recipe_<id>``, ``plan<b>_<id>``) once the training vocabulary is
+    known.
     """
 
     X: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
     meta: tuple[RowMeta, ...]
-    vocab: Optional[tuple[str, ...]] = None
 
     @property
     def n_rows(self) -> int:
@@ -131,23 +130,20 @@ class SupervisedSet:
 
 def build_supervised(
     runs: Sequence[RunSummary],
-    hi: Union[HiSeries, Mapping[str, float]],
-    plan: Optional[Mapping[str, Sequence[str]]],
+    hi: Mapping[str, float],
+    plan: Mapping[str, Sequence[str]],
     horizon: int = 10,
 ) -> SupervisedSet:
     """One row per run that has a same-asset run ``horizon`` positions later.
 
-    ``runs`` are per-run summaries (``summarize_run``). ``hi`` is the
-    derived health index, either as a HiSeries or a plain run_id ->
-    seconds mapping. ``plan`` maps asset_id to that asset's scheduled
-    recipe sequence; when omitted, the realized recipe sequence stands
-    in for it (they coincide for generated data). Rows spanning a
+    ``runs`` are per-run summaries (``summarize_run``). ``hi`` maps
+    run_id to the derived health index in seconds. ``plan`` maps
+    asset_id to that asset's scheduled recipe sequence. Rows spanning a
     maintenance event are kept: the post-cleaning drop is part of the
     target. Rows are sorted by start_time.
     """
     if horizon < 1:
         raise DataError(f"horizon must be >= 1, got {horizon}")
-    hi_by_run = hi.by_run_id() if hasattr(hi, "by_run_id") else dict(hi)
     by_asset: dict[str, list[RunSummary]] = {}
     for run in runs:
         by_asset.setdefault(run.asset_id, []).append(run)
@@ -155,12 +151,12 @@ def build_supervised(
     rows = []
     for asset_id in sorted(by_asset):
         seq = sorted(by_asset[asset_id], key=lambda r: (r.start_time, r.run_id))
-        recipe_seq = list(plan[asset_id]) if plan is not None else [r.recipe_id for r in seq]
+        recipe_seq = list(plan[asset_id])
         if len(recipe_seq) < len(seq):
             raise DataError(f"plan for {asset_id} covers {len(recipe_seq)} of {len(seq)} runs")
         for t in range(len(seq) - horizon):
             cur, tgt = seq[t], seq[t + horizon]
-            if cur.run_id not in hi_by_run or tgt.run_id not in hi_by_run:
+            if cur.run_id not in hi or tgt.run_id not in hi:
                 continue
             channel_names = sorted(cur.aggregates)
             numeric = [v for name in channel_names for v in cur.aggregates[name]]
@@ -170,7 +166,7 @@ def build_supervised(
                     cur.start_time,
                     cur.run_id,
                     np.array(numeric, dtype=np.float64),
-                    hi_by_run[tgt.run_id],
+                    hi[tgt.run_id],
                     RowMeta(
                         asset_id=asset_id,
                         run_id=cur.run_id,
@@ -178,7 +174,7 @@ def build_supervised(
                         start_time=cur.start_time,
                         n_runs=cur.n_runs,
                         n_runs_target=tgt.n_runs,
-                        hi_current=hi_by_run[cur.run_id],
+                        hi_current=hi[cur.run_id],
                         recipe_id=cur.recipe_id,
                         plan=tuple(recipe_seq[t + 1 : t + 1 + horizon]),
                     ),
@@ -193,7 +189,7 @@ def build_supervised(
     X = np.stack([r[2] for r in rows])
     y = np.array([r[3] for r in rows], dtype=np.float64)
     meta = tuple(r[4] for r in rows)
-    return SupervisedSet(X=X, y=y, feature_names=names, meta=meta, vocab=None)
+    return SupervisedSet(X=X, y=y, feature_names=names, meta=meta)
 
 
 def _encode_with_vocab(sset: SupervisedSet, vocab: tuple[str, ...], horizon: int) -> SupervisedSet:
@@ -208,7 +204,7 @@ def _encode_with_vocab(sset: SupervisedSet, vocab: tuple[str, ...], horizon: int
     for b in range(1, horizon + 1):
         names += [f"plan{b}_{rid}" for rid in vocab]
     X = np.hstack([sset.X, np.stack(blocks)])
-    return replace(sset, X=X, feature_names=tuple(names), vocab=vocab)
+    return replace(sset, X=X, feature_names=tuple(names))
 
 
 def chrono_split(
@@ -244,7 +240,6 @@ def chrono_split(
             y=sset.y[lo:hi],
             feature_names=sset.feature_names,
             meta=sset.meta[lo:hi],
-            vocab=None,
         )
         return _encode_with_vocab(part, vocab, horizon)
 
@@ -271,8 +266,3 @@ class Standardizer:
         safe = np.where(self.sigma == 0.0, 1.0, self.sigma)
         out = (X - self.mu) / safe
         return np.where(self.sigma == 0.0, 0.0, out)
-
-
-def standardize(train_X: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """z-score ``X`` using column statistics of ``train_X``."""
-    return Standardizer.fit(train_X).transform(X)

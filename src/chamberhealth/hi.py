@@ -52,9 +52,6 @@ class HiSeries:
     entries: tuple[HiEntry, ...]
     selected_segment: SegmentSpec
 
-    def by_run_id(self) -> dict[str, float]:
-        return {e.run_id: e.hi for e in self.entries}
-
 
 def first_crossing_time(t: np.ndarray, pressure: np.ndarray, threshold: float) -> Optional[float]:
     """First time the curve reaches <= threshold, or None if it never does.

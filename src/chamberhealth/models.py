@@ -11,15 +11,21 @@ deliberately a hindsight benchmark), and the global train mean (bm3).
 Every predict is pure and deterministic once fitted; all randomness is
 driven by explicit seeds, with an independent substream per forest
 tree.
+
+Tree splits are the exact greedy CART search: one first-minimum over a
+feature-major SSE matrix per node, no binning. A model file's payload
+is its model class's dataclass fields, written and read back by one
+codec for all five kinds; loading checks every array against the
+feature count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -89,7 +95,7 @@ def _best_split(
     Candidate thresholds are midpoints between consecutive distinct
     sorted values; the score is the summed left+right SSE computed from
     prefix sums. SSE ties resolve to the lower feature index, then the
-    lower threshold (first argmin in ascending threshold order).
+    lower threshold: the first minimum of the feature-major score matrix.
     """
     n = y.size
     if n < 2 * min_leaf:
@@ -109,16 +115,11 @@ def _best_split(
     valid = (xs[:-1, :] < xs[1:, :]) & (nl >= min_leaf) & (nr >= min_leaf)
     sse = np.where(valid, sse, np.inf)
 
-    best: Optional[tuple[int, float, float]] = None
-    for j in range(feats.size):
-        col = sse[:, j]
-        i = int(np.argmin(col))
-        score = float(col[i])
-        if not math.isfinite(score):
-            continue
-        if best is None or score < best[2]:
-            best = (int(feats[j]), 0.5 * (float(xs[i, j]) + float(xs[i + 1, j])), score)
-    return best
+    j, i = divmod(int(np.argmin(sse.T)), n - 1)
+    score = float(sse[i, j])
+    if not math.isfinite(score):
+        return None
+    return int(feats[j]), 0.5 * (float(xs[i, j]) + float(xs[i + 1, j])), score
 
 
 def _build_tree(
@@ -134,10 +135,10 @@ def _build_tree(
     if depth >= max_depth or y.size < 2 * min_leaf or float(np.ptp(y)) == 0.0:
         return node
     m = X.shape[1]
-    if features_per_split is not None and features_per_split < m:
-        feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
-    else:
+    if features_per_split is None:
         feats = np.arange(m)
+    else:
+        feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
     split = _best_split(X, y, feats, min_leaf)
     if split is None:
         return node
@@ -196,21 +197,6 @@ class DTModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _predict_tree(self.root, np.asarray(X, dtype=np.float64))
 
-    def to_payload(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "root": _node_to_dict(self.root),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DTModel":
-        return cls(
-            root=_node_from_dict(payload["root"]),
-            max_depth=int(payload["max_depth"]),
-            min_samples_leaf=int(payload["min_samples_leaf"]),
-        )
-
 
 def fit_decision_tree(
     X: np.ndarray, y: np.ndarray, max_depth: int = 8, min_samples_leaf: int = 5
@@ -245,29 +231,6 @@ class RFModel:
         preds = np.stack([_predict_tree(t, X) for t in self.trees])
         return preds.mean(axis=0)
 
-    def to_payload(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "features_per_split": self.features_per_split,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "trees": [_node_to_dict(t) for t in self.trees],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RFModel":
-        return cls(
-            trees=[_node_from_dict(t) for t in payload["trees"]],
-            n_trees=int(payload["n_trees"]),
-            max_depth=int(payload["max_depth"]),
-            min_samples_leaf=int(payload["min_samples_leaf"]),
-            features_per_split=int(payload["features_per_split"]),
-            bootstrap=bool(payload["bootstrap"]),
-            seed=int(payload["seed"]),
-        )
-
 
 def _fit_forest_tree(
     X: np.ndarray,
@@ -276,7 +239,7 @@ def _fit_forest_tree(
     seed: int,
     max_depth: int,
     min_leaf: int,
-    features_per_split: int,
+    features_per_split: Optional[int],
     bootstrap: bool,
 ) -> _Node:
     # independent substream per (seed, tree)
@@ -286,8 +249,7 @@ def _fit_forest_tree(
         Xb, yb = X[idx], y[idx]
     else:
         Xb, yb = X, y
-    fps = features_per_split if features_per_split < X.shape[1] else None
-    return _build_tree(Xb, yb, 0, max_depth, min_leaf, fps, rng)
+    return _build_tree(Xb, yb, 0, max_depth, min_leaf, features_per_split, rng)
 
 
 def fit_random_forest(
@@ -314,8 +276,10 @@ def fit_random_forest(
     m = X.shape[1]
     fps = int(features_per_split) if features_per_split else int(math.ceil(m / 3))
     fps = max(1, min(fps, m))
+    # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
+    subset = fps if fps < m else None
     trees = [
-        _fit_forest_tree(X, y, i, seed, max_depth, min_samples_leaf, fps, bootstrap)
+        _fit_forest_tree(X, y, i, seed, max_depth, min_samples_leaf, subset, bootstrap)
         for i in range(n_trees)
     ]
     return RFModel(
@@ -348,17 +312,6 @@ class KNNModel:
             out[i] = self.y[nearest].mean()
         return out
 
-    def to_payload(self) -> dict:
-        return {"k": self.k, "X": self.X.tolist(), "y": self.y.tolist()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "KNNModel":
-        return cls(
-            X=np.array(payload["X"], dtype=np.float64),
-            y=np.array(payload["y"], dtype=np.float64),
-            k=int(payload["k"]),
-        )
-
 
 def fit_knn(X_std: np.ndarray, y: np.ndarray, k: int = 5) -> KNNModel:
     """Memorize the (standardized) training set; predict the mean target
@@ -384,23 +337,6 @@ class SVRModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.w + self.b
-
-    def to_payload(self) -> dict:
-        return {
-            "w": self.w.tolist(),
-            "b": self.b,
-            "epsilon": self.epsilon,
-            "reg_lambda": self.reg_lambda,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SVRModel":
-        return cls(
-            w=np.array(payload["w"], dtype=np.float64),
-            b=float(payload["b"]),
-            epsilon=float(payload["epsilon"]),
-            reg_lambda=float(payload["reg_lambda"]),
-        )
 
 
 def fit_linear_svr(
@@ -490,23 +426,6 @@ class MLPModel:
         X = np.asarray(X, dtype=np.float64)
         hidden = np.maximum(X @ self.W1 + self.b1, 0.0)
         return (hidden @ self.W2 + self.b2).ravel()
-
-    def to_payload(self) -> dict:
-        return {
-            "W1": self.W1.tolist(),
-            "b1": self.b1.tolist(),
-            "W2": self.W2.tolist(),
-            "b2": self.b2.tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "MLPModel":
-        return cls(
-            W1=np.array(payload["W1"], dtype=np.float64),
-            b1=np.array(payload["b1"], dtype=np.float64),
-            W2=np.array(payload["W2"], dtype=np.float64),
-            b2=np.array(payload["b2"], dtype=np.float64),
-        )
 
 
 def fit_mlp(
@@ -628,7 +547,7 @@ def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
             n_trees=int(params["n_trees"]),
             max_depth=int(params["max_depth"]),
             min_samples_leaf=int(params["min_samples_leaf"]),
-            features_per_split=int(params["features_per_split"]) or None,
+            features_per_split=int(params["features_per_split"]),
             seed=spec.seed,
         )
     elif spec.kind == "knn":
@@ -661,18 +580,82 @@ def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
     )
 
 
-_PAYLOAD_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}
+_MODEL_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}
+
+# a payload value back to its field's value, by the field's declared type
+_DECODERS = {
+    int: int,
+    float: float,
+    bool: bool,
+    np.ndarray: lambda value: np.array(value, dtype=np.float64),
+    _Node: _node_from_dict,
+    list[_Node]: lambda value: [_node_from_dict(tree) for tree in value],
+}
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, _Node):
+        return _node_to_dict(value)
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _to_payload(obj) -> dict:
+    """A dataclass's fields: arrays as lists, nodes as nested dicts."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _from_payload(cls, payload: dict):
+    types = get_type_hints(cls)
+    return cls(**{f.name: _DECODERS[types[f.name]](payload[f.name]) for f in fields(cls)})
+
+
+def _check_shapes(model: TrainedModel) -> None:
+    """Every array must fit the model's feature count, so a decoded
+    model predicts or names its fault instead of failing inside numpy."""
+    m = len(model.feature_names)
+    inner, std = model.inner, model.standardizer
+    if (std is None) == (model.kind in STANDARDIZED_KINDS):
+        raise ModelError(f"{model.kind} standardizer must be {'set' if std is None else 'null'}")
+    arrays = []
+    if std is not None:
+        arrays += [("standardizer mu", std.mu, (m,)), ("standardizer sigma", std.sigma, (m,))]
+    if isinstance(inner, SVRModel):
+        arrays.append(("w", inner.w, (m,)))
+    elif isinstance(inner, KNNModel):
+        n = inner.y.size
+        arrays += [("X", inner.X, (n, m)), ("y", inner.y, (n,))]
+        if not 1 <= inner.k <= n:
+            raise ModelError(f"k = {inner.k} is not in [1, {n}]")
+    elif isinstance(inner, MLPModel):
+        h = inner.b1.size
+        arrays += [("W1", inner.W1, (m, h)), ("b1", inner.b1, (h,)),
+                   ("W2", inner.W2, (h, 1)), ("b2", inner.b2, (1,))]
+    else:
+        stack = [inner.root] if isinstance(inner, DTModel) else list(inner.trees)
+        while stack:
+            node = stack.pop()
+            if node.feature is not None:
+                if not 0 <= node.feature < m:
+                    raise ModelError(f"split feature {node.feature} is not in [0, {m})")
+                stack += [node.left, node.right]
+    for name, array, shape in arrays:
+        if array.shape != shape:
+            raise ModelError(f"{name} has shape {array.shape}, expected {shape} for {m} features")
 
 
 def model_to_json(model: TrainedModel) -> str:
     """Self-describing JSON with a format-version header.
 
-    Floats are serialized via repr (shortest round-trip form), so a
-    save/load cycle reproduces every parameter bit-exactly.
+    ``standardizer`` and ``payload`` hold the dataclass fields of the
+    Standardizer and of the kind's model class. Floats are serialized
+    via repr (shortest round-trip form), so a save/load cycle
+    reproduces every parameter bit-exactly.
     """
-    std = None
-    if model.standardizer is not None:
-        std = {"mu": model.standardizer.mu.tolist(), "sigma": model.standardizer.sigma.tolist()}
+    std = None if model.standardizer is None else _to_payload(model.standardizer)
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -680,7 +663,7 @@ def model_to_json(model: TrainedModel) -> str:
         "seed": model.seed,
         "feature_names": list(model.feature_names),
         "standardizer": std,
-        "payload": model.inner.to_payload(),
+        "payload": _to_payload(model.inner),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -692,21 +675,18 @@ def model_from_json(text: str) -> TrainedModel:
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {doc.get('version')}")
     kind = doc["kind"]
-    if kind not in _PAYLOAD_CLASSES:
+    if kind not in _MODEL_CLASSES:
         raise ModelError(f"unknown model kind {kind!r}")
-    std = None
-    if doc["standardizer"] is not None:
-        std = Standardizer(
-            mu=np.array(doc["standardizer"]["mu"], dtype=np.float64),
-            sigma=np.array(doc["standardizer"]["sigma"], dtype=np.float64),
-        )
-    return TrainedModel(
+    std = doc["standardizer"]
+    model = TrainedModel(
         kind=kind,
-        inner=_PAYLOAD_CLASSES[kind].from_payload(doc["payload"]),
+        inner=_from_payload(_MODEL_CLASSES[kind], doc["payload"]),
         feature_names=tuple(doc["feature_names"]),
-        standardizer=std,
+        standardizer=None if std is None else _from_payload(Standardizer, std),
         seed=int(doc["seed"]),
     )
+    _check_shapes(model)
+    return model
 
 
 def save_model(model: TrainedModel, path: Union[str, Path]) -> None:

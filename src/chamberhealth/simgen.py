@@ -379,12 +379,6 @@ class SimDataset:
     runs: tuple[RunRecord, ...]
     plan: tuple[PlanEntry, ...]
 
-    def plan_by_asset(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for entry in self.plan:
-            out.setdefault(entry.asset_id, []).append(entry.recipe_id)
-        return out
-
 
 def simulate_history(
     config: ChamberConfig,

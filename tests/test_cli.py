@@ -18,6 +18,7 @@ from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
+from helpers import hi_by_run_id, plan_by_asset
 
 SMALL_INI = """
 [cli]
@@ -213,6 +214,9 @@ SUPERVISED_CORRUPTIONS = {
     "meta-header": (dataio.META_CSV, lambda lines: [lines[0].replace("hi_current", "hi")] + lines[1:]),
     "short-meta-row": (dataio.META_CSV, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:]),
     "non-numeric-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "abc")),
+    "nan-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "nan")),
+    "inf-hi-current-cell": (dataio.META_CSV, lambda lines: _set_cell(
+        lines, 1, dataio.META_COLUMNS.index("hi_current"), "inf")),
 }
 
 
@@ -359,7 +363,7 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     _, series = derive_hi(ds.runs, curves, cfg.segments, cycle_length=cfg.hi_cycle_length,
                           analysis_limit=cfg.analysis_limit)
     summaries = [summarize_run(run, curve) for run, curve in zip(ds.runs, curves)]
-    sset = build_supervised(summaries, series, ds.plan_by_asset(), horizon=cfg.horizon)
+    sset = build_supervised(summaries, hi_by_run_id(series), plan_by_asset(ds), horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()
     dataio.write_supervised(ref, *chrono_split(sset, train_frac=cfg.train_frac))
@@ -391,15 +395,21 @@ def test_pipeline_parses_runs_csv_once_and_fuses_each_run_once(tmp_path, small_c
 EVALUATE_OUTPUTS = (dataio.REPORT_JSON, dataio.PLOT_HI_CSV)
 
 
-def _without_svr_w(data: bytes) -> bytes:
-    doc = json.loads(data)
-    del doc["payload"]["w"]
-    return json.dumps(doc).encode()
+def _edited(edit):
+    """A corruption that applies ``edit`` to the parsed model document."""
+    def corrupt(data: bytes) -> bytes:
+        doc = json.loads(data)
+        edit(doc)
+        return json.dumps(doc).encode()
+    return corrupt
 
 
 MODEL_FILE_CORRUPTIONS = {
     "dt-cut-to-1000-bytes": ("dt", lambda data: data[:1000]),
-    "svr-without-payload-w": ("svr", _without_svr_w),
+    "svr-without-payload-w": ("svr", _edited(lambda doc: doc["payload"].pop("w"))),
+    "svr-w-of-length-1": ("svr", _edited(lambda doc: doc["payload"].update(w=[1.0]))),
+    "dt-feature-out-of-range": ("dt", _edited(
+        lambda doc: doc["payload"]["root"].update(feature=len(doc["feature_names"])))),
     "knn-not-utf8": ("knn", lambda data: data + b"\xff"),
     "mlp-not-an-object": ("mlp", lambda data: b"[]"),
 }

@@ -120,6 +120,8 @@ def test_hash_tracks_science_sections():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "none.ini")
+    with pytest.raises(ConfigError, match="is a directory"):
+        load_config(tmp_path)
     path = tmp_path / "c.ini"
     path.write_text("[cli]\nseed = 3\n")
     assert load_config(path).seed == 3

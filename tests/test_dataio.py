@@ -19,6 +19,7 @@ from chamberhealth.simgen import (
     default_segments,
     simulate_history,
 )
+from helpers import hi_by_run_id, plan_by_asset
 
 
 @pytest.fixture(scope="module")
@@ -136,14 +137,13 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     fits, series = derive_hi(ds.runs, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
     summaries = [summarize_run(r, c) for r, c in zip(ds.runs, curves)]
-    sset = build_supervised(summaries, series, ds.plan_by_asset())
+    sset = build_supervised(summaries, hi_by_run_id(series), plan_by_asset(ds))
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)
     assert train2.feature_names == train.feature_names
     assert np.array_equal(train2.X, train.X)
     assert np.array_equal(test2.y, test.y)
-    assert train2.vocab == train.vocab
     assert train2.meta == train.meta
     assert test2.meta == test.meta
 

@@ -47,7 +47,7 @@ def _toy_sets(n_train=40, n_test=20, seed=0):
             for i in range(n)
         )
         return SupervisedSet(X=X, y=y, feature_names=("f0", "f1", "f2"),
-                             meta=meta, vocab=("std",))
+                             meta=meta)
 
     return build(n_train, 0), build(n_test, n_train)
 

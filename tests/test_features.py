@@ -11,7 +11,6 @@ from chamberhealth.features import (
     build_supervised,
     chrono_split,
     encode_recipe_plan,
-    standardize,
     summarize_run,
 )
 from chamberhealth.hi import derive_hi
@@ -23,8 +22,19 @@ from chamberhealth.simgen import (
     simulate_history,
     true_segment_duration,
 )
+from helpers import hi_by_run_id, plan_by_asset, realized_plan
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
+
+
+def _vocab(sset):
+    """The training vocabulary, read back from the current-recipe feature names."""
+    return tuple(n[len("recipe_") :] for n in sset.feature_names if n.startswith("recipe_"))
+
+
+def standardize(train_X, X):
+    """z-score ``X`` using column statistics of ``train_X``."""
+    return Standardizer.fit(train_X).transform(X)
 
 
 def _summaries(runs, sensors=WIDE):
@@ -124,14 +134,6 @@ def test_encode_plan_length_mismatch():
         encode_recipe_plan(["A"], ["A"], horizon=10)
 
 
-class FakeHi:
-    def __init__(self, mapping):
-        self._m = mapping
-
-    def by_run_id(self):
-        return dict(self._m)
-
-
 def _asset_runs(n, asset="a1", start0=0.0, recipe="std"):
     return [
         make_run(run_id=f"{asset}-{i:03d}", asset=asset, start=start0 + i,
@@ -146,7 +148,7 @@ def _hi_for(runs):
 
 def test_build_supervised_row_count():
     runs = _asset_runs(15)
-    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     assert sset.n_rows == 5
 
 
@@ -155,7 +157,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
     for i in range(30):
         runs.append(make_run(run_id=f"r{i:03d}", start=float(i), n=i % 20,
                              channel=[1.0, 2.0]))
-    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     spanning = [m for m in sset.meta if m.n_runs_target < m.n_runs]
     assert spanning  # rows crossing the reset survive
     assert sset.n_rows == 20
@@ -163,7 +165,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
 
 def test_build_supervised_pairs_stay_within_asset():
     runs = _asset_runs(15, asset="a1") + _asset_runs(12, asset="a2", start0=0.5)
-    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     assert sset.n_rows == 5 + 2
     for m in sset.meta:
         assert m.run_id.split("-")[0] == m.run_id_target.split("-")[0]
@@ -171,7 +173,7 @@ def test_build_supervised_pairs_stay_within_asset():
 
 def test_build_supervised_rows_sorted_by_time():
     runs = _asset_runs(15, asset="a1") + _asset_runs(15, asset="a2", start0=0.5)
-    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     times = [m.start_time for m in sset.meta]
     assert times == sorted(times)
 
@@ -184,7 +186,8 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     ds = simulate_history(config, recipes, 1, 60, 100, seed=0)
     fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
                              default_segments(), 100)
-    sset = build_supervised(_summaries(ds.runs, config.sensors), series, ds.plan_by_asset(), horizon=10)
+    sset = build_supervised(_summaries(ds.runs, config.sensors), hi_by_run_id(series),
+                            plan_by_asset(ds), horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
         m = sset.meta[row_idx]
@@ -196,12 +199,12 @@ def test_build_supervised_noiseless_target_matches_closed_form():
 def test_build_supervised_plan_mismatch_raises():
     runs = _asset_runs(15)
     with pytest.raises(DataError):
-        build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), {"a1": ["std"] * 3}, horizon=10)
+        build_supervised(_summaries(runs), _hi_for(runs), {"a1": ["std"] * 3}, horizon=10)
 
 
 def _supervised_fixture(n=40, asset="a1", start0=0.0):
     runs = _asset_runs(n, asset=asset, start0=start0)
-    return build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    return build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
 
 
 def test_chrono_split_sizes():
@@ -232,13 +235,13 @@ def test_chrono_split_encodes_one_hot_blocks():
     runs = _asset_runs(20, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i % 2 == 0 else "B")
-    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     train, test = chrono_split(sset, 0.7)
-    assert train.vocab == ("A", "B")
+    assert _vocab(train) == ("A", "B")
     names = train.feature_names
     assert "recipe_A" in names and "plan10_B" in names
     # every one-hot block sums to 0 or 1 on every row
-    vocab_n = len(train.vocab)
+    vocab_n = len(_vocab(train))
     for part in (train, test):
         start = len(names) - 11 * vocab_n
         for row in part.X:
@@ -251,12 +254,12 @@ def test_unseen_test_recipe_encodes_to_zero_block():
     runs = _asset_runs(30, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i < 24 else "ZNEW")
-    sset = build_supervised(_summaries(runs), FakeHi(_hi_for(runs)), None, horizon=10)
+    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     train, test = chrono_split(sset, 0.7)
     # ZNEW appears only in late rows; if absent from train vocab its
     # current-recipe block is all zero
-    if "ZNEW" not in train.vocab:
-        vocab_n = len(train.vocab)
+    if "ZNEW" not in _vocab(train):
+        vocab_n = len(_vocab(train))
         start = len(train.feature_names) - 11 * vocab_n
         for row, m in zip(test.X, test.meta):
             if m.recipe_id == "ZNEW":
@@ -276,7 +279,7 @@ def test_no_leakage_from_test_rows():
     sset2 = replace(sset2, X=X2, meta=tuple(meta2))
     train2, _ = chrono_split(sset2, 0.7)
     assert np.array_equal(train1.X, train2.X)
-    assert train1.vocab == train2.vocab
+    assert _vocab(train1) == _vocab(train2)
     assert train1.feature_names == train2.feature_names
 
 

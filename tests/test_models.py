@@ -1,5 +1,7 @@
 """Regressor and benchmark tests, including independent oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from chamberhealth.models import (
     save_model,
     train_model,
 )
+from helpers import hi_by_run_id, plan_by_asset
 
 # -- CART ----------------------------------------------------------------
 
@@ -105,6 +108,25 @@ def test_tree_splits_match_brute_force_oracle():
             for part in (yn[mask], yn[~mask])
         )
         assert got == pytest.approx(sse, rel=1e-9)
+
+
+def _root_split(X, y):
+    root = fit_decision_tree(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
+                             max_depth=1, min_samples_leaf=1).root
+    return root.feature, root.threshold
+
+
+def test_tree_split_ties_pick_the_lower_feature_then_the_lower_threshold():
+    x = [0.0, 1.0, 2.0, 3.0]
+    # a duplicated column scores exactly like its original; a constant
+    # column has no candidate threshold at all
+    assert _root_split(np.column_stack([x, x]), [0, 0, 5, 5]) == (0, 1.5)
+    assert _root_split(np.column_stack([np.ones(4), x, x]), [0, 0, 5, 5]) == (1, 1.5)
+    # thresholds 0.5 and 2.5 both leave SSE 2/3 (bit-equal): the lower one wins
+    assert _root_split(np.column_stack([x]), [0, 1, 1, 0]) == (0, 0.5)
+    # feature 0 splits perfectly at 2.5, feature 1 at 0.5: the lower
+    # feature wins even though the other threshold comes first in its column
+    assert _root_split(np.column_stack([x, [1.0, 2.0, 3.0, 0.0]]), [0, 0, 0, 5]) == (0, 2.5)
 
 
 def test_tree_depth_and_leaf_limits():
@@ -323,7 +345,7 @@ def _toy_set(y, n_runs_target, hi_current=None, start=0.0):
     )
     X = np.zeros((n, 1))
     return SupervisedSet(X=X, y=np.asarray(y, dtype=float),
-                         feature_names=("x0",), meta=meta, vocab=("std",))
+                         feature_names=("x0",), meta=meta)
 
 
 def test_bm3_is_global_train_mean():
@@ -379,7 +401,8 @@ def test_bm2_systematically_low_under_drift():
     ds = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
     fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
                              default_segments(), 100)
-    sset = build_supervised(summaries(ds.runs, config.sensors), series, ds.plan_by_asset())
+    sset = build_supervised(summaries(ds.runs, config.sensors), hi_by_run_id(series),
+                            plan_by_asset(ds))
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
@@ -388,7 +411,8 @@ def test_bm2_systematically_low_under_drift():
     ds2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
     fits2, series2 = derive_hi(ds2.runs, [composite_curve(r, flat.sensors) for r in ds2.runs],
                                default_segments(), 100)
-    sset2 = build_supervised(summaries(ds2.runs, flat.sensors), series2, ds2.plan_by_asset())
+    sset2 = build_supervised(summaries(ds2.runs, flat.sensors), hi_by_run_id(series2),
+                             plan_by_asset(ds2))
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered
@@ -397,7 +421,7 @@ def test_bm2_systematically_low_under_drift():
 
 def test_benchmarks_require_train_rows():
     empty = SupervisedSet(X=np.zeros((0, 1)), y=np.array([]),
-                          feature_names=("x0",), meta=(), vocab=("std",))
+                          feature_names=("x0",), meta=())
     test = _toy_set([1.0], [0])
     with pytest.raises(ModelError, match="benchmarks need a non-empty train set"):
         benchmark_predict("bm3", empty, test)
@@ -422,7 +446,7 @@ def _train_fixture(n=60, m=5, seed=0):
                 float(rng.uniform()), "std", ("std",) * 10)
         for i in range(n)
     )
-    return SupervisedSet(X=X, y=y, feature_names=names, meta=meta, vocab=("std",))
+    return SupervisedSet(X=X, y=y, feature_names=names, meta=meta)
 
 
 @pytest.mark.parametrize("kind", ["dt", "rf", "knn", "svr", "mlp"])
@@ -438,6 +462,44 @@ def test_model_json_roundtrip_bit_exact(kind, tmp_path):
     assert (tmp_path / "model.json").read_bytes() == text.encode("utf-8")
     q = np.random.default_rng(1).uniform(size=(25, 5))
     assert np.array_equal(model.predict(q), back.predict(q))
+
+
+def _deepest_right_split(node):
+    while "feature" in node["right"]:
+        node = node["right"]
+    return node
+
+
+# each edit leaves a well-formed document whose arrays do not fit its 5 features
+SHAPE_FAULTS = {
+    "knn-standardizer-mu": ("knn", lambda doc: doc["standardizer"]["mu"].pop()),
+    "svr-standardizer-sigma": ("svr", lambda doc: doc["standardizer"]["sigma"].append(1.0)),
+    "svr-w": ("svr", lambda doc: doc["payload"]["w"].pop()),
+    "knn-X-column": ("knn", lambda doc: [row.pop() for row in doc["payload"]["X"]]),
+    "knn-y": ("knn", lambda doc: doc["payload"]["y"].pop()),
+    "knn-k-above-rows": ("knn", lambda doc: doc["payload"].update(k=len(doc["payload"]["y"]) + 1)),
+    "mlp-W1": ("mlp", lambda doc: doc["payload"]["W1"].pop()),
+    "mlp-b1": ("mlp", lambda doc: doc["payload"]["b1"].pop()),
+    "mlp-W2": ("mlp", lambda doc: doc["payload"]["W2"].pop()),
+    "mlp-b2": ("mlp", lambda doc: doc["payload"]["b2"].append(0.0)),
+    "dt-negative-feature": ("dt", lambda doc: doc["payload"]["root"].update(feature=-1)),
+    "rf-deep-feature-out-of-range": ("rf", lambda doc: _deepest_right_split(
+        doc["payload"]["trees"][-1]).update(feature=5)),
+    "dt-with-standardizer": ("dt", lambda doc: doc.update(
+        standardizer={"mu": [0.0] * 5, "sigma": [1.0] * 5})),
+    "knn-without-standardizer": ("knn", lambda doc: doc.update(standardizer=None)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
+def test_model_from_json_refuses_arrays_that_do_not_fit_the_features(fault):
+    kind, edit = SHAPE_FAULTS[fault]
+    params = {"rf": {"n_trees": 3}, "mlp": {"epochs": 1, "hidden_units": 4}, "svr": {"steps": 5}}
+    model = train_model(RegressorSpec(kind, params.get(kind, {}), seed=4), _train_fixture())
+    doc = json.loads(model_to_json(model))
+    edit(doc)
+    with pytest.raises(ModelError):
+        model_from_json(json.dumps(doc))
 
 
 def test_save_model_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
@@ -460,7 +522,6 @@ def test_save_model_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
 def test_model_file_format_header():
     train = _train_fixture()
     model = train_model(RegressorSpec("dt"), train)
-    import json
     doc = json.loads(model_to_json(model))
     assert doc["format"] == "chamberhealth-model"
     assert doc["version"] == 1

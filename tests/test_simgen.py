@@ -19,6 +19,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_segment_duration,
 )
+from helpers import plan_by_asset
 
 # frozen from an independent recomputation of the closed form
 T_NO_FLOOR = 5.41610040220442          # 2*ln(15)
@@ -151,7 +152,7 @@ def test_history_is_deterministic():
 
 def test_plan_matches_realized_recipes():
     ds = simulate_history(quiet_config(), default_recipes(), 2, 80, 40, seed=4)
-    plan = ds.plan_by_asset()
+    plan = plan_by_asset(ds)
     for run in ds.runs:
         pos = int(run.run_id.split("-")[1])
         assert plan[run.asset_id][pos] == run.recipe_id
