@@ -12,11 +12,11 @@ Every predict is pure and deterministic once fitted; all randomness is
 driven by explicit seeds, with an independent substream per forest
 tree.
 
-Tree splits are the exact greedy CART search: one first-minimum over a
-feature-major SSE matrix per node, no binning. A model file's payload
-is its model class's dataclass fields, written and read back by one
-codec for all five kinds; loading checks every array against the
-feature count.
+Tree splits are the exact greedy CART search, no binning: a node sorts
+(rank code, position) integer keys and takes one first-minimum over its
+feature-major SSE matrix. A model file's payload is its model class's
+dataclass fields, written and read back by one codec for all five kinds;
+loading checks every array against the feature count.
 """
 
 from __future__ import annotations
@@ -87,68 +87,92 @@ class _Node:
         self.n = n
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, feats: np.ndarray, min_leaf: int
-) -> Optional[tuple[int, float, float]]:
-    """Exhaustive threshold search over the given (ascending) feature ids.
+def _tree_data(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, ...]:
+    """X and y as float64, and X's feature-major uint64 rank codes shifted
+    left 32 bits: equal values (-0.0 and 0.0 too) share a code, and codes
+    keep the values' order. Nodes put positions in the low 32 bits, so a
+    fit takes fewer than 2**32 rows. NaN and inf are refused: a NaN would
+    get a code, and so a threshold, of its own."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
+        raise ModelError(f"{what} needs at least one sample")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ModelError(f"{what} needs finite features and targets")
+    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.uint64)
+    for j in range(X.shape[1]):
+        codes[j] = np.unique(X[:, j], return_inverse=True)[1]
+    return X, y, codes << np.uint64(32)
 
-    Candidate thresholds are midpoints between consecutive distinct
-    sorted values; the score is the summed left+right SSE computed from
-    prefix sums. SSE ties resolve to the lower feature index, then the
-    lower threshold: the first minimum of the feature-major score matrix.
+
+def _best_split(
+    X: np.ndarray, codes: np.ndarray, rows: np.ndarray, yn: np.ndarray, feats: np.ndarray,
+    min_leaf: int,
+) -> Optional[tuple[int, float, float]]:
+    """Exhaustive threshold search over a node's ``rows`` (targets ``yn``)
+    and the given (ascending) feature ids.
+
+    Sorting the unique keys ``code | position`` orders each feature's rows
+    as a stable argsort of its values would. Candidate thresholds are
+    midpoints between consecutive distinct sorted values, scored by the
+    summed left+right SSE from prefix sums. SSE ties resolve to the lower
+    feature, then the lower threshold: the first minimum, feature-major.
     """
-    n = y.size
+    n = rows.size
     if n < 2 * min_leaf:
         return None
-    Xf = X[:, feats]
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs = np.take_along_axis(Xf, order, axis=0)
-    ys = y[order]
-    s1 = np.cumsum(ys, axis=0)
-    s2 = np.cumsum(ys * ys, axis=0)
-    total1 = s1[-1, :]
-    total2 = s2[-1, :]
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    key = codes[feats][:, rows] | np.arange(n, dtype=np.uint64)
+    key.sort(axis=1)
+    order = (key & np.uint64(0xFFFFFFFF)).astype(np.intp)
+    ys = yn[order]
+    s1 = np.cumsum(ys, axis=1)
+    s2 = np.cumsum(ys * ys, axis=1)
+    total1, total2 = s1[:, -1:], s2[:, -1:]
+    # candidate i puts sorted rows 0..i left; both sides keep min_leaf rows
+    lo, hi = min_leaf - 1, n - min_leaf
+    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
     nr = n - nl
-    s1l, s2l = s1[:-1, :], s2[:-1, :]
+    s1l, s2l = s1[:, lo:hi], s2[:, lo:hi]
     sse = (s2l - s1l * s1l / nl) + ((total2 - s2l) - (total1 - s1l) * (total1 - s1l) / nr)
-    valid = (xs[:-1, :] < xs[1:, :]) & (nl >= min_leaf) & (nr >= min_leaf)
-    sse = np.where(valid, sse, np.inf)
+    code = key >> np.uint64(32)
+    sse = np.where(code[:, lo:hi] != code[:, lo + 1 : hi + 1], sse, np.inf)
 
-    j, i = divmod(int(np.argmin(sse.T)), n - 1)
-    score = float(sse[i, j])
+    j, i = divmod(int(np.argmin(sse)), hi - lo)
+    score = float(sse[j, i])
     if not math.isfinite(score):
         return None
-    return int(feats[j]), 0.5 * (float(xs[i, j]) + float(xs[i + 1, j])), score
+    a, b = rows[order[j, lo + i : lo + i + 2]]
+    feature = int(feats[j])
+    return feature, 0.5 * (float(X[a, feature]) + float(X[b, feature])), score
 
 
 def _build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    max_depth: int,
-    min_leaf: int,
-    features_per_split: Optional[int],
-    rng: Optional[np.random.Generator],
+    X: np.ndarray, y: np.ndarray, codes: np.ndarray, rows: np.ndarray, max_depth: int,
+    min_leaf: int, features_per_split: Optional[int], rng: Optional[np.random.Generator],
 ) -> _Node:
-    node = _Node(value=float(y.mean()), n=int(y.size))
-    if depth >= max_depth or y.size < 2 * min_leaf or float(np.ptp(y)) == 0.0:
-        return node
+    """Greedy CART over the global row ids ``rows`` (repeats allowed). A
+    node keeps its rows' order; splittable nodes draw features in preorder."""
     m = X.shape[1]
-    if features_per_split is None:
-        feats = np.arange(m)
-    else:
-        feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
-    split = _best_split(X, y, feats, min_leaf)
-    if split is None:
+
+    def grow(rows: np.ndarray, depth: int) -> _Node:
+        yn = y[rows]
+        node = _Node(value=float(yn.mean()), n=int(yn.size))
+        if depth >= max_depth or yn.size < 2 * min_leaf or float(np.ptp(yn)) == 0.0:
+            return node
+        if features_per_split is None:
+            feats = np.arange(m)
+        else:
+            feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
+        split = _best_split(X, codes, rows, yn, feats, min_leaf)
+        if split is None:
+            return node
+        node.feature, node.threshold, _ = split
+        mask = X[rows, node.feature] <= node.threshold
+        node.left = grow(rows[mask], depth + 1)
+        node.right = grow(rows[~mask], depth + 1)
         return node
-    feature, threshold, _ = split
-    mask = X[:, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _build_tree(X[mask], y[mask], depth + 1, max_depth, min_leaf, features_per_split, rng)
-    node.right = _build_tree(X[~mask], y[~mask], depth + 1, max_depth, min_leaf, features_per_split, rng)
-    return node
+
+    return grow(rows, 0)
 
 
 def _predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
@@ -203,13 +227,10 @@ def fit_decision_tree(
 ) -> DTModel:
     """Greedy CART: axis-aligned splits minimizing summed squared error,
     leaf value = mean target. Stops on depth, leaf size or zero variance."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise ModelError("decision tree needs at least one sample")
+    X, y, codes = _tree_data(X, y, "decision tree")
     if max_depth < 0 or min_samples_leaf < 1:
         raise ConfigError("need max_depth >= 0 and min_samples_leaf >= 1")
-    root = _build_tree(X, y, 0, max_depth, min_samples_leaf, None, None)
+    root = _build_tree(X, y, codes, np.arange(y.size), max_depth, min_samples_leaf, None, None)
     return DTModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
@@ -232,26 +253,6 @@ class RFModel:
         return preds.mean(axis=0)
 
 
-def _fit_forest_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    tree_index: int,
-    seed: int,
-    max_depth: int,
-    min_leaf: int,
-    features_per_split: Optional[int],
-    bootstrap: bool,
-) -> _Node:
-    # independent substream per (seed, tree)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, tree_index)))
-    if bootstrap:
-        idx = rng.integers(0, y.size, size=y.size)
-        Xb, yb = X[idx], y[idx]
-    else:
-        Xb, yb = X, y
-    return _build_tree(Xb, yb, 0, max_depth, min_leaf, features_per_split, rng)
-
-
 def fit_random_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -267,10 +268,7 @@ def fit_random_forest(
     features_per_split defaults to ceil(m / 3). Prediction is the plain
     mean over trees, so it is independent of training order.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise ModelError("random forest needs at least one sample")
+    X, y, codes = _tree_data(X, y, "random forest")
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     m = X.shape[1]
@@ -278,10 +276,12 @@ def fit_random_forest(
     fps = max(1, min(fps, m))
     # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
     subset = fps if fps < m else None
-    trees = [
-        _fit_forest_tree(X, y, i, seed, max_depth, min_samples_leaf, subset, bootstrap)
-        for i in range(n_trees)
-    ]
+    trees = []
+    for i in range(n_trees):
+        # independent substream per (seed, tree); the bootstrap draw comes first
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        rows = rng.integers(0, y.size, size=y.size) if bootstrap else np.arange(y.size)
+        trees.append(_build_tree(X, y, codes, rows, max_depth, min_samples_leaf, subset, rng))
     return RFModel(
         trees=trees,
         n_trees=n_trees,
@@ -701,7 +701,7 @@ def load_model(path: Union[str, Path]) -> TrainedModel:
         return model_from_json(path.read_text(encoding="utf-8"))
     except ModelError as exc:
         raise ModelError(f"{path.name}: {exc}") from None
-    except (LookupError, TypeError, ValueError) as exc:
-        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+    except (LookupError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError; RecursionError, deep nesting
         reason = f"{type(exc).__name__}: {exc}"
         raise ModelError(f"{path.name}: malformed model file: {reason}") from None

@@ -1,5 +1,13 @@
 """Test-only views of in-memory pipeline objects, in the shapes the
-program reads back from plan.csv and hi.csv."""
+program reads back from plan.csv and hi.csv, and the reference tree
+grower that the rank-code split search is checked against."""
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from chamberhealth.models import _Node
 
 
 def plan_by_asset(ds):
@@ -23,3 +31,95 @@ def realized_plan(runs):
 def hi_by_run_id(series):
     """A HiSeries as run_id -> HI seconds, as ``dataio.read_hi_csv`` returns it."""
     return {e.run_id: e.hi for e in series.entries}
+
+
+# -- reference CART grower: a float stable argsort per node and copies of
+# the node's rows; models._build_tree must grow the same trees node for node
+
+
+def reference_best_split(
+    X: np.ndarray, y: np.ndarray, feats: np.ndarray, min_leaf: int
+) -> Optional[tuple[int, float, float]]:
+    """Exhaustive threshold search over the given (ascending) feature ids.
+
+    Candidate thresholds are midpoints between consecutive distinct
+    sorted values; the score is the summed left+right SSE computed from
+    prefix sums. SSE ties resolve to the lower feature index, then the
+    lower threshold: the first minimum of the feature-major score matrix.
+    """
+    n = y.size
+    if n < 2 * min_leaf:
+        return None
+    Xf = X[:, feats]
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    ys = y[order]
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys * ys, axis=0)
+    total1 = s1[-1, :]
+    total2 = s2[-1, :]
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    s1l, s2l = s1[:-1, :], s2[:-1, :]
+    sse = (s2l - s1l * s1l / nl) + ((total2 - s2l) - (total1 - s1l) * (total1 - s1l) / nr)
+    valid = (xs[:-1, :] < xs[1:, :]) & (nl >= min_leaf) & (nr >= min_leaf)
+    sse = np.where(valid, sse, np.inf)
+
+    j, i = divmod(int(np.argmin(sse.T)), n - 1)
+    score = float(sse[i, j])
+    if not math.isfinite(score):
+        return None
+    return int(feats[j]), 0.5 * (float(xs[i, j]) + float(xs[i + 1, j])), score
+
+
+def reference_build_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    depth: int,
+    max_depth: int,
+    min_leaf: int,
+    features_per_split: Optional[int],
+    rng: Optional[np.random.Generator],
+) -> _Node:
+    node = _Node(value=float(y.mean()), n=int(y.size))
+    if depth >= max_depth or y.size < 2 * min_leaf or float(np.ptp(y)) == 0.0:
+        return node
+    m = X.shape[1]
+    if features_per_split is None:
+        feats = np.arange(m)
+    else:
+        feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
+    split = reference_best_split(X, y, feats, min_leaf)
+    if split is None:
+        return node
+    feature, threshold, _ = split
+    mask = X[:, feature] <= threshold
+    node.feature = feature
+    node.threshold = threshold
+    node.left = reference_build_tree(
+        X[mask], y[mask], depth + 1, max_depth, min_leaf, features_per_split, rng)
+    node.right = reference_build_tree(
+        X[~mask], y[~mask], depth + 1, max_depth, min_leaf, features_per_split, rng)
+    return node
+
+
+def reference_forest_tree(
+    X, y, tree_index, seed, max_depth, min_leaf, features_per_split, bootstrap
+):
+    """One forest tree as the reference grows it: the same (seed, tree)
+    substream, bootstrap draw first, then one feature draw per
+    splittable node in preorder."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, tree_index)))
+    if bootstrap:
+        idx = rng.integers(0, y.size, size=y.size)
+        X, y = X[idx], y[idx]
+    return reference_build_tree(X, y, 0, max_depth, min_leaf, features_per_split, rng)
+
+
+def preorder(node: _Node) -> list[tuple]:
+    """(feature, threshold, value, n) of every node in preorder, floats as
+    hex strings so that -0.0 and 0.0 differ."""
+    out = [(node.feature, node.threshold.hex(), node.value.hex(), node.n)]
+    if node.feature is not None:
+        out += preorder(node.left) + preorder(node.right)
+    return out

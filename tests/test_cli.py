@@ -404,6 +404,16 @@ def _edited(edit):
     return corrupt
 
 
+def _deep_chain(data: bytes) -> bytes:
+    """The tree replaced by a chain of 5 000 nested split nodes, written as
+    text: json.dumps itself refuses to nest that deep."""
+    doc = json.loads(data)
+    doc["payload"]["root"] = "ROOT"
+    leaf = '{"n": 1, "value": 0.0}'
+    split = '{"feature": 0, "threshold": 0.0, "n": 1, "value": 0.0, "right": %s, "left": ' % leaf
+    return json.dumps(doc).replace('"ROOT"', split * 5000 + leaf + "}" * 5000).encode()
+
+
 MODEL_FILE_CORRUPTIONS = {
     "dt-cut-to-1000-bytes": ("dt", lambda data: data[:1000]),
     "svr-without-payload-w": ("svr", _edited(lambda doc: doc["payload"].pop("w"))),
@@ -412,6 +422,7 @@ MODEL_FILE_CORRUPTIONS = {
         lambda doc: doc["payload"]["root"].update(feature=len(doc["feature_names"])))),
     "knn-not-utf8": ("knn", lambda data: data + b"\xff"),
     "mlp-not-an-object": ("mlp", lambda data: b"[]"),
+    "dt-5000-deep-chain": ("dt", _deep_chain),
 }
 
 

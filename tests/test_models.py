@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chamberhealth.errors import ConfigError, ModelError
 from chamberhealth.features import RowMeta, SupervisedSet
@@ -24,7 +25,13 @@ from chamberhealth.models import (
     save_model,
     train_model,
 )
-from helpers import hi_by_run_id, plan_by_asset
+from helpers import (
+    hi_by_run_id,
+    plan_by_asset,
+    preorder,
+    reference_build_tree,
+    reference_forest_tree,
+)
 
 # -- CART ----------------------------------------------------------------
 
@@ -127,6 +134,53 @@ def test_tree_split_ties_pick_the_lower_feature_then_the_lower_threshold():
     # feature 0 splits perfectly at 2.5, feature 1 at 0.5: the lower
     # feature wins even though the other threshold comes first in its column
     assert _root_split(np.column_stack([x, [1.0, 2.0, 3.0, 0.0]]), [0, 0, 0, 5]) == (0, 2.5)
+
+
+def _awkward_features(rng, n):
+    """Repeated values with both zeros, one-hot columns, a duplicated
+    column, a constant column and a rounded continuous one."""
+    levels = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=(n, 2))
+    onehot = np.eye(3)[rng.integers(0, 3, n)]
+    return np.column_stack([levels, onehot, levels[:, 1], np.zeros(n), rng.normal(size=n).round(1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 70), min_leaf=st.integers(1, 5),
+       max_depth=st.integers(0, 7), bootstrap=st.booleans(), data=st.data())
+def test_trees_match_the_float_argsort_reference_node_for_node(
+    seed, n, min_leaf, max_depth, bootstrap, data
+):
+    # the rank-code search must grow the float stable-argsort grower's
+    # trees exactly: same split, threshold bits, leaf value bits and n
+    rng = np.random.default_rng(seed)
+    X = _awkward_features(rng, n)
+    noise = data.draw(st.sampled_from([0.0, 1.0]), label="noise")
+    y = rng.choice([-0.0, 0.0, 1.0, 2.5], size=n) + noise * rng.normal(size=n)
+    m = X.shape[1]
+    fps = data.draw(st.integers(1, m), label="features_per_split")
+    tree = fit_decision_tree(X, y, max_depth=max_depth, min_samples_leaf=min_leaf)
+    reference = reference_build_tree(X, y, 0, max_depth, min_leaf, None, None)
+    assert preorder(tree.root) == preorder(reference)
+    forest = fit_random_forest(X, y, n_trees=3, max_depth=max_depth, min_samples_leaf=min_leaf,
+                               features_per_split=fps, seed=seed, bootstrap=bootstrap)
+    subset = fps if fps < m else None
+    for i, grown in enumerate(forest.trees):
+        reference = reference_forest_tree(X, y, i, seed, max_depth, min_leaf, subset, bootstrap)
+        assert preorder(grown) == preorder(reference)
+
+
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fit", [fit_decision_tree, fit_random_forest])
+def test_trees_refuse_non_finite_input(fit, bad, where):
+    X = np.arange(12, dtype=float).reshape(6, 2)
+    y = np.arange(6, dtype=float)
+    if where == "X":
+        X[3, 1] = bad
+    else:
+        y[3] = bad
+    with pytest.raises(ModelError, match="needs finite features and targets"):
+        fit(X, y, min_samples_leaf=1)
 
 
 def test_tree_depth_and_leaf_limits():
