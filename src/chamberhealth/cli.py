@@ -113,6 +113,8 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         raise ModelError(f"no trained models found under {models_dir}")
     models = {p.stem: load_model(p) for p in paths}
     for kind, model in models.items():
+        if model.kind != kind:
+            raise ModelError(f"{kind}.json: holds a {model.kind} model, not {kind}; rerun train")
         if model.feature_names != train.feature_names:
             raise ModelError(
                 f"{kind}.json was trained on other features than {dataio.FEATURES_CSV}'s; "

@@ -235,7 +235,8 @@ def read_run_meta(in_dir: PathLike) -> list[tuple[str, str, float, str, int]]:
 
 
 def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
-    """``plan.csv`` as asset_id -> recipe_ids in position order."""
+    """``plan.csv`` as asset_id -> recipe_ids in position order. Each
+    asset's positions must be 0..n-1, once each."""
     header, rows = read_csv(Path(in_dir) / PLAN_CSV)
     if header != ["asset_id", "position", "recipe_id"]:
         raise DataError(f"bad {PLAN_CSV} header: {header}")
@@ -243,7 +244,13 @@ def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
     with _cells(PLAN_CSV):
         for row in rows:
             plan.setdefault(row[0], []).append((int(row[1]), row[2]))
-    return {asset: [rid for _, rid in sorted(entries)] for asset, entries in plan.items()}
+    for asset, entries in plan.items():
+        entries.sort()
+        if [pos for pos, _ in entries] != list(range(len(entries))):
+            raise DataError(
+                f"{PLAN_CSV}: asset {asset}'s positions are not 0..{len(entries) - 1} once each"
+            )
+    return {asset: [rid for _, rid in entries] for asset, entries in plan.items()}
 
 
 def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]:

@@ -14,9 +14,14 @@ tree.
 
 Tree splits are the exact greedy CART search, no binning: a node sorts
 (rank code, position) integer keys and takes one first-minimum over its
-feature-major SSE matrix. A model file's payload is its model class's
-dataclass fields, written and read back by one codec for all five kinds;
-loading checks every array against the feature count.
+feature-major SSE matrix. A tree is a flat node table grown in preorder
+(a forest keeps all its trees in one table with root offsets), and
+prediction walks every row down it at once by index arrays.
+
+A model file's payload is its model class's dataclass fields, plain
+numbers and arrays, written and read back by one codec for all five
+kinds. Loading checks every array against the feature count, refuses
+NaN and infinities, and checks that every tree walk ends on a leaf.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union, get_type_hints
 
 import numpy as np
+import numpy.typing as npt
 
 from .dataio import atomic_write_text
 from .errors import ConfigError, ModelError
@@ -36,7 +42,7 @@ from .features import Standardizer, SupervisedSet
 MODEL_KINDS = ("dt", "rf", "knn", "svr", "mlp")
 BENCHMARK_KINDS = ("bm1", "bm2", "bm3")
 MODEL_FORMAT = "chamberhealth-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 DEFAULT_HYPERPARAMS: dict[str, dict[str, float]] = {
     "dt": {"max_depth": 8, "min_samples_leaf": 5},
@@ -74,17 +80,7 @@ class RegressorSpec:
 
 # -- CART regression tree -------------------------------------------------
 
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n")
-
-    def __init__(self, value: float, n: int):
-        self.feature: Optional[int] = None
-        self.threshold = 0.0
-        self.left: Optional["_Node"] = None
-        self.right: Optional["_Node"] = None
-        self.value = value
-        self.n = n
+IntArray = npt.NDArray[np.intp]
 
 
 def _tree_data(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, ...]:
@@ -149,77 +145,82 @@ def _best_split(
 def _build_tree(
     X: np.ndarray, y: np.ndarray, codes: np.ndarray, rows: np.ndarray, max_depth: int,
     min_leaf: int, features_per_split: Optional[int], rng: Optional[np.random.Generator],
-) -> _Node:
-    """Greedy CART over the global row ids ``rows`` (repeats allowed). A
-    node keeps its rows' order; splittable nodes draw features in preorder."""
+) -> list[list]:
+    """Greedy CART over the global row ids ``rows`` (repeats allowed), as
+    one [feature, threshold, value, n, right] row per node in preorder
+    (see _Trees). A node keeps its rows' order; splittable nodes draw
+    features in preorder."""
     m = X.shape[1]
+    nodes: list[list] = []
 
-    def grow(rows: np.ndarray, depth: int) -> _Node:
+    def grow(rows: np.ndarray, depth: int) -> None:
         yn = y[rows]
-        node = _Node(value=float(yn.mean()), n=int(yn.size))
+        node = [-1, 0.0, float(yn.mean()), int(yn.size), -1]
+        nodes.append(node)
         if depth >= max_depth or yn.size < 2 * min_leaf or float(np.ptp(yn)) == 0.0:
-            return node
+            return
         if features_per_split is None:
             feats = np.arange(m)
         else:
             feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
         split = _best_split(X, codes, rows, yn, feats, min_leaf)
         if split is None:
-            return node
-        node.feature, node.threshold, _ = split
-        mask = X[rows, node.feature] <= node.threshold
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
-        return node
+            return
+        node[0], node[1], _ = split
+        mask = X[rows, node[0]] <= node[1]
+        grow(rows[mask], depth + 1)
+        node[4] = len(nodes)
+        grow(rows[~mask], depth + 1)
 
-    return grow(rows, 0)
-
-
-def _predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.feature is None:
-            out[idx] = node.value
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+    grow(rows, 0)
+    return nodes
 
 
-def _node_to_dict(node: _Node) -> dict:
-    if node.feature is None:
-        return {"value": node.value, "n": node.n}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "value": node.value,
-        "n": node.n,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict) -> _Node:
-    node = _Node(value=float(data["value"]), n=int(data["n"]))
-    if "feature" in data:
-        node.feature = int(data["feature"])
-        node.threshold = float(data["threshold"])
-        node.left = _node_from_dict(data["left"])
-        node.right = _node_from_dict(data["right"])
-    return node
+def _table(nodes: list[list]) -> dict[str, np.ndarray]:
+    """Node rows as the table's columns, typed as loading types them."""
+    types = get_type_hints(_Trees)
+    return {f.name: _DECODERS[types[f.name]](col) for f, col in zip(fields(_Trees), zip(*nodes))}
 
 
 @dataclass
-class DTModel:
-    root: _Node
+class _Trees:
+    """One or more trees as one node table in preorder. Row i holds
+    feature[i] (-1 marks a leaf), threshold[i], value[i] (the mean target
+    of the node's rows), n[i] (their count) and right[i] (the right
+    child's row, -1 at a leaf); a split's left child is row i + 1. The
+    trees start at the rows ``roots``."""
+
+    feature: IntArray
+    threshold: np.ndarray
+    value: np.ndarray
+    n: IntArray
+    right: IntArray
+
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """The leaf value that each tree gives each row of X, shape
+        (trees, rows). Every (tree, row) pair steps down one level per
+        pass until all stand on leaves."""
+        X = np.asarray(X, dtype=np.float64)
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        rows = np.arange(X.shape[0])
+        while True:
+            feature = self.feature[node]
+            leaf = feature < 0
+            if leaf.all():
+                return self.value[node]
+            left = X[rows, feature] <= self.threshold[node]
+            node = np.where(leaf, node, np.where(left, node + 1, self.right[node]))
+
+
+@dataclass
+class DTModel(_Trees):
     max_depth: int
     min_samples_leaf: int
 
+    roots = np.zeros(1, dtype=np.intp)  # not a field: one tree, at row 0
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _predict_tree(self.root, np.asarray(X, dtype=np.float64))
+        return self._leaf_values(X)[0]
 
 
 def fit_decision_tree(
@@ -230,16 +231,16 @@ def fit_decision_tree(
     X, y, codes = _tree_data(X, y, "decision tree")
     if max_depth < 0 or min_samples_leaf < 1:
         raise ConfigError("need max_depth >= 0 and min_samples_leaf >= 1")
-    root = _build_tree(X, y, codes, np.arange(y.size), max_depth, min_samples_leaf, None, None)
-    return DTModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    nodes = _build_tree(X, y, codes, np.arange(y.size), max_depth, min_samples_leaf, None, None)
+    return DTModel(**_table(nodes), max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 # -- random forest ---------------------------------------------------------
 
 
 @dataclass
-class RFModel:
-    trees: list[_Node]
+class RFModel(_Trees):
+    roots: IntArray
     n_trees: int
     max_depth: int
     min_samples_leaf: int
@@ -248,9 +249,7 @@ class RFModel:
     seed: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        preds = np.stack([_predict_tree(t, X) for t in self.trees])
-        return preds.mean(axis=0)
+        return self._leaf_values(X).mean(axis=0)
 
 
 def fit_random_forest(
@@ -276,14 +275,19 @@ def fit_random_forest(
     fps = max(1, min(fps, m))
     # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
     subset = fps if fps < m else None
-    trees = []
+    nodes: list[list] = []
+    roots = []
     for i in range(n_trees):
         # independent substream per (seed, tree); the bootstrap draw comes first
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         rows = rng.integers(0, y.size, size=y.size) if bootstrap else np.arange(y.size)
-        trees.append(_build_tree(X, y, codes, rows, max_depth, min_samples_leaf, subset, rng))
+        tree = _build_tree(X, y, codes, rows, max_depth, min_samples_leaf, subset, rng)
+        roots.append(len(nodes))
+        # in the forest's one table, right indices count from the table's start
+        nodes += [[f, t, v, n, r + roots[-1] if f >= 0 else r] for f, t, v, n, r in tree]
     return RFModel(
-        trees=trees,
+        **_table(nodes),
+        roots=np.array(roots, dtype=np.intp),
         n_trees=n_trees,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
@@ -528,52 +532,22 @@ class TrainedModel:
         return self.inner.predict(X)
 
 
+_FITTERS = {"dt": fit_decision_tree, "rf": fit_random_forest, "knn": fit_knn,
+            "svr": fit_linear_svr, "mlp": fit_mlp}
+
+
 def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
-    """Fit one model kind on a (fully encoded) train set."""
-    params = spec.resolved()
-    std = None
-    X = train.X
-    if spec.kind in STANDARDIZED_KINDS:
-        std = Standardizer.fit(train.X)
-        X = std.transform(train.X)
-    if spec.kind == "dt":
-        inner = fit_decision_tree(
-            X, train.y, int(params["max_depth"]), int(params["min_samples_leaf"])
-        )
-    elif spec.kind == "rf":
-        inner = fit_random_forest(
-            X,
-            train.y,
-            n_trees=int(params["n_trees"]),
-            max_depth=int(params["max_depth"]),
-            min_samples_leaf=int(params["min_samples_leaf"]),
-            features_per_split=int(params["features_per_split"]),
-            seed=spec.seed,
-        )
-    elif spec.kind == "knn":
-        inner = fit_knn(X, train.y, int(params["k"]))
-    elif spec.kind == "svr":
-        inner = fit_linear_svr(
-            X,
-            train.y,
-            epsilon=float(params["epsilon"]),
-            reg_lambda=float(params["reg_lambda"]),
-            steps=int(params["steps"]),
-            step_size=float(params["step_size"]),
-        )
-    else:
-        inner = fit_mlp(
-            X,
-            train.y,
-            hidden_units=int(params["hidden_units"]),
-            epochs=int(params["epochs"]),
-            batch_size=int(params["batch_size"]),
-            learning_rate=float(params["learning_rate"]),
-            seed=spec.seed,
-        )
+    """Fit one model kind on a (fully encoded) train set. Each
+    hyperparameter goes to the fit function as its default's type."""
+    defaults = DEFAULT_HYPERPARAMS[spec.kind]
+    params = {key: type(defaults[key])(value) for key, value in spec.resolved().items()}
+    if spec.kind in ("rf", "mlp"):
+        params["seed"] = spec.seed
+    std = Standardizer.fit(train.X) if spec.kind in STANDARDIZED_KINDS else None
+    X = train.X if std is None else std.transform(train.X)
     return TrainedModel(
         kind=spec.kind,
-        inner=inner,
+        inner=_FITTERS[spec.kind](X, train.y, **params),
         feature_names=train.feature_names,
         standardizer=std,
         seed=spec.seed,
@@ -588,24 +562,14 @@ _DECODERS = {
     float: float,
     bool: bool,
     np.ndarray: lambda value: np.array(value, dtype=np.float64),
-    _Node: _node_from_dict,
-    list[_Node]: lambda value: [_node_from_dict(tree) for tree in value],
+    IntArray: lambda value: np.array(value, dtype=np.intp),
 }
 
 
-def _encode(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, _Node):
-        return _node_to_dict(value)
-    if isinstance(value, list):
-        return [_encode(item) for item in value]
-    return value
-
-
 def _to_payload(obj) -> dict:
-    """A dataclass's fields: arrays as lists, nodes as nested dicts."""
-    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+    """A dataclass's fields, arrays as (nested) lists."""
+    payload = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in payload.items()}
 
 
 def _from_payload(cls, payload: dict):
@@ -613,9 +577,28 @@ def _from_payload(cls, payload: dict):
     return cls(**{f.name: _DECODERS[types[f.name]](payload[f.name]) for f in fields(cls)})
 
 
-def _check_shapes(model: TrainedModel) -> None:
-    """Every array must fit the model's feature count, so a decoded
-    model predicts or names its fault instead of failing inside numpy."""
+def _check_tables(trees: _Trees, m: int) -> None:
+    """Every feature is a split feature in [0, m) or the leaf marker -1,
+    and a split at row i has its right child at a row in (i + 1, size):
+    child indices only grow, so every walk from a root ends on a leaf."""
+    size, roots = trees.value.size, trees.roots
+    bad = trees.feature[(trees.feature < -1) | (trees.feature >= m)]
+    if bad.size:
+        raise ModelError(f"feature {bad[0]} is neither a split feature in [0, {m}) nor -1")
+    split = np.flatnonzero(trees.feature >= 0)
+    right = trees.right[split]
+    bad = split[(right <= split + 1) | (right >= size)]
+    if bad.size:
+        i = bad[0]
+        raise ModelError(f"split row {i}'s right child {trees.right[i]} is not in ({i + 1}, {size})")
+    if not (roots.size and ((0 <= roots) & (roots < size)).all()):
+        raise ModelError(f"a tree root is not a row of the {size}-row node table")
+
+
+def _check(model: TrainedModel) -> None:
+    """Every array must fit the model's feature count, every float must
+    be finite and every tree walk must end, so a decoded model predicts
+    or names its fault instead of failing inside numpy or reporting NaN."""
     m = len(model.feature_names)
     inner, std = model.inner, model.standardizer
     if (std is None) == (model.kind in STANDARDIZED_KINDS):
@@ -635,16 +618,19 @@ def _check_shapes(model: TrainedModel) -> None:
         arrays += [("W1", inner.W1, (m, h)), ("b1", inner.b1, (h,)),
                    ("W2", inner.W2, (h, 1)), ("b2", inner.b2, (1,))]
     else:
-        stack = [inner.root] if isinstance(inner, DTModel) else list(inner.trees)
-        while stack:
-            node = stack.pop()
-            if node.feature is not None:
-                if not 0 <= node.feature < m:
-                    raise ModelError(f"split feature {node.feature} is not in [0, {m})")
-                stack += [node.left, node.right]
+        arrays += [(f.name, getattr(inner, f.name), (inner.value.size,)) for f in fields(_Trees)]
+        if isinstance(inner, RFModel):
+            arrays.append(("roots", inner.roots, (inner.n_trees,)))
     for name, array, shape in arrays:
         if array.shape != shape:
             raise ModelError(f"{name} has shape {array.shape}, expected {shape} for {m} features")
+    for prefix, part in [("", inner)] + ([] if std is None else [("standardizer ", std)]):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+                raise ModelError(f"{prefix}{f.name} holds NaN or an infinity")
+    if isinstance(inner, _Trees):
+        _check_tables(inner, m)
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -673,7 +659,7 @@ def model_from_json(text: str) -> TrainedModel:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ModelError(f"unsupported model format version {doc.get('version')}")
+        raise ModelError(f"unsupported model format version {doc.get('version')}; rerun train")
     kind = doc["kind"]
     if kind not in _MODEL_CLASSES:
         raise ModelError(f"unknown model kind {kind!r}")
@@ -685,7 +671,7 @@ def model_from_json(text: str) -> TrainedModel:
         standardizer=None if std is None else _from_payload(Standardizer, std),
         seed=int(doc["seed"]),
     )
-    _check_shapes(model)
+    _check(model)
     return model
 
 
@@ -701,7 +687,8 @@ def load_model(path: Union[str, Path]) -> TrainedModel:
         return model_from_json(path.read_text(encoding="utf-8"))
     except ModelError as exc:
         raise ModelError(f"{path.name}: {exc}") from None
-    except (LookupError, TypeError, ValueError, RecursionError) as exc:
-        # ValueError covers UnicodeDecodeError and JSONDecodeError; RecursionError, deep nesting
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError; OverflowError, an
+        # infinite or huge int field; RecursionError, deep nesting
         reason = f"{type(exc).__name__}: {exc}"
         raise ModelError(f"{path.name}: malformed model file: {reason}") from None

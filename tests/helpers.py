@@ -1,13 +1,12 @@
 """Test-only views of in-memory pipeline objects, in the shapes the
 program reads back from plan.csv and hi.csv, and the reference tree
-grower that the rank-code split search is checked against."""
+grower that the rank-code split search and the node tables are checked
+against."""
 
 import math
 from typing import Optional
 
 import numpy as np
-
-from chamberhealth.models import _Node
 
 
 def plan_by_asset(ds):
@@ -33,8 +32,21 @@ def hi_by_run_id(series):
     return {e.run_id: e.hi for e in series.entries}
 
 
-# -- reference CART grower: a float stable argsort per node and copies of
-# the node's rows; models._build_tree must grow the same trees node for node
+# -- reference CART grower: a float stable argsort per node, copies of the
+# node's rows and one object per node; models._build_tree must grow the
+# same trees, as node tables, node for node
+
+
+class _Node:
+    __slots__ = ("feature", "threshold", "left", "right", "value", "n")
+
+    def __init__(self, value: float, n: int):
+        self.feature: Optional[int] = None
+        self.threshold = 0.0
+        self.left: Optional["_Node"] = None
+        self.right: Optional["_Node"] = None
+        self.value = value
+        self.n = n
 
 
 def reference_best_split(
@@ -116,10 +128,22 @@ def reference_forest_tree(
     return reference_build_tree(X, y, 0, max_depth, min_leaf, features_per_split, rng)
 
 
-def preorder(node: _Node) -> list[tuple]:
-    """(feature, threshold, value, n) of every node in preorder, floats as
-    hex strings so that -0.0 and 0.0 differ."""
-    out = [(node.feature, node.threshold.hex(), node.value.hex(), node.n)]
-    if node.feature is not None:
-        out += preorder(node.left) + preorder(node.right)
-    return out
+def preorder(node: _Node, start: int = 0) -> list[tuple]:
+    """The reference tree as node-table rows (feature, threshold, value,
+    n, right) in preorder, numbered from ``start``: feature and right are
+    -1 at a leaf, and a split's left child is the next row. Floats are hex
+    strings, so that -0.0 and 0.0 differ."""
+    if node.feature is None:
+        return [(-1, node.threshold.hex(), node.value.hex(), node.n, -1)]
+    left = preorder(node.left, start + 1)
+    right = preorder(node.right, start + 1 + len(left))
+    row = (node.feature, node.threshold.hex(), node.value.hex(), node.n, start + 1 + len(left))
+    return [row] + left + right
+
+
+def table_rows(trees, start: int = 0, stop: Optional[int] = None) -> list[tuple]:
+    """Rows start..stop of a DTModel's or RFModel's node table, in
+    ``preorder``'s form."""
+    columns = (trees.feature, trees.threshold, trees.value, trees.n, trees.right)
+    return [(int(f), float(t).hex(), float(v).hex(), int(n), int(r))
+            for f, t, v, n, r in zip(*(c[start:stop] for c in columns))]

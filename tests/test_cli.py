@@ -346,6 +346,25 @@ def test_bad_run_aggregates_is_data_error(tmp_path, pipelined, capsys, corruptio
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
+PLAN_CORRUPTIONS = {
+    "duplicated-row": lambda lines: lines[:3] + [lines[2]] + lines[3:],
+    "position-gap": lambda lines: lines[:3] + lines[4:],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(PLAN_CORRUPTIONS))
+def test_bad_plan_is_data_error(tmp_path, pipelined, capsys, corruption):
+    # each asset's positions must be 0..n-1 once each; a duplicated row
+    # would shift every later planned recipe
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *FEATURE_OUTPUTS)
+    _corrupt(out / dataio.PLAN_CSV, PLAN_CORRUPTIONS[corruption])
+    assert run_cli("build-features", "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"ERROR DataError: {dataio.PLAN_CSV}: ")
+    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
+
+
 def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     out = tmp_path / "work"
     for command in ("simulate", "derive-hi"):
@@ -397,32 +416,36 @@ EVALUATE_OUTPUTS = (dataio.REPORT_JSON, dataio.PLOT_HI_CSV)
 
 def _edited(edit):
     """A corruption that applies ``edit`` to the parsed model document."""
-    def corrupt(data: bytes) -> bytes:
-        doc = json.loads(data)
+    def corrupt(path) -> bytes:
+        doc = json.loads(path.read_bytes())
         edit(doc)
         return json.dumps(doc).encode()
     return corrupt
 
 
-def _deep_chain(data: bytes) -> bytes:
-    """The tree replaced by a chain of 5 000 nested split nodes, written as
-    text: json.dumps itself refuses to nest that deep."""
-    doc = json.loads(data)
-    doc["payload"]["root"] = "ROOT"
-    leaf = '{"n": 1, "value": 0.0}'
-    split = '{"feature": 0, "threshold": 0.0, "n": 1, "value": 0.0, "right": %s, "left": ' % leaf
-    return json.dumps(doc).replace('"ROOT"', split * 5000 + leaf + "}" * 5000).encode()
+def _deep_chain(path) -> bytes:
+    """The leaf values' array nested 5 000 deep, written as text:
+    json.dumps itself refuses to nest that deep."""
+    doc = json.loads(path.read_bytes())
+    doc["payload"]["value"] = "DEEP"
+    return json.dumps(doc).replace('"DEEP"', "[" * 5000 + "0.0" + "]" * 5000).encode()
 
 
+def _set_root_feature(doc):
+    doc["payload"]["feature"][0] = len(doc["feature_names"])
+
+
+# (model kind, the file's new bytes as a function of its path)
 MODEL_FILE_CORRUPTIONS = {
-    "dt-cut-to-1000-bytes": ("dt", lambda data: data[:1000]),
+    "dt-cut-to-1000-bytes": ("dt", lambda path: path.read_bytes()[:1000]),
     "svr-without-payload-w": ("svr", _edited(lambda doc: doc["payload"].pop("w"))),
     "svr-w-of-length-1": ("svr", _edited(lambda doc: doc["payload"].update(w=[1.0]))),
-    "dt-feature-out-of-range": ("dt", _edited(
-        lambda doc: doc["payload"]["root"].update(feature=len(doc["feature_names"])))),
-    "knn-not-utf8": ("knn", lambda data: data + b"\xff"),
-    "mlp-not-an-object": ("mlp", lambda data: b"[]"),
+    "svr-b-nan": ("svr", _edited(lambda doc: doc["payload"].update(b=float("nan")))),
+    "dt-feature-out-of-range": ("dt", _edited(_set_root_feature)),
+    "knn-not-utf8": ("knn", lambda path: path.read_bytes() + b"\xff"),
+    "mlp-not-an-object": ("mlp", lambda path: b"[]"),
     "dt-5000-deep-chain": ("dt", _deep_chain),
+    "rf-is-a-copy-of-dt": ("rf", lambda path: path.with_name("dt.json").read_bytes()),
 }
 
 
@@ -433,7 +456,7 @@ def test_malformed_model_file_is_model_error(tmp_path, pipelined, capsys, corrup
     _drop_outputs(out, *EVALUATE_OUTPUTS)
     kind, corrupt = MODEL_FILE_CORRUPTIONS[corruption]
     path = out / dataio.MODELS_DIR / f"{kind}.json"
-    path.write_bytes(corrupt(path.read_bytes()))
+    path.write_bytes(corrupt(path))
     assert run_cli("evaluate", "--config", config, "--out", out) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR ModelError: {kind}.json: ") and err.count("\n") == 1

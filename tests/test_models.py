@@ -1,6 +1,7 @@
 """Regressor and benchmark tests, including independent oracles."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     preorder,
     reference_build_tree,
     reference_forest_tree,
+    table_rows,
 )
 
 # -- CART ----------------------------------------------------------------
@@ -39,8 +41,8 @@ from helpers import (
 def test_tree_two_point_split():
     model = fit_decision_tree(np.array([[0.0], [1.0]]), np.array([0.0, 10.0]),
                               max_depth=1, min_samples_leaf=1)
-    assert model.root.feature == 0
-    assert model.root.threshold == pytest.approx(0.5)
+    assert model.feature[0] == 0
+    assert model.threshold[0] == pytest.approx(0.5)
     assert model.predict(np.array([[0.0]]))[0] == 0.0
     assert model.predict(np.array([[1.0]]))[0] == 10.0
 
@@ -62,7 +64,7 @@ def test_tree_empty_training():
 def test_tree_constant_target_is_single_leaf():
     X = np.arange(10, dtype=float)[:, None]
     model = fit_decision_tree(X, np.full(10, 3.0), max_depth=5, min_samples_leaf=1)
-    assert model.root.feature is None
+    assert model.feature.tolist() == [-1]
     assert model.predict(X).tolist() == [3.0] * 10
 
 
@@ -86,13 +88,15 @@ def brute_force_best_split(X, y, min_leaf):
     return best
 
 
-def collect_split_nodes(node, X, y, out):
-    if node.feature is None:
+def collect_split_nodes(tree, i, X, y, out):
+    """(feature, threshold, node rows X, y) of every split under row i."""
+    feature, threshold = int(tree.feature[i]), float(tree.threshold[i])
+    if feature < 0:
         return
-    out.append((node, X, y))
-    mask = X[:, node.feature] <= node.threshold
-    collect_split_nodes(node.left, X[mask], y[mask], out)
-    collect_split_nodes(node.right, X[~mask], y[~mask], out)
+    out.append((feature, threshold, X, y))
+    mask = X[:, feature] <= threshold
+    collect_split_nodes(tree, i + 1, X[mask], y[mask], out)
+    collect_split_nodes(tree, tree.right[i], X[~mask], y[~mask], out)
 
 
 def test_tree_splits_match_brute_force_oracle():
@@ -103,13 +107,13 @@ def test_tree_splits_match_brute_force_oracle():
     y = rng.normal(size=200)
     model = fit_decision_tree(X, y, max_depth=3, min_samples_leaf=2)
     nodes = []
-    collect_split_nodes(model.root, X, y, nodes)
+    collect_split_nodes(model, 0, X, y, nodes)
     assert nodes
-    for node, Xn, yn in nodes:
+    for feature, threshold, Xn, yn in nodes:
         f, thr, sse = brute_force_best_split(Xn, yn, 2)
-        assert node.feature == f
-        assert node.threshold == pytest.approx(thr, rel=1e-12)
-        mask = Xn[:, node.feature] <= node.threshold
+        assert feature == f
+        assert threshold == pytest.approx(thr, rel=1e-12)
+        mask = Xn[:, feature] <= threshold
         got = sum(
             float(np.sum((part - part.mean()) ** 2))
             for part in (yn[mask], yn[~mask])
@@ -118,9 +122,9 @@ def test_tree_splits_match_brute_force_oracle():
 
 
 def _root_split(X, y):
-    root = fit_decision_tree(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
-                             max_depth=1, min_samples_leaf=1).root
-    return root.feature, root.threshold
+    tree = fit_decision_tree(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
+                             max_depth=1, min_samples_leaf=1)
+    return int(tree.feature[0]), float(tree.threshold[0])
 
 
 def test_tree_split_ties_pick_the_lower_feature_then_the_lower_threshold():
@@ -151,7 +155,8 @@ def test_trees_match_the_float_argsort_reference_node_for_node(
     seed, n, min_leaf, max_depth, bootstrap, data
 ):
     # the rank-code search must grow the float stable-argsort grower's
-    # trees exactly: same split, threshold bits, leaf value bits and n
+    # trees exactly, as node tables: same split, threshold bits, leaf
+    # value bits, n and right child, row for row in preorder
     rng = np.random.default_rng(seed)
     X = _awkward_features(rng, n)
     noise = data.draw(st.sampled_from([0.0, 1.0]), label="noise")
@@ -160,13 +165,15 @@ def test_trees_match_the_float_argsort_reference_node_for_node(
     fps = data.draw(st.integers(1, m), label="features_per_split")
     tree = fit_decision_tree(X, y, max_depth=max_depth, min_samples_leaf=min_leaf)
     reference = reference_build_tree(X, y, 0, max_depth, min_leaf, None, None)
-    assert preorder(tree.root) == preorder(reference)
+    assert table_rows(tree) == preorder(reference)
     forest = fit_random_forest(X, y, n_trees=3, max_depth=max_depth, min_samples_leaf=min_leaf,
                                features_per_split=fps, seed=seed, bootstrap=bootstrap)
     subset = fps if fps < m else None
-    for i, grown in enumerate(forest.trees):
+    assert forest.roots[0] == 0 and forest.roots.size == 3
+    stops = forest.roots[1:].tolist() + [forest.value.size]
+    for i, (start, stop) in enumerate(zip(forest.roots.tolist(), stops)):
         reference = reference_forest_tree(X, y, i, seed, max_depth, min_leaf, subset, bootstrap)
-        assert preorder(grown) == preorder(reference)
+        assert table_rows(forest, start, stop) == preorder(reference, start)
 
 
 @pytest.mark.parametrize("where", ["X", "y"])
@@ -189,15 +196,15 @@ def test_tree_depth_and_leaf_limits():
     y = rng.normal(size=100)
     model = fit_decision_tree(X, y, max_depth=2, min_samples_leaf=10)
 
-    def check(node, depth):
-        if node.feature is None:
-            assert node.n >= 10
+    def check(i, depth):
+        if model.feature[i] < 0:
+            assert model.n[i] >= 10
             return
         assert depth < 2
-        check(node.left, depth + 1)
-        check(node.right, depth + 1)
+        check(i + 1, depth + 1)
+        check(model.right[i], depth + 1)
 
-    check(model.root, 0)
+    check(0, 0)
 
 
 # -- random forest ---------------------------------------------------------
@@ -518,13 +525,24 @@ def test_model_json_roundtrip_bit_exact(kind, tmp_path):
     assert np.array_equal(model.predict(q), back.predict(q))
 
 
-def _deepest_right_split(node):
-    while "feature" in node["right"]:
-        node = node["right"]
-    return node
+def _last_split(payload):
+    """The node-table row of the last split in preorder."""
+    return max(i for i, f in enumerate(payload["feature"]) if f >= 0)
 
 
-# each edit leaves a well-formed document whose arrays do not fit its 5 features
+def _set(field, value, row=0):
+    """An edit that sets row i of payload[field] to value, or to value(i)
+    if value is a function; row is i, or a function of the payload."""
+    def edit(doc):
+        payload = doc["payload"]
+        i = row(payload) if callable(row) else row
+        payload[field][i] = value(i) if callable(value) else value
+    return edit
+
+
+# each edit leaves a well-formed document that does not describe a usable
+# model of its 5 features: an array that does not fit them, a NaN or an
+# infinity, or a node table whose walks could leave it or loop
 SHAPE_FAULTS = {
     "knn-standardizer-mu": ("knn", lambda doc: doc["standardizer"]["mu"].pop()),
     "svr-standardizer-sigma": ("svr", lambda doc: doc["standardizer"]["sigma"].append(1.0)),
@@ -536,9 +554,23 @@ SHAPE_FAULTS = {
     "mlp-b1": ("mlp", lambda doc: doc["payload"]["b1"].pop()),
     "mlp-W2": ("mlp", lambda doc: doc["payload"]["W2"].pop()),
     "mlp-b2": ("mlp", lambda doc: doc["payload"]["b2"].append(0.0)),
-    "dt-negative-feature": ("dt", lambda doc: doc["payload"]["root"].update(feature=-1)),
-    "rf-deep-feature-out-of-range": ("rf", lambda doc: _deepest_right_split(
-        doc["payload"]["trees"][-1]).update(feature=5)),
+    "dt-negative-feature": ("dt", _set("feature", -2)),
+    "rf-deep-feature-out-of-range": ("rf", _set("feature", 5, _last_split)),
+    "dt-right-to-itself": ("dt", _set("right", 0)),
+    "dt-right-to-its-left-child": ("dt", _set("right", 1)),
+    "dt-right-backward": ("dt", _set("right", lambda i: i - 1, _last_split)),
+    "dt-right-past-the-end": ("dt", _set("right", 10**6)),
+    "rf-right-past-the-end": ("rf", _set("right", lambda i: i + 10**6, _last_split)),
+    "dt-tables-of-unequal-length": ("dt", lambda doc: doc["payload"]["right"].pop()),
+    "rf-root-past-the-end": ("rf", _set("roots", 10**6, -1)),
+    "rf-roots-of-another-length": ("rf", lambda doc: doc["payload"]["roots"].pop()),
+    "dt-threshold-inf": ("dt", _set("threshold", math.inf)),
+    "rf-leaf-value-nan": ("rf", _set("value", math.nan, -1)),
+    "svr-b-nan": ("svr", lambda doc: doc["payload"].update(b=math.nan)),
+    "svr-epsilon-minus-inf": ("svr", lambda doc: doc["payload"].update(epsilon=-math.inf)),
+    "knn-standardizer-sigma-nan": ("knn", lambda doc: doc["standardizer"]["sigma"].__setitem__(
+        0, math.nan)),
+    "mlp-W1-inf": ("mlp", lambda doc: doc["payload"]["W1"][0].__setitem__(0, math.inf)),
     "dt-with-standardizer": ("dt", lambda doc: doc.update(
         standardizer={"mu": [0.0] * 5, "sigma": [1.0] * 5})),
     "knn-without-standardizer": ("knn", lambda doc: doc.update(standardizer=None)),
@@ -578,8 +610,16 @@ def test_model_file_format_header():
     model = train_model(RegressorSpec("dt"), train)
     doc = json.loads(model_to_json(model))
     assert doc["format"] == "chamberhealth-model"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["kind"] == "dt"
+
+
+def test_older_model_format_is_refused():
+    # version 1 wrote trees as nested node objects; only one reader is kept
+    doc = json.loads(model_to_json(train_model(RegressorSpec("dt"), _train_fixture())))
+    doc["version"] = 1
+    with pytest.raises(ModelError, match="unsupported model format version 1; rerun train"):
+        model_from_json(json.dumps(doc))
 
 
 def test_standardized_kinds_carry_the_handle():
