@@ -208,7 +208,7 @@ SECTIONS = tuple(dict.fromkeys(s.section for s in SETTINGS))
 
 
 def config_to_ini(cfg: PipelineConfig) -> str:
-    """Canonical resolved INI text (also the hashing input)."""
+    """Canonical resolved INI text."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({section: {} for section in SECTIONS})
     for s in SETTINGS:
@@ -219,13 +219,13 @@ def config_to_ini(cfg: PipelineConfig) -> str:
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    """Hash of the science-relevant sections of the resolved config."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(config_to_ini(cfg))
+    """Hash of the science-relevant sections of the resolved config: one
+    ``section.key=value`` line per key, sections in HASHED_SECTIONS order,
+    keys sorted, each value as the INI file writes it."""
     digest = hashlib.sha256()
     for section in HASHED_SECTIONS:
-        for key, value in sorted(parser[section].items()):
-            digest.update(f"{section}.{key}={value}\n".encode())
+        for s in sorted((s for s in SETTINGS if s.section == section), key=lambda s: s.key):
+            digest.update(f"{section}.{s.key}={s.fmt.write(s.read(cfg))}\n".encode())
     return digest.hexdigest()[:16]
 
 

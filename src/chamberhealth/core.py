@@ -74,9 +74,9 @@ class RunRecord:
     ``readings`` is an (n_samples, n_sensors) array with NaN marking
     invalid readings, columns ordered like ``sensor_ids``.
 
-    ``true_pressure`` / ``true_c`` / ``true_p_ss`` carry the generator's
-    noiseless ground truth when the run is synthetic; they are test-only
-    metadata, never exported as model features.
+    ``true_c`` / ``true_p_ss`` carry the generator's ground truth when the
+    run is synthetic; they go to ``ground_truth.csv``, never into model
+    features.
     """
 
     run_id: str
@@ -88,7 +88,6 @@ class RunRecord:
     readings: np.ndarray
     sensor_ids: tuple[str, ...]
     extra_channels: Mapping[str, np.ndarray] = field(default_factory=dict)
-    true_pressure: Optional[np.ndarray] = None
     true_c: Optional[float] = None
     true_p_ss: Optional[float] = None
 

@@ -6,6 +6,15 @@ Floats are rendered with repr() so that every write/read cycle
 round-trips bit-exactly. Files are written to a temp path and renamed
 into place, so a failing stage never leaves a partial file.
 
+The eight fixed-header CSVs are declared once, in ``SCHEMAS``: column
+names in order, each with its cell type. Their writers take the header
+from it, and ``read_table`` reads any of them back, refusing a wrong
+header, a cell its column's type does not parse and NaN or an infinity
+in a float column (DataError). ``runs.csv``, ``run_aggregates.csv`` and
+``features.csv`` have headers that depend on the data and readers of
+their own; their float cells must be finite too, except that an empty
+sensor cell marks an invalid reading.
+
 ``runs.csv`` holds each run as one contiguous block of rows in time
 order. It is written one block at a time, each block rendered as one
 string, and read one block at a time, so no stage holds more than one
@@ -40,7 +49,7 @@ from .core import RunRecord
 from .errors import DataError
 from .features import RowMeta, RunSummary, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
-from .simgen import PlanEntry, SimDataset
+from .simgen import SimDataset
 
 PathLike = Union[str, Path]
 
@@ -57,6 +66,33 @@ REPORT_JSON = "report.json"
 PREDICTIONS_CSV = "predictions.csv"
 PLOT_HI_CSV = "plot_hi.csv"
 MODELS_DIR = "models"
+
+# The fixed-header CSVs: each file's columns in order, with the type of
+# their cells. Writers take the header from here; read_table checks it
+# and converts every cell by its column's type.
+SCHEMAS: dict[str, dict[str, type]] = {
+    RUN_META_CSV: {
+        "run_id": str, "asset_id": str, "start_time": float, "recipe_id": str, "n_runs": int,
+    },
+    GROUND_TRUTH_CSV: {"run_id": str, "c": float, "p_ss": float},
+    PLAN_CSV: {"asset_id": str, "position": int, "recipe_id": str},
+    FITS_CSV: {
+        "segment": int, "k": float, "d": float, "t_bar": float, "alpha": float, "r2": float,
+        "n_points": int,
+    },
+    HI_CSV: {"run_id": str, "asset_id": str, "start_time": float, "n_runs": int, "hi_s": float},
+    # in RowMeta's field order, plan joined by "|", then the split
+    META_CSV: {
+        "asset_id": str, "run_id": str, "run_id_target": str, "start_time": float,
+        "n_runs": int, "n_runs_target": int, "hi_current": float, "recipe_id": str,
+        "plan": str, "split": str,
+    },
+    PREDICTIONS_CSV: {"run_id": str, "target": float, "model": str, "prediction": float},
+    PLOT_HI_CSV: {
+        "start_time": float, "n_runs": int, "target": float, "prediction_best": float,
+        "bm1": float, "bm2": float, "bm3": float,
+    },
+}
 
 
 def fmt(value) -> str:
@@ -83,7 +119,7 @@ def atomic_write_text(path: PathLike, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: PathLike, header: Iterable[str], rows: Iterable[Sequence]) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -140,6 +176,23 @@ def _cells(name: str):
         raise DataError(f"bad cell in {name}: {exc}") from None
 
 
+def read_table(path: PathLike) -> list[tuple]:
+    """A fixed-header CSV, chosen in SCHEMAS by its file name, as one tuple
+    of typed cells per row. A wrong header, a cell its column's type does
+    not parse, and NaN or an infinity in a float column raise DataError."""
+    path = Path(path)
+    schema = SCHEMAS[path.name]
+    header, rows = read_csv(path)
+    if header != list(schema):
+        raise DataError(f"bad {path.name} header: {header}")
+    with _cells(path.name):
+        columns = [list(map(kind, cells)) for kind, cells in zip(schema.values(), zip(*rows))]
+    for (name, kind), values in zip(schema.items(), columns):
+        if kind is float and not all(map(math.isfinite, values)):
+            raise DataError(f"non-finite {name} cell in {path.name}")
+    return list(zip(*columns))
+
+
 # -- raw samples + run metadata (core schemas) --------------------------------
 
 
@@ -180,70 +233,39 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
             ))
 
 
-RUN_META_COLUMNS = ["run_id", "asset_id", "start_time", "recipe_id", "n_runs"]
-
-
-def write_run_meta_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
-    write_csv(
-        path,
-        RUN_META_COLUMNS,
-        (
-            [r.run_id, r.asset_id, float(r.start_time), r.recipe_id, r.n_runs]
-            for r in runs
-        ),
-    )
-
-
-def write_ground_truth_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
-    write_csv(
-        path,
-        ["run_id", "c", "p_ss"],
-        ([r.run_id, float(r.true_c), float(r.true_p_ss)] for r in runs),
-    )
-
-
-def write_plan_csv(path: PathLike, plan: Sequence[PlanEntry]) -> None:
-    write_csv(
-        path,
-        ["asset_id", "position", "recipe_id"],
-        ([p.asset_id, p.position, p.recipe_id] for p in plan),
-    )
-
-
 def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:
-    out = Path(out_dir)
-    write_runs_csv(out / RUNS_CSV, dataset.runs)
-    write_run_meta_csv(out / RUN_META_CSV, dataset.runs)
-    write_ground_truth_csv(out / GROUND_TRUTH_CSV, dataset.runs)
-    write_plan_csv(out / PLAN_CSV, dataset.plan)
+    out, runs = Path(out_dir), dataset.runs
+    write_runs_csv(out / RUNS_CSV, runs)
+    write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV], (
+        [r.run_id, r.asset_id, float(r.start_time), r.recipe_id, r.n_runs] for r in runs))
+    write_csv(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], (
+        [r.run_id, float(r.true_c), float(r.true_p_ss)] for r in runs))
+    write_csv(out / PLAN_CSV, SCHEMAS[PLAN_CSV], (
+        [asset, pos, rid] for asset, ids in dataset.plan.items() for pos, rid in enumerate(ids)))
+
+
+def _once_each(run_ids: Iterable[str], name: str) -> None:
+    seen: set[str] = set()
+    for rid in run_ids:
+        if rid in seen:
+            raise DataError(f"run {rid} listed twice in {name}")
+        seen.add(rid)
 
 
 def read_run_meta(in_dir: PathLike) -> list[tuple[str, str, float, str, int]]:
     """``run_meta.csv`` rows as (run_id, asset_id, start_time, recipe_id, n_runs),
     in file order; a run_id listed twice raises DataError."""
-    header, rows = read_csv(Path(in_dir) / RUN_META_CSV)
-    if header != RUN_META_COLUMNS:
-        raise DataError(f"bad {RUN_META_CSV} header: {header}")
-    with _cells(RUN_META_CSV):
-        meta = [(rid, asset, float(start), recipe, int(n)) for rid, asset, start, recipe, n in rows]
-    seen: set[str] = set()
-    for rid, *_ in meta:
-        if rid in seen:
-            raise DataError(f"run {rid} listed twice in {RUN_META_CSV}")
-        seen.add(rid)
+    meta = read_table(Path(in_dir) / RUN_META_CSV)
+    _once_each((row[0] for row in meta), RUN_META_CSV)
     return meta
 
 
 def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
     """``plan.csv`` as asset_id -> recipe_ids in position order. Each
     asset's positions must be 0..n-1, once each."""
-    header, rows = read_csv(Path(in_dir) / PLAN_CSV)
-    if header != ["asset_id", "position", "recipe_id"]:
-        raise DataError(f"bad {PLAN_CSV} header: {header}")
     plan: dict[str, list[tuple[int, str]]] = {}
-    with _cells(PLAN_CSV):
-        for row in rows:
-            plan.setdefault(row[0], []).append((int(row[1]), row[2]))
+    for asset, pos, rid in read_table(Path(in_dir) / PLAN_CSV):
+        plan.setdefault(asset, []).append((pos, rid))
     for asset, entries in plan.items():
         entries.sort()
         if [pos for pos, _ in entries] != list(range(len(entries))):
@@ -367,50 +389,24 @@ def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
 
 
 def write_fits_csv(path: PathLike, fits: Sequence[DegradationFit]) -> None:
-    write_csv(
-        path,
-        ["segment", "k", "d", "t_bar", "alpha", "r2", "n_points"],
-        (
-            [f.segment.index, f.k, f.d, f.t_bar, f.alpha, f.r2, f.n_points]
-            for f in fits
-        ),
-    )
+    write_csv(path, SCHEMAS[FITS_CSV], (
+        [f.segment.index, f.k, f.d, f.t_bar, f.alpha, f.r2, f.n_points] for f in fits))
 
 
 def write_hi_csv(path: PathLike, series: HiSeries) -> None:
-    write_csv(
-        path,
-        ["run_id", "asset_id", "start_time", "n_runs", "hi_s"],
-        (
-            [e.run_id, e.asset_id, float(e.start_time), e.n_runs, float(e.hi)]
-            for e in series.entries
-        ),
-    )
+    write_csv(path, SCHEMAS[HI_CSV], (
+        [e.run_id, e.asset_id, float(e.start_time), e.n_runs, float(e.hi)] for e in series.entries))
 
 
 def read_hi_csv(path: PathLike) -> dict[str, float]:
-    header, rows = read_csv(path)
-    if header != ["run_id", "asset_id", "start_time", "n_runs", "hi_s"]:
-        raise DataError(f"bad {HI_CSV} header: {header}")
-    with _cells(HI_CSV):
-        return {row[0]: float(row[4]) for row in rows}
+    """``hi.csv`` as run_id -> HI seconds, in file order; a run_id listed
+    twice raises DataError."""
+    rows = read_table(path)
+    _once_each((row[0] for row in rows), HI_CSV)
+    return {row[0]: row[-1] for row in rows}
 
 
 # -- supervised set -------------------------------------------------------------
-
-
-META_COLUMNS = [
-    "asset_id",
-    "run_id",
-    "run_id_target",
-    "start_time",
-    "n_runs",
-    "n_runs_target",
-    "hi_current",
-    "recipe_id",
-    "plan",
-    "split",
-]
 
 
 def write_supervised(
@@ -427,23 +423,11 @@ def write_supervised(
 
     write_csv(out / FEATURES_CSV, list(train.feature_names) + ["target"], feature_rows())
 
-    def meta_rows():
-        for split, part in (("train", train), ("test", test)):
-            for m in part.meta:
-                yield [
-                    m.asset_id,
-                    m.run_id,
-                    m.run_id_target,
-                    float(m.start_time),
-                    m.n_runs,
-                    m.n_runs_target,
-                    float(m.hi_current),
-                    m.recipe_id,
-                    "|".join(m.plan),
-                    split,
-                ]
-
-    write_csv(out / META_CSV, META_COLUMNS, meta_rows())
+    write_csv(out / META_CSV, SCHEMAS[META_CSV], (
+        [m.asset_id, m.run_id, m.run_id_target, float(m.start_time), m.n_runs, m.n_runs_target,
+         float(m.hi_current), m.recipe_id, "|".join(m.plan), split]
+        for split, part in (("train", train), ("test", test))
+        for m in part.meta))
 
 
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
@@ -452,9 +436,7 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     if not f_header or f_header[-1] != "target":
         raise DataError(f"bad {FEATURES_CSV} header: expected trailing 'target' column")
     names = tuple(f_header[:-1])
-    m_header, m_rows = read_csv(in_dir / META_CSV)
-    if m_header != META_COLUMNS:
-        raise DataError(f"bad {META_CSV} header: {m_header}")
+    m_rows = read_table(in_dir / META_CSV)
     if len(m_rows) != len(f_rows):
         raise DataError(f"{FEATURES_CSV} and {META_CSV} row counts differ")
 
@@ -462,15 +444,11 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
         values = np.array(f_rows, dtype=np.float64)
     if not np.isfinite(values).all():
         raise DataError(f"non-finite cell in {FEATURES_CSV}")
-    with _cells(META_CSV):  # RowMeta fields come in META_COLUMNS order
-        meta = [
-            RowMeta(asset, run, target, float(start), int(n), int(n_target), float(hi), recipe,
-                    tuple(plan.split("|")) if plan else ())
-            for asset, run, target, start, n, n_target, hi, recipe, plan, _ in m_rows
-        ]
-    if not all(math.isfinite(m.start_time) and math.isfinite(m.hi_current) for m in meta):
-        raise DataError(f"non-finite start_time or hi_current cell in {META_CSV}")
-    splits = [m_row[9] for m_row in m_rows]
+    meta = [
+        RowMeta(*fields, tuple(plan.split("|")) if plan else ())
+        for *fields, plan, _ in m_rows
+    ]
+    splits = [m_row[-1] for m_row in m_rows]
     bad = set(splits) - {"train", "test"}
     if bad:
         raise DataError(f"bad split values {sorted(bad)} in {META_CSV}")
@@ -495,13 +473,10 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
 def write_predictions_csv(
     path: PathLike, test: SupervisedSet, predictions: dict[str, np.ndarray]
 ) -> None:
-    def rows():
-        for kind in sorted(predictions):
-            pred = predictions[kind]
-            for m, y, p in zip(test.meta, test.y, pred):
-                yield [m.run_id_target, float(y), kind, float(p)]
-
-    write_csv(path, ["run_id", "target", "model", "prediction"], rows())
+    write_csv(path, SCHEMAS[PREDICTIONS_CSV], (
+        [m.run_id_target, float(y), kind, float(p)]
+        for kind in sorted(predictions)
+        for m, y, p in zip(test.meta, test.y, predictions[kind])))
 
 
 def write_plot_hi_csv(
@@ -511,22 +486,7 @@ def write_plot_hi_csv(
     predictions: dict[str, np.ndarray],
 ) -> None:
     """Plot-ready dump: target vs best-model and benchmark predictions."""
-    best = predictions[best_kind]
-
-    def rows():
-        for i, m in enumerate(test.meta):
-            yield [
-                float(m.start_time),
-                m.n_runs_target,
-                float(test.y[i]),
-                float(best[i]),
-                float(predictions["bm1"][i]),
-                float(predictions["bm2"][i]),
-                float(predictions["bm3"][i]),
-            ]
-
-    write_csv(
-        path,
-        ["start_time", "n_runs", "target", "prediction_best", "bm1", "bm2", "bm3"],
-        rows(),
-    )
+    columns = [test.y] + [predictions[kind] for kind in (best_kind, "bm1", "bm2", "bm3")]
+    write_csv(path, SCHEMAS[PLOT_HI_CSV], (
+        [float(m.start_time), m.n_runs_target, *(float(c[i]) for c in columns)]
+        for i, m in enumerate(test.meta)))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_type_hints
 
@@ -556,13 +557,26 @@ def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
 
 _MODEL_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}
 
+
+def _exact(kind: type, value):
+    """``value`` if it is a JSON value of ``kind``: a bool is an int to
+    Python, and int() would truncate 2.9 to 2."""
+    if type(value) is not kind:
+        raise ModelError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
+
+
 # a payload value back to its field's value, by the field's declared type
 _DECODERS = {
-    int: int,
+    int: partial(_exact, int),
     float: float,
-    bool: bool,
+    bool: partial(_exact, bool),
     np.ndarray: lambda value: np.array(value, dtype=np.float64),
-    IntArray: lambda value: np.array(value, dtype=np.intp),
+    # the list comprehension runs only to refuse the first value that is not an int
+    IntArray: lambda value: np.array(
+        value if set(map(type, value)) <= {int} else [_exact(int, v) for v in value],
+        dtype=np.intp,
+    ),
 }
 
 
@@ -669,7 +683,7 @@ def model_from_json(text: str) -> TrainedModel:
         inner=_from_payload(_MODEL_CLASSES[kind], doc["payload"]),
         feature_names=tuple(doc["feature_names"]),
         standardizer=None if std is None else _from_payload(Standardizer, std),
-        seed=int(doc["seed"]),
+        seed=_exact(int, doc["seed"]),
     )
     _check(model)
     return model

@@ -302,8 +302,10 @@ def simulate_run(
     reaches ``target_pressure``, plus a short hold so the floor region
     is observable; gauge readings are the true pressure under
     per-sensor multiplicative log-normal noise, marked invalid outside
-    each gauge's range. Ground truth (curve, contamination, floor) is
-    attached for test use. Deterministic given the seed.
+    each gauge's range. Ground truth (contamination, floor) is attached
+    for ``ground_truth.csv``; ``true_pressure_curve(run.t, config,
+    run.true_p_ss)`` recomputes the noiseless curve. Deterministic given
+    the seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p_ss = config.steady_state_pressure(
@@ -356,28 +358,20 @@ def simulate_run(
         readings=readings,
         sensor_ids=tuple(s.sensor_id for s in config.sensors),
         extra_channels={"temp_c": temp, "gas_flow": flow},
-        true_pressure=truth,
         true_c=state.contamination,
         true_p_ss=p_ss,
     )
 
 
 @dataclass(frozen=True)
-class PlanEntry:
-    """Scheduled recipe for one future run of an asset."""
-
-    asset_id: str
-    position: int
-    recipe_id: str
-
-
-@dataclass(frozen=True)
 class SimDataset:
     """Generator output: runs ordered by (asset_id, start_time) plus the
-    full recipe plan, so a forecaster legitimately knows future recipes."""
+    full recipe plan, so a forecaster legitimately knows future recipes.
+    The plan maps each asset_id to its recipe_ids in position order, as
+    ``dataio.read_plan`` reads it back."""
 
     runs: tuple[RunRecord, ...]
-    plan: tuple[PlanEntry, ...]
+    plan: Mapping[str, list[str]]
 
 
 def simulate_history(
@@ -425,13 +419,10 @@ def simulate_history(
     asset_ids = [f"asset{a + 1}" for a in range(n_assets)]
 
     schedule_rng = np.random.default_rng(np.random.SeedSequence((seed, 90001)))
-    plan: list[PlanEntry] = []
-    plan_ids: dict[str, list[str]] = {}
+    plan: dict[str, list[str]] = {}
     for asset_id, count in zip(asset_ids, counts):
         draws = schedule_rng.choice(len(recipes), size=count, p=probs)
-        ids = [recipes[int(i)].recipe_id for i in draws]
-        plan_ids[asset_id] = ids
-        plan.extend(PlanEntry(asset_id, pos, rid) for pos, rid in enumerate(ids))
+        plan[asset_id] = [recipes[int(i)].recipe_id for i in draws]
 
     runs: list[RunRecord] = []
     sigma_w = config.weather_sigma
@@ -447,7 +438,7 @@ def simulate_history(
                 weather = rho * weather + step_w * float(rng.standard_normal())
             # clamp keeps the floor safely below the pumpdown target
             weather = min(max(weather, -3.0 * sigma_w), 3.0 * sigma_w)
-            recipe = recipe_by_id[plan_ids[asset_id][pos]]
+            recipe = recipe_by_id[plan[asset_id][pos]]
             phase = ((start - config.time_origin) % config.seasonal_period_s) / config.seasonal_period_s
             state = replace(state, seasonal_phase=phase, weather=weather)
             runs.append(
@@ -468,4 +459,4 @@ def simulate_history(
             start += config.run_interval_s * recipe.duration_scale
 
     runs.sort(key=lambda r: (r.asset_id, r.start_time))
-    return SimDataset(runs=tuple(runs), plan=tuple(plan))
+    return SimDataset(runs=tuple(runs), plan=plan)

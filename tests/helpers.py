@@ -1,5 +1,5 @@
 """Test-only views of in-memory pipeline objects, in the shapes the
-program reads back from plan.csv and hi.csv, and the reference tree
+program reads back from hi.csv, and the reference tree
 grower that the rank-code split search and the node tables are checked
 against."""
 
@@ -7,15 +7,6 @@ import math
 from typing import Optional
 
 import numpy as np
-
-
-def plan_by_asset(ds):
-    """A SimDataset's recipe plan as asset_id -> recipe_ids in position
-    order, as ``dataio.read_plan`` returns it."""
-    out = {}
-    for entry in ds.plan:
-        out.setdefault(entry.asset_id, []).append(entry.recipe_id)
-    return out
 
 
 def realized_plan(runs):

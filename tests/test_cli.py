@@ -18,7 +18,7 @@ from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
-from helpers import hi_by_run_id, plan_by_asset
+from helpers import hi_by_run_id
 
 SMALL_INI = """
 [cli]
@@ -189,6 +189,11 @@ def _set_cell(lines, i, j, value):
     return lines[:i] + [",".join(cells) + "\n"] + lines[i + 1 :]
 
 
+def _set_column(name, column, value):
+    """A corruption that sets the first row's cell of a SCHEMAS file's column."""
+    return lambda lines: _set_cell(lines, 1, list(dataio.SCHEMAS[name]).index(column), value)
+
+
 def _split_first_run(lines):
     """Move the first run's last row to the end of the file."""
     first = lines[1].split(",", 1)[0]
@@ -203,6 +208,7 @@ def _corrupt(path, corruption):
 
 RUNS_CSV_CORRUPTIONS = {
     "non-numeric-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "abc"),
+    "inf-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "inf"),
     "empty-t-cell": lambda lines: _set_cell(lines, 2, 2, ""),
     "empty-channel-cell": lambda lines: _set_cell(lines, 1, -1, ""),
     "cut-mid-row": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
@@ -215,8 +221,7 @@ SUPERVISED_CORRUPTIONS = {
     "short-meta-row": (dataio.META_CSV, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:]),
     "non-numeric-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "abc")),
     "nan-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "nan")),
-    "inf-hi-current-cell": (dataio.META_CSV, lambda lines: _set_cell(
-        lines, 1, dataio.META_COLUMNS.index("hi_current"), "inf")),
+    "inf-hi-current-cell": (dataio.META_CSV, _set_column(dataio.META_CSV, "hi_current", "inf")),
 }
 
 
@@ -282,6 +287,8 @@ def _change_first_runs_asset(lines):
 DATASET_CORRUPTIONS = {
     "run-meta-duplicate-run-id": (dataio.RUN_META_CSV, _duplicate_first_meta_row),
     "runs-csv-asset-differs-from-run-meta": (dataio.RUNS_CSV, _change_first_runs_asset),
+    "run-meta-inf-start-time": (dataio.RUN_META_CSV, _set_column(
+        dataio.RUN_META_CSV, "start_time", "inf")),
 }
 
 
@@ -346,6 +353,41 @@ def test_bad_run_aggregates_is_data_error(tmp_path, pipelined, capsys, corruptio
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
+HI_CSV_CORRUPTIONS = {
+    "nan-hi": _set_column(dataio.HI_CSV, "hi_s", "nan"),
+    "inf-hi": _set_column(dataio.HI_CSV, "hi_s", "inf"),
+    "non-numeric-hi": _set_column(dataio.HI_CSV, "hi_s", "abc"),
+    "wrong-header": lambda lines: [lines[0].replace("hi_s", "hi")] + lines[1:],
+    # a second HI for the first run, which the last row would silently win
+    "duplicate-run-id": lambda lines: lines + _set_cell(lines, 1, -1, "99.0")[1:2],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(HI_CSV_CORRUPTIONS))
+def test_bad_hi_csv_is_data_error(tmp_path, pipelined, capsys, corruption):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *FEATURE_OUTPUTS)
+    _corrupt(out / dataio.HI_CSV, HI_CSV_CORRUPTIONS[corruption])
+    assert run_cli("build-features", "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
+
+
+def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipelined):
+    # fits.csv, ground_truth.csv, predictions.csv and plot_hi.csv have no
+    # reader in the program; this pins their headers and cell types
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    assert run_cli("evaluate", "--config", config, "--out", out, "--dump-predictions") == 0
+    for name, schema in dataio.SCHEMAS.items():
+        rows = dataio.read_table(out / name)
+        assert rows, name
+        assert all(type(cell) is t for row in rows for cell, t in zip(row, schema.values())), name
+        dataio.write_csv(tmp_path / name, schema, rows)
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+
 PLAN_CORRUPTIONS = {
     "duplicated-row": lambda lines: lines[:3] + [lines[2]] + lines[3:],
     "position-gap": lambda lines: lines[:3] + lines[4:],
@@ -382,7 +424,7 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     _, series = derive_hi(ds.runs, curves, cfg.segments, cycle_length=cfg.hi_cycle_length,
                           analysis_limit=cfg.analysis_limit)
     summaries = [summarize_run(run, curve) for run, curve in zip(ds.runs, curves)]
-    sset = build_supervised(summaries, hi_by_run_id(series), plan_by_asset(ds), horizon=cfg.horizon)
+    sset = build_supervised(summaries, hi_by_run_id(series), ds.plan, horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()
     dataio.write_supervised(ref, *chrono_split(sset, train_frac=cfg.train_frac))

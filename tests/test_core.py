@@ -14,7 +14,13 @@ from chamberhealth.core import (
     composite_curve,
 )
 from chamberhealth.errors import ConfigError, DataError
-from chamberhealth.simgen import ChamberConfig, ChamberState, RecipeSpec, simulate_run
+from chamberhealth.simgen import (
+    ChamberConfig,
+    ChamberState,
+    RecipeSpec,
+    simulate_run,
+    true_pressure_curve,
+)
 
 # -- scalar per-sample oracle for the vectorized composite_curve ---------------
 
@@ -109,12 +115,12 @@ def test_composite_curve_matches_per_sample_rule():
 
 
 def test_composite_tracks_truth_within_one_percent():
-    # derived check: the generator records the noiseless curve; with a
-    # quiet gauge set every fused sample stays within 1% of it
+    # derived check: against the generator's noiseless curve, with a
+    # quiet gauge set every fused sample stays within 1%
     config = ChamberConfig(noise_sigma=0.002)
     run = simulate_run(ChamberState(contamination=50.0), RecipeSpec("std", 0.8), config, seed=11)
     curve = composite_curve(run, config.sensors)
-    rel = np.abs(curve / run.true_pressure - 1.0)
+    rel = np.abs(curve / true_pressure_curve(run.t, config, run.true_p_ss) - 1.0)
     assert rel.max() < 0.01
 
 

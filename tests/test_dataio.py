@@ -19,7 +19,7 @@ from chamberhealth.simgen import (
     default_segments,
     simulate_history,
 )
-from helpers import hi_by_run_id, plan_by_asset
+from helpers import hi_by_run_id
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     fits, series = derive_hi(ds.runs, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
     summaries = [summarize_run(r, c) for r, c in zip(ds.runs, curves)]
-    sset = build_supervised(summaries, hi_by_run_id(series), plan_by_asset(ds))
+    sset = build_supervised(summaries, hi_by_run_id(series), ds.plan)
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)
@@ -155,10 +155,11 @@ def test_missing_file_raises_data_error(tmp_path):
         dataio.read_dataset(tmp_path, ["s1"])
 
 
-def test_header_validation(tmp_path):
-    (tmp_path / dataio.HI_CSV).write_text("wrong,header\n1,2\n")
-    with pytest.raises(DataError):
-        dataio.read_hi_csv(tmp_path / dataio.HI_CSV)
+@pytest.mark.parametrize("name", sorted(dataio.SCHEMAS))
+def test_header_validation(tmp_path, name):
+    (tmp_path / name).write_text("wrong,header\n1,2\n")
+    with pytest.raises(DataError, match=f"bad {name} header"):
+        dataio.read_table(tmp_path / name)
 
 
 def test_float_cells_use_shortest_roundtrip_form():

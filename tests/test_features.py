@@ -22,7 +22,7 @@ from chamberhealth.simgen import (
     simulate_history,
     true_segment_duration,
 )
-from helpers import hi_by_run_id, plan_by_asset, realized_plan
+from helpers import hi_by_run_id, realized_plan
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
@@ -187,7 +187,7 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
                              default_segments(), 100)
     sset = build_supervised(_summaries(ds.runs, config.sensors), hi_by_run_id(series),
-                            plan_by_asset(ds), horizon=10)
+                            ds.plan, horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
         m = sset.meta[row_idx]

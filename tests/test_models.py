@@ -28,7 +28,6 @@ from chamberhealth.models import (
 )
 from helpers import (
     hi_by_run_id,
-    plan_by_asset,
     preorder,
     reference_build_tree,
     reference_forest_tree,
@@ -463,7 +462,7 @@ def test_bm2_systematically_low_under_drift():
     fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
                              default_segments(), 100)
     sset = build_supervised(summaries(ds.runs, config.sensors), hi_by_run_id(series),
-                            plan_by_asset(ds))
+                            ds.plan)
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
@@ -473,7 +472,7 @@ def test_bm2_systematically_low_under_drift():
     fits2, series2 = derive_hi(ds2.runs, [composite_curve(r, flat.sensors) for r in ds2.runs],
                                default_segments(), 100)
     sset2 = build_supervised(summaries(ds2.runs, flat.sensors), hi_by_run_id(series2),
-                             plan_by_asset(ds2))
+                             ds2.plan)
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered
@@ -542,7 +541,8 @@ def _set(field, value, row=0):
 
 # each edit leaves a well-formed document that does not describe a usable
 # model of its 5 features: an array that does not fit them, a NaN or an
-# infinity, or a node table whose walks could leave it or loop
+# infinity, a node table whose walks could leave it or loop, or a number
+# that an integer or boolean field would have to truncate or cast
 SHAPE_FAULTS = {
     "knn-standardizer-mu": ("knn", lambda doc: doc["standardizer"]["mu"].pop()),
     "svr-standardizer-sigma": ("svr", lambda doc: doc["standardizer"]["sigma"].append(1.0)),
@@ -574,6 +574,11 @@ SHAPE_FAULTS = {
     "dt-with-standardizer": ("dt", lambda doc: doc.update(
         standardizer={"mu": [0.0] * 5, "sigma": [1.0] * 5})),
     "knn-without-standardizer": ("knn", lambda doc: doc.update(standardizer=None)),
+    "dt-feature-not-an-integer": ("dt", _set("feature", 2.7)),
+    "dt-max-depth-not-an-integer": ("dt", lambda doc: doc["payload"].update(max_depth=2.9)),
+    "rf-bootstrap-not-a-boolean": ("rf", lambda doc: doc["payload"].update(bootstrap=0.5)),
+    "rf-payload-seed-is-a-boolean": ("rf", lambda doc: doc["payload"].update(seed=True)),
+    "rf-seed-is-a-boolean": ("rf", lambda doc: doc.update(seed=True)),
 }
 
 

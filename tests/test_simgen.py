@@ -19,7 +19,6 @@ from chamberhealth.simgen import (
     simulate_run,
     true_segment_duration,
 )
-from helpers import plan_by_asset
 
 # frozen from an independent recomputation of the closed form
 T_NO_FLOOR = 5.41610040220442          # 2*ln(15)
@@ -91,7 +90,6 @@ def test_same_seed_gives_identical_run():
     b = simulate_run(state, RecipeSpec("std", 0.8), config, seed=42)
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.readings, b.readings, equal_nan=True)
-    assert np.array_equal(a.true_pressure, b.true_pressure)
     for name in a.extra_channels:
         assert np.array_equal(a.extra_channels[name], b.extra_channels[name])
     assert a.true_c == b.true_c and a.true_p_ss == b.true_p_ss
@@ -152,10 +150,9 @@ def test_history_is_deterministic():
 
 def test_plan_matches_realized_recipes():
     ds = simulate_history(quiet_config(), default_recipes(), 2, 80, 40, seed=4)
-    plan = plan_by_asset(ds)
     for run in ds.runs:
         pos = int(run.run_id.split("-")[1])
-        assert plan[run.asset_id][pos] == run.recipe_id
+        assert ds.plan[run.asset_id][pos] == run.recipe_id
 
 
 def test_seasonal_drift_slows_late_year_pumpdowns():
