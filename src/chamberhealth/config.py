@@ -99,6 +99,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean: {text!r}")
 
 
+def _parse_segments(text: str) -> tuple[SegmentSpec, ...]:
+    segments = tuple(
+        SegmentSpec(int(p[0]), float(p[1]), float(p[2])) for p in _parse_list(text, 3)
+    )
+    indices = [s.index for s in segments]
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"segment indices must be unique, got {indices}")
+    return segments
+
+
 @dataclass(frozen=True)
 class Format:
     """How one key's value is written as INI text and parsed back."""
@@ -126,9 +136,7 @@ SENSORS = Format(
 )
 SEGMENTS = Format(
     lambda segments: ", ".join(f"{s.index}:{s.upper!r}:{s.lower!r}" for s in segments),
-    lambda t: tuple(
-        SegmentSpec(int(p[0]), float(p[1]), float(p[2])) for p in _parse_list(t, 3)
-    ),
+    _parse_segments,
 )
 RECIPES = Format(
     lambda recipes: ", ".join(

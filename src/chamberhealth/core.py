@@ -40,10 +40,12 @@ class SensorSpec:
 
 
 def check_sensor_priorities(sensors: Sequence[SensorSpec]) -> None:
-    """Priorities must be unique within one chamber configuration."""
-    ranks = [s.priority for s in sensors]
-    if len(set(ranks)) != len(ranks):
-        raise ConfigError(f"sensor priorities must be unique, got {ranks}")
+    """Sensor ids and priorities must each be unique within one chamber
+    configuration: ``composite_curve`` finds a sensor's column by its id."""
+    for what, values in (("ids", [s.sensor_id for s in sensors]),
+                         ("priorities", [s.priority for s in sensors])):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"sensor {what} must be unique, got {values}")
 
 
 @dataclass(frozen=True)

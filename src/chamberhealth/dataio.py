@@ -338,14 +338,14 @@ def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]
 
 
 def write_run_aggregates_csv(path: PathLike, summaries: Sequence[RunSummary]) -> None:
-    """`run_id,<channel>_<mean|min|max|std>...`, channels sorted by name."""
+    """`run_id,<channel>_<mean|min|max|std>...`, the columns of
+    ``features.aggregate_channels`` in its order."""
     if not summaries:
         raise DataError("no runs to write")
-    channels = sorted(summaries[0].aggregates)
     write_csv(
         path,
-        ["run_id"] + aggregate_names(channels),
-        ([s.run_id] + [v for ch in channels for v in s.aggregates[ch]] for s in summaries),
+        ["run_id", *summaries[0].aggregates],
+        ([s.run_id, *s.aggregates.values()] for s in summaries),
     )
 
 
@@ -359,11 +359,10 @@ def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
     in_dir = Path(in_dir)
     meta = read_run_meta(in_dir)
     header, rows = read_csv(in_dir / RUN_AGGREGATES_CSV)
-    channels = [name[: -len("_mean")] for name in header[1::4]]
+    channels = sorted({name.rpartition("_")[0] for name in header[1:]})
     if (
         header[:1] != ["run_id"]
         or header[1:] != aggregate_names(channels)
-        or channels != sorted(set(channels))
         or "pressure" not in channels
     ):
         raise DataError(f"bad {RUN_AGGREGATES_CSV} header: {header}")
@@ -377,10 +376,7 @@ def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
     if not np.isfinite(values).all():
         raise DataError(f"non-finite cell in {RUN_AGGREGATES_CSV}")
     return [
-        RunSummary(
-            *fields,
-            aggregates={ch: tuple(row[4 * k : 4 * k + 4]) for k, ch in enumerate(channels)},
-        )
+        RunSummary(*fields, aggregates=dict(zip(header[1:], row)))
         for fields, row in zip(meta, values.tolist())
     ]
 

@@ -21,12 +21,13 @@ from .errors import DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
-# channel name -> (mean, min, max, population std)
-Aggregates = dict[str, tuple[float, float, float, float]]
+# "<channel>_<mean|min|max|std>" -> value, in aggregate_names column order
+Aggregates = dict[str, float]
 
 
 def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> Aggregates:
-    """Per-channel (mean, min, max, population std) for one run.
+    """Per-channel mean, min, max and population std for one run, keyed
+    by column name in ``aggregate_names`` order, channels sorted by name.
 
     Channels are ``pressure``, the run's fused composite curve (see
     ``core.composite_curve``), plus every extra process channel;
@@ -39,12 +40,8 @@ def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> Aggregates:
         values = np.asarray(channels[name], dtype=np.float64)
         if values.size == 0:
             raise DataError(f"run {run.run_id}: channel {name} is empty")
-        out[name] = (
-            float(values.mean()),
-            float(values.min()),
-            float(values.max()),
-            float(values.std()),
-        )
+        stats = (values.mean(), values.min(), values.max(), values.std())
+        out.update(zip(aggregate_names([name]), map(float, stats)))
     return out
 
 
@@ -151,21 +148,18 @@ def build_supervised(
     rows = []
     for asset_id in sorted(by_asset):
         seq = sorted(by_asset[asset_id], key=lambda r: (r.start_time, r.run_id))
-        recipe_seq = list(plan[asset_id])
+        recipe_seq = list(plan.get(asset_id, ()))
         if len(recipe_seq) < len(seq):
             raise DataError(f"plan for {asset_id} covers {len(recipe_seq)} of {len(seq)} runs")
         for t in range(len(seq) - horizon):
             cur, tgt = seq[t], seq[t + horizon]
             if cur.run_id not in hi or tgt.run_id not in hi:
                 continue
-            channel_names = sorted(cur.aggregates)
-            numeric = [v for name in channel_names for v in cur.aggregates[name]]
-            numeric.append(float(cur.n_runs))
             rows.append(
                 (
                     cur.start_time,
                     cur.run_id,
-                    np.array(numeric, dtype=np.float64),
+                    np.array([*cur.aggregates.values(), cur.n_runs], dtype=np.float64),
                     hi[tgt.run_id],
                     RowMeta(
                         asset_id=asset_id,
@@ -185,7 +179,7 @@ def build_supervised(
         raise DataError("no supervised rows could be built")
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    names = tuple(aggregate_names(channel_names)) + ("n_runs",)
+    names = (*runs[0].aggregates, "n_runs")
     X = np.stack([r[2] for r in rows])
     y = np.array([r[3] for r in rows], dtype=np.float64)
     meta = tuple(r[4] for r in rows)
@@ -194,17 +188,11 @@ def build_supervised(
 
 def _encode_with_vocab(sset: SupervisedSet, vocab: tuple[str, ...], horizon: int) -> SupervisedSet:
     """Append current-recipe and plan one-hot blocks to the numeric matrix."""
-    blocks = []
-    for m in sset.meta:
-        current = encode_recipe_plan([m.recipe_id], vocab, horizon=1)
-        future = encode_recipe_plan(m.plan, vocab, horizon=horizon)
-        blocks.append(np.concatenate([current, future]))
-    names = list(sset.feature_names)
-    names += [f"recipe_{rid}" for rid in vocab]
-    for b in range(1, horizon + 1):
-        names += [f"plan{b}_{rid}" for rid in vocab]
+    blocks = [encode_recipe_plan((m.recipe_id, *m.plan), vocab, horizon + 1) for m in sset.meta]
+    prefixes = ["recipe"] + [f"plan{b}" for b in range(1, horizon + 1)]
+    names = sset.feature_names + tuple(f"{p}_{rid}" for p in prefixes for rid in vocab)
     X = np.hstack([sset.X, np.stack(blocks)])
-    return replace(sset, X=X, feature_names=tuple(names))
+    return replace(sset, X=X, feature_names=names)
 
 
 def chrono_split(

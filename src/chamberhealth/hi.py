@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import RunRecord, SegmentSpec
-from .errors import DataError, DegenerateFit
+from .errors import ConfigError, DataError, DegenerateFit
 
 # clean-machine baseline pools runs with n_runs in {0..9}
 CLEAN_RUN_MAX_N = 9
@@ -135,6 +135,8 @@ def impact(k: float, t_bar: float, cycle_length: int = 100) -> float:
 
     impact(0.12, 21) = 57.1 %/cycle at the default 100-run cycle.
     """
+    if cycle_length < 1:
+        raise ConfigError(f"cycle_length must be >= 1, got {cycle_length}")
     if t_bar <= 0:
         raise DegenerateFit(f"clean baseline must be > 0, got {t_bar}")
     return k * cycle_length / t_bar * 100.0
@@ -144,13 +146,15 @@ def run_segment_durations(
     runs: Sequence[RunRecord],
     curves: Sequence[np.ndarray],
     segments: Sequence[SegmentSpec],
-) -> list[dict[int, Optional[float]]]:
-    """Measured duration of every segment for every run (None = incomplete),
-    given each run's composite curve."""
-    return [
-        {seg.index: extract_segment_duration(run.t, curve, seg) for seg in segments}
-        for run, curve in zip(runs, curves, strict=True)
-    ]
+) -> np.ndarray:
+    """Measured duration of every segment for every run, given each run's
+    composite curve: a (runs x segments) array whose column j belongs to
+    ``segments[j]``, NaN where a run never finished that segment."""
+    return np.array(  # a None duration converts to NaN
+        [[extract_segment_duration(run.t, curve, seg) for seg in segments]
+         for run, curve in zip(runs, curves, strict=True)],
+        dtype=np.float64,
+    )
 
 
 def select_analysis_subset(
@@ -192,18 +196,14 @@ def derive_hi(
         raise DataError("no runs to derive a health index from")
     durations = run_segment_durations(runs, curves, segments)
     subset = select_analysis_subset(runs, analysis_limit)
+    n_runs = np.array([runs[i].n_runs for i in subset], dtype=np.float64)
 
     fits: list[DegradationFit] = []
-    for seg in segments:
-        pts = [
-            (runs[i].n_runs, durations[i][seg.index])
-            for i in subset
-            if durations[i][seg.index] is not None
-        ]
-        if not pts:
+    for seg, y in zip(segments, durations[subset].T):
+        done = ~np.isnan(y)
+        if not done.any():
             continue
-        x = np.array([p[0] for p in pts], dtype=np.float64)
-        y = np.array([p[1] for p in pts], dtype=np.float64)
+        x, y = n_runs[done], y[done]
         try:
             k, d = fit_ols(x, y)
             r2 = r_squared(x, y, k, d)
@@ -221,15 +221,17 @@ def derive_hi(
         raise DataError("every segment was degenerate or constant on the analysis subset")
 
     best = min(fits, key=lambda f: (-f.r2, -f.alpha, f.segment.index))
+    # the winning segment's column; equal specs measure equal columns
+    hi = durations[:, list(segments).index(best.segment)]
     entries = tuple(
         HiEntry(
             run_id=run.run_id,
             asset_id=run.asset_id,
             start_time=run.start_time,
             n_runs=run.n_runs,
-            hi=durations[i][best.segment.index],
+            hi=float(hi[i]),
         )
         for i, run in enumerate(runs)
-        if durations[i][best.segment.index] is not None
+        if not np.isnan(hi[i])
     )
     return fits, HiSeries(entries=entries, selected_segment=best.segment)

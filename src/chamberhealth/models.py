@@ -151,6 +151,8 @@ def _build_tree(
     one [feature, threshold, value, n, right] row per node in preorder
     (see _Trees). A node keeps its rows' order; splittable nodes draw
     features in preorder."""
+    if max_depth < 0 or min_leaf < 1:
+        raise ConfigError("need max_depth >= 0 and min_samples_leaf >= 1")
     m = X.shape[1]
     nodes: list[list] = []
 
@@ -230,8 +232,6 @@ def fit_decision_tree(
     """Greedy CART: axis-aligned splits minimizing summed squared error,
     leaf value = mean target. Stops on depth, leaf size or zero variance."""
     X, y, codes = _tree_data(X, y, "decision tree")
-    if max_depth < 0 or min_samples_leaf < 1:
-        raise ConfigError("need max_depth >= 0 and min_samples_leaf >= 1")
     nodes = _build_tree(X, y, codes, np.arange(y.size), max_depth, min_samples_leaf, None, None)
     return DTModel(**_table(nodes), max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
@@ -566,12 +566,29 @@ def _exact(kind: type, value):
     return value
 
 
+def _number(value) -> float:
+    """``value`` as a float if it is a JSON number: float() would also
+    take the string "1e3" and the bool true."""
+    if type(value) not in (int, float):
+        raise ModelError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _float_array(value) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float64 array."""
+    array = np.array(value, dtype=object)
+    if not set(map(type, array.flat)) <= {int, float}:
+        for v in array.flat:  # refuses the first value that is not a number
+            _number(v)
+    return array.astype(np.float64)
+
+
 # a payload value back to its field's value, by the field's declared type
 _DECODERS = {
     int: partial(_exact, int),
-    float: float,
+    float: _number,
     bool: partial(_exact, bool),
-    np.ndarray: lambda value: np.array(value, dtype=np.float64),
+    np.ndarray: _float_array,
     # the list comprehension runs only to refuse the first value that is not an int
     IntArray: lambda value: np.array(
         value if set(map(type, value)) <= {int} else [_exact(int, v) for v in value],

@@ -388,22 +388,26 @@ def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipeline
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
+# (corruption, start of the error message)
 PLAN_CORRUPTIONS = {
-    "duplicated-row": lambda lines: lines[:3] + [lines[2]] + lines[3:],
-    "position-gap": lambda lines: lines[:3] + lines[4:],
+    "duplicated-row": (lambda lines: lines[:3] + [lines[2]] + lines[3:], f"{dataio.PLAN_CSV}: "),
+    "position-gap": (lambda lines: lines[:3] + lines[4:], f"{dataio.PLAN_CSV}: "),
+    # run_meta.csv's only asset has no plan rows left
+    "asset-missing": (lambda lines: lines[:1], "plan for asset1 covers 0 of "),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(PLAN_CORRUPTIONS))
 def test_bad_plan_is_data_error(tmp_path, pipelined, capsys, corruption):
-    # each asset's positions must be 0..n-1 once each; a duplicated row
-    # would shift every later planned recipe
+    # each asset of run_meta.csv needs a plan whose positions are 0..n-1
+    # once each; a duplicated row would shift every later planned recipe
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
     _drop_outputs(out, *FEATURE_OUTPUTS)
-    _corrupt(out / dataio.PLAN_CSV, PLAN_CORRUPTIONS[corruption])
+    corrupt, message = PLAN_CORRUPTIONS[corruption]
+    _corrupt(out / dataio.PLAN_CSV, corrupt)
     assert run_cli("build-features", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith(f"ERROR DataError: {dataio.PLAN_CSV}: ")
+    assert capsys.readouterr().err.startswith(f"ERROR DataError: {message}")
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 

@@ -81,6 +81,11 @@ def test_bad_values_rejected():
     # integer keys take integers only, never a silently truncated float
     with pytest.raises(ConfigError):
         config_from_ini("[models]\nrf_n_trees = 10.7\n")
+    # a second entry under one identity would shadow the first
+    with pytest.raises(ConfigError, match=r"segment indices must be unique, got \[2, 2\]"):
+        config_from_ini("[hi]\nsegments = 2:0.03:0.002, 2:1013.0:0.02\n")
+    with pytest.raises(ConfigError, match="sensor ids must be unique"):
+        config_from_ini("[simgen]\nsensors = s2:1e-3:5.0:1, s2:0.5:2000.0:2\n")
 
 
 def test_sensor_segment_recipe_parsing():

@@ -144,6 +144,10 @@ def test_sensor_spec_validation():
         check_sensor_priorities(
             [SensorSpec("a", (0.1, 1.0), 1), SensorSpec("b", (0.1, 1.0), 1)]
         )
+    with pytest.raises(ConfigError, match=r"sensor ids must be unique, got \['a', 'a'\]"):
+        check_sensor_priorities(
+            [SensorSpec("a", (0.1, 1.0), 1), SensorSpec("a", (0.5, 2.0), 2)]
+        )
 
 
 def test_segment_spec_validation():

@@ -69,9 +69,8 @@ def test_aggregates_hand_arithmetic():
         sensor_ids=("s1",), extra_channels={"ch": np.array([1.0, 2.0, 3.0])},
     )
     aggs = aggregate_channels(run2, composite_curve(run2, WIDE))
-    mean, lo, hi, std = aggs["ch"]
-    assert (mean, lo, hi) == (2.0, 1.0, 3.0)
-    assert std == pytest.approx(0.816496580927726, abs=1e-12)
+    assert (aggs["ch_mean"], aggs["ch_min"], aggs["ch_max"]) == (2.0, 1.0, 3.0)
+    assert aggs["ch_std"] == pytest.approx(0.816496580927726, abs=1e-12)
 
 
 def test_aggregates_constant_channel():
@@ -80,7 +79,8 @@ def test_aggregates_constant_channel():
         t=np.arange(2) * 0.5, readings=np.array([[100.0], [10.0]]),
         sensor_ids=("s1",), extra_channels={"ch": np.array([5.0, 5.0])},
     )
-    assert aggregate_channels(run, composite_curve(run, WIDE))["ch"] == (5.0, 5.0, 5.0, 0.0)
+    aggs = aggregate_channels(run, composite_curve(run, WIDE))
+    assert [aggs[f"ch_{stat}"] for stat in ("mean", "min", "max", "std")] == [5.0, 5.0, 5.0, 0.0]
 
 
 def test_aggregates_match_two_pass_oracle():
@@ -97,10 +97,9 @@ def test_aggregates_match_two_pass_oracle():
         v = np.asarray(values)
         mean = float(sum(v) / len(v))
         var = float(sum((x - mean) ** 2 for x in v) / len(v))
-        got = aggs[name]
-        assert got[0] == pytest.approx(mean, rel=1e-12)
-        assert got[1] == float(min(v)) and got[2] == float(max(v))
-        assert got[3] == pytest.approx(var ** 0.5, rel=1e-12)
+        assert aggs[f"{name}_mean"] == pytest.approx(mean, rel=1e-12)
+        assert aggs[f"{name}_min"] == float(min(v)) and aggs[f"{name}_max"] == float(max(v))
+        assert aggs[f"{name}_std"] == pytest.approx(var ** 0.5, rel=1e-12)
 
 
 def test_aggregates_empty_channel():

@@ -1,11 +1,13 @@
 """Health-index derivation tests: crossings, OLS, impact, selection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from chamberhealth.core import SegmentSpec, composite_curve
-from chamberhealth.errors import DataError, DegenerateFit
+from chamberhealth.errors import ConfigError, DataError, DegenerateFit
 from chamberhealth.hi import (
     clean_baseline,
     derive_hi,
@@ -201,6 +203,16 @@ def test_impact_zero_baseline():
         impact(0.1, 0.0)
 
 
+def test_impact_needs_a_cycle_of_at_least_one_run():
+    with pytest.raises(ConfigError, match="cycle_length must be >= 1, got 0"):
+        impact(0.1, 10.0, cycle_length=0)
+    # derive_hi skips only degenerate fits, so the config fault reaches the caller
+    runs = _synthetic_selection_case(lambda n: 2.0 + 0.01 * n)
+    with pytest.raises(ConfigError, match="cycle_length must be >= 1"):
+        derive_hi(runs, _curves(runs, _wide_sensors()), [SegmentSpec(1, 0.03, 0.002)],
+                  cycle_length=0)
+
+
 @given(
     k=st.floats(min_value=-10, max_value=10),
     t_bar=st.floats(min_value=0.1, max_value=1e4),
@@ -268,6 +280,20 @@ def test_derive_hi_skips_a_degenerate_segment():
     assert series.selected_segment.index == 1
     with pytest.raises(DataError, match="every segment was degenerate"):
         derive_hi(runs, curves, [degenerate], cycle_length=30)
+
+
+def test_derive_hi_fits_each_segment_on_its_own_durations():
+    # two segments under one index: tau 4..9.8 s over a 210 s curve, so
+    # every run crosses 0.002 mbar but n_runs 26..29 never reach 1e-7
+    runs = _synthetic_selection_case(lambda n: 4.0 + 0.2 * n)
+    shallow, deep = SegmentSpec(2, 0.03, 0.002), SegmentSpec(2, 0.03, 1e-7)
+    fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), [shallow, deep],
+                             cycle_length=30)
+    by_segment = {f.segment: f for f in fits}
+    assert (by_segment[shallow].n_points, by_segment[deep].n_points) == (60, 52)
+    assert by_segment[shallow].k == pytest.approx(0.2 * math.log(0.03 / 0.002), rel=1e-6)
+    assert by_segment[deep].k == pytest.approx(0.2 * math.log(0.03 / 1e-7), rel=1e-6)
+    assert len(series.entries) == by_segment[series.selected_segment].n_points
 
 
 def test_derive_hi_tie_break_prefers_larger_alpha():

@@ -263,6 +263,9 @@ def test_forest_validation():
         fit_random_forest(np.empty((0, 1)), np.array([]))
     with pytest.raises(ConfigError):
         fit_random_forest(np.ones((3, 1)), np.ones(3), n_trees=0)
+    for limits in ({"max_depth": -1}, {"min_samples_leaf": 0}):
+        with pytest.raises(ConfigError, match="need max_depth >= 0 and min_samples_leaf >= 1"):
+            fit_random_forest(np.ones((3, 1)), np.ones(3), **limits)
 
 
 # -- KNN ---------------------------------------------------------------------
@@ -541,8 +544,9 @@ def _set(field, value, row=0):
 
 # each edit leaves a well-formed document that does not describe a usable
 # model of its 5 features: an array that does not fit them, a NaN or an
-# infinity, a node table whose walks could leave it or loop, or a number
-# that an integer or boolean field would have to truncate or cast
+# infinity, a node table whose walks could leave it or loop, a number
+# that an integer or boolean field would have to truncate or cast, or a
+# string or boolean where a float is due
 SHAPE_FAULTS = {
     "knn-standardizer-mu": ("knn", lambda doc: doc["standardizer"]["mu"].pop()),
     "svr-standardizer-sigma": ("svr", lambda doc: doc["standardizer"]["sigma"].append(1.0)),
@@ -579,6 +583,11 @@ SHAPE_FAULTS = {
     "rf-bootstrap-not-a-boolean": ("rf", lambda doc: doc["payload"].update(bootstrap=0.5)),
     "rf-payload-seed-is-a-boolean": ("rf", lambda doc: doc["payload"].update(seed=True)),
     "rf-seed-is-a-boolean": ("rf", lambda doc: doc.update(seed=True)),
+    "svr-epsilon-is-a-string": ("svr", lambda doc: doc["payload"].update(epsilon="0.5")),
+    "svr-w-holds-a-boolean": ("svr", _set("w", True)),
+    "svr-b-is-a-boolean": ("svr", lambda doc: doc["payload"].update(b=False)),
+    "mlp-W1-holds-a-string": ("mlp", lambda doc: doc["payload"]["W1"][0].__setitem__(0, "1e3")),
+    "rf-threshold-holds-a-string": ("rf", _set("threshold", "0.1")),
 }
 
 
