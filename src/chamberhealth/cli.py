@@ -92,15 +92,19 @@ def stage_build_features(cfg: PipelineConfig) -> None:
 
 
 def stage_train(cfg: PipelineConfig, kinds: Optional[Sequence[str]] = None) -> None:
+    """Fit every requested kind, then save them all: a kind that fails to
+    fit leaves models/ as it was."""
     seed = cfg.require_seed()
     out = Path(cfg.out_dir)
     train, _ = dataio.read_supervised(out)
+    models = [
+        train_model(RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed), train)
+        for kind in kinds or MODEL_KINDS
+    ]
     models_dir = out / dataio.MODELS_DIR
     models_dir.mkdir(parents=True, exist_ok=True)
-    for kind in kinds or MODEL_KINDS:
-        spec = RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed)
-        model = train_model(spec, train)
-        save_model(model, models_dir / f"{kind}.json")
+    for model in models:
+        save_model(model, models_dir / f"{model.kind}.json")
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:

@@ -38,6 +38,7 @@ import io
 import math
 import os
 from contextlib import contextmanager
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -50,6 +51,7 @@ from .errors import DataError
 from .features import RowMeta, RunSummary, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
 from .simgen import SimDataset
+from .workers import map_in_order
 
 PathLike = Union[str, Path]
 
@@ -203,11 +205,31 @@ def _csv_line(cells: Sequence[str]) -> str:
     return buf.getvalue()[: -len("\r\n")]
 
 
+# ~0.2 MB of text per chunk, whatever the number of runs: the writer
+# holds about one chunk at a time, and each worker one more
+RUNS_PER_CHUNK = 20
+
+
+def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
+    """The runs.csv rows of ``runs``: per run, the quoted id prefix once,
+    then repr() of every value, NaN as an empty cell."""
+    lines = []
+    for run in runs:
+        prefix = _csv_line([run.run_id, run.asset_id]) + ","
+        block = np.column_stack(
+            [run.t, run.readings, *(run.extra_channels[name] for name in channels)]
+        )
+        # repr() of a float spells "nan" only for NaN itself
+        lines += [prefix + ",".join(map(repr, row)).replace("nan", "") + "\r\n"
+                  for row in block.tolist()]
+    return "".join(lines)
+
+
 def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
     """`run_id,asset_id,t_s,p1_mbar..pN_mbar[,channel...]`, one row per sample.
 
-    Each run block is rendered as one string: the quoted id prefix once,
-    then repr() of every value, NaN as an empty cell. The bytes are the
+    Chunks of RUNS_PER_CHUNK runs are rendered on every CPU (see
+    workers) and written in run order as they arrive. The bytes are the
     ones write_csv would write cell by cell.
     """
     if not runs:
@@ -219,18 +241,10 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
         + [f"p{j + 1}_mbar" for j in range(n_sensors)]
         + channels
     )
+    chunks = [runs[i : i + RUNS_PER_CHUNK] for i in range(0, len(runs), RUNS_PER_CHUNK)]
     with atomic_open(path) as fh:
         fh.write(_csv_line(header) + "\r\n")
-        for run in runs:
-            prefix = _csv_line([run.run_id, run.asset_id]) + ","
-            block = np.column_stack(
-                [run.t, run.readings, *(run.extra_channels[name] for name in channels)]
-            )
-            # repr() of a float spells "nan" only for NaN itself
-            fh.write("".join(
-                [prefix + ",".join(map(repr, row)).replace("nan", "") + "\r\n"
-                 for row in block.tolist()]
-            ))
+        fh.writelines(map_in_order(partial(_render_runs, channels), chunks))
 
 
 def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:

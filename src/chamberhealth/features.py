@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import RunRecord
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
@@ -140,7 +140,7 @@ def build_supervised(
     target. Rows are sorted by start_time.
     """
     if horizon < 1:
-        raise DataError(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     by_asset: dict[str, list[RunSummary]] = {}
     for run in runs:
         by_asset.setdefault(run.asset_id, []).append(run)
@@ -205,10 +205,10 @@ def chrono_split(
     and applied to both partitions, so a test-only recipe encodes to a
     zero block and never changes a train feature.
     """
+    if not (0.0 < train_frac < 1.0):
+        raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
     if sset.n_rows < 10:
         raise DataError(f"need >= 10 rows to split, got {sset.n_rows}")
-    if not (0.0 < train_frac < 1.0):
-        raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
     n_train = int(np.floor(train_frac * sset.n_rows))
     if n_train == 0 or n_train == sset.n_rows:
         raise DataError(f"degenerate split sizes ({n_train}, {sset.n_rows - n_train})")

@@ -167,6 +167,8 @@ def select_analysis_subset(
     factors in the degradation fit; the HI itself is extracted for all
     runs afterwards.
     """
+    if limit < 1:
+        raise ConfigError(f"analysis_limit must be >= 1, got {limit}")
     groups: dict[tuple[str, str], list[int]] = {}
     for i, run in enumerate(runs):
         groups.setdefault((run.asset_id, run.recipe_id), []).append(i)

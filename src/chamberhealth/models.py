@@ -39,6 +39,7 @@ import numpy.typing as npt
 from .dataio import atomic_write_text
 from .errors import ConfigError, ModelError
 from .features import Standardizer, SupervisedSet
+from .workers import cpu_count, map_in_order
 
 MODEL_KINDS = ("dt", "rf", "knn", "svr", "mlp")
 BENCHMARK_KINDS = ("bm1", "bm2", "bm3")
@@ -253,6 +254,20 @@ class RFModel(_Trees):
         return self._leaf_values(X).mean(axis=0)
 
 
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, codes: np.ndarray, max_depth: int, min_leaf: int,
+    subset: Optional[int], seed: int, bootstrap: bool, ids: np.ndarray,
+) -> list[dict[str, np.ndarray]]:
+    """The forest's trees ``ids``, each as its own node table's columns."""
+    tables = []
+    for i in ids.tolist():
+        # independent substream per (seed, tree); the bootstrap draw comes first
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        rows = rng.integers(0, y.size, size=y.size) if bootstrap else np.arange(y.size)
+        tables.append(_table(_build_tree(X, y, codes, rows, max_depth, min_leaf, subset, rng)))
+    return tables
+
+
 def fit_random_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -266,7 +281,9 @@ def fit_random_forest(
     """Bagged CART trees with a uniform random feature subset at each split.
 
     features_per_split defaults to ceil(m / 3). Prediction is the plain
-    mean over trees, so it is independent of training order.
+    mean over trees, so it is independent of training order. Each CPU
+    grows one contiguous range of trees (see workers), and the ranges
+    join in tree order, so the forest does not depend on the CPU count.
     """
     X, y, codes = _tree_data(X, y, "random forest")
     if n_trees < 1:
@@ -276,19 +293,16 @@ def fit_random_forest(
     fps = max(1, min(fps, m))
     # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
     subset = fps if fps < m else None
-    nodes: list[list] = []
-    roots = []
-    for i in range(n_trees):
-        # independent substream per (seed, tree); the bootstrap draw comes first
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        rows = rng.integers(0, y.size, size=y.size) if bootstrap else np.arange(y.size)
-        tree = _build_tree(X, y, codes, rows, max_depth, min_samples_leaf, subset, rng)
-        roots.append(len(nodes))
+    grow = partial(_grow_trees, X, y, codes, max_depth, min_samples_leaf, subset, seed, bootstrap)
+    ranges = np.array_split(np.arange(n_trees), min(cpu_count(), n_trees))
+    tables = [table for chunk in map_in_order(grow, ranges) for table in chunk]
+    roots = np.cumsum([0] + [table["value"].size for table in tables[:-1]], dtype=np.intp)
+    for table, root in zip(tables, roots):
         # in the forest's one table, right indices count from the table's start
-        nodes += [[f, t, v, n, r + roots[-1] if f >= 0 else r] for f, t, v, n, r in tree]
+        table["right"][table["feature"] >= 0] += root
     return RFModel(
-        **_table(nodes),
-        roots=np.array(roots, dtype=np.intp),
+        **{name: np.concatenate([table[name] for table in tables]) for name in tables[0]},
+        roots=roots,
         n_trees=n_trees,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,

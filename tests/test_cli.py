@@ -411,6 +411,47 @@ def test_bad_plan_is_data_error(tmp_path, pipelined, capsys, corruption):
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
+# (stage, flag, value, the error message, the stage's outputs)
+OUT_OF_RANGE_SETTINGS = {
+    "analysis-limit-negative": ("derive-hi", "--analysis-limit", -1,
+                                "analysis_limit must be >= 1, got -1", DERIVE_OUTPUTS),
+    "analysis-limit-zero": ("derive-hi", "--analysis-limit", 0,
+                            "analysis_limit must be >= 1, got 0", DERIVE_OUTPUTS),
+    "horizon-zero": ("build-features", "--horizon", 0,
+                     "horizon must be >= 1, got 0", FEATURE_OUTPUTS),
+    "train-frac-above-one": ("build-features", "--train-frac", 1.5,
+                             "train_frac must be in (0, 1), got 1.5", FEATURE_OUTPUTS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_SETTINGS))
+def test_out_of_range_setting_is_config_error(tmp_path, pipelined, capsys, case):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    command, flag, value, message, outputs = OUT_OF_RANGE_SETTINGS[case]
+    _drop_outputs(out, *outputs)
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, "--out", out, flag, value) == 2
+    assert capsys.readouterr().err == f"ERROR ConfigError: {message}\n"
+    assert not [o for o in outputs if (out / o).exists()]
+
+
+def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys):
+    # a shallower dt fits, then the forest's limits fail inside its workers
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    models = out / dataio.MODELS_DIR
+    before = {p.name: p.read_bytes() for p in models.iterdir()}
+    bad = tmp_path / "bad.ini"
+    bad.write_text(config.read_text() + "dt_max_depth = 2\nrf_min_samples_leaf = 0\n")
+    capsys.readouterr()
+    assert run_cli("train", "--config", bad, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "ERROR ConfigError: need max_depth >= 0 and min_samples_leaf >= 1\n"
+    )
+    assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+
 def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     out = tmp_path / "work"
     for command in ("simulate", "derive-hi"):

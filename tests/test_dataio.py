@@ -63,10 +63,15 @@ def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
     readings = np.nan_to_num(base.readings, nan=1.0)
     readings[0, 0] = readings[1, -1] = np.nan
     readings[2, [0, -1]] = np.nan
-    runs = list(ds.runs) + [
+    # three chunks or more, rendered apart, with the two odd runs on either
+    # side of the first chunk boundary
+    runs = list(ds.runs) * 2
+    k = dataio.RUNS_PER_CHUNK
+    runs[k - 1 : k + 1] = [
         replace(base, run_id="r,nan", readings=readings),
         replace(base, run_id='q"1', asset_id="nan asset"),
     ]
+    assert len(runs) > 2 * k
     path = tmp_path / dataio.RUNS_CSV
     dataio.write_runs_csv(path, runs)
     channels = sorted(base.extra_channels)

@@ -252,6 +252,20 @@ def test_trees_invariant_under_monotone_feature_transform():
     assert np.array_equal(rf_a.predict(X), rf_b.predict(warped))
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_forest_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    # 7 trees split into uneven contiguous ranges over the workers; the
+    # table must be the one the same fit grows on the default CPUs
+    rng = np.random.default_rng(23)
+    X = rng.uniform(size=(120, 5))
+    y = rng.normal(size=120)
+    default = fit_random_forest(X, y, n_trees=7, seed=4)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+    forest = fit_random_forest(X, y, n_trees=7, seed=4)
+    assert table_rows(forest) == table_rows(default)
+    assert forest.roots.tolist() == default.roots.tolist()
+
+
 def test_forest_constant_target():
     X = np.arange(20, dtype=float)[:, None]
     model = fit_random_forest(X, np.full(20, 7.5), n_trees=5, seed=0)
