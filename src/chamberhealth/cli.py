@@ -246,7 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cls = next(cls for cls in EXIT_CODES if isinstance(exc, cls))
         sys.stderr.write(f"ERROR {cls.__name__}: {exc}\n")
         return EXIT_CODES[cls]
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"ERROR DataError: {exc}\n")
         return EXIT_CODES[DataError]
     return 0

@@ -3,7 +3,8 @@
 The config file is INI-style ``key = value`` with one section per
 module ([simgen], [hi], [features], [models], [eval]) plus [cli] for
 seed and output directory. Every key is declared once, in ``SETTINGS``,
-which drives the INI writer, the INI reader and the CLI override flags.
+which drives the INI writer, the INI reader and the CLI override flags;
+a key's format refuses a value outside its range before any stage runs.
 Flags override file keys; every subcommand prints the fully resolved
 form before acting. The config hash covers only the science-relevant
 sections, so runs that differ merely in output path reproduce
@@ -15,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
@@ -83,7 +85,7 @@ def _parse_list(text: str, n_fields: int) -> list[list[str]]:
 
 
 def _parse_mapping(text: str) -> dict[str, float]:
-    return {p[0]: float(p[1]) for p in _parse_list(text, 2)}
+    return {p[0]: NONNEG_FLOAT.parse(p[1]) for p in _parse_list(text, 2)}
 
 
 def _mapping_to_str(mapping: Mapping[str, float]) -> str:
@@ -101,7 +103,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_segments(text: str) -> tuple[SegmentSpec, ...]:
     segments = tuple(
-        SegmentSpec(int(p[0]), float(p[1]), float(p[2])) for p in _parse_list(text, 3)
+        SegmentSpec(int(p[0]), FLOAT.parse(p[1]), FLOAT.parse(p[2])) for p in _parse_list(text, 3)
     )
     indices = [s.index for s in segments]
     if len(set(indices)) != len(indices):
@@ -117,20 +119,37 @@ class Format:
     parse: Callable[[str], Any]
 
 
+def _bounded(fmt: Format, bound: str, ok: Callable[[float], bool]) -> Format:
+    """``fmt``, whose parse refuses a value outside ``bound``."""
+
+    def parse(text: str) -> Any:
+        value = fmt.parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {bound}, got {value!r}")
+        return value
+
+    return Format(fmt.write, parse)
+
+
 INT = Format(str, int)
-FLOAT = Format(repr, float)
+FLOAT = _bounded(Format(repr, float), "finite", math.isfinite)
 TEXT = Format(str, str)
 BOOL = Format(lambda v: "true" if v else "false", _parse_bool)
-SEED = Format(lambda v: "" if v is None else str(v), lambda t: None if t == "" else int(t))
-MAPPING = Format(_mapping_to_str, _parse_mapping)
+NONNEG_INT = _bounded(INT, ">= 0", lambda v: v >= 0)
+POS_INT = _bounded(INT, ">= 1", lambda v: v >= 1)
+NONNEG_FLOAT = _bounded(FLOAT, ">= 0", lambda v: v >= 0)
+POS_FLOAT = _bounded(FLOAT, "> 0", lambda v: v > 0)
+FRACTION = _bounded(FLOAT, "in (0, 1)", lambda v: 0 < v < 1)
+SEED = Format(lambda v: "" if v is None else str(v), lambda t: NONNEG_INT.parse(t) if t else None)
+NONNEG_MAPPING = Format(_mapping_to_str, _parse_mapping)
 # a scalar applies to every sensor; written back as the per-sensor mapping
-NOISE = Format(_mapping_to_str, lambda t: _parse_mapping(t) if ":" in t else float(t))
+NOISE = Format(_mapping_to_str, lambda t: _parse_mapping(t) if ":" in t else NONNEG_FLOAT.parse(t))
 SENSORS = Format(
     lambda sensors: ", ".join(
         f"{s.sensor_id}:{s.valid_range[0]!r}:{s.valid_range[1]!r}:{s.priority}" for s in sensors
     ),
     lambda t: tuple(
-        SensorSpec(p[0], (float(p[1]), float(p[2])), int(p[3]))
+        SensorSpec(p[0], (FLOAT.parse(p[1]), FLOAT.parse(p[2])), int(p[3]))
         for p in _parse_list(t, 4)
     ),
 )
@@ -143,10 +162,9 @@ RECIPES = Format(
         f"{r.recipe_id}:{r.deposition_weight!r}:{r.duration_scale!r}" for r in recipes
     ),
     lambda t: tuple(
-        RecipeSpec(p[0], float(p[1]), float(p[2])) for p in _parse_list(t, 3)
+        RecipeSpec(p[0], FLOAT.parse(p[1]), FLOAT.parse(p[2])) for p in _parse_list(t, 3)
     ),
 )
-_NUMBER_FORMATS = {int: INT, float: FLOAT}
 
 
 # -- the settings table --------------------------------------------------------
@@ -178,36 +196,52 @@ class Setting:
         return params.get(self.field, DEFAULT_HYPERPARAMS[self.scope][self.field])
 
 
-# max_samples is a generator safety cap, not a setting
-_CHAMBER_FORMATS = {"noise_sigma": NOISE, "sensors": SENSORS}
+# every field but the max_samples safety cap; ChamberConfig checks the pressures' order
+_CHAMBER_FORMATS = {
+    **dict.fromkeys(("crossover_pressure", "p_atm", "target_pressure", "time_origin",
+                     "temp_base_c", "flow_base", "flow_per_weight"), FLOAT),
+    **dict.fromkeys(("tau_stage1", "tau_stage2", "sample_dt", "seasonal_period_s",
+                     "run_interval_s"), POS_FLOAT),
+    **dict.fromkeys(("base_outgassing_q0", "outgassing_per_unit", "seasonal_amplitude",
+                     "weather_sigma", "maintenance_residual", "temp_seasonal_amplitude",
+                     "temp_run_noise", "temp_sample_noise", "flow_run_noise",
+                     "flow_sample_noise"), NONNEG_FLOAT),
+    "tail_samples": NONNEG_INT, "noise_sigma": NOISE, "sensors": SENSORS,
+    "weather_rho": _bounded(FLOAT, "in [0, 1)", lambda v: 0 <= v < 1),
+}
 _CHAMBER_SETTINGS = tuple(
-    Setting(
-        "simgen", f.name, "chamber", f.name,
-        _CHAMBER_FORMATS.get(f.name) or _NUMBER_FORMATS[type(f.default)],
-    )
+    Setting("simgen", f.name, "chamber", f.name, _CHAMBER_FORMATS[f.name])
     for f in fields(ChamberConfig)
     if f.name != "max_samples"
 )
+_HYPERPARAM_FORMATS = {
+    **dict.fromkeys(("max_depth", "features_per_split"), NONNEG_INT),
+    **dict.fromkeys(("min_samples_leaf", "n_trees", "k", "steps", "hidden_units", "epochs",
+                     "batch_size"), POS_INT),
+    **dict.fromkeys(("epsilon", "reg_lambda"), NONNEG_FLOAT),
+    **dict.fromkeys(("step_size", "learning_rate"), POS_FLOAT),
+}
 _MODEL_SETTINGS = tuple(
-    Setting("models", f"{kind}_{name}", kind, name, _NUMBER_FORMATS[type(default)])
+    Setting("models", f"{kind}_{name}", kind, name, _HYPERPARAM_FORMATS[name])
     for kind in MODEL_KINDS
-    for name, default in DEFAULT_HYPERPARAMS[kind].items()
+    for name in DEFAULT_HYPERPARAMS[kind]
 )
 
 SETTINGS: tuple[Setting, ...] = (
     Setting("cli", "seed", "pipeline", "seed", SEED),
     Setting("cli", "out", "pipeline", "out_dir", TEXT),
-    Setting("simgen", "n_assets", "pipeline", "n_assets", INT),
-    Setting("simgen", "n_runs_total", "pipeline", "n_runs_total", INT),
-    Setting("simgen", "cycle_length", "pipeline", "sim_cycle_length", INT),
+    Setting("simgen", "n_assets", "pipeline", "n_assets", POS_INT),
+    Setting("simgen", "n_runs_total", "pipeline", "n_runs_total", POS_INT),
+    Setting("simgen", "cycle_length", "pipeline", "sim_cycle_length",
+            _bounded(INT, ">= 2", lambda v: v >= 2)),
     *_CHAMBER_SETTINGS,
     Setting("simgen", "recipes", "pipeline", "recipes", RECIPES),
-    Setting("simgen", "recipe_probs", "pipeline", "recipe_probs", MAPPING),
+    Setting("simgen", "recipe_probs", "pipeline", "recipe_probs", NONNEG_MAPPING),
     Setting("hi", "segments", "pipeline", "segments", SEGMENTS),
-    Setting("hi", "cycle_length", "pipeline", "hi_cycle_length", INT),
-    Setting("hi", "analysis_limit", "pipeline", "analysis_limit", INT),
-    Setting("features", "horizon", "pipeline", "horizon", INT),
-    Setting("features", "train_frac", "pipeline", "train_frac", FLOAT),
+    Setting("hi", "cycle_length", "pipeline", "hi_cycle_length", POS_INT),
+    Setting("hi", "analysis_limit", "pipeline", "analysis_limit", POS_INT),
+    Setting("features", "horizon", "pipeline", "horizon", POS_INT),
+    Setting("features", "train_frac", "pipeline", "train_frac", FRACTION),
     *_MODEL_SETTINGS,
     Setting("eval", "dump_predictions", "pipeline", "dump_predictions", BOOL),
 )

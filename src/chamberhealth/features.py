@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import RunRecord
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
@@ -139,8 +139,6 @@ def build_supervised(
     maintenance event are kept: the post-cleaning drop is part of the
     target. Rows are sorted by start_time.
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     by_asset: dict[str, list[RunSummary]] = {}
     for run in runs:
         by_asset.setdefault(run.asset_id, []).append(run)
@@ -205,8 +203,6 @@ def chrono_split(
     and applied to both partitions, so a test-only recipe encodes to a
     zero block and never changes a train feature.
     """
-    if not (0.0 < train_frac < 1.0):
-        raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
     if sset.n_rows < 10:
         raise DataError(f"need >= 10 rows to split, got {sset.n_rows}")
     n_train = int(np.floor(train_frac * sset.n_rows))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import RunRecord, SegmentSpec
-from .errors import ConfigError, DataError, DegenerateFit
+from .errors import DataError, DegenerateFit
 
 # clean-machine baseline pools runs with n_runs in {0..9}
 CLEAN_RUN_MAX_N = 9
@@ -135,8 +135,6 @@ def impact(k: float, t_bar: float, cycle_length: int = 100) -> float:
 
     impact(0.12, 21) = 57.1 %/cycle at the default 100-run cycle.
     """
-    if cycle_length < 1:
-        raise ConfigError(f"cycle_length must be >= 1, got {cycle_length}")
     if t_bar <= 0:
         raise DegenerateFit(f"clean baseline must be > 0, got {t_bar}")
     return k * cycle_length / t_bar * 100.0
@@ -167,8 +165,6 @@ def select_analysis_subset(
     factors in the degradation fit; the HI itself is extracted for all
     runs afterwards.
     """
-    if limit < 1:
-        raise ConfigError(f"analysis_limit must be >= 1, got {limit}")
     groups: dict[tuple[str, str], list[int]] = {}
     for i, run in enumerate(runs):
         groups.setdefault((run.asset_id, run.recipe_id), []).append(i)

@@ -466,8 +466,6 @@ def fit_mlp(
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
         raise ModelError("mlp needs at least one sample")
-    if batch_size < 1 or epochs < 1 or hidden_units < 1:
-        raise ConfigError("hidden_units, epochs and batch_size must be >= 1")
     params = list(mlp_init(X.shape[1], hidden_units, seed))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     n = y.size

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from chamberhealth import cli, core, dataio
 from chamberhealth.cli import build_parser, main
-from chamberhealth.config import load_config
+from chamberhealth.config import (
+    BOOL, FLOAT, INT, RECIPES, SEGMENTS, SENSORS, SETTINGS, TEXT, load_config,
+)
 from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
 from chamberhealth.models import MODEL_KINDS
@@ -142,7 +144,8 @@ def test_flag_overrides_config(small_config, capsys, flag):
     if _override_flags()[flag].nargs == 0:
         args, expected = [flag], {f"{key} = true"}
     else:
-        args, expected = [flag, 7], {f"{key} = 7", f"{key} = 7.0"}
+        value = {"--train-frac": 0.5}.get(flag, 7)  # each value within its key's bound
+        args, expected = [flag, value], {f"{key} = {value}", f"{key} = {float(value)}"}
     assert run_cli("show-config", "--config", small_config, *args) == 0
     assert expected & set(capsys.readouterr().out.splitlines())
 
@@ -411,45 +414,122 @@ def test_bad_plan_is_data_error(tmp_path, pipelined, capsys, corruption):
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
-# (stage, flag, value, the error message, the stage's outputs)
+# an out-of-range value for each bounded key, and a few non-finite floats:
+# (section, key, value, the refusal)
 OUT_OF_RANGE_SETTINGS = {
-    "analysis-limit-negative": ("derive-hi", "--analysis-limit", -1,
-                                "analysis_limit must be >= 1, got -1", DERIVE_OUTPUTS),
-    "analysis-limit-zero": ("derive-hi", "--analysis-limit", 0,
-                            "analysis_limit must be >= 1, got 0", DERIVE_OUTPUTS),
-    "horizon-zero": ("build-features", "--horizon", 0,
-                     "horizon must be >= 1, got 0", FEATURE_OUTPUTS),
-    "train-frac-above-one": ("build-features", "--train-frac", 1.5,
-                             "train_frac must be in (0, 1), got 1.5", FEATURE_OUTPUTS),
+    "seed-negative": ("cli", "seed", "-1", ">= 0, got -1"),
+    "n-assets-zero": ("simgen", "n_assets", "0", ">= 1, got 0"),
+    "n-runs-total-zero": ("simgen", "n_runs_total", "0", ">= 1, got 0"),
+    "sim-cycle-length-one": ("simgen", "cycle_length", "1", ">= 2, got 1"),
+    "p-atm-inf": ("simgen", "p_atm", "inf", "finite, got inf"),
+    "time-origin-nan": ("simgen", "time_origin", "nan", "finite, got nan"),
+    "tau-stage1-zero": ("simgen", "tau_stage1", "0.0", "> 0, got 0.0"),
+    "tau-stage2-negative": ("simgen", "tau_stage2", "-4.0", "> 0, got -4.0"),
+    "base-outgassing-q0-negative": ("simgen", "base_outgassing_q0", "-4e-06", ">= 0, got -4e-06"),
+    "outgassing-per-unit-negative": ("simgen", "outgassing_per_unit", "-1e-07",
+                                     ">= 0, got -1e-07"),
+    "sample-dt-zero": ("simgen", "sample_dt", "0", "> 0, got 0.0"),
+    "tail-samples-negative": ("simgen", "tail_samples", "-1", ">= 0, got -1"),
+    "noise-sigma-negative": ("simgen", "noise_sigma", "-0.1", ">= 0, got -0.1"),
+    "noise-sigma-mapping-negative": ("simgen", "noise_sigma", "s1:0.05, s2:-0.5, s3:0.05, s4:0.3",
+                                     ">= 0, got -0.5"),
+    "seasonal-amplitude-negative": ("simgen", "seasonal_amplitude", "-1.2e-05",
+                                    ">= 0, got -1.2e-05"),
+    "seasonal-period-s-zero": ("simgen", "seasonal_period_s", "0", "> 0, got 0.0"),
+    "seasonal-period-s-inf": ("simgen", "seasonal_period_s", "inf", "finite, got inf"),
+    "weather-sigma-negative": ("simgen", "weather_sigma", "-3e-06", ">= 0, got -3e-06"),
+    "weather-rho-one": ("simgen", "weather_rho", "1.0", "in [0, 1), got 1.0"),
+    "maintenance-residual-negative": ("simgen", "maintenance_residual", "-1.0", ">= 0, got -1.0"),
+    "run-interval-s-negative": ("simgen", "run_interval_s", "-78840.0", "> 0, got -78840.0"),
+    "temp-seasonal-amplitude-negative": ("simgen", "temp_seasonal_amplitude", "-3.0",
+                                         ">= 0, got -3.0"),
+    "temp-run-noise-negative": ("simgen", "temp_run_noise", "-2.5", ">= 0, got -2.5"),
+    "temp-sample-noise-negative": ("simgen", "temp_sample_noise", "-0.1", ">= 0, got -0.1"),
+    "flow-run-noise-negative": ("simgen", "flow_run_noise", "-0.3", ">= 0, got -0.3"),
+    "flow-sample-noise-negative": ("simgen", "flow_sample_noise", "-0.2", ">= 0, got -0.2"),
+    "recipes-inf": ("simgen", "recipes", "std:0.8:inf, light:0.0:0.85, heavy:2.4:1.25",
+                    "finite, got inf"),
+    "recipe-probs-negative": ("simgen", "recipe_probs", "std:0.5, light:-0.3, heavy:0.2",
+                              ">= 0, got -0.3"),
+    "hi-cycle-length-zero": ("hi", "cycle_length", "0", ">= 1, got 0"),
+    "analysis-limit-negative": ("hi", "analysis_limit", "-1", ">= 1, got -1"),
+    "analysis-limit-zero": ("hi", "analysis_limit", "0", ">= 1, got 0"),
+    "horizon-zero": ("features", "horizon", "0", ">= 1, got 0"),
+    "train-frac-above-one": ("features", "train_frac", "1.5", "in (0, 1), got 1.5"),
+    "dt-max-depth-negative": ("models", "dt_max_depth", "-1", ">= 0, got -1"),
+    "dt-min-samples-leaf-zero": ("models", "dt_min_samples_leaf", "0", ">= 1, got 0"),
+    "rf-n-trees-zero": ("models", "rf_n_trees", "0", ">= 1, got 0"),
+    "rf-max-depth-negative": ("models", "rf_max_depth", "-1", ">= 0, got -1"),
+    "rf-min-samples-leaf-zero": ("models", "rf_min_samples_leaf", "0", ">= 1, got 0"),
+    "rf-features-per-split-negative": ("models", "rf_features_per_split", "-3", ">= 0, got -3"),
+    "knn-k-zero": ("models", "knn_k", "0", ">= 1, got 0"),
+    "svr-epsilon-nan": ("models", "svr_epsilon", "nan", "finite, got nan"),
+    "svr-reg-lambda-negative": ("models", "svr_reg_lambda", "-0.0001", ">= 0, got -0.0001"),
+    "svr-steps-negative": ("models", "svr_steps", "-5", ">= 1, got -5"),
+    "svr-step-size-zero": ("models", "svr_step_size", "0", "> 0, got 0.0"),
+    "mlp-hidden-units-zero": ("models", "mlp_hidden_units", "0", ">= 1, got 0"),
+    "mlp-epochs-zero": ("models", "mlp_epochs", "0", ">= 1, got 0"),
+    "mlp-batch-size-zero": ("models", "mlp_batch_size", "0", ">= 1, got 0"),
+    "mlp-learning-rate-negative": ("models", "mlp_learning_rate", "-0.5", "> 0, got -0.5"),
 }
+# formats without a range of their own (FLOAT refuses only nan and inf)
+UNBOUNDED_FORMATS = (INT, FLOAT, TEXT, BOOL, SENSORS, SEGMENTS, RECIPES)
+
+
+def test_every_bounded_setting_has_an_out_of_range_case():
+    bounded = {(s.section, s.key) for s in SETTINGS if s.fmt not in UNBOUNDED_FORMATS}
+    assert bounded <= {(section, key) for section, key, _, _ in OUT_OF_RANGE_SETTINGS.values()}
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_SETTINGS))
-def test_out_of_range_setting_is_config_error(tmp_path, pipelined, capsys, case):
-    config, work = pipelined
-    out = shutil.copytree(work, tmp_path / "work")
-    command, flag, value, message, outputs = OUT_OF_RANGE_SETTINGS[case]
-    _drop_outputs(out, *outputs)
-    capsys.readouterr()
-    assert run_cli(command, "--config", config, "--out", out, flag, value) == 2
-    assert capsys.readouterr().err == f"ERROR ConfigError: {message}\n"
-    assert not [o for o in outputs if (out / o).exists()]
+def test_out_of_range_setting_is_config_error(tmp_path, capsys, case):
+    # refused while the config is resolved, so no stage runs and --out is never made
+    section, key, value, refusal = OUT_OF_RANGE_SETTINGS[case]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "work"
+    assert run_cli("pipeline", "--config", bad, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR ConfigError: bad config value for [{section}] {key}: must be {refusal}\n"
+    )
+    assert not out.exists()
 
 
 def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys):
-    # a shallower dt fits, then the forest's limits fail inside its workers
+    # dt and rf fit, then knn fails: k exceeds the train rows
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
     models = out / dataio.MODELS_DIR
     before = {p.name: p.read_bytes() for p in models.iterdir()}
+    n_train = dataio.read_supervised(out)[0].n_rows
     bad = tmp_path / "bad.ini"
-    bad.write_text(config.read_text() + "dt_max_depth = 2\nrf_min_samples_leaf = 0\n")
+    bad.write_text(config.read_text() + f"knn_k = {n_train + 1}\n")
     capsys.readouterr()
-    assert run_cli("train", "--config", bad, "--out", out) == 2
+    assert run_cli("train", "--config", bad, "--out", out) == 4
     assert capsys.readouterr().err == (
-        "ERROR ConfigError: need max_depth >= 0 and min_samples_leaf >= 1\n"
+        f"ERROR ModelError: k must be in [1, {n_train}], got {n_train + 1}\n"
     )
     assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+
+
+def test_out_that_is_a_file_is_data_error(tmp_path, small_config, capsys):
+    out = tmp_path / "work"
+    out.write_text("")
+    assert run_cli("simulate", "--config", small_config, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError: ") and err.count("\n") == 1
+
+
+def test_models_path_that_is_a_file_is_data_error(tmp_path, pipelined, capsys):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    shutil.rmtree(out / dataio.MODELS_DIR)
+    (out / dataio.MODELS_DIR).write_text("")
+    capsys.readouterr()
+    assert run_cli("train", "--config", config, "--out", out, "--model", "dt") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError: ") and err.count("\n") == 1
+    assert (out / dataio.MODELS_DIR).read_text() == ""
 
 
 def test_build_features_does_not_read_runs_csv(tmp_path, small_config):

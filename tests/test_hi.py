@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chamberhealth.core import SegmentSpec, composite_curve
-from chamberhealth.errors import ConfigError, DataError, DegenerateFit
+from chamberhealth.errors import DataError, DegenerateFit
 from chamberhealth.hi import (
     clean_baseline,
     derive_hi,
@@ -201,16 +201,6 @@ def test_impact_zero_slope():
 def test_impact_zero_baseline():
     with pytest.raises(DegenerateFit, match="clean baseline must be > 0"):
         impact(0.1, 0.0)
-
-
-def test_impact_needs_a_cycle_of_at_least_one_run():
-    with pytest.raises(ConfigError, match="cycle_length must be >= 1, got 0"):
-        impact(0.1, 10.0, cycle_length=0)
-    # derive_hi skips only degenerate fits, so the config fault reaches the caller
-    runs = _synthetic_selection_case(lambda n: 2.0 + 0.01 * n)
-    with pytest.raises(ConfigError, match="cycle_length must be >= 1"):
-        derive_hi(runs, _curves(runs, _wide_sensors()), [SegmentSpec(1, 0.03, 0.002)],
-                  cycle_length=0)
 
 
 @given(
