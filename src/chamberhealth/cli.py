@@ -92,19 +92,19 @@ def stage_build_features(cfg: PipelineConfig) -> None:
 
 
 def stage_train(cfg: PipelineConfig, kinds: Optional[Sequence[str]] = None) -> None:
-    """Fit every requested kind, then save them all: a kind that fails to
-    fit leaves models/ as it was."""
+    """Make models/, fit every requested kind, then save them all: no kind
+    is fitted into a models/ that cannot be made, and a failed fit changes no file."""
     seed = cfg.require_seed()
     out = Path(cfg.out_dir)
     train, _ = dataio.read_supervised(out)
+    models_dir = out / dataio.MODELS_DIR
+    models_dir.mkdir(parents=True, exist_ok=True)
     models = [
         train_model(RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed), train)
         for kind in kinds or MODEL_KINDS
     ]
-    models_dir = out / dataio.MODELS_DIR
-    models_dir.mkdir(parents=True, exist_ok=True)
     for model in models:
-        save_model(model, models_dir / f"{model.kind}.json")
+        save_model(model, models_dir / f"{model.kind}.npz")
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
@@ -112,16 +112,16 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     out = Path(cfg.out_dir)
     train, test = dataio.read_supervised(out)
     models_dir = out / dataio.MODELS_DIR
-    paths = sorted(models_dir.glob("*.json")) if models_dir.is_dir() else []
+    paths = sorted(models_dir.glob("*.npz")) if models_dir.is_dir() else []
     if not paths:
-        raise ModelError(f"no trained models found under {models_dir}")
+        raise ModelError(f"no trained models (*.npz) found under {models_dir}; run train")
     models = {p.stem: load_model(p) for p in paths}
     for kind, model in models.items():
         if model.kind != kind:
-            raise ModelError(f"{kind}.json: holds a {model.kind} model, not {kind}; rerun train")
+            raise ModelError(f"{kind}.npz: holds a {model.kind} model, not {kind}; rerun train")
         if model.feature_names != train.feature_names:
             raise ModelError(
-                f"{kind}.json was trained on other features than {dataio.FEATURES_CSV}'s; "
+                f"{kind}.npz was trained on other features than {dataio.FEATURES_CSV}'s; "
                 "rerun train"
             )
 

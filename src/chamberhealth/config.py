@@ -30,6 +30,7 @@ from .simgen import (
     RecipeSpec,
     default_recipes,
     default_segments,
+    recipe_probabilities,
 )
 
 HASHED_SECTIONS = ("simgen", "hi", "features", "models", "eval")
@@ -54,6 +55,9 @@ class PipelineConfig:
     dump_predictions: bool = False
     seed: Optional[int] = None
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        recipe_probabilities(self.recipes, self.recipe_probs)  # refused at resolve, not simulate
 
     def require_seed(self) -> int:
         if self.seed is None:

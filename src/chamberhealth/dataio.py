@@ -107,11 +107,11 @@ def fmt(value) -> str:
 
 
 @contextmanager
-def atomic_open(path: PathLike) -> Iterator[io.TextIOBase]:
-    """A text file at a temp path, renamed to ``path`` once written."""
+def atomic_open(path: PathLike, binary: bool = False) -> Iterator[io.IOBase]:
+    """A text (or binary) file at a temp path, renamed to ``path`` once written."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
         yield fh
     os.replace(tmp, path)
 

@@ -18,15 +18,14 @@ feature-major SSE matrix. A tree is a flat node table grown in preorder
 (a forest keeps all its trees in one table with root offsets), and
 prediction walks every row down it at once by index arrays.
 
-A model file's payload is its model class's dataclass fields, plain
-numbers and arrays, written and read back by one codec for all five
-kinds. Loading checks every array against the feature count, refuses
-NaN and infinities, and checks that every tree walk ends on a leaf.
+A model file is an .npz archive of one array per value, each of the
+one dtype and rank its declared type is stored with. Loading casts
+nothing, checks every array against the feature count, refuses NaN and
+infinities, and checks that every tree walk ends on a leaf.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -36,7 +35,7 @@ from typing import Optional, Sequence, Union, get_type_hints
 import numpy as np
 import numpy.typing as npt
 
-from .dataio import atomic_write_text
+from .dataio import atomic_open
 from .errors import ConfigError, ModelError
 from .features import Standardizer, SupervisedSet
 from .workers import cpu_count, map_in_order
@@ -44,7 +43,7 @@ from .workers import cpu_count, map_in_order
 MODEL_KINDS = ("dt", "rf", "knn", "svr", "mlp")
 BENCHMARK_KINDS = ("bm1", "bm2", "bm3")
 MODEL_FORMAT = "chamberhealth-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 DEFAULT_HYPERPARAMS: dict[str, dict[str, float]] = {
     "dt": {"max_depth": 8, "min_samples_leaf": 5},
@@ -181,9 +180,10 @@ def _build_tree(
 
 
 def _table(nodes: list[list]) -> dict[str, np.ndarray]:
-    """Node rows as the table's columns, typed as loading types them."""
+    """Node rows as the table's columns, of the dtypes a model file stores."""
     types = get_type_hints(_Trees)
-    return {f.name: _DECODERS[types[f.name]](col) for f, col in zip(fields(_Trees), zip(*nodes))}
+    columns = zip(fields(_Trees), zip(*nodes))
+    return {f.name: np.array(col, dtype=_STORED[types[f.name]][0]) for f, col in columns}
 
 
 @dataclass
@@ -570,54 +570,27 @@ def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
 _MODEL_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}
 
 
-def _exact(kind: type, value):
-    """``value`` if it is a JSON value of ``kind``: a bool is an int to
-    Python, and int() would truncate 2.9 to 2."""
-    if type(value) is not kind:
-        raise ModelError(f"{value!r} is not a JSON {kind.__name__}")
-    return value
-
-
-def _number(value) -> float:
-    """``value`` as a float if it is a JSON number: float() would also
-    take the string "1e3" and the bool true."""
-    if type(value) not in (int, float):
-        raise ModelError(f"{value!r} is not a JSON number")
-    return float(value)
-
-
-def _float_array(value) -> np.ndarray:
-    """A (nested) list of JSON numbers as a float64 array."""
-    array = np.array(value, dtype=object)
-    if not set(map(type, array.flat)) <= {int, float}:
-        for v in array.flat:  # refuses the first value that is not a number
-            _number(v)
-    return array.astype(np.float64)
-
-
-# a payload value back to its field's value, by the field's declared type
-_DECODERS = {
-    int: partial(_exact, int),
-    float: _number,
-    bool: partial(_exact, bool),
-    np.ndarray: _float_array,
-    # the list comprehension runs only to refuse the first value that is not an int
-    IntArray: lambda value: np.array(
-        value if set(map(type, value)) <= {int} else [_exact(int, v) for v in value],
-        dtype=np.intp,
-    ),
+# the one (dtype, rank) that stores each declared type (a float array's rank
+# is free); a str dtype holds a length, so loading compares scalar types
+_STORED = {
+    int: (np.int64, 0), float: (np.float64, 0), bool: (np.bool_, 0), IntArray: (np.intp, 1),
+    np.ndarray: (np.float64, None), str: (np.str_, 0), tuple[str, ...]: (np.str_, 1),
 }
+_HEADER = {"format": str, "version": int, "kind": str, "seed": int,
+           "feature_names": tuple[str, ...]}
 
 
-def _to_payload(obj) -> dict:
-    """A dataclass's fields, arrays as (nested) lists."""
-    payload = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in payload.items()}
-
-
-def _from_payload(cls, payload: dict):
-    types = get_type_hints(cls)
-    return cls(**{f.name: _DECODERS[types[f.name]](payload[f.name]) for f in fields(cls)})
+def _layout(kind: str) -> dict[str, type]:
+    """Every array of a ``kind`` model file with its declared type: the
+    header, ``payload.<field>`` and, if the kind has one, ``standardizer.<field>``."""
+    parts = {"payload": _MODEL_CLASSES[kind]}
+    if kind in STANDARDIZED_KINDS:
+        parts["standardizer"] = Standardizer
+    layout = dict(_HEADER)
+    for prefix, cls in parts.items():
+        types = get_type_hints(cls)
+        layout.update({f"{prefix}.{f.name}": types[f.name] for f in fields(cls)})
+    return layout
 
 
 def _check_tables(trees: _Trees, m: int) -> None:
@@ -676,62 +649,77 @@ def _check(model: TrainedModel) -> None:
         _check_tables(inner, m)
 
 
-def model_to_json(model: TrainedModel) -> str:
-    """Self-describing JSON with a format-version header.
-
-    ``standardizer`` and ``payload`` hold the dataclass fields of the
-    Standardizer and of the kind's model class. Floats are serialized
-    via repr (shortest round-trip form), so a save/load cycle
-    reproduces every parameter bit-exactly.
-    """
-    std = None if model.standardizer is None else _to_payload(model.standardizer)
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "seed": model.seed,
-        "feature_names": list(model.feature_names),
-        "standardizer": std,
-        "payload": _to_payload(model.inner),
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
+def _value(arrays: dict[str, np.ndarray], name: str, declared: type):
+    """Array ``name`` as a value of the declared type, if it has exactly
+    that type's stored dtype and rank."""
+    if name not in arrays:
+        raise ModelError(f"no array {name}")
+    scalar, ndim = _STORED[declared]
+    array, dtype = arrays[name], arrays[name].dtype
+    if dtype.type is not scalar or not dtype.isnative or ndim not in (None, array.ndim):
+        rank = "" if ndim is None else f"{ndim}-d "
+        raise ModelError(f"{name} is {array.ndim}-d {dtype.str}, not {rank}{np.dtype(scalar).name}")
+    return array.item() if ndim == 0 else array
 
 
-def model_from_json(text: str) -> TrainedModel:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+def _from_arrays(arrays: dict[str, np.ndarray]) -> TrainedModel:
+    if _value(arrays, "format", str) != MODEL_FORMAT:
         raise ModelError(f"not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ModelError(f"unsupported model format version {doc.get('version')}; rerun train")
-    kind = doc["kind"]
+    version = _value(arrays, "version", int)
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelError(f"unsupported model format version {version}; rerun train")
+    kind = _value(arrays, "kind", str)
     if kind not in _MODEL_CLASSES:
         raise ModelError(f"unknown model kind {kind!r}")
-    std = doc["standardizer"]
+    layout = _layout(kind)
+    if set(arrays) - set(layout):
+        raise ModelError(f"unexpected arrays {sorted(set(arrays) - set(layout))}")
+    values = {name: _value(arrays, name, declared) for name, declared in layout.items()}
+
+    def part(prefix: str, cls: type):
+        return cls(**{f.name: values[f"{prefix}.{f.name}"] for f in fields(cls)})
+
     model = TrainedModel(
         kind=kind,
-        inner=_from_payload(_MODEL_CLASSES[kind], doc["payload"]),
-        feature_names=tuple(doc["feature_names"]),
-        standardizer=None if std is None else _from_payload(Standardizer, std),
-        seed=_exact(int, doc["seed"]),
+        inner=part("payload", _MODEL_CLASSES[kind]),
+        feature_names=tuple(values["feature_names"].tolist()),
+        standardizer=part("standardizer", Standardizer) if kind in STANDARDIZED_KINDS else None,
+        seed=values["seed"],
     )
     _check(model)
     return model
 
 
 def save_model(model: TrainedModel, path: Union[str, Path]) -> None:
-    atomic_write_text(path, model_to_json(model))
+    """One array per value (see _layout), each of its declared type's
+    stored dtype, written uncompressed by np.savez; a save and a load
+    reproduce every parameter bit-exactly."""
+    values = {"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION, "kind": model.kind,
+              "seed": model.seed, "feature_names": model.feature_names}
+    for prefix, part in (("payload", model.inner), ("standardizer", model.standardizer)):
+        if part is not None:
+            values.update({f"{prefix}.{f.name}": getattr(part, f.name) for f in fields(part)})
+    layout = _layout(model.kind)
+    with atomic_open(path, binary=True) as fh:
+        np.savez(fh, **{name: np.asarray(v, dtype=_STORED[layout[name]][0])
+                        for name, v in values.items()})
 
 
 def load_model(path: Union[str, Path]) -> TrainedModel:
-    """Any file that does not decode to a valid model raises ModelError
+    """Any file that is not a valid model archive raises ModelError
     naming the file."""
     path = Path(path)
     try:
-        return model_from_json(path.read_text(encoding="utf-8"))
+        with open(path, "rb") as fh:
+            # np.load would read a bare .npy as one array, and any other file as pickled data
+            if fh.read(4) != b"PK\x03\x04":
+                raise ModelError("not an .npz archive")
+            fh.seek(0)
+            try:
+                with np.load(fh, allow_pickle=False) as archive:
+                    arrays = dict(archive)
+            except Exception as exc:  # BadZipFile, ValueError, OSError, TokenError and more
+                raise ModelError(f"malformed model file: {type(exc).__name__}: {exc}") from None
+        return _from_arrays(arrays)
     except ModelError as exc:
         raise ModelError(f"{path.name}: {exc}") from None
-    except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # ValueError covers UnicodeDecodeError and JSONDecodeError; OverflowError, an
-        # infinite or huge int field; RecursionError, deep nesting
-        reason = f"{type(exc).__name__}: {exc}"
-        raise ModelError(f"{path.name}: malformed model file: {reason}") from None

@@ -357,6 +357,23 @@ class SimDataset:
     plan: Mapping[str, list[str]]
 
 
+def recipe_probabilities(recipes: Sequence[RecipeSpec],
+                         recipe_probs: Optional[Mapping[str, float]]) -> np.ndarray:
+    """``recipe_probs`` normalized in ``recipes`` order, uniform if None. Refuses
+    duplicate recipe ids, a mapping that misses a recipe and a zero sum."""
+    if len({r.recipe_id for r in recipes}) != len(recipes):
+        raise ConfigError("recipe ids must be unique")
+    if recipe_probs is None:
+        return np.full(len(recipes), 1.0 / len(recipes))
+    missing = [r.recipe_id for r in recipes if r.recipe_id not in recipe_probs]
+    if missing:
+        raise ConfigError(f"recipe_probs is missing recipes: {missing}")
+    probs = np.array([float(recipe_probs[r.recipe_id]) for r in recipes])
+    if probs.sum() <= 0:
+        raise ConfigError("recipe probabilities must sum > 0")
+    return probs / probs.sum()
+
+
 def simulate_history(
     config: ChamberConfig,
     recipes: Sequence[RecipeSpec],
@@ -375,18 +392,7 @@ def simulate_history(
     generated in order from its own seeded substream.
     """
     recipe_by_id = {r.recipe_id: r for r in recipes}
-    if len(recipe_by_id) != len(recipes):
-        raise ConfigError("recipe ids must be unique")
-    if recipe_probs is None:
-        probs = np.full(len(recipes), 1.0 / len(recipes))
-    else:
-        missing = [r.recipe_id for r in recipes if r.recipe_id not in recipe_probs]
-        if missing:
-            raise ConfigError(f"recipe_probs is missing recipes: {missing}")
-        probs = np.array([float(recipe_probs[r.recipe_id]) for r in recipes])
-        if probs.sum() <= 0:
-            raise ConfigError("recipe probabilities must sum > 0")
-        probs = probs / probs.sum()
+    probs = recipe_probabilities(recipes, recipe_probs)
 
     base, extra = divmod(n_runs_total, n_assets)
     counts = [base + (1 if a < extra else 0) for a in range(n_assets)]

@@ -1,8 +1,9 @@
 """Test-only views of in-memory pipeline objects, in the shapes the
-program reads back from hi.csv, and the reference tree
-grower that the rank-code split search and the node tables are checked
-against."""
+program reads back from hi.csv, an editor of model files, and the
+reference tree grower that the rank-code split search and the node
+tables are checked against."""
 
+import io
 import math
 from typing import Optional
 
@@ -21,6 +22,17 @@ def realized_plan(runs):
 def hi_by_run_id(series):
     """A HiSeries as run_id -> HI seconds, as ``dataio.read_hi_csv`` returns it."""
     return {e.run_id: e.hi for e in series.entries}
+
+
+def edited_npz(path, edit) -> bytes:
+    """The bytes of the .npz file at ``path`` once ``edit`` has changed its
+    dict of arrays (name -> array)."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 # -- reference CART grower: a float stable argsort per node, copies of the

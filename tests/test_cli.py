@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
-from helpers import hi_by_run_id
+from helpers import edited_npz, hi_by_run_id
 
 SMALL_INI = """
 [cli]
@@ -52,6 +53,7 @@ ARTIFACTS = [
     dataio.META_CSV,
     dataio.REPORT_JSON,
     dataio.PLOT_HI_CSV,
+    *(f"{dataio.MODELS_DIR}/{kind}.npz" for kind in MODEL_KINDS),
 ]
 
 
@@ -71,8 +73,6 @@ def test_pipeline_smoke_produces_all_artifacts(tmp_path, small_config):
     assert run_cli("pipeline", "--config", small_config, "--out", out) == 0
     for name in ARTIFACTS:
         assert (out / name).exists(), name
-    for kind in ("dt", "rf", "knn", "svr", "mlp"):
-        assert (out / dataio.MODELS_DIR / f"{kind}.json").exists()
     report = json.loads((out / dataio.REPORT_JSON).read_text())
     assert {r["model"] for r in report["results"]} == {"dt", "rf", "knn", "svr", "mlp", "lstm"}
 
@@ -495,6 +495,28 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# recipes and recipe_probs that disagree, refused while the config is resolved
+INCONSISTENT_RECIPES = {
+    "duplicate-recipe-ids": ("recipes = std:0.8:1.0, std:0.0:0.85, heavy:2.4:1.25",
+                             "recipe ids must be unique"),
+    "probs-miss-a-recipe": ("recipe_probs = std:0.5, heavy:0.5",
+                            "recipe_probs is missing recipes: ['light']"),
+    "probs-all-zero": ("recipe_probs = std:0.0, light:0.0, heavy:0.0",
+                       "recipe probabilities must sum > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_RECIPES))
+def test_inconsistent_recipes_are_config_error(tmp_path, capsys, case):
+    line, refusal = INCONSISTENT_RECIPES[case]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[simgen]\n{line}\n")
+    out = tmp_path / "work"
+    assert run_cli("simulate", "--config", bad, "--seed", 0, "--out", out) == 2
+    assert capsys.readouterr().err == f"ERROR ConfigError: {refusal}\n"
+    assert not out.exists()
+
+
 def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys):
     # dt and rf fit, then knn fails: k exceeds the train rows
     config, work = pipelined
@@ -520,16 +542,19 @@ def test_out_that_is_a_file_is_data_error(tmp_path, small_config, capsys):
     assert err.startswith("ERROR DataError: ") and err.count("\n") == 1
 
 
-def test_models_path_that_is_a_file_is_data_error(tmp_path, pipelined, capsys):
+def test_models_path_that_is_a_file_is_data_error(tmp_path, pipelined, capsys, monkeypatch):
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
     shutil.rmtree(out / dataio.MODELS_DIR)
     (out / dataio.MODELS_DIR).write_text("")
+    fits = Counter()
+    monkeypatch.setattr(cli, "train_model", lambda spec, train: fits.update([spec.kind]))
     capsys.readouterr()
-    assert run_cli("train", "--config", config, "--out", out, "--model", "dt") == 3
+    assert run_cli("train", "--config", config, "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("ERROR DataError: ") and err.count("\n") == 1
     assert (out / dataio.MODELS_DIR).read_text() == ""
+    assert not fits  # models/ is made before any kind is fitted
 
 
 def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
@@ -582,37 +607,50 @@ EVALUATE_OUTPUTS = (dataio.REPORT_JSON, dataio.PLOT_HI_CSV)
 
 
 def _edited(edit):
-    """A corruption that applies ``edit`` to the parsed model document."""
-    def corrupt(path) -> bytes:
-        doc = json.loads(path.read_bytes())
-        edit(doc)
-        return json.dumps(doc).encode()
-    return corrupt
-
-
-def _deep_chain(path) -> bytes:
-    """The leaf values' array nested 5 000 deep, written as text:
-    json.dumps itself refuses to nest that deep."""
-    doc = json.loads(path.read_bytes())
-    doc["payload"]["value"] = "DEEP"
-    return json.dumps(doc).replace('"DEEP"', "[" * 5000 + "0.0" + "]" * 5000).encode()
+    """A corruption that applies ``edit`` to the model file's arrays."""
+    return lambda path: edited_npz(path, edit)
 
 
 def _set_root_feature(doc):
-    doc["payload"]["feature"][0] = len(doc["feature_names"])
+    doc["payload.feature"][0] = doc["feature_names"].size
 
+
+def _flip_a_data_byte(path) -> bytes:
+    """A bit flipped in a leaf value's bytes: no dtype, shape or range
+    check can see it, but the archive's CRC does."""
+    data = bytearray(path.read_bytes())
+    with np.load(path) as archive:
+        i = data.index(archive["payload.value"].tobytes()) + 5
+    data[i] ^= 0x10
+    return bytes(data)
+
+
+def _bare_npy(path) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+VERSION_2_JSON = json.dumps({
+    "format": "chamberhealth-model", "version": 2, "kind": "mlp", "seed": 0,
+    "feature_names": ["f0"], "standardizer": {"mu": [0.0], "sigma": [1.0]},
+    "payload": {"W1": [[0.5]], "b1": [0.0], "W2": [[1.0]], "b2": [0.0]},
+}).encode()
 
 # (model kind, the file's new bytes as a function of its path)
 MODEL_FILE_CORRUPTIONS = {
     "dt-cut-to-1000-bytes": ("dt", lambda path: path.read_bytes()[:1000]),
-    "svr-without-payload-w": ("svr", _edited(lambda doc: doc["payload"].pop("w"))),
-    "svr-w-of-length-1": ("svr", _edited(lambda doc: doc["payload"].update(w=[1.0]))),
-    "svr-b-nan": ("svr", _edited(lambda doc: doc["payload"].update(b=float("nan")))),
+    "svr-without-payload-w": ("svr", _edited(lambda doc: doc.pop("payload.w"))),
+    "svr-w-of-length-1": ("svr", _edited(lambda doc: doc.update({"payload.w": np.ones(1)}))),
+    "svr-b-nan": ("svr", _edited(lambda doc: doc.update({"payload.b": np.asarray(np.nan)}))),
+    "svr-version-2": ("svr", _edited(lambda doc: doc.update(version=np.asarray(2)))),
+    "knn-extra-array": ("knn", _edited(lambda doc: doc.update(note=np.asarray("hand-edited")))),
     "dt-feature-out-of-range": ("dt", _edited(_set_root_feature)),
-    "knn-not-utf8": ("knn", lambda path: path.read_bytes() + b"\xff"),
+    "dt-data-byte-flipped": ("dt", _flip_a_data_byte),
+    "knn-bare-npy": ("knn", _bare_npy),
     "mlp-not-an-object": ("mlp", lambda path: b"[]"),
-    "dt-5000-deep-chain": ("dt", _deep_chain),
-    "rf-is-a-copy-of-dt": ("rf", lambda path: path.with_name("dt.json").read_bytes()),
+    "mlp-version-2-json": ("mlp", lambda path: VERSION_2_JSON),
+    "rf-is-a-copy-of-dt": ("rf", lambda path: path.with_name("dt.npz").read_bytes()),
 }
 
 
@@ -622,11 +660,11 @@ def test_malformed_model_file_is_model_error(tmp_path, pipelined, capsys, corrup
     out = shutil.copytree(work, tmp_path / "work")
     _drop_outputs(out, *EVALUATE_OUTPUTS)
     kind, corrupt = MODEL_FILE_CORRUPTIONS[corruption]
-    path = out / dataio.MODELS_DIR / f"{kind}.json"
+    path = out / dataio.MODELS_DIR / f"{kind}.npz"
     path.write_bytes(corrupt(path))
     assert run_cli("evaluate", "--config", config, "--out", out) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"ERROR ModelError: {kind}.json: ") and err.count("\n") == 1
+    assert err.startswith(f"ERROR ModelError: {kind}.npz: ") and err.count("\n") == 1
     assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]
 
 
@@ -642,7 +680,7 @@ def models_to_truncate(tmp_path_factory, pipelined):
 @given(kind=st.sampled_from(MODEL_KINDS), data=st.data())
 def test_truncated_model_file_is_model_error(models_to_truncate, kind, data):
     config, out = models_to_truncate
-    path = out / dataio.MODELS_DIR / f"{kind}.json"
+    path = out / dataio.MODELS_DIR / f"{kind}.npz"
     original = path.read_bytes()
     offset = data.draw(st.integers(0, len(original) - 1), label="offset")
     path.write_bytes(original[:offset])
@@ -653,7 +691,7 @@ def test_truncated_model_file_is_model_error(models_to_truncate, kind, data):
     finally:
         path.write_bytes(original)
     assert code == 4
-    assert err.getvalue().startswith(f"ERROR ModelError: {kind}.json: ")
+    assert err.getvalue().startswith(f"ERROR ModelError: {kind}.npz: ")
     assert err.getvalue().count("\n") == 1
     assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]
 
@@ -676,7 +714,7 @@ def test_models_trained_on_other_features_are_model_error(tmp_path, pipelined, c
     capsys.readouterr()
     assert run_cli("evaluate", "--config", renamed, "--out", out) == 4
     assert capsys.readouterr().err == (
-        "ERROR ModelError: dt.json was trained on other features than features.csv's; "
+        "ERROR ModelError: dt.npz was trained on other features than features.csv's; "
         "rerun train\n"
     )
     assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]

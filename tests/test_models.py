@@ -1,7 +1,7 @@
 """Regressor and benchmark tests, including independent oracles."""
 
-import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,12 +21,11 @@ from chamberhealth.models import (
     mlp_gradients,
     mlp_init,
     mlp_loss,
-    model_from_json,
-    model_to_json,
     save_model,
     train_model,
 )
 from helpers import (
+    edited_npz,
     hi_by_run_id,
     preorder,
     reference_build_tree,
@@ -532,46 +531,55 @@ def test_model_json_roundtrip_bit_exact(kind, tmp_path):
     params = {"rf": {"n_trees": 5}, "mlp": {"epochs": 3}, "svr": {"steps": 50}}
     spec = RegressorSpec(kind, params.get(kind, {}), seed=4)
     model = train_model(spec, train)
-    text = model_to_json(model)
-    back = model_from_json(text)
-    assert model_to_json(back) == text
-    save_model(model, tmp_path / "model.json")
-    assert (tmp_path / "model.json").read_bytes() == text.encode("utf-8")
+    save_model(model, tmp_path / "model.npz")
+    back = load_model(tmp_path / "model.npz")
+    save_model(back, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "model.npz").read_bytes()
+    for f in fields(model.inner):
+        assert type(getattr(back.inner, f.name)) is type(getattr(model.inner, f.name)), f.name
+    assert (back.kind, back.seed, back.feature_names) == (model.kind, model.seed, model.feature_names)
     q = np.random.default_rng(1).uniform(size=(25, 5))
     assert np.array_equal(model.predict(q), back.predict(q))
 
 
-def _last_split(payload):
+def _last_split(doc):
     """The node-table row of the last split in preorder."""
-    return max(i for i, f in enumerate(payload["feature"]) if f >= 0)
+    return int(np.flatnonzero(doc["payload.feature"] >= 0)[-1])
 
 
 def _set(field, value, row=0):
-    """An edit that sets row i of payload[field] to value, or to value(i)
-    if value is a function; row is i, or a function of the payload."""
+    """An edit that sets row i of array payload.<field> to value, or to
+    value(i) if value is a function; row is i, or a function of the file's
+    arrays."""
     def edit(doc):
-        payload = doc["payload"]
-        i = row(payload) if callable(row) else row
-        payload[field][i] = value(i) if callable(value) else value
+        i = row(doc) if callable(row) else row
+        doc[f"payload.{field}"][i] = value(i) if callable(value) else value
     return edit
 
 
-# each edit leaves a well-formed document that does not describe a usable
+def _put(name, value):
+    """An edit that replaces array ``name`` with ``value(array)``, or adds
+    it (``value(None)``) if the file has no such array."""
+    return lambda doc: doc.update({name: np.asarray(value(doc.get(name)))})
+
+
+# each edit leaves a readable archive that does not describe a usable
 # model of its 5 features: an array that does not fit them, a NaN or an
-# infinity, a node table whose walks could leave it or loop, a number
-# that an integer or boolean field would have to truncate or cast, or a
-# string or boolean where a float is due
+# infinity, a node table whose walks could leave it or loop, an array of
+# another dtype or rank than its field's type is stored with, or an
+# array missing or extra
 SHAPE_FAULTS = {
-    "knn-standardizer-mu": ("knn", lambda doc: doc["standardizer"]["mu"].pop()),
-    "svr-standardizer-sigma": ("svr", lambda doc: doc["standardizer"]["sigma"].append(1.0)),
-    "svr-w": ("svr", lambda doc: doc["payload"]["w"].pop()),
-    "knn-X-column": ("knn", lambda doc: [row.pop() for row in doc["payload"]["X"]]),
-    "knn-y": ("knn", lambda doc: doc["payload"]["y"].pop()),
-    "knn-k-above-rows": ("knn", lambda doc: doc["payload"].update(k=len(doc["payload"]["y"]) + 1)),
-    "mlp-W1": ("mlp", lambda doc: doc["payload"]["W1"].pop()),
-    "mlp-b1": ("mlp", lambda doc: doc["payload"]["b1"].pop()),
-    "mlp-W2": ("mlp", lambda doc: doc["payload"]["W2"].pop()),
-    "mlp-b2": ("mlp", lambda doc: doc["payload"]["b2"].append(0.0)),
+    "knn-standardizer-mu": ("knn", _put("standardizer.mu", lambda a: a[:-1])),
+    "svr-standardizer-sigma": ("svr", _put("standardizer.sigma", lambda a: np.append(a, 1.0))),
+    "svr-w": ("svr", _put("payload.w", lambda a: a[:-1])),
+    "knn-X-column": ("knn", _put("payload.X", lambda a: a[:, :-1])),
+    "knn-y": ("knn", _put("payload.y", lambda a: a[:-1])),
+    "knn-k-above-rows": ("knn", lambda doc: doc.update(
+        {"payload.k": np.asarray(doc["payload.y"].size + 1)})),
+    "mlp-W1": ("mlp", _put("payload.W1", lambda a: a[:-1])),
+    "mlp-b1": ("mlp", _put("payload.b1", lambda a: a[:-1])),
+    "mlp-W2": ("mlp", _put("payload.W2", lambda a: a[:-1])),
+    "mlp-b2": ("mlp", _put("payload.b2", lambda a: np.append(a, 0.0))),
     "dt-negative-feature": ("dt", _set("feature", -2)),
     "rf-deep-feature-out-of-range": ("rf", _set("feature", 5, _last_split)),
     "dt-right-to-itself": ("dt", _set("right", 0)),
@@ -579,46 +587,57 @@ SHAPE_FAULTS = {
     "dt-right-backward": ("dt", _set("right", lambda i: i - 1, _last_split)),
     "dt-right-past-the-end": ("dt", _set("right", 10**6)),
     "rf-right-past-the-end": ("rf", _set("right", lambda i: i + 10**6, _last_split)),
-    "dt-tables-of-unequal-length": ("dt", lambda doc: doc["payload"]["right"].pop()),
+    "dt-tables-of-unequal-length": ("dt", _put("payload.right", lambda a: a[:-1])),
     "rf-root-past-the-end": ("rf", _set("roots", 10**6, -1)),
-    "rf-roots-of-another-length": ("rf", lambda doc: doc["payload"]["roots"].pop()),
+    "rf-roots-of-another-length": ("rf", _put("payload.roots", lambda a: a[:-1])),
     "dt-threshold-inf": ("dt", _set("threshold", math.inf)),
     "rf-leaf-value-nan": ("rf", _set("value", math.nan, -1)),
-    "svr-b-nan": ("svr", lambda doc: doc["payload"].update(b=math.nan)),
-    "svr-epsilon-minus-inf": ("svr", lambda doc: doc["payload"].update(epsilon=-math.inf)),
-    "knn-standardizer-sigma-nan": ("knn", lambda doc: doc["standardizer"]["sigma"].__setitem__(
+    "svr-b-nan": ("svr", _put("payload.b", lambda a: math.nan)),
+    "svr-epsilon-minus-inf": ("svr", _put("payload.epsilon", lambda a: -math.inf)),
+    "knn-standardizer-sigma-nan": ("knn", lambda doc: doc["standardizer.sigma"].__setitem__(
         0, math.nan)),
-    "mlp-W1-inf": ("mlp", lambda doc: doc["payload"]["W1"][0].__setitem__(0, math.inf)),
+    "mlp-W1-inf": ("mlp", lambda doc: doc["payload.W1"].__setitem__((0, 0), math.inf)),
     "dt-with-standardizer": ("dt", lambda doc: doc.update(
-        standardizer={"mu": [0.0] * 5, "sigma": [1.0] * 5})),
-    "knn-without-standardizer": ("knn", lambda doc: doc.update(standardizer=None)),
-    "dt-feature-not-an-integer": ("dt", _set("feature", 2.7)),
-    "dt-max-depth-not-an-integer": ("dt", lambda doc: doc["payload"].update(max_depth=2.9)),
-    "rf-bootstrap-not-a-boolean": ("rf", lambda doc: doc["payload"].update(bootstrap=0.5)),
-    "rf-payload-seed-is-a-boolean": ("rf", lambda doc: doc["payload"].update(seed=True)),
-    "rf-seed-is-a-boolean": ("rf", lambda doc: doc.update(seed=True)),
-    "svr-epsilon-is-a-string": ("svr", lambda doc: doc["payload"].update(epsilon="0.5")),
-    "svr-w-holds-a-boolean": ("svr", _set("w", True)),
-    "svr-b-is-a-boolean": ("svr", lambda doc: doc["payload"].update(b=False)),
-    "mlp-W1-holds-a-string": ("mlp", lambda doc: doc["payload"]["W1"][0].__setitem__(0, "1e3")),
-    "rf-threshold-holds-a-string": ("rf", _set("threshold", "0.1")),
+        {"standardizer.mu": np.zeros(5), "standardizer.sigma": np.ones(5)})),
+    "knn-without-standardizer": ("knn", lambda doc: [doc.pop("standardizer.mu"),
+                                                     doc.pop("standardizer.sigma")]),
+    "dt-missing-array": ("dt", lambda doc: doc.pop("payload.n")),
+    "dt-extra-array": ("dt", _put("payload.depth", lambda a: 3)),
+    # dtype and rank: each stored type is one dtype and one rank
+    "dt-feature-not-an-integer": ("dt", _put("payload.feature", lambda a: a.astype(np.float64))),
+    "dt-feature-of-int32": ("dt", _put("payload.feature", lambda a: a.astype(np.int32))),
+    "dt-max-depth-not-an-integer": ("dt", _put("payload.max_depth", lambda a: 2.9)),
+    "rf-bootstrap-not-a-boolean": ("rf", _put("payload.bootstrap", lambda a: a.astype(np.int64))),
+    "rf-payload-seed-is-a-boolean": ("rf", _put("payload.seed", lambda a: True)),
+    "rf-seed-is-a-boolean": ("rf", _put("seed", lambda a: True)),
+    "svr-epsilon-is-a-string": ("svr", _put("payload.epsilon", lambda a: "0.5")),
+    "svr-w-holds-a-boolean": ("svr", _put("payload.w", lambda a: a.astype(bool))),
+    "svr-w-big-endian": ("svr", _put("payload.w", lambda a: a.astype(">f8"))),
+    "svr-b-is-a-boolean": ("svr", _put("payload.b", lambda a: False)),
+    "svr-b-of-rank-1": ("svr", _put("payload.b", lambda a: a.reshape(1))),
+    "knn-k-of-rank-1": ("knn", _put("payload.k", lambda a: a.reshape(1))),
+    "rf-roots-of-rank-2": ("rf", _put("payload.roots", lambda a: a.reshape(1, -1))),
+    "mlp-W1-holds-a-string": ("mlp", _put("payload.W1", lambda a: a.astype(str))),
+    "rf-threshold-holds-a-string": ("rf", _put("payload.threshold", lambda a: a.astype(str))),
+    "knn-feature-names-of-bytes": ("knn", _put("feature_names", lambda a: a.astype(bytes))),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(SHAPE_FAULTS))
-def test_model_from_json_refuses_arrays_that_do_not_fit_the_features(fault):
+def test_model_from_json_refuses_arrays_that_do_not_fit_the_features(fault, tmp_path):
     kind, edit = SHAPE_FAULTS[fault]
     params = {"rf": {"n_trees": 3}, "mlp": {"epochs": 1, "hidden_units": 4}, "svr": {"steps": 5}}
     model = train_model(RegressorSpec(kind, params.get(kind, {}), seed=4), _train_fixture())
-    doc = json.loads(model_to_json(model))
-    edit(doc)
-    with pytest.raises(ModelError):
-        model_from_json(json.dumps(doc))
+    path = tmp_path / f"{kind}.npz"
+    save_model(model, path)
+    path.write_bytes(edited_npz(path, edit))
+    with pytest.raises(ModelError, match=f"^{kind}.npz: "):
+        load_model(path)
 
 
 def test_save_model_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
     train = _train_fixture()
-    path = tmp_path / "dt.json"
+    path = tmp_path / "dt.npz"
     save_model(train_model(RegressorSpec("dt"), train), path)
     before = path.read_bytes()
 
@@ -633,21 +652,32 @@ def test_save_model_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
     assert load_model(path).kind == "dt"
 
 
-def test_model_file_format_header():
-    train = _train_fixture()
-    model = train_model(RegressorSpec("dt"), train)
-    doc = json.loads(model_to_json(model))
-    assert doc["format"] == "chamberhealth-model"
-    assert doc["version"] == 2
-    assert doc["kind"] == "dt"
+def test_model_file_format_header(tmp_path):
+    path = tmp_path / "knn.npz"
+    save_model(train_model(RegressorSpec("knn"), _train_fixture()), path)
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive["format"][()] == "chamberhealth-model"
+        assert archive["version"][()] == 3
+        assert archive["kind"][()] == "knn"
+        assert archive["feature_names"].tolist() == [f"f{j}" for j in range(5)]
+        assert sorted(archive.files) == [
+            "feature_names", "format", "kind", "payload.X", "payload.k", "payload.y", "seed",
+            "standardizer.mu", "standardizer.sigma", "version",
+        ]
 
 
-def test_older_model_format_is_refused():
-    # version 1 wrote trees as nested node objects; only one reader is kept
-    doc = json.loads(model_to_json(train_model(RegressorSpec("dt"), _train_fixture())))
-    doc["version"] = 1
-    with pytest.raises(ModelError, match="unsupported model format version 1; rerun train"):
-        model_from_json(json.dumps(doc))
+def test_older_model_format_is_refused(tmp_path):
+    # version 1 wrote trees as nested node objects, version 2 was JSON; only one reader is kept
+    path = tmp_path / "dt.npz"
+    save_model(train_model(RegressorSpec("dt"), _train_fixture()), path)
+    current = path.read_bytes()
+    for version in (1, 2):
+        path.write_bytes(current)
+        path.write_bytes(edited_npz(path, _put("version", lambda a: version)))
+        with pytest.raises(ModelError, match=(
+            f"^dt.npz: unsupported model format version {version}; rerun train$"
+        )):
+            load_model(path)
 
 
 def test_standardized_kinds_carry_the_handle():
