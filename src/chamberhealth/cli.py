@@ -130,8 +130,6 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         "config_hash": config_hash(cfg),
         "horizon": cfg.horizon,
         "train_frac": cfg.train_frac,
-        "train_rows": train.n_rows,
-        "test_rows": test.n_rows,
     }
     report = evaluate_all(models, train, test, fingerprint)
     dataio.atomic_write_text(out / dataio.REPORT_JSON, report.to_json() + "\n")
@@ -148,6 +146,17 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     stage_build_features(cfg)
     stage_train(cfg)
     stage_evaluate(cfg)
+
+
+# The function each subcommand runs; train --model <kind> passes its kind.
+STAGES = {
+    "simulate": stage_simulate,
+    "derive-hi": stage_derive_hi,
+    "build-features": stage_build_features,
+    "train": stage_train,
+    "evaluate": stage_evaluate,
+    "pipeline": run_pipeline,
+}
 
 
 # Override flags of each subcommand, as the (section, key) each one sets.
@@ -227,21 +236,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         if args.command == "show-config":
             return 0
-        if args.command == "simulate":
-            stage_simulate(cfg)
-        elif args.command == "derive-hi":
-            stage_derive_hi(cfg)
-        elif args.command == "build-features":
-            stage_build_features(cfg)
-        elif args.command == "train":
-            kinds = list(MODEL_KINDS) if args.model == "all" else [args.model]
-            stage_train(cfg, kinds)
-        elif args.command == "evaluate":
-            stage_evaluate(cfg)
-        elif args.command == "pipeline":
-            run_pipeline(cfg)
-        else:  # pragma: no cover - argparse enforces choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        if args.command == "train" and args.model != "all":
+            stage_train(cfg, [args.model])
+        else:
+            STAGES[args.command](cfg)
     except tuple(EXIT_CODES) as exc:
         cls = next(cls for cls in EXIT_CODES if isinstance(exc, cls))
         sys.stderr.write(f"ERROR {cls.__name__}: {exc}\n")

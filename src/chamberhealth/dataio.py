@@ -2,9 +2,10 @@
 
 All files are UTF-8, comma-delimited, '.' decimal separator, with a
 mandatory header row, and every row has as many fields as the header.
-Floats are rendered with repr() so that every write/read cycle
-round-trips bit-exactly. Files are written to a temp path and renamed
-into place, so a failing stage never leaves a partial file.
+Cells are rendered by the csv module, which writes a float as its
+repr(), so that every write/read cycle round-trips bit-exactly. Files
+are written to a temp path and renamed into place, and a failed write
+removes its temp file, so a failing stage never leaves a partial file.
 
 The eight fixed-header CSVs are declared once, in ``SCHEMAS``: column
 names in order, each with its cell type. Their writers take the header
@@ -97,23 +98,17 @@ SCHEMAS: dict[str, dict[str, type]] = {
 }
 
 
-def fmt(value) -> str:
-    """Canonical cell text: shortest round-trip form for floats."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
-
-
 @contextmanager
 def atomic_open(path: PathLike, binary: bool = False) -> Iterator[io.IOBase]:
     """A text (or binary) file at a temp path, renamed to ``path`` once written."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only a failed write leaves it
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
@@ -125,8 +120,7 @@ def write_csv(path: PathLike, header: Iterable[str], rows: Iterable[Sequence]) -
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 @contextmanager
@@ -176,6 +170,16 @@ def _cells(name: str):
         yield
     except ValueError as exc:
         raise DataError(f"bad cell in {name}: {exc}") from None
+
+
+def _finite_floats(rows: Sequence[Sequence[str]], name: str) -> np.ndarray:
+    """The cells of ``rows`` as one float64 array; a cell that does not
+    parse or is not finite raises DataError naming file ``name``."""
+    with _cells(name):
+        values = np.array(rows, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite cell in {name}")
+    return values
 
 
 def read_table(path: PathLike) -> list[tuple]:
@@ -230,7 +234,7 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
 
     Chunks of RUNS_PER_CHUNK runs are rendered on every CPU (see
     workers) and written in run order as they arrive. The bytes are the
-    ones write_csv would write cell by cell.
+    ones write_csv would write cell by cell, except that NaN is an empty cell.
     """
     if not runs:
         raise DataError("no runs to write")
@@ -385,10 +389,7 @@ def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
             f"{RUN_AGGREGATES_CSV} does not list the runs of {RUN_META_CSV} in the same order; "
             "rerun derive-hi"
         )
-    with _cells(RUN_AGGREGATES_CSV):
-        values = np.array([row[1:] for row in rows], dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DataError(f"non-finite cell in {RUN_AGGREGATES_CSV}")
+    values = _finite_floats([row[1:] for row in rows], RUN_AGGREGATES_CSV)
     return [
         RunSummary(*fields, aggregates=dict(zip(header[1:], row)))
         for fields, row in zip(meta, values.tolist())
@@ -449,11 +450,7 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     m_rows = read_table(in_dir / META_CSV)
     if len(m_rows) != len(f_rows):
         raise DataError(f"{FEATURES_CSV} and {META_CSV} row counts differ")
-
-    with _cells(FEATURES_CSV):
-        values = np.array(f_rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DataError(f"non-finite cell in {FEATURES_CSV}")
+    values = _finite_floats(f_rows, FEATURES_CSV)
     meta = [
         RowMeta(*fields, tuple(plan.split("|")) if plan else ())
         for *fields, plan, _ in m_rows

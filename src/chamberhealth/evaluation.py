@@ -68,19 +68,10 @@ def evaluate_all(
     ten-step target difference recomputed from the row metadata, and
     every model's and benchmark's test predictions.
     """
-    results = []
-    predictions: dict[str, np.ndarray] = {}
-    for kind in sorted(models):
-        pred = models[kind].predict(test.X)
-        results.append((kind, mae(test.y, pred)))
-        predictions[kind] = pred
-    results.sort(key=lambda item: (item[1], item[0]))
-
-    benchmarks = {}
-    for kind in BENCHMARK_KINDS:
-        pred = benchmark_predict(kind, train, test)
-        benchmarks[kind] = mae(test.y, pred)
-        predictions[kind] = pred
+    predictions = {kind: models[kind].predict(test.X) for kind in sorted(models)}
+    predictions.update({kind: benchmark_predict(kind, train, test) for kind in BENCHMARK_KINDS})
+    scores = {kind: mae(test.y, pred) for kind, pred in predictions.items()}
+    results = sorted(((kind, scores[kind]) for kind in models), key=lambda item: (item[1], item[0]))
 
     bm1_identity = float(
         np.mean([abs(y - m.hi_current) for y, m in zip(test.y, test.meta)])
@@ -90,7 +81,7 @@ def evaluate_all(
     fingerprint.setdefault("test_rows", test.n_rows)
     return EvalReport(
         results=tuple(results),
-        benchmarks=benchmarks,
+        benchmarks={kind: scores[kind] for kind in BENCHMARK_KINDS},
         dataset=fingerprint,
         bm1_identity=bm1_identity,
         predictions=predictions,

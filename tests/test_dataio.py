@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -84,7 +85,7 @@ def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
             cells = [run.run_id, run.asset_id, float(run.t[i])]
             cells += [float(v) for v in run.readings[i]]
             cells += [float(run.extra_channels[name][i]) for name in channels]
-            writer.writerow([dataio.fmt(v) for v in cells])
+            writer.writerow(["" if isinstance(v, float) and math.isnan(v) else v for v in cells])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
     rows = [row[3:7] for row in csv.reader(path.read_text().splitlines()) if row[0] == "r,nan"]
     empty = [[j for j, cell in enumerate(row) if not cell] for row in rows[:4]]
@@ -167,14 +168,41 @@ def test_header_validation(tmp_path, name):
         dataio.read_table(tmp_path / name)
 
 
-def test_float_cells_use_shortest_roundtrip_form():
-    assert dataio.fmt(0.1) == "0.1"
-    assert dataio.fmt(1e-06) == "1e-06"
-    assert dataio.fmt(float("nan")) == ""
-    assert dataio.fmt(7) == "7"
+def test_float_cells_use_shortest_roundtrip_form(tmp_path):
+    path = tmp_path / "x.csv"
+    dataio.write_csv(path, ["a", "b", "c", "d"], [[0.1, 1e-06, 7, 1e16]])
+    assert path.read_bytes() == b"a,b,c,d\r\n0.1,1e-06,7,1e+16\r\n"
 
 
 def test_no_tmp_files_left_behind(tmp_path, small_dataset):
     config, ds = small_dataset
     dataio.write_dataset(tmp_path, ds)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_write_leaves_neither_temp_nor_target(tmp_path):
+    def rows():
+        yield [1.0, 2.0]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        dataio.write_csv(tmp_path / "x.csv", ["a", "b"], rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_dataset,
+                                                               monkeypatch):
+    _, ds = small_dataset
+    second = ds.runs[dataio.RUNS_PER_CHUNK].run_id
+    render = dataio._render_runs
+
+    def failing_render(channels, runs):
+        # decided by the chunk's content, so it holds in whichever worker renders it
+        if runs[0].run_id == second:
+            raise DataError("second chunk failed")
+        return render(channels, runs)
+
+    monkeypatch.setattr(dataio, "_render_runs", failing_render)
+    with pytest.raises(DataError, match="second chunk failed"):
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, ds.runs)
+    assert list(tmp_path.iterdir()) == []

@@ -28,6 +28,7 @@ from helpers import (
     edited_npz,
     hi_by_run_id,
     preorder,
+    reference_bm2,
     reference_build_tree,
     reference_forest_tree,
     table_rows,
@@ -448,6 +449,25 @@ def test_bm2_indexes_by_target_cycle_position():
     assert pred[2] == pytest.approx(35.0)
     # position 2 is equidistant from 0 and 4: tie resolves to the lower
     assert pred[3] == pytest.approx(15.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    train_rows=st.lists(
+        st.tuples(st.integers(0, 12), st.floats(9.0, 11.0)), min_size=1, max_size=40,
+    ),
+    test_positions=st.lists(st.integers(-3, 16), max_size=20),
+    scale=st.sampled_from([1.0, 1e-3, -7.0, 1e6]),
+)
+def test_bm2_matches_the_dict_and_loop_reference(train_rows, test_positions, scale):
+    # HI-like targets whose sums round differently in another order;
+    # repeated positions, gaps, test positions no train row has (below,
+    # between and above) and, with odd gaps, positions equidistant from two
+    train = _toy_set([y * scale for _, y in train_rows], [p for p, _ in train_rows])
+    test = _toy_set([0.0] * len(test_positions), test_positions)
+    pred = benchmark_predict("bm2", train, test)
+    assert np.array_equal(pred, reference_bm2(train, test))
+    assert pred.dtype == np.float64 and pred.shape == (len(test_positions),)
 
 
 def test_bm2_exact_on_in_distribution_curve():
