@@ -7,8 +7,8 @@ which drives the INI writer, the INI reader and the CLI override flags;
 a key's format refuses a value outside its range before any stage runs.
 Flags override file keys; every subcommand prints the fully resolved
 form before acting. The config hash covers only the science-relevant
-sections, so runs that differ merely in output path reproduce
-identical reports.
+sections, so runs that differ merely in output path, or in which
+outputs ([eval]) they write, reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .simgen import (
     recipe_probabilities,
 )
 
-HASHED_SECTIONS = ("simgen", "hi", "features", "models", "eval")
+HASHED_SECTIONS = ("simgen", "hi", "features", "models")
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,10 @@ def test_dump_predictions_flag(tmp_path, small_config):
     assert header == ["run_id", "target", "model", "prediction"]
     kinds = {row[2] for row in rows}
     assert {"dt", "rf", "knn", "svr", "mlp", "bm1", "bm2", "bm3"} <= kinds
+    # [eval] is outside the config hash: the output-only flag leaves report.json as it is
+    report = (out / dataio.REPORT_JSON).read_bytes()
+    assert run_cli("evaluate", "--config", small_config, "--out", out) == 0
+    assert (out / dataio.REPORT_JSON).read_bytes() == report
 
 
 def test_plot_csv_schema(tmp_path, small_config):

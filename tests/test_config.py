@@ -114,6 +114,11 @@ def test_hash_ignores_cli_section():
     )
 
 
+def test_hash_ignores_output_only_eval_section():
+    base = default_config()
+    assert config_hash(replace(base, dump_predictions=True)) == config_hash(base)
+
+
 def test_hash_tracks_science_sections():
     base = default_config()
     changed = replace(base, horizon=5)
