@@ -16,9 +16,7 @@ from typing import Optional, Sequence
 
 from . import dataio
 from .config import (
-    BOOL,
     SETTINGS,
-    SETTINGS_BY_KEY,
     PipelineConfig,
     apply_settings,
     config_hash,
@@ -135,8 +133,7 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     dataio.atomic_write_text(out / dataio.REPORT_JSON, report.to_json() + "\n")
     best_kind = report.results[0][0]
     dataio.write_plot_hi_csv(out / dataio.PLOT_HI_CSV, test, best_kind, report.predictions)
-    if cfg.dump_predictions:
-        dataio.write_predictions_csv(out / dataio.PREDICTIONS_CSV, test, report.predictions)
+    dataio.write_predictions_csv(out / dataio.PREDICTIONS_CSV, test, report.predictions)
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:
@@ -166,7 +163,6 @@ STAGES = {
 _CLI_FLAGS = (("cli", "seed"), ("cli", "out"))
 _SIMULATE_FLAGS = (("simgen", "n_assets"), ("simgen", "n_runs_total"), ("simgen", "cycle_length"))
 _FEATURE_FLAGS = (("features", "horizon"), ("features", "train_frac"))
-_EVALUATE_FLAGS = (("eval", "dump_predictions"),)
 _TRAIN_FLAGS = tuple(
     ("models", key)
     for key in (
@@ -180,8 +176,8 @@ COMMANDS = {
     "derive-hi": ("fit segments and extract the health index", (("hi", "analysis_limit"),)),
     "build-features": ("build the horizon-N supervised split", _FEATURE_FLAGS),
     "train": ("train forecasting models", _TRAIN_FLAGS),
-    "evaluate": ("score models and benchmarks, write report.json", _EVALUATE_FLAGS),
-    "pipeline": ("run all stages in order", _SIMULATE_FLAGS + _FEATURE_FLAGS + _EVALUATE_FLAGS),
+    "evaluate": ("score models and benchmarks, write report.json", ()),
+    "pipeline": ("run all stages in order", _SIMULATE_FLAGS + _FEATURE_FLAGS),
 }
 COMMANDS["show-config"] = (
     "print the fully resolved configuration",
@@ -190,14 +186,8 @@ COMMANDS["show-config"] = (
 
 
 def _add_override(parser: argparse.ArgumentParser, section: str, key: str) -> None:
-    setting = SETTINGS_BY_KEY[(section, key)]
-    flag = "--" + key.replace("_", "-")
-    if setting.fmt is BOOL:
-        parser.add_argument(flag, dest=f"{section}.{key}", action="store_const", const="true",
-                            help=f"set [{section}] {key} = true")
-    else:
-        parser.add_argument(flag, dest=f"{section}.{key}", metavar="VALUE",
-                            help=f"override [{section}] {key}")
+    parser.add_argument("--" + key.replace("_", "-"), dest=f"{section}.{key}", metavar="VALUE",
+                        help=f"override [{section}] {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:

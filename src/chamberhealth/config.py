@@ -1,14 +1,14 @@
 """Pipeline configuration: defaults, INI round-trip, fingerprint hash.
 
 The config file is INI-style ``key = value`` with one section per
-module ([simgen], [hi], [features], [models], [eval]) plus [cli] for
-seed and output directory. Every key is declared once, in ``SETTINGS``,
-which drives the INI writer, the INI reader and the CLI override flags;
-a key's format refuses a value outside its range before any stage runs.
-Flags override file keys; every subcommand prints the fully resolved
-form before acting. The config hash covers only the science-relevant
-sections, so runs that differ merely in output path, or in which
-outputs ([eval]) they write, reproduce identical reports.
+module ([simgen], [hi], [features], [models]) plus [cli] for seed and
+output directory; any other section, [DEFAULT] too, is refused. Every
+key is declared once, in ``SETTINGS``, which drives the INI writer, the
+INI reader and the CLI override flags; a key's format refuses a value
+outside its range before any stage runs. Flags override file keys; every
+subcommand prints the fully resolved form before acting. The config hash
+covers only the science-relevant sections, so runs that differ merely in
+seed or output path reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class PipelineConfig:
     horizon: int = 10
     train_frac: float = 0.7
     model_params: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
-    dump_predictions: bool = False
     seed: Optional[int] = None
     out_dir: str = "out"
 
@@ -96,15 +95,6 @@ def _mapping_to_str(mapping: Mapping[str, float]) -> str:
     return ", ".join(f"{k}:{float(v)!r}" for k, v in mapping.items())
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"bad boolean: {text!r}")
-
-
 def _parse_segments(text: str) -> tuple[SegmentSpec, ...]:
     segments = tuple(
         SegmentSpec(int(p[0]), FLOAT.parse(p[1]), FLOAT.parse(p[2])) for p in _parse_list(text, 3)
@@ -138,7 +128,6 @@ def _bounded(fmt: Format, bound: str, ok: Callable[[float], bool]) -> Format:
 INT = Format(str, int)
 FLOAT = _bounded(Format(repr, float), "finite", math.isfinite)
 TEXT = Format(str, str)
-BOOL = Format(lambda v: "true" if v else "false", _parse_bool)
 NONNEG_INT = _bounded(INT, ">= 0", lambda v: v >= 0)
 POS_INT = _bounded(INT, ">= 1", lambda v: v >= 1)
 NONNEG_FLOAT = _bounded(FLOAT, ">= 0", lambda v: v >= 0)
@@ -247,7 +236,6 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("features", "horizon", "pipeline", "horizon", POS_INT),
     Setting("features", "train_frac", "pipeline", "train_frac", FRACTION),
     *_MODEL_SETTINGS,
-    Setting("eval", "dump_predictions", "pipeline", "dump_predictions", BOOL),
 )
 SETTINGS_BY_KEY = {(s.section, s.key): s for s in SETTINGS}
 SECTIONS = tuple(dict.fromkeys(s.section for s in SETTINGS))
@@ -305,7 +293,8 @@ def apply_settings(cfg: PipelineConfig, values: Mapping[tuple[str, str], str]) -
 
 def config_from_ini(text: str) -> PipelineConfig:
     """Parse an INI string, starting from defaults and overriding present keys."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] is one more unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -17,13 +17,14 @@ their own; their float cells must be finite too, except that an empty
 sensor cell marks an invalid reading.
 
 ``runs.csv`` holds each run as one contiguous block of rows in time
-order. It is written one block at a time, each block rendered as one
-string, and read one block at a time, so no stage holds more than one
-run's text rows. An empty cell is allowed only in a sensor column, where
-it means the reading was invalid. Any other malformed input (a wrong
-field count, a non-numeric or empty cell elsewhere, a run split over
-two blocks, an ``asset_id`` that differs from ``run_meta.csv``) raises
-DataError, as do bytes that are not UTF-8 in any CSV.
+order, the blocks in ``run_meta.csv`` order; only ``run_meta.csv`` says
+which asset a run belongs to. It is written one block at a time, each
+block rendered as one string, and read one block at a time, so no stage
+holds more than one run's text rows. An empty cell is allowed only in a
+sensor column, where it means the reading was invalid. Any other
+malformed input (a wrong field count, a non-numeric or empty cell
+elsewhere, a block that is not the run ``run_meta.csv`` lists at its
+place) raises DataError, as do bytes that are not UTF-8 in any CSV.
 
 ``derive-hi`` is the only stage that reads ``runs.csv``. Beside the HI
 it writes ``run_aggregates.csv``, the channel aggregates of every run
@@ -40,7 +41,7 @@ import math
 import os
 from contextlib import contextmanager
 from functools import partial
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -215,11 +216,11 @@ RUNS_PER_CHUNK = 20
 
 
 def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
-    """The runs.csv rows of ``runs``: per run, the quoted id prefix once,
-    then repr() of every value, NaN as an empty cell."""
+    """The runs.csv rows of ``runs``: per run, the quoted run_id prefix
+    once, then repr() of every value, NaN as an empty cell."""
     lines = []
     for run in runs:
-        prefix = _csv_line([run.run_id, run.asset_id]) + ","
+        prefix = _csv_line([run.run_id]) + ","
         block = np.column_stack(
             [run.t, run.readings, *(run.extra_channels[name] for name in channels)]
         )
@@ -230,7 +231,7 @@ def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
 
 
 def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
-    """`run_id,asset_id,t_s,p1_mbar..pN_mbar[,channel...]`, one row per sample.
+    """`run_id,t_s,p1_mbar..pN_mbar[,channel...]`, one row per sample.
 
     Chunks of RUNS_PER_CHUNK runs are rendered on every CPU (see
     workers) and written in run order as they arrive. The bytes are the
@@ -241,7 +242,7 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
     n_sensors = len(runs[0].sensor_ids)
     channels = sorted(runs[0].extra_channels)
     header = (
-        ["run_id", "asset_id", "t_s"]
+        ["run_id", "t_s"]
         + [f"p{j + 1}_mbar" for j in range(n_sensors)]
         + channels
     )
@@ -296,62 +297,48 @@ def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
 def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]:
     """Load the runs back from ``runs.csv`` and ``run_meta.csv``.
 
-    Sensor columns p1..pN are assigned to ``sensor_ids`` in order.
-    Runs come back in ``runs.csv`` order. Ground truth is not
+    Sensor columns p1..pN are assigned to ``sensor_ids`` in order. The
+    n-th block of ``runs.csv`` must be the n-th run of ``run_meta.csv``,
+    which gives each run its identity and order. Ground truth is not
     re-attached; it only exists on freshly generated in-memory runs.
     """
     in_dir = Path(in_dir)
-    # RunRecord fields asset_id, start_time, recipe_id, n_runs
-    meta = {rid: fields for rid, *fields in read_run_meta(in_dir)}
+    meta = read_run_meta(in_dir)
 
     runs = []
     with _open_csv(in_dir / RUNS_CSV) as (header, rows):
-        if header[:3] != ["run_id", "asset_id", "t_s"]:
+        if header[:2] != ["run_id", "t_s"]:
             raise DataError(f"bad {RUNS_CSV} header: {header}")
         n_sensors = sum(1 for h in header if h.startswith("p") and h.endswith("_mbar"))
         if n_sensors != len(sensor_ids):
             raise DataError(
                 f"{RUNS_CSV} has {n_sensors} sensor columns, config defines {len(sensor_ids)}"
             )
-        channel_names = header[3 + n_sensors:]
-        seen: set[str] = set()
-        for rid, block in groupby(rows, key=itemgetter(0)):
-            if rid in seen:
-                raise DataError(f"run {rid}: rows are not one contiguous block in {RUNS_CSV}")
-            seen.add(rid)
-            if rid not in meta:
-                raise DataError(f"run {rid} present in {RUNS_CSV} but missing from {RUN_META_CSV}")
+        channel_names = header[2 + n_sensors:]
+        pairs = zip_longest(meta, groupby(rows, key=itemgetter(0)), fillvalue=(None, None))
+        for n, (fields, (rid, block)) in enumerate(pairs, 1):
+            if rid != fields[0]:
+                expected, found = ("the end" if r is None else f"run {r}" for r in (fields[0], rid))
+                raise DataError(f"{RUNS_CSV} block {n} does not follow {RUN_META_CSV}: "
+                                f"expected {expected}, found {found}")
             block = list(block)
-            asset = meta[rid][0]
-            if any(row[1] != asset for row in block):
-                raise DataError(
-                    f"run {rid}: asset_id in {RUNS_CSV} differs from {RUN_META_CSV} ({asset})"
-                )
             # an empty cell reads as NaN, which only a sensor column may hold
             with _cells(f"{RUNS_CSV}, run {rid}"):
                 values = np.array(
-                    [c or "nan" for row in block for c in row[2:]], dtype=np.float64
+                    [c or "nan" for row in block for c in row[1:]], dtype=np.float64
                 ).reshape(len(block), -1)
             t, channels = values[:, 0], values[:, 1 + n_sensors :]
             if not (np.isfinite(t).all() and np.isfinite(channels).all()):
                 raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
             runs.append(
                 RunRecord(
-                    rid,
-                    *meta[rid],
+                    *fields,
                     t=t,
                     readings=values[:, 1 : 1 + n_sensors],
                     sensor_ids=tuple(sensor_ids),
                     extra_channels={name: channels[:, j] for j, name in enumerate(channel_names)},
                 )
             )
-
-    missing = [rid for rid in meta if rid not in seen]
-    if missing:
-        raise DataError(
-            f"{len(missing)} run(s) listed in {RUN_META_CSV} but missing from {RUNS_CSV}, "
-            f"first {missing[0]}"
-        )
     return runs
 
 

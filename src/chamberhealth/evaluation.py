@@ -45,7 +45,7 @@ class EvalReport:
         return {
             "dataset": self.dataset,
             "results": results,
-            "benchmarks": dict(sorted(self.benchmarks.items())),
+            "benchmarks": self.benchmarks,
             "bm1_identity": self.bm1_identity,
         }
 

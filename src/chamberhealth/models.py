@@ -69,14 +69,17 @@ class RegressorSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        unknown = set(self.params) - set(DEFAULT_HYPERPARAMS[self.kind])
+        defaults = DEFAULT_HYPERPARAMS[self.kind]
+        unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown hyperparameters for {self.kind}: {sorted(unknown)}")
+        # a value is never cast, so a float depth or k is refused, not truncated
+        mistyped = sorted(k for k, v in self.params.items() if type(v) is not type(defaults[k]))
+        if mistyped:
+            raise ConfigError(f"wrong type for {self.kind} hyperparameters: {mistyped}")
 
     def resolved(self) -> dict:
-        out = dict(DEFAULT_HYPERPARAMS[self.kind])
-        out.update(self.params)
-        return out
+        return {**DEFAULT_HYPERPARAMS[self.kind], **self.params}
 
 
 # -- CART regression tree -------------------------------------------------
@@ -538,10 +541,8 @@ _FITTERS = {"dt": fit_decision_tree, "rf": fit_random_forest, "knn": fit_knn,
 
 
 def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
-    """Fit one model kind on a (fully encoded) train set. Each
-    hyperparameter goes to the fit function as its default's type."""
-    defaults = DEFAULT_HYPERPARAMS[spec.kind]
-    params = {key: type(defaults[key])(value) for key, value in spec.resolved().items()}
+    """Fit one model kind on a (fully encoded) train set."""
+    params = spec.resolved()
     if spec.kind in ("rf", "mlp"):
         params["seed"] = spec.seed
     std = Standardizer.fit(train.X) if spec.kind in STANDARDIZED_KINDS else None

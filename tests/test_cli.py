@@ -7,6 +7,7 @@ import shutil
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from chamberhealth import cli, core, dataio
 from chamberhealth.cli import build_parser, main
 from chamberhealth.config import (
-    BOOL, FLOAT, INT, RECIPES, SEGMENTS, SENSORS, SETTINGS, TEXT, load_config,
+    FLOAT, INT, RECIPES, SEGMENTS, SENSORS, SETTINGS, TEXT, load_config,
 )
 from chamberhealth.features import build_supervised, chrono_split, summarize_run
 from chamberhealth.hi import derive_hi
@@ -53,6 +54,7 @@ ARTIFACTS = [
     dataio.META_CSV,
     dataio.REPORT_JSON,
     dataio.PLOT_HI_CSV,
+    dataio.PREDICTIONS_CSV,
     *(f"{dataio.MODELS_DIR}/{kind}.npz" for kind in MODEL_KINDS),
 ]
 
@@ -166,20 +168,17 @@ def test_run_missing_from_runs_csv_is_data_error(tmp_path, small_config):
     assert not (out / dataio.HI_CSV).exists()
 
 
-def test_dump_predictions_flag(tmp_path, small_config):
-    out = tmp_path / "work"
-    assert run_cli("pipeline", "--config", small_config, "--out", out,
-                   "--dump-predictions") == 0
-    path = out / dataio.PREDICTIONS_CSV
-    assert path.exists()
-    header, rows = dataio.read_csv(path)
-    assert header == ["run_id", "target", "model", "prediction"]
-    kinds = {row[2] for row in rows}
-    assert {"dt", "rf", "knn", "svr", "mlp", "bm1", "bm2", "bm3"} <= kinds
-    # [eval] is outside the config hash: the output-only flag leaves report.json as it is
-    report = (out / dataio.REPORT_JSON).read_bytes()
-    assert run_cli("evaluate", "--config", small_config, "--out", out) == 0
-    assert (out / dataio.REPORT_JSON).read_bytes() == report
+def test_evaluate_writes_every_prediction(tmp_path, pipelined):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    (out / dataio.PREDICTIONS_CSV).unlink()
+    assert run_cli("evaluate", "--config", config, "--out", out) == 0
+    rows = dataio.read_table(out / dataio.PREDICTIONS_CSV)
+    kinds = Counter(row[2] for row in rows)
+    # every model and benchmark predicts each test row once, in kind order
+    assert sorted(kinds) == sorted({*MODEL_KINDS, "bm1", "bm2", "bm3"})
+    assert len(set(kinds.values())) == 1
+    assert [row[2] for row in rows] == sorted(row[2] for row in rows)
 
 
 def test_plot_csv_schema(tmp_path, small_config):
@@ -208,11 +207,28 @@ def _split_first_run(lines):
     return lines[:i] + lines[i + 1 :] + [lines[i]]
 
 
+def _run_blocks(lines):
+    """The header line and each run's block of lines, in file order."""
+    return lines[0], [list(b) for _, b in groupby(lines[1:], key=lambda l: l.split(",", 1)[0])]
+
+
+def _swap_first_two_runs(lines):
+    header, blocks = _run_blocks(lines)
+    return [header, *chain(blocks[1], blocks[0], *blocks[2:])]
+
+
+def _rename_first_run(lines):
+    header, blocks = _run_blocks(lines)
+    renamed = ["not-a-run," + line.split(",", 1)[1] for line in blocks[0]]
+    return [header, *chain(renamed, *blocks[1:])]
+
+
 def _corrupt(path, corruption):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(corruption(lines)))
 
 
+DERIVE_OUTPUTS = (dataio.FITS_CSV, dataio.HI_CSV, dataio.RUN_AGGREGATES_CSV)
 RUNS_CSV_CORRUPTIONS = {
     "non-numeric-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "abc"),
     "inf-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "inf"),
@@ -221,6 +237,8 @@ RUNS_CSV_CORRUPTIONS = {
     "cut-mid-row": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
     "blank-line": lambda lines: lines[: len(lines) // 2] + ["\n"] + lines[len(lines) // 2 :],
     "run-split-in-two-blocks": _split_first_run,
+    "blocks-out-of-run-meta-order": _swap_first_two_runs,
+    "block-not-in-run-meta": _rename_first_run,
 }
 
 SUPERVISED_CORRUPTIONS = {
@@ -257,8 +275,25 @@ def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, corruptio
     _corrupt(out / dataio.RUNS_CSV, RUNS_CSV_CORRUPTIONS[corruption])
     assert run_cli("derive-hi", "--config", config, "--out", out) == 3
     assert capsys.readouterr().err.startswith("ERROR DataError:")
-    assert not (out / dataio.HI_CSV).exists()
-    assert not (out / dataio.FITS_CSV).exists()
+    assert not [o for o in DERIVE_OUTPUTS if (out / o).exists()]
+
+
+def test_runs_csv_block_out_of_place_names_both_runs(tmp_path, simulated, capsys):
+    config, work = simulated
+    ids = [row[0] for row in dataio.read_run_meta(work)]
+    refusals = {  # the block that breaks run_meta.csv's order: (number, expected, found)
+        "blocks-out-of-run-meta-order": (1, f"run {ids[0]}", f"run {ids[1]}"),
+        "block-not-in-run-meta": (1, f"run {ids[0]}", "run not-a-run"),
+        "run-split-in-two-blocks": (len(ids) + 1, "the end", f"run {ids[0]}"),
+    }
+    for corruption, (n, expected, found) in refusals.items():
+        out = shutil.copytree(work, tmp_path / corruption)
+        _corrupt(out / dataio.RUNS_CSV, RUNS_CSV_CORRUPTIONS[corruption])
+        assert run_cli("derive-hi", "--config", config, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"ERROR DataError: runs.csv block {n} does not follow run_meta.csv: "
+            f"expected {expected}, found {found}\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -287,13 +322,8 @@ def _duplicate_first_meta_row(lines):
     return lines[:2] + [lines[1]] + lines[2:]
 
 
-def _change_first_runs_asset(lines):
-    return _set_cell(lines, 1, 1, "other-asset")
-
-
 DATASET_CORRUPTIONS = {
     "run-meta-duplicate-run-id": (dataio.RUN_META_CSV, _duplicate_first_meta_row),
-    "runs-csv-asset-differs-from-run-meta": (dataio.RUNS_CSV, _change_first_runs_asset),
     "run-meta-inf-start-time": (dataio.RUN_META_CSV, _set_column(
         dataio.RUN_META_CSV, "start_time", "inf")),
 }
@@ -311,7 +341,6 @@ def test_inconsistent_dataset_is_data_error(tmp_path, simulated, capsys, corrupt
 
 
 # (input file, stage that reads it, the stage's outputs)
-DERIVE_OUTPUTS = (dataio.FITS_CSV, dataio.HI_CSV, dataio.RUN_AGGREGATES_CSV)
 FEATURE_OUTPUTS = (dataio.FEATURES_CSV, dataio.META_CSV)
 NOT_UTF8_INPUTS = {
     dataio.PLAN_CSV: ("build-features", FEATURE_OUTPUTS),
@@ -386,7 +415,7 @@ def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipeline
     # reader in the program; this pins their headers and cell types
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
-    assert run_cli("evaluate", "--config", config, "--out", out, "--dump-predictions") == 0
+    assert run_cli("evaluate", "--config", config, "--out", out) == 0
     for name, schema in dataio.SCHEMAS.items():
         rows = dataio.read_table(out / name)
         assert rows, name
@@ -477,7 +506,7 @@ OUT_OF_RANGE_SETTINGS = {
     "mlp-learning-rate-negative": ("models", "mlp_learning_rate", "-0.5", "> 0, got -0.5"),
 }
 # formats without a range of their own (FLOAT refuses only nan and inf)
-UNBOUNDED_FORMATS = (INT, FLOAT, TEXT, BOOL, SENSORS, SEGMENTS, RECIPES)
+UNBOUNDED_FORMATS = (INT, FLOAT, TEXT, SENSORS, SEGMENTS, RECIPES)
 
 
 def test_every_bounded_setting_has_an_out_of_range_case():

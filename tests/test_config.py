@@ -69,13 +69,17 @@ def test_unknown_keys_and_sections_rejected():
     # the thread cap was removed; old config dumps still carrying it fail loudly
     with pytest.raises(ConfigError, match=r"unknown \[cli\] key: threads"):
         config_from_ini("[cli]\nthreads = 1\n")
+    # so was the [eval] section, whose one switch is now always on
+    with pytest.raises(ConfigError, match=r"unknown config sections: \['eval'\]"):
+        config_from_ini("[eval]\ndump_predictions = true\n")
+    # [DEFAULT] is an ordinary, unknown section, never a fallback for every other
+    with pytest.raises(ConfigError, match=r"unknown config sections: \['DEFAULT'\]"):
+        config_from_ini("[DEFAULT]\nn_assets = 2\n")
 
 
 def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         config_from_ini("[features]\nhorizon = ten\n")
-    with pytest.raises(ConfigError):
-        config_from_ini("[eval]\ndump_predictions = maybe\n")
     with pytest.raises(ConfigError):
         config_from_ini("[simgen]\nsensors = bad\n")
     # integer keys take integers only, never a silently truncated float
@@ -112,11 +116,6 @@ def test_hash_ignores_cli_section():
     assert config_hash(replace(base, seed=1, out_dir="a")) == config_hash(
         replace(base, seed=2, out_dir="b")
     )
-
-
-def test_hash_ignores_output_only_eval_section():
-    base = default_config()
-    assert config_hash(replace(base, dump_predictions=True)) == config_hash(base)
 
 
 def test_hash_tracks_science_sections():

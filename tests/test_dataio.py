@@ -70,24 +70,24 @@ def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
     k = dataio.RUNS_PER_CHUNK
     runs[k - 1 : k + 1] = [
         replace(base, run_id="r,nan", readings=readings),
-        replace(base, run_id='q"1', asset_id="nan asset"),
+        replace(base, run_id='q"1 nan'),
     ]
     assert len(runs) > 2 * k
     path = tmp_path / dataio.RUNS_CSV
     dataio.write_runs_csv(path, runs)
     channels = sorted(base.extra_channels)
-    header = ["run_id", "asset_id", "t_s", "p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar"] + channels
+    header = ["run_id", "t_s", "p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar"] + channels
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(header)
     for run in runs:
         for i in range(run.n_samples):
-            cells = [run.run_id, run.asset_id, float(run.t[i])]
+            cells = [run.run_id, float(run.t[i])]
             cells += [float(v) for v in run.readings[i]]
             cells += [float(run.extra_channels[name][i]) for name in channels]
             writer.writerow(["" if isinstance(v, float) and math.isnan(v) else v for v in cells])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
-    rows = [row[3:7] for row in csv.reader(path.read_text().splitlines()) if row[0] == "r,nan"]
+    rows = [row[2:6] for row in csv.reader(path.read_text().splitlines()) if row[0] == "r,nan"]
     empty = [[j for j, cell in enumerate(row) if not cell] for row in rows[:4]]
     assert empty == [[0], [3], [0, 3], []]  # sensor columns p1..p4
 

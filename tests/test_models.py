@@ -720,3 +720,11 @@ def test_spec_rejects_unknown_params():
         RegressorSpec("dt", {"bogus": 1})
     with pytest.raises(ConfigError):
         RegressorSpec("nope")
+
+
+def test_spec_refuses_a_value_of_another_type_than_its_default():
+    # nothing is cast, so a float depth or k is refused, never truncated
+    with pytest.raises(ConfigError, match=r"^wrong type for dt hyperparameters: \['max_depth'\]$"):
+        RegressorSpec("dt", {"max_depth": 2.5})
+    with pytest.raises(ConfigError, match=r"^wrong type for knn hyperparameters: \['k'\]$"):
+        RegressorSpec("knn", {"k": 3.9})
