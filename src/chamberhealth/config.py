@@ -8,7 +8,7 @@ INI reader and the CLI override flags; a key's format refuses a value
 outside its range before any stage runs. Flags override file keys; every
 subcommand prints the fully resolved form before acting. The config hash
 covers only the science-relevant sections, so runs that differ merely in
-seed or output path reproduce identical reports.
+output path reproduce identical reports.
 """
 
 from __future__ import annotations
