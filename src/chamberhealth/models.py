@@ -79,7 +79,9 @@ class RegressorSpec:
             raise ConfigError(f"wrong type for {self.kind} hyperparameters: {mistyped}")
 
     def resolved(self) -> dict:
-        return {**DEFAULT_HYPERPARAMS[self.kind], **self.params}
+        out = dict(DEFAULT_HYPERPARAMS[self.kind])
+        out.update(self.params)
+        return out
 
 
 # -- CART regression tree -------------------------------------------------

@@ -143,12 +143,9 @@ def _override_flags() -> dict[str, argparse.Action]:
 @pytest.mark.parametrize("flag", sorted(_override_flags()))
 def test_flag_overrides_config(small_config, capsys, flag):
     key = flag[2:].replace("-", "_")
-    if _override_flags()[flag].nargs == 0:
-        args, expected = [flag], {f"{key} = true"}
-    else:
-        value = {"--train-frac": 0.5}.get(flag, 7)  # each value within its key's bound
-        args, expected = [flag, value], {f"{key} = {value}", f"{key} = {float(value)}"}
-    assert run_cli("show-config", "--config", small_config, *args) == 0
+    value = {"--train-frac": 0.5}.get(flag, 7)  # each value within its key's bound
+    expected = {f"{key} = {value}", f"{key} = {float(value)}"}
+    assert run_cli("show-config", "--config", small_config, flag, value) == 0
     assert expected & set(capsys.readouterr().out.splitlines())
 
 
@@ -173,12 +170,12 @@ def test_evaluate_writes_every_prediction(tmp_path, pipelined):
     out = shutil.copytree(work, tmp_path / "work")
     (out / dataio.PREDICTIONS_CSV).unlink()
     assert run_cli("evaluate", "--config", config, "--out", out) == 0
-    rows = dataio.read_table(out / dataio.PREDICTIONS_CSV)
-    kinds = Counter(row[2] for row in rows)
+    _, test = dataio.read_supervised(out)
+    kinds = sorted({*MODEL_KINDS, "bm1", "bm2", "bm3"})
     # every model and benchmark predicts each test row once, in kind order
-    assert sorted(kinds) == sorted({*MODEL_KINDS, "bm1", "bm2", "bm3"})
-    assert len(set(kinds.values())) == 1
-    assert [row[2] for row in rows] == sorted(row[2] for row in rows)
+    assert [(row[2], row[0]) for row in dataio.read_table(out / dataio.PREDICTIONS_CSV)] == [
+        (kind, m.run_id_target) for kind in kinds for m in test.meta
+    ]
 
 
 def test_plot_csv_schema(tmp_path, small_config):
@@ -198,6 +195,11 @@ def _set_cell(lines, i, j, value):
 def _set_column(name, column, value):
     """A corruption that sets the first row's cell of a SCHEMAS file's column."""
     return lambda lines: _set_cell(lines, 1, list(dataio.SCHEMAS[name]).index(column), value)
+
+
+def _set_runs_cell(column, value):
+    """A corruption that sets the first row's cell of a runs.csv column, found by its header."""
+    return lambda lines: _set_cell(lines, 1, lines[0].rstrip("\n").split(",").index(column), value)
 
 
 def _split_first_run(lines):
@@ -230,15 +232,22 @@ def _corrupt(path, corruption):
 
 DERIVE_OUTPUTS = (dataio.FITS_CSV, dataio.HI_CSV, dataio.RUN_AGGREGATES_CSV)
 RUNS_CSV_CORRUPTIONS = {
-    "non-numeric-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "abc"),
-    "inf-sensor-cell": lambda lines: _set_cell(lines, 1, 3, "inf"),
-    "empty-t-cell": lambda lines: _set_cell(lines, 2, 2, ""),
+    "non-numeric-sensor-cell": _set_runs_cell("p1_mbar", "abc"),
+    "inf-sensor-cell": _set_runs_cell("p1_mbar", "inf"),
+    "empty-t-cell": _set_runs_cell("t_s", ""),
     "empty-channel-cell": lambda lines: _set_cell(lines, 1, -1, ""),
     "cut-mid-row": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
     "blank-line": lambda lines: lines[: len(lines) // 2] + ["\n"] + lines[len(lines) // 2 :],
     "run-split-in-two-blocks": _split_first_run,
     "blocks-out-of-run-meta-order": _swap_first_two_runs,
     "block-not-in-run-meta": _rename_first_run,
+}
+# the refusal that each cell corruption must reach, so none passes by failing later
+RUNS_CSV_REFUSALS = {
+    "non-numeric-sensor-cell": "could not convert",
+    "inf-sensor-cell": "valid readings must be finite",
+    "empty-t-cell": "empty or non-finite t_s or channel cell",
+    "empty-channel-cell": "empty or non-finite t_s or channel cell",
 }
 
 SUPERVISED_CORRUPTIONS = {
@@ -274,7 +283,9 @@ def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, corruptio
     out = shutil.copytree(work, tmp_path / "work")
     _corrupt(out / dataio.RUNS_CSV, RUNS_CSV_CORRUPTIONS[corruption])
     assert run_cli("derive-hi", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError:")
+    assert RUNS_CSV_REFUSALS.get(corruption, "") in err
     assert not [o for o in DERIVE_OUTPUTS if (out / o).exists()]
 
 
