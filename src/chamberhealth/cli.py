@@ -62,7 +62,7 @@ def stage_derive_hi(cfg: PipelineConfig) -> None:
     that fuses every run once."""
     out = Path(cfg.out_dir)
     sensors = cfg.chamber.sensors
-    runs = dataio.read_dataset(out, [s.sensor_id for s in sensors])
+    runs = dataio.read_dataset(out, len(sensors))
     curves = [composite_curve(run, sensors) for run in runs]
     fits, series = derive_hi(
         runs,
@@ -83,7 +83,7 @@ def stage_build_features(cfg: PipelineConfig) -> None:
     out = Path(cfg.out_dir)
     summaries = dataio.read_run_summaries(out)
     plan = dataio.read_plan(out)
-    hi_map = dataio.read_hi_csv(out / dataio.HI_CSV)
+    hi_map = dataio.read_hi_csv(out / dataio.HI_CSV, summaries)
     sset = build_supervised(summaries, hi_map, plan, horizon=cfg.horizon)
     train, test = chrono_split(sset, train_frac=cfg.train_frac)
     dataio.write_supervised(out, train, test)

@@ -4,6 +4,7 @@ A chamber is instrumented with four pressure gauges whose valid ranges
 overlap to cover roughly 1e-6 to 1e3 mbar. ``composite_curve`` fuses
 each sample's readings into a single value by picking the
 highest-priority gauge that is both valid and inside its own range.
+A gauge is its position: readings column j is the j-th configured sensor.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -41,7 +42,8 @@ class SensorSpec:
 
 def check_sensor_priorities(sensors: Sequence[SensorSpec]) -> None:
     """Sensor ids and priorities must each be unique within one chamber
-    configuration: ``composite_curve`` finds a sensor's column by its id."""
+    configuration: the noise mapping names a sensor by its id, and
+    ``composite_curve`` consults the sensors in priority order."""
     for what, values in (("ids", [s.sensor_id for s in sensors]),
                          ("priorities", [s.priority for s in sensors])):
         if len(set(values)) != len(values):
@@ -74,7 +76,7 @@ class RunRecord:
     Sample data is stored columnar: ``t`` is the sample clock in seconds
     since run start (strictly increasing, nominal 0.5 s spacing) and
     ``readings`` is an (n_samples, n_sensors) array with NaN marking
-    invalid readings, columns ordered like ``sensor_ids``.
+    invalid readings, column j read by the j-th configured sensor.
 
     ``true_c`` / ``true_p_ss`` carry the generator's ground truth when the
     run is synthetic; they go to ``ground_truth.csv``, never into model
@@ -88,7 +90,6 @@ class RunRecord:
     n_runs: int
     t: np.ndarray
     readings: np.ndarray
-    sensor_ids: tuple[str, ...]
     extra_channels: Mapping[str, np.ndarray] = field(default_factory=dict)
     true_c: Optional[float] = None
     true_p_ss: Optional[float] = None
@@ -100,10 +101,10 @@ class RunRecord:
             raise DataError(f"run {self.run_id}: samples must be non-empty")
         if np.any(np.diff(self.t) <= 0):
             raise DataError(f"run {self.run_id}: sample times must be strictly increasing")
-        if self.readings.shape != (self.t.size, len(self.sensor_ids)):
+        if self.readings.ndim != 2 or len(self.readings) != self.t.size:
             raise DataError(
                 f"run {self.run_id}: readings shape {self.readings.shape} does not match "
-                f"{self.t.size} samples x {len(self.sensor_ids)} sensors"
+                f"{self.t.size} samples"
             )
         for name, series in self.extra_channels.items():
             if np.asarray(series).shape != (self.t.size,):
@@ -123,18 +124,16 @@ class RunRecord:
 def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray:
     """Fuse every sample of a run into one pressure curve in mbar.
 
-    Each sample takes the reading of the highest-priority sensor whose
-    value is valid and inside that sensor's own range. Raises
-    DataError if any sample has no usable reading. Pure and
-    deterministic.
+    ``sensors[j]`` reads column j of ``run.readings``; a run with another
+    number of columns than ``sensors`` raises DataError. Each sample takes
+    the reading of the highest-priority sensor whose value is valid and
+    inside that sensor's own range. Raises DataError if any sample has
+    no usable reading. Pure and deterministic.
     """
-    order = {sid: j for j, sid in enumerate(run.sensor_ids)}
+    if run.readings.shape[1] != len(sensors):
+        raise DataError(f"run {run.run_id}: {run.readings.shape[1]} gauges, {len(sensors)} sensors")
     out = np.full(run.n_samples, np.nan)
-    for spec in sorted(sensors, key=lambda s: s.priority):
-        j = order.get(spec.sensor_id)
-        if j is None:
-            continue
-        col = run.readings[:, j]
+    for spec, col in sorted(zip(sensors, run.readings.T), key=lambda pair: pair[0].priority):
         lo, hi = spec.valid_range
         usable = np.isnan(out) & ~np.isnan(col) & (col >= lo) & (col <= hi)
         out[usable] = col[usable]

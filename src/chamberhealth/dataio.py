@@ -18,11 +18,11 @@ sensor cell marks an invalid reading.
 
 ``runs.csv`` holds each run as one contiguous block of rows in time
 order, the blocks in ``run_meta.csv`` order; only ``run_meta.csv`` says
-which asset a run belongs to. It is written one block at a time, each
-block rendered as one string, and read one block at a time, so no stage
-holds more than one run's text rows. An empty cell is allowed only in a
-sensor column, where it means the reading was invalid. Any other
-malformed input (a wrong field count, a non-numeric or empty cell
+which asset a run belongs to, and ``runs_csv_header`` declares the
+columns. It is written one block at a time, each block rendered as one
+string, and read one block at a time, so no stage holds more than one
+run's text rows. An empty cell is allowed only in a sensor column,
+where it means the reading was invalid. Any other malformed input (a wrong field count, a non-numeric or empty cell
 elsewhere, a block that is not the run ``run_meta.csv`` lists at its
 place) raises DataError, as do bytes that are not UTF-8 in any CSV.
 
@@ -30,7 +30,8 @@ place) raises DataError, as do bytes that are not UTF-8 in any CSV.
 it writes ``run_aggregates.csv``, the channel aggregates of every run
 computed from the composite curve it fused anyway; ``build-features``
 joins that file with ``run_meta.csv`` (``read_run_summaries``), which
-must list the same runs in the same order.
+must list the same runs in the same order. ``hi.csv``'s rows must be
+``run_meta.csv``'s runs in order, less those without an HI.
 """
 
 from __future__ import annotations
@@ -230,8 +231,15 @@ def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
     return "".join(lines)
 
 
+def runs_csv_header(n_sensors: int, channels: Sequence[str]) -> list[str]:
+    """``runs.csv``'s columns: ``p{j+1}_mbar`` holds the readings of the
+    j-th of ``n_sensors`` configured sensors, and no channel name ends in
+    ``_mbar``."""
+    return ["run_id", "t_s", *(f"p{j + 1}_mbar" for j in range(n_sensors)), *channels]
+
+
 def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
-    """`run_id,t_s,p1_mbar..pN_mbar[,channel...]`, one row per sample.
+    """``runs_csv_header`` with the channels sorted, one row per sample.
 
     Chunks of RUNS_PER_CHUNK runs are rendered on every CPU (see
     workers) and written in run order as they arrive. The bytes are the
@@ -239,16 +247,10 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
     """
     if not runs:
         raise DataError("no runs to write")
-    n_sensors = len(runs[0].sensor_ids)
     channels = sorted(runs[0].extra_channels)
-    header = (
-        ["run_id", "t_s"]
-        + [f"p{j + 1}_mbar" for j in range(n_sensors)]
-        + channels
-    )
     chunks = [runs[i : i + RUNS_PER_CHUNK] for i in range(0, len(runs), RUNS_PER_CHUNK)]
     with atomic_open(path) as fh:
-        fh.write(_csv_line(header) + "\r\n")
+        fh.write(_csv_line(runs_csv_header(runs[0].readings.shape[1], channels)) + "\r\n")
         fh.writelines(map_in_order(partial(_render_runs, channels), chunks))
 
 
@@ -263,19 +265,15 @@ def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:
         [asset, pos, rid] for asset, ids in dataset.plan.items() for pos, rid in enumerate(ids)))
 
 
-def _once_each(run_ids: Iterable[str], name: str) -> None:
-    seen: set[str] = set()
-    for rid in run_ids:
-        if rid in seen:
-            raise DataError(f"run {rid} listed twice in {name}")
-        seen.add(rid)
-
-
 def read_run_meta(in_dir: PathLike) -> list[tuple[str, str, float, str, int]]:
     """``run_meta.csv`` rows as (run_id, asset_id, start_time, recipe_id, n_runs),
     in file order; a run_id listed twice raises DataError."""
     meta = read_table(Path(in_dir) / RUN_META_CSV)
-    _once_each((row[0] for row in meta), RUN_META_CSV)
+    seen: set[str] = set()
+    for rid, *_ in meta:
+        if rid in seen:
+            raise DataError(f"run {rid} listed twice in {RUN_META_CSV}")
+        seen.add(rid)
     return meta
 
 
@@ -294,10 +292,10 @@ def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
     return {asset: [rid for _, rid in entries] for asset, entries in plan.items()}
 
 
-def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]:
+def read_dataset(in_dir: PathLike, n_sensors: int) -> list[RunRecord]:
     """Load the runs back from ``runs.csv`` and ``run_meta.csv``.
 
-    Sensor columns p1..pN are assigned to ``sensor_ids`` in order. The
+    The header must be ``runs_csv_header``'s for ``n_sensors``. The
     n-th block of ``runs.csv`` must be the n-th run of ``run_meta.csv``,
     which gives each run its identity and order. Ground truth is not
     re-attached; it only exists on freshly generated in-memory runs.
@@ -307,14 +305,11 @@ def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]
 
     runs = []
     with _open_csv(in_dir / RUNS_CSV) as (header, rows):
-        if header[:2] != ["run_id", "t_s"]:
-            raise DataError(f"bad {RUNS_CSV} header: {header}")
-        n_sensors = sum(1 for h in header if h.startswith("p") and h.endswith("_mbar"))
-        if n_sensors != len(sensor_ids):
-            raise DataError(
-                f"{RUNS_CSV} has {n_sensors} sensor columns, config defines {len(sensor_ids)}"
-            )
-        channel_names = header[2 + n_sensors:]
+        channel_names = [name for name in header[2:] if not name.endswith("_mbar")]
+        expected = runs_csv_header(n_sensors, channel_names)
+        if header != expected:
+            raise DataError(f"bad {RUNS_CSV} header {header}: {n_sensors} configured sensors "
+                            f"need {expected}; rerun simulate")
         pairs = zip_longest(meta, groupby(rows, key=itemgetter(0)), fillvalue=(None, None))
         for n, (fields, (rid, block)) in enumerate(pairs, 1):
             if rid != fields[0]:
@@ -335,7 +330,6 @@ def read_dataset(in_dir: PathLike, sensor_ids: Sequence[str]) -> list[RunRecord]
                     *fields,
                     t=t,
                     readings=values[:, 1 : 1 + n_sensors],
-                    sensor_ids=tuple(sensor_ids),
                     extra_channels={name: channels[:, j] for j, name in enumerate(channel_names)},
                 )
             )
@@ -396,12 +390,19 @@ def write_hi_csv(path: PathLike, series: HiSeries) -> None:
         [e.run_id, e.asset_id, float(e.start_time), e.n_runs, float(e.hi)] for e in series.entries))
 
 
-def read_hi_csv(path: PathLike) -> dict[str, float]:
-    """``hi.csv`` as run_id -> HI seconds, in file order; a run_id listed
-    twice raises DataError."""
-    rows = read_table(path)
-    _once_each((row[0] for row in rows), HI_CSV)
-    return {row[0]: row[-1] for row in rows}
+def read_hi_csv(path: PathLike, runs: Sequence[RunSummary]) -> dict[str, float]:
+    """``hi.csv`` as run_id -> HI seconds. Its rows must be ``runs``
+    (``run_meta.csv``'s) in order, less those without an HI, each equal
+    to its run on run_id, asset_id, start_time and n_runs (DataError)."""
+    later = iter(runs)
+    hi = {}
+    for *fields, hi_s in read_table(path):
+        # consumes ``later`` up to the row's run, so no row can go back
+        if fields not in ([r.run_id, r.asset_id, r.start_time, r.n_runs] for r in later):
+            raise DataError(f"{HI_CSV} row of run {fields[0]} does not follow {RUN_META_CSV}; "
+                            "rerun derive-hi")
+        hi[fields[0]] = hi_s
+    return hi
 
 
 # -- supervised set -------------------------------------------------------------

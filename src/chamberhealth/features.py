@@ -38,8 +38,6 @@ def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> Aggregates:
     out = {}
     for name in sorted(channels):
         values = np.asarray(channels[name], dtype=np.float64)
-        if values.size == 0:
-            raise DataError(f"run {run.run_id}: channel {name} is empty")
         stats = (values.mean(), values.min(), values.max(), values.std())
         out.update(zip(aggregate_names([name]), map(float, stats)))
     return out

@@ -60,8 +60,6 @@ def first_crossing_time(t: np.ndarray, pressure: np.ndarray, threshold: float) -
     samples, which is exact for exponential decay. Later re-crossings
     caused by noise are ignored.
     """
-    if t.size == 0:
-        raise DataError("pressure curve has no samples")
     below = pressure <= threshold
     if not below.any():
         return None

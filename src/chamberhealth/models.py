@@ -412,12 +412,22 @@ def mlp_init(n_in: int, hidden_units: int, seed: int) -> tuple[np.ndarray, ...]:
     return W1, b1, W2, b2
 
 
+@dataclass
+class MLPModel:
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        hidden = np.maximum(X @ self.W1 + self.b1, 0.0)
+        return (hidden @ self.W2 + self.b2).ravel()
+
+
 def mlp_loss(params: Sequence[np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of the relu-hidden, linear-output network."""
-    W1, b1, W2, b2 = params
-    hidden = np.maximum(X @ W1 + b1, 0.0)
-    pred = (hidden @ W2 + b2).ravel()
-    return float(np.mean((pred - y) ** 2))
+    return float(np.mean((MLPModel(*params).predict(X) - y) ** 2))
 
 
 def mlp_gradients(
@@ -437,19 +447,6 @@ def mlp_gradients(
     dW1 = X.T @ dz
     db1 = dz.sum(axis=0)
     return dW1, db1, dW2, db2
-
-
-@dataclass
-class MLPModel:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        hidden = np.maximum(X @ self.W1 + self.b1, 0.0)
-        return (hidden @ self.W2 + self.b2).ravel()
 
 
 def fit_mlp(

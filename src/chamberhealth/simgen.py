@@ -339,7 +339,6 @@ def simulate_run(
         n_runs=state.n_runs,
         t=t,
         readings=readings,
-        sensor_ids=tuple(s.sensor_id for s in config.sensors),
         extra_channels={"temp_c": temp, "gas_flow": flow},
         true_c=state.contamination,
         true_p_ss=p_ss,

@@ -241,13 +241,25 @@ RUNS_CSV_CORRUPTIONS = {
     "run-split-in-two-blocks": _split_first_run,
     "blocks-out-of-run-meta-order": _swap_first_two_runs,
     "block-not-in-run-meta": _rename_first_run,
+    "gauge-columns-swapped": lambda lines: [
+        lines[0].replace("p1_mbar,p2_mbar", "p2_mbar,p1_mbar")
+    ] + lines[1:],
+    "gauge-column-renamed": lambda lines: [
+        lines[0].replace("p1_mbar,p2_mbar", "p1_mbar,pressure_mbar")
+    ] + lines[1:],
 }
+# the header every refused header is told it should have (four default sensors)
+RUNS_CSV_EXPECTED = str(
+    ["run_id", "t_s", "p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar", "gas_flow", "temp_c"]
+)
 # the refusal that each cell corruption must reach, so none passes by failing later
 RUNS_CSV_REFUSALS = {
     "non-numeric-sensor-cell": "could not convert",
     "inf-sensor-cell": "valid readings must be finite",
     "empty-t-cell": "empty or non-finite t_s or channel cell",
     "empty-channel-cell": "empty or non-finite t_s or channel cell",
+    "gauge-columns-swapped": f"4 configured sensors need {RUNS_CSV_EXPECTED}; rerun simulate",
+    "gauge-column-renamed": f"4 configured sensors need {RUNS_CSV_EXPECTED}; rerun simulate",
 }
 
 SUPERVISED_CORRUPTIONS = {
@@ -419,6 +431,31 @@ def test_bad_hi_csv_is_data_error(tmp_path, pipelined, capsys, corruption):
     assert run_cli("build-features", "--config", config, "--out", out) == 3
     assert capsys.readouterr().err.startswith("ERROR DataError:")
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
+
+
+def test_hi_csv_that_does_not_follow_run_meta_is_data_error(tmp_path, pipelined, capsys):
+    # a seed-1 simulate over seed 0's derive-hi outputs: the run ids coincide,
+    # the start times do not
+    config, work = pipelined
+    stale = shutil.copytree(work, tmp_path / "stale")
+    _drop_outputs(stale, *FEATURE_OUTPUTS)
+    hi_rows = dataio.read_table(stale / dataio.HI_CSV)
+    assert run_cli("simulate", "--config", config, "--out", stale, "--seed", 1) == 0
+    meta = {(rid, asset, start, n) for rid, asset, start, _, n in dataio.read_run_meta(stale)}
+    first_stale = next(row[0] for row in hi_rows if tuple(row[:4]) not in meta)
+    # a row for a run that run_meta.csv does not list, before every other row
+    unknown = shutil.copytree(work, tmp_path / "unknown")
+    _drop_outputs(unknown, *FEATURE_OUTPUTS)
+    _corrupt(unknown / dataio.HI_CSV,
+             lambda lines: [lines[0], "not-a-run" + lines[1][lines[1].index(","):], *lines[1:]])
+    capsys.readouterr()
+    for out, run_id in ((stale, first_stale), (unknown, "not-a-run")):
+        assert run_cli("build-features", "--config", config, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"ERROR DataError: hi.csv row of run {run_id} does not follow run_meta.csv; "
+            "rerun derive-hi\n"
+        )
+        assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
 def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipelined):

@@ -51,12 +51,12 @@ def composite_pressure(sample: PressureSample, sensors: Sequence[SensorSpec]) ->
     raise DataError(f"no valid in-range reading at t={sample.t}: {sample.readings}")
 
 
-def run_sample(run: RunRecord, i: int) -> PressureSample:
-    """Sample i of a run as a PressureSample."""
+def run_sample(run: RunRecord, sensors: Sequence[SensorSpec], i: int) -> PressureSample:
+    """Sample i of a run as a PressureSample; column j is ``sensors[j]``."""
     row = run.readings[i]
     readings = {
-        sid: (None if np.isnan(row[j]) else float(row[j]))
-        for j, sid in enumerate(run.sensor_ids)
+        spec.sensor_id: (None if np.isnan(row[j]) else float(row[j]))
+        for j, spec in enumerate(sensors)
     }
     return PressureSample(t=float(run.t[i]), readings=readings)
 
@@ -111,7 +111,20 @@ def test_composite_curve_matches_per_sample_rule():
     curve = composite_curve(run, config.sensors)
     assert np.isnan(run.readings).any()  # the rule must skip invalid readings
     for i in range(run.n_samples):
-        assert curve[i] == composite_pressure(run_sample(run, i), config.sensors)
+        assert curve[i] == composite_pressure(run_sample(run, config.sensors, i), config.sensors)
+
+
+def test_composite_curve_pairs_sensors_with_columns_by_position():
+    # the same two readings fuse to the other gauge's value once the
+    # sensor list, and with it the column order, is swapped
+    coarse = SensorSpec("coarse", (1.0, 1100.0), priority=1)
+    fine = SensorSpec("fine", (1e-3, 1100.0), priority=2)
+    run = RunRecord(run_id="r", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
+                    t=np.array([0.0]), readings=np.array([[5.0, 6.0]]))
+    assert composite_curve(run, [coarse, fine]).tolist() == [5.0]
+    assert composite_curve(run, [fine, coarse]).tolist() == [6.0]
+    with pytest.raises(DataError, match=r"^run r: 2 gauges, 1 sensors$"):
+        composite_curve(run, [coarse])
 
 
 def test_composite_tracks_truth_within_one_percent():
@@ -177,7 +190,6 @@ def test_run_record_validation():
         n_runs=0,
         t=np.array([0.0, 0.5]),
         readings=np.array([[1.0], [2.0]]),
-        sensor_ids=("s1",),
     )
     RunRecord(**good)
     with pytest.raises(DataError):
@@ -186,3 +198,6 @@ def test_run_record_validation():
         RunRecord(**{**good, "t": np.array([0.5, 0.5]), "readings": np.array([[1.0], [2.0]])})
     with pytest.raises(DataError):
         RunRecord(**{**good, "t": np.array([], dtype=float), "readings": np.empty((0, 1))})
+    for readings in (np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0])):
+        with pytest.raises(DataError, match="readings shape"):
+            RunRecord(**{**good, "readings": readings})

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -34,8 +35,7 @@ def small_dataset():
 def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
     config, ds = small_dataset
     dataio.write_dataset(tmp_path, ds)
-    sensor_ids = [s.sensor_id for s in config.sensors]
-    runs = dataio.read_dataset(tmp_path, sensor_ids)
+    runs = dataio.read_dataset(tmp_path, len(config.sensors))
     plan = dataio.read_plan(tmp_path)
     assert len(runs) == len(ds.runs)
     by_id = {r.run_id: r for r in ds.runs}
@@ -98,10 +98,9 @@ def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
     ds = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=200,
                           cycle_length=20, seed=5)
     dataio.write_dataset(tmp_path, ds)
-    sensor_ids = [s.sensor_id for s in config.sensors]
     tracemalloc.start()
     try:
-        runs = dataio.read_dataset(tmp_path, sensor_ids)
+        runs = dataio.read_dataset(tmp_path, len(config.sensors))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -113,12 +112,24 @@ def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
     assert peak <= 3 * nbytes, peak / nbytes
 
 
+@pytest.mark.parametrize("n_sensors", [3, 5])
+def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_sensors):
+    # four gauge columns on disk: with three configured sensors p4_mbar must
+    # not pass for a process channel
+    _, ds = small_dataset
+    dataio.write_dataset(tmp_path, ds)
+    expected = dataio.runs_csv_header(n_sensors, ["gas_flow", "temp_c"])
+    with pytest.raises(DataError, match=f"{n_sensors} configured sensors need "
+                                        f"{re.escape(str(expected))}; rerun simulate$"):
+        dataio.read_dataset(tmp_path, n_sensors)
+
+
 def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
     config, ds = small_dataset
     dataio.write_dataset(tmp_path, ds)
     text = (tmp_path / dataio.RUNS_CSV).read_text()
     assert ",," in text  # clipped readings serialize as empty cells
-    runs = dataio.read_dataset(tmp_path, [s.sensor_id for s in config.sensors])
+    runs = dataio.read_dataset(tmp_path, len(config.sensors))
     assert any(np.isnan(r.readings).any() for r in runs)
 
 
@@ -129,7 +140,7 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
                              cycle_length=20, analysis_limit=400)
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
-    hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV)
+    hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, ds.runs)
     assert list(hi_map) == [e.run_id for e in series.entries]
     assert all(hi_map[e.run_id] == e.hi for e in series.entries)
     header, rows = dataio.read_csv(tmp_path / dataio.FITS_CSV)
@@ -158,7 +169,7 @@ def test_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError):
         dataio.read_csv(tmp_path / "nope.csv")
     with pytest.raises(DataError):
-        dataio.read_dataset(tmp_path, ["s1"])
+        dataio.read_dataset(tmp_path, 1)
 
 
 @pytest.mark.parametrize("name", sorted(dataio.SCHEMAS))

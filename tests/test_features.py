@@ -56,7 +56,6 @@ def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"
         n_runs=n,
         t=t,
         readings=p[:, None],
-        sensor_ids=("s1",),
         extra_channels=extra,
     )
 
@@ -66,7 +65,7 @@ def test_aggregates_hand_arithmetic():
     run2 = RunRecord(
         run_id="r1", asset_id="a1", start_time=0.0, recipe_id="std", n_runs=0,
         t=np.arange(3) * 0.5, readings=np.array([[100.0], [10.0], [1.0]]),
-        sensor_ids=("s1",), extra_channels={"ch": np.array([1.0, 2.0, 3.0])},
+        extra_channels={"ch": np.array([1.0, 2.0, 3.0])},
     )
     aggs = aggregate_channels(run2, composite_curve(run2, WIDE))
     assert (aggs["ch_mean"], aggs["ch_min"], aggs["ch_max"]) == (2.0, 1.0, 3.0)
@@ -77,7 +76,7 @@ def test_aggregates_constant_channel():
     run = RunRecord(
         run_id="r1", asset_id="a1", start_time=0.0, recipe_id="std", n_runs=0,
         t=np.arange(2) * 0.5, readings=np.array([[100.0], [10.0]]),
-        sensor_ids=("s1",), extra_channels={"ch": np.array([5.0, 5.0])},
+        extra_channels={"ch": np.array([5.0, 5.0])},
     )
     aggs = aggregate_channels(run, composite_curve(run, WIDE))
     assert [aggs[f"ch_{stat}"] for stat in ("mean", "min", "max", "std")] == [5.0, 5.0, 5.0, 0.0]
@@ -100,13 +99,6 @@ def test_aggregates_match_two_pass_oracle():
         assert aggs[f"{name}_mean"] == pytest.approx(mean, rel=1e-12)
         assert aggs[f"{name}_min"] == float(min(v)) and aggs[f"{name}_max"] == float(max(v))
         assert aggs[f"{name}_std"] == pytest.approx(var ** 0.5, rel=1e-12)
-
-
-def test_aggregates_empty_channel():
-    run = make_run(channel=[1.0])
-    object.__setattr__(run, "extra_channels", {"bad": np.array([])})
-    with pytest.raises(DataError, match="channel bad is empty"):
-        aggregate_channels(run, composite_curve(run, WIDE))
 
 
 def test_encode_plan_basic_blocks():
