@@ -27,7 +27,7 @@ from .config import (
 from .core import composite_curve
 from .errors import ConfigError, DataError, ModelError
 from .evaluation import evaluate_all
-from .features import build_supervised, chrono_split, summarize_run
+from .features import aggregate_runs, build_supervised, chrono_split
 from .hi import derive_hi
 from .models import (
     MODEL_KINDS,
@@ -50,7 +50,7 @@ def stage_simulate(cfg: PipelineConfig) -> None:
         cfg.recipes,
         n_assets=cfg.n_assets,
         n_runs_total=cfg.n_runs_total,
-        cycle_length=cfg.sim_cycle_length,
+        cycle_length=cfg.cycle_length,
         seed=seed,
         recipe_probs=cfg.recipe_probs,
     )
@@ -68,23 +68,24 @@ def stage_derive_hi(cfg: PipelineConfig) -> None:
         runs,
         curves,
         cfg.segments,
-        cycle_length=cfg.hi_cycle_length,
+        cycle_length=cfg.cycle_length,
         analysis_limit=cfg.analysis_limit,
     )
-    summaries = [summarize_run(run, curve) for run, curve in zip(runs, curves)]
+    aggregates = aggregate_runs(runs, curves)
     dataio.write_fits_csv(out / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(out / dataio.HI_CSV, series)
-    dataio.write_run_aggregates_csv(out / dataio.RUN_AGGREGATES_CSV, summaries)
+    dataio.write_run_aggregates_csv(out / dataio.RUN_AGGREGATES_CSV, runs, aggregates)
 
 
 def stage_build_features(cfg: PipelineConfig) -> None:
     """The supervised split from run_meta.csv, run_aggregates.csv, plan.csv
     and hi.csv; runs.csv is not read."""
     out = Path(cfg.out_dir)
-    summaries = dataio.read_run_summaries(out)
+    runs = dataio.read_run_meta(out)
+    aggregates = dataio.read_run_aggregates(out, runs)
     plan = dataio.read_plan(out)
-    hi_map = dataio.read_hi_csv(out / dataio.HI_CSV, summaries)
-    sset = build_supervised(summaries, hi_map, plan, horizon=cfg.horizon)
+    hi_map = dataio.read_hi_csv(out / dataio.HI_CSV, runs)
+    sset = build_supervised(runs, aggregates, hi_map, plan, horizon=cfg.horizon)
     train, test = chrono_split(sset, train_frac=cfg.train_frac)
     dataio.write_supervised(out, train, test)
 

@@ -45,9 +45,8 @@ class PipelineConfig:
     recipe_probs: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_RECIPE_PROBS))
     n_assets: int = 5
     n_runs_total: int = 2000
-    sim_cycle_length: int = 100
+    cycle_length: int = 100
     segments: tuple[SegmentSpec, ...] = field(default_factory=default_segments)
-    hi_cycle_length: int = 100
     analysis_limit: int = 400
     horizon: int = 10
     train_frac: float = 0.7
@@ -225,13 +224,12 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("cli", "out", "pipeline", "out_dir", TEXT),
     Setting("simgen", "n_assets", "pipeline", "n_assets", POS_INT),
     Setting("simgen", "n_runs_total", "pipeline", "n_runs_total", POS_INT),
-    Setting("simgen", "cycle_length", "pipeline", "sim_cycle_length",
+    Setting("simgen", "cycle_length", "pipeline", "cycle_length",
             _bounded(INT, ">= 2", lambda v: v >= 2)),
     *_CHAMBER_SETTINGS,
     Setting("simgen", "recipes", "pipeline", "recipes", RECIPES),
     Setting("simgen", "recipe_probs", "pipeline", "recipe_probs", NONNEG_MAPPING),
     Setting("hi", "segments", "pipeline", "segments", SEGMENTS),
-    Setting("hi", "cycle_length", "pipeline", "hi_cycle_length", POS_INT),
     Setting("hi", "analysis_limit", "pipeline", "analysis_limit", POS_INT),
     Setting("features", "horizon", "pipeline", "horizon", POS_INT),
     Setting("features", "train_frac", "pipeline", "train_frac", FRACTION),

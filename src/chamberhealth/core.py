@@ -70,8 +70,24 @@ class SegmentSpec:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One production run: identity, recipe, maintenance counter, samples.
+class RunMeta:
+    """One row of ``run_meta.csv``: a run's identity, its recipe and its
+    maintenance counter, the runs since its asset was last cleaned."""
+
+    run_id: str
+    asset_id: str
+    start_time: float
+    recipe_id: str
+    n_runs: int
+
+    def __post_init__(self) -> None:
+        if self.n_runs < 0:
+            raise DataError(f"run {self.run_id}: n_runs must be >= 0, got {self.n_runs}")
+
+
+@dataclass(frozen=True)
+class RunRecord(RunMeta):
+    """One production run: its ``RunMeta`` fields, then its samples.
 
     Sample data is stored columnar: ``t`` is the sample clock in seconds
     since run start (strictly increasing, nominal 0.5 s spacing) and
@@ -83,11 +99,6 @@ class RunRecord:
     features.
     """
 
-    run_id: str
-    asset_id: str
-    start_time: float
-    recipe_id: str
-    n_runs: int
     t: np.ndarray
     readings: np.ndarray
     extra_channels: Mapping[str, np.ndarray] = field(default_factory=dict)
@@ -95,8 +106,7 @@ class RunRecord:
     true_p_ss: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_runs < 0:
-            raise DataError(f"run {self.run_id}: n_runs must be >= 0, got {self.n_runs}")
+        super().__post_init__()
         if self.t.ndim != 1 or self.t.size == 0:
             raise DataError(f"run {self.run_id}: samples must be non-empty")
         if np.any(np.diff(self.t) <= 0):

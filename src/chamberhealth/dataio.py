@@ -8,7 +8,8 @@ are written to a temp path and renamed into place, and a failed write
 removes its temp file, so a failing stage never leaves a partial file.
 
 The eight fixed-header CSVs are declared once, in ``SCHEMAS``: column
-names in order, each with its cell type. Their writers take the header
+names in order, each with its cell type (``run_meta.csv``'s are the
+fields of ``core.RunMeta``). Their writers take the header
 from it, and ``read_table`` reads any of them back, refusing a wrong
 header, a cell its column's type does not parse and NaN or an infinity
 in a float column (DataError). ``runs.csv``, ``run_aggregates.csv`` and
@@ -29,8 +30,8 @@ place) raises DataError, as do bytes that are not UTF-8 in any CSV.
 ``derive-hi`` is the only stage that reads ``runs.csv``. Beside the HI
 it writes ``run_aggregates.csv``, the channel aggregates of every run
 computed from the composite curve it fused anyway; ``build-features``
-joins that file with ``run_meta.csv`` (``read_run_summaries``), which
-must list the same runs in the same order. ``hi.csv``'s rows must be
+reads that file's columns (``read_run_aggregates``), which must list
+``run_meta.csv``'s runs in the same order. ``hi.csv``'s rows must be
 ``run_meta.csv``'s runs in order, less those without an HI.
 """
 
@@ -43,15 +44,15 @@ import os
 from contextlib import contextmanager
 from functools import partial
 from itertools import groupby, zip_longest
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 
-from .core import RunRecord
+from .core import RunMeta, RunRecord
 from .errors import DataError
-from .features import RowMeta, RunSummary, SupervisedSet, aggregate_names
+from .features import RowMeta, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
 from .simgen import SimDataset
 from .workers import map_in_order
@@ -72,20 +73,22 @@ PREDICTIONS_CSV = "predictions.csv"
 PLOT_HI_CSV = "plot_hi.csv"
 MODELS_DIR = "models"
 
+# The RunMeta fields that hi.csv repeats, so that each row names its run
+HI_RUN_FIELDS = ("run_id", "asset_id", "start_time", "n_runs")
+_RUN_META_TYPES = get_type_hints(RunMeta)
+
 # The fixed-header CSVs: each file's columns in order, with the type of
 # their cells. Writers take the header from here; read_table checks it
 # and converts every cell by its column's type.
 SCHEMAS: dict[str, dict[str, type]] = {
-    RUN_META_CSV: {
-        "run_id": str, "asset_id": str, "start_time": float, "recipe_id": str, "n_runs": int,
-    },
+    RUN_META_CSV: _RUN_META_TYPES,
     GROUND_TRUTH_CSV: {"run_id": str, "c": float, "p_ss": float},
     PLAN_CSV: {"asset_id": str, "position": int, "recipe_id": str},
     FITS_CSV: {
         "segment": int, "k": float, "d": float, "t_bar": float, "alpha": float, "r2": float,
         "n_points": int,
     },
-    HI_CSV: {"run_id": str, "asset_id": str, "start_time": float, "n_runs": int, "hi_s": float},
+    HI_CSV: {**{name: _RUN_META_TYPES[name] for name in HI_RUN_FIELDS}, "hi_s": float},
     # in RowMeta's field order, plan joined by "|", then the split
     META_CSV: {
         "asset_id": str, "run_id": str, "run_id_target": str, "start_time": float,
@@ -257,23 +260,23 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
 def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:
     out, runs = Path(out_dir), dataset.runs
     write_runs_csv(out / RUNS_CSV, runs)
-    write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV], (
-        [r.run_id, r.asset_id, float(r.start_time), r.recipe_id, r.n_runs] for r in runs))
+    write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV],
+              map(attrgetter(*SCHEMAS[RUN_META_CSV]), runs))
     write_csv(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], (
         [r.run_id, float(r.true_c), float(r.true_p_ss)] for r in runs))
     write_csv(out / PLAN_CSV, SCHEMAS[PLAN_CSV], (
         [asset, pos, rid] for asset, ids in dataset.plan.items() for pos, rid in enumerate(ids)))
 
 
-def read_run_meta(in_dir: PathLike) -> list[tuple[str, str, float, str, int]]:
-    """``run_meta.csv`` rows as (run_id, asset_id, start_time, recipe_id, n_runs),
-    in file order; a run_id listed twice raises DataError."""
-    meta = read_table(Path(in_dir) / RUN_META_CSV)
+def read_run_meta(in_dir: PathLike) -> list[RunMeta]:
+    """``run_meta.csv``'s runs in file order; a run_id listed twice
+    raises DataError."""
+    meta = [RunMeta(*row) for row in read_table(Path(in_dir) / RUN_META_CSV)]
     seen: set[str] = set()
-    for rid, *_ in meta:
-        if rid in seen:
-            raise DataError(f"run {rid} listed twice in {RUN_META_CSV}")
-        seen.add(rid)
+    for run in meta:
+        if run.run_id in seen:
+            raise DataError(f"run {run.run_id} listed twice in {RUN_META_CSV}")
+        seen.add(run.run_id)
     return meta
 
 
@@ -310,10 +313,11 @@ def read_dataset(in_dir: PathLike, n_sensors: int) -> list[RunRecord]:
         if header != expected:
             raise DataError(f"bad {RUNS_CSV} header {header}: {n_sensors} configured sensors "
                             f"need {expected}; rerun simulate")
-        pairs = zip_longest(meta, groupby(rows, key=itemgetter(0)), fillvalue=(None, None))
-        for n, (fields, (rid, block)) in enumerate(pairs, 1):
-            if rid != fields[0]:
-                expected, found = ("the end" if r is None else f"run {r}" for r in (fields[0], rid))
+        pairs = zip_longest(((run.run_id, run) for run in meta),
+                            groupby(rows, key=itemgetter(0)), fillvalue=(None, None))
+        for n, ((want, run), (rid, block)) in enumerate(pairs, 1):
+            if rid != want:
+                expected, found = ("the end" if r is None else f"run {r}" for r in (want, rid))
                 raise DataError(f"{RUNS_CSV} block {n} does not follow {RUN_META_CSV}: "
                                 f"expected {expected}, found {found}")
             block = list(block)
@@ -327,7 +331,7 @@ def read_dataset(in_dir: PathLike, n_sensors: int) -> list[RunRecord]:
                 raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
             runs.append(
                 RunRecord(
-                    *fields,
+                    **vars(run),
                     t=t,
                     readings=values[:, 1 : 1 + n_sensors],
                     extra_channels={name: channels[:, j] for j, name in enumerate(channel_names)},
@@ -336,28 +340,24 @@ def read_dataset(in_dir: PathLike, n_sensors: int) -> list[RunRecord]:
     return runs
 
 
-def write_run_aggregates_csv(path: PathLike, summaries: Sequence[RunSummary]) -> None:
-    """`run_id,<channel>_<mean|min|max|std>...`, the columns of
-    ``features.aggregate_channels`` in its order."""
-    if not summaries:
-        raise DataError("no runs to write")
-    write_csv(
-        path,
-        ["run_id", *summaries[0].aggregates],
-        ([s.run_id, *s.aggregates.values()] for s in summaries),
-    )
+def write_run_aggregates_csv(
+    path: PathLike, runs: Sequence[RunMeta], aggregates: Mapping[str, np.ndarray]
+) -> None:
+    """`run_id,<channel>_<mean|min|max|std>...`: one row per run, the
+    columns of ``features.aggregate_runs`` in its order."""
+    values = np.column_stack(list(aggregates.values())).tolist()
+    write_csv(path, ["run_id", *aggregates],
+              ([run.run_id, *row] for run, row in zip(runs, values, strict=True)))
 
 
-def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
-    """``run_meta.csv`` joined with ``run_aggregates.csv``, in run_meta order.
+def read_run_aggregates(in_dir: PathLike, runs: Sequence[RunMeta]) -> dict[str, np.ndarray]:
+    """``run_aggregates.csv``'s columns, name -> one float64 per run.
 
-    The aggregates file must list exactly the runs of ``run_meta.csv``,
-    in the same order, under a ``run_id`` plus ``<channel>_<suffix>``
-    header with the channels sorted and ``pressure`` among them.
+    The file must list exactly ``runs`` (``run_meta.csv``'s), in the
+    same order, under a ``run_id`` plus ``<channel>_<suffix>`` header
+    with the channels sorted and ``pressure`` among them.
     """
-    in_dir = Path(in_dir)
-    meta = read_run_meta(in_dir)
-    header, rows = read_csv(in_dir / RUN_AGGREGATES_CSV)
+    header, rows = read_csv(Path(in_dir) / RUN_AGGREGATES_CSV)
     channels = sorted({name.rpartition("_")[0] for name in header[1:]})
     if (
         header[:1] != ["run_id"]
@@ -365,16 +365,13 @@ def read_run_summaries(in_dir: PathLike) -> list[RunSummary]:
         or "pressure" not in channels
     ):
         raise DataError(f"bad {RUN_AGGREGATES_CSV} header: {header}")
-    if [row[0] for row in rows] != [m[0] for m in meta]:
+    if [row[0] for row in rows] != [run.run_id for run in runs]:
         raise DataError(
             f"{RUN_AGGREGATES_CSV} does not list the runs of {RUN_META_CSV} in the same order; "
             "rerun derive-hi"
         )
     values = _finite_floats([row[1:] for row in rows], RUN_AGGREGATES_CSV)
-    return [
-        RunSummary(*fields, aggregates=dict(zip(header[1:], row)))
-        for fields, row in zip(meta, values.tolist())
-    ]
+    return dict(zip(header[1:], values.T))
 
 
 # -- HI artifacts --------------------------------------------------------------
@@ -385,20 +382,22 @@ def write_fits_csv(path: PathLike, fits: Sequence[DegradationFit]) -> None:
         [f.segment.index, f.k, f.d, f.t_bar, f.alpha, f.r2, f.n_points] for f in fits))
 
 
+_hi_run_fields = attrgetter(*HI_RUN_FIELDS)
+
+
 def write_hi_csv(path: PathLike, series: HiSeries) -> None:
-    write_csv(path, SCHEMAS[HI_CSV], (
-        [e.run_id, e.asset_id, float(e.start_time), e.n_runs, float(e.hi)] for e in series.entries))
+    write_csv(path, SCHEMAS[HI_CSV], ([*_hi_run_fields(e.run), e.hi] for e in series.entries))
 
 
-def read_hi_csv(path: PathLike, runs: Sequence[RunSummary]) -> dict[str, float]:
+def read_hi_csv(path: PathLike, runs: Sequence[RunMeta]) -> dict[str, float]:
     """``hi.csv`` as run_id -> HI seconds. Its rows must be ``runs``
     (``run_meta.csv``'s) in order, less those without an HI, each equal
-    to its run on run_id, asset_id, start_time and n_runs (DataError)."""
+    to its run on the HI_RUN_FIELDS (DataError)."""
     later = iter(runs)
     hi = {}
     for *fields, hi_s in read_table(path):
         # consumes ``later`` up to the row's run, so no row can go back
-        if fields not in ([r.run_id, r.asset_id, r.start_time, r.n_runs] for r in later):
+        if tuple(fields) not in map(_hi_run_fields, later):
             raise DataError(f"{HI_CSV} row of run {fields[0]} does not follow {RUN_META_CSV}; "
                             "rerun derive-hi")
         hi[fields[0]] = hi_s
@@ -444,22 +443,19 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
         for *fields, plan, _ in m_rows
     ]
     splits = [m_row[-1] for m_row in m_rows]
-    bad = set(splits) - {"train", "test"}
-    if bad:
-        raise DataError(f"bad split values {sorted(bad)} in {META_CSV}")
+    n_train = splits.count("train")
+    if splits != ["train"] * n_train + ["test"] * (len(splits) - n_train):
+        raise DataError(f"{META_CSV}'s split column is not every train row, then every test row")
 
-    def assemble(split: str) -> SupervisedSet:
-        rows = [i for i, s in enumerate(splits) if s == split]
-        if not rows:
+    def assemble(rows: slice) -> SupervisedSet:
+        if not meta[rows]:
             raise DataError("empty split in persisted supervised set")
         return SupervisedSet(
-            X=values[rows, :-1],
-            y=values[rows, -1],
-            feature_names=names,
-            meta=tuple(meta[i] for i in rows),
+            X=values[rows, :-1].copy(), y=values[rows, -1].copy(), feature_names=names,
+            meta=tuple(meta[rows]),
         )
 
-    return assemble("train"), assemble("test")
+    return assemble(slice(n_train)), assemble(slice(n_train, None))
 
 
 # -- evaluation artifacts --------------------------------------------------------

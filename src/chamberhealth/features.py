@@ -16,16 +16,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import RunRecord
+from .core import RunMeta, RunRecord
 from .errors import DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
-# "<channel>_<mean|min|max|std>" -> value, in aggregate_names column order
-Aggregates = dict[str, float]
 
-
-def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> Aggregates:
+def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> dict[str, float]:
     """Per-channel mean, min, max and population std for one run, keyed
     by column name in ``aggregate_names`` order, channels sorted by name.
 
@@ -48,25 +45,13 @@ def aggregate_names(channels: Iterable[str]) -> list[str]:
     return [f"{ch}_{suffix}" for ch in channels for suffix in AGGREGATE_SUFFIXES]
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """One run as ``build_supervised`` sees it: identity, recipe,
-    maintenance counter and the channel aggregates of ``aggregate_channels``."""
-
-    run_id: str
-    asset_id: str
-    start_time: float
-    recipe_id: str
-    n_runs: int
-    aggregates: Aggregates
-
-
-def summarize_run(run: RunRecord, pressure: np.ndarray) -> RunSummary:
-    """The RunSummary of a run whose composite curve is ``pressure``."""
-    return RunSummary(
-        run.run_id, run.asset_id, run.start_time, run.recipe_id, run.n_runs,
-        aggregate_channels(run, pressure),
-    )
+def aggregate_runs(
+    runs: Sequence[RunRecord], curves: Sequence[np.ndarray]
+) -> dict[str, np.ndarray]:
+    """``aggregate_channels`` of every run, given each run's composite
+    curve, as columns: name -> one float64 per run, in run order."""
+    per_run = [aggregate_channels(run, curve) for run, curve in zip(runs, curves, strict=True)]
+    return dict(zip(per_run[0], np.array([list(a.values()) for a in per_run]).T))
 
 
 def encode_recipe_plan(
@@ -124,38 +109,41 @@ class SupervisedSet:
 
 
 def build_supervised(
-    runs: Sequence[RunSummary],
+    runs: Sequence[RunMeta],
+    aggregates: Mapping[str, np.ndarray],
     hi: Mapping[str, float],
     plan: Mapping[str, Sequence[str]],
     horizon: int = 10,
 ) -> SupervisedSet:
     """One row per run that has a same-asset run ``horizon`` positions later.
 
-    ``runs`` are per-run summaries (``summarize_run``). ``hi`` maps
-    run_id to the derived health index in seconds. ``plan`` maps
-    asset_id to that asset's scheduled recipe sequence. Rows spanning a
-    maintenance event are kept: the post-cleaning drop is part of the
-    target. Rows are sorted by start_time.
+    ``aggregates`` holds one value per run of ``runs`` in each column
+    (``aggregate_runs``). ``hi`` maps run_id to the derived health index
+    in seconds. ``plan`` maps asset_id to that asset's scheduled recipe
+    sequence. Rows spanning a maintenance event are kept: the
+    post-cleaning drop is part of the target. Rows are sorted by
+    start_time.
     """
-    by_asset: dict[str, list[RunSummary]] = {}
-    for run in runs:
-        by_asset.setdefault(run.asset_id, []).append(run)
+    numeric = np.column_stack([*aggregates.values(), [run.n_runs for run in runs]])
+    by_asset: dict[str, list[int]] = {}
+    for i, run in enumerate(runs):
+        by_asset.setdefault(run.asset_id, []).append(i)
 
     rows = []
     for asset_id in sorted(by_asset):
-        seq = sorted(by_asset[asset_id], key=lambda r: (r.start_time, r.run_id))
+        seq = sorted(by_asset[asset_id], key=lambda i: (runs[i].start_time, runs[i].run_id))
         recipe_seq = list(plan.get(asset_id, ()))
         if len(recipe_seq) < len(seq):
             raise DataError(f"plan for {asset_id} covers {len(recipe_seq)} of {len(seq)} runs")
         for t in range(len(seq) - horizon):
-            cur, tgt = seq[t], seq[t + horizon]
+            cur, tgt = runs[seq[t]], runs[seq[t + horizon]]
             if cur.run_id not in hi or tgt.run_id not in hi:
                 continue
             rows.append(
                 (
                     cur.start_time,
                     cur.run_id,
-                    np.array([*cur.aggregates.values(), cur.n_runs], dtype=np.float64),
+                    seq[t],
                     hi[tgt.run_id],
                     RowMeta(
                         asset_id=asset_id,
@@ -175,11 +163,10 @@ def build_supervised(
         raise DataError("no supervised rows could be built")
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    names = (*runs[0].aggregates, "n_runs")
-    X = np.stack([r[2] for r in rows])
+    X = numeric[[r[2] for r in rows]]
     y = np.array([r[3] for r in rows], dtype=np.float64)
     meta = tuple(r[4] for r in rows)
-    return SupervisedSet(X=X, y=y, feature_names=names, meta=meta)
+    return SupervisedSet(X=X, y=y, feature_names=(*aggregates, "n_runs"), meta=meta)
 
 
 def _encode_with_vocab(sset: SupervisedSet, vocab: tuple[str, ...], horizon: int) -> SupervisedSet:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunRecord, SegmentSpec
+from .core import RunMeta, RunRecord, SegmentSpec
 from .errors import DataError, DegenerateFit
 
 # clean-machine baseline pools runs with n_runs in {0..9}
@@ -38,10 +38,7 @@ class DegradationFit:
 
 @dataclass(frozen=True)
 class HiEntry:
-    run_id: str
-    asset_id: str
-    start_time: float
-    n_runs: int
+    run: RunMeta
     hi: float
 
 
@@ -181,6 +178,8 @@ def derive_hi(
     """Fit every segment on the analysis subset and select the HI segment.
 
     ``curves`` holds each run's composite pressure curve, in run order.
+    ``cycle_length`` is the maintenance period in runs; it scales each
+    fit's impact ``alpha``.
 
     Selection is argmax R^2, ties broken by larger impact, then lower
     segment index. Incomplete durations are excluded per segment;
@@ -220,14 +219,6 @@ def derive_hi(
     # the winning segment's column; equal specs measure equal columns
     hi = durations[:, list(segments).index(best.segment)]
     entries = tuple(
-        HiEntry(
-            run_id=run.run_id,
-            asset_id=run.asset_id,
-            start_time=run.start_time,
-            n_runs=run.n_runs,
-            hi=float(hi[i]),
-        )
-        for i, run in enumerate(runs)
-        if not np.isnan(hi[i])
+        HiEntry(run, float(hi[i])) for i, run in enumerate(runs) if not np.isnan(hi[i])
     )
     return fits, HiSeries(entries=entries, selected_segment=best.segment)

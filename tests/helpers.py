@@ -1,13 +1,33 @@
-"""Test-only views of in-memory pipeline objects, in the shapes the
-program reads back from hi.csv, an editor of model files, the
-reference tree grower that the rank-code split search and the node
-tables are checked against, and the reference bm2 benchmark."""
+"""The small config of the CLI tests, test-only views of in-memory
+pipeline objects, in the shapes the program reads back from hi.csv, an
+editor of model files, the reference tree grower that the rank-code
+split search and the node tables are checked against, and the reference
+bm2 benchmark."""
 
 import io
 import math
 from typing import Optional
 
 import numpy as np
+
+# one asset, 100 runs, four maintenance cycles; small models
+SMALL_INI = """
+[cli]
+seed = 0
+
+[simgen]
+n_assets = 1
+n_runs_total = 100
+cycle_length = 25
+
+[features]
+horizon = 1
+
+[models]
+rf_n_trees = 20
+svr_steps = 500
+mlp_epochs = 20
+"""
 
 
 def realized_plan(runs):
@@ -21,7 +41,7 @@ def realized_plan(runs):
 
 def hi_by_run_id(series):
     """A HiSeries as run_id -> HI seconds, as ``dataio.read_hi_csv`` returns it."""
-    return {e.run_id: e.hi for e in series.entries}
+    return {e.run.run_id: e.hi for e in series.entries}
 
 
 def edited_npz(path, edit) -> bytes:

@@ -18,29 +18,11 @@ from chamberhealth.cli import build_parser, main
 from chamberhealth.config import (
     FLOAT, INT, RECIPES, SEGMENTS, SENSORS, SETTINGS, TEXT, load_config,
 )
-from chamberhealth.features import build_supervised, chrono_split, summarize_run
+from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
 from chamberhealth.hi import derive_hi
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
-from helpers import edited_npz, hi_by_run_id
-
-SMALL_INI = """
-[cli]
-seed = 0
-
-[simgen]
-n_assets = 1
-n_runs_total = 100
-cycle_length = 25
-
-[features]
-horizon = 1
-
-[models]
-rf_n_trees = 20
-svr_steps = 500
-mlp_epochs = 20
-"""
+from helpers import SMALL_INI, edited_npz, hi_by_run_id
 
 ARTIFACTS = [
     dataio.RUNS_CSV,
@@ -152,6 +134,19 @@ def test_flag_overrides_config(small_config, capsys, flag):
 def test_flag_value_uses_the_key_parser(small_config, capsys):
     assert run_cli("show-config", "--config", small_config, "--rf-n-trees", "10.7") == 2
     assert capsys.readouterr().err.startswith("ERROR ConfigError:")
+
+
+def test_impact_alpha_is_per_simulated_maintenance_cycle(tmp_path, small_config, capsys):
+    # the small config without its cycle length, which the flag then sets
+    ini = tmp_path / "default-cycle.ini"
+    ini.write_text(SMALL_INI.replace("cycle_length = 25\n", ""))
+    out = tmp_path / "work"
+    assert run_cli("pipeline", "--config", ini, "--out", out, "--cycle-length", 25) == 0
+    assert "cycle_length = 25" in capsys.readouterr().out
+    fits = dataio.read_table(out / dataio.FITS_CSV)
+    assert fits
+    for _, k, _, t_bar, alpha, _, _ in fits:
+        assert alpha == k * 25 / t_bar * 100.0
 
 
 def test_run_missing_from_runs_csv_is_data_error(tmp_path, small_config):
@@ -268,6 +263,8 @@ SUPERVISED_CORRUPTIONS = {
     "non-numeric-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "abc")),
     "nan-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "nan")),
     "inf-hi-current-cell": (dataio.META_CSV, _set_column(dataio.META_CSV, "hi_current", "inf")),
+    # the second row, a train row, relabelled: a test row that predates train rows
+    "test-row-among-train-rows": (dataio.META_CSV, lambda lines: _set_cell(lines, 2, -1, "test")),
 }
 
 
@@ -303,7 +300,7 @@ def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, corruptio
 
 def test_runs_csv_block_out_of_place_names_both_runs(tmp_path, simulated, capsys):
     config, work = simulated
-    ids = [row[0] for row in dataio.read_run_meta(work)]
+    ids = [run.run_id for run in dataio.read_run_meta(work)]
     refusals = {  # the block that breaks run_meta.csv's order: (number, expected, found)
         "blocks-out-of-run-meta-order": (1, f"run {ids[0]}", f"run {ids[1]}"),
         "block-not-in-run-meta": (1, f"run {ids[0]}", "run not-a-run"),
@@ -334,6 +331,19 @@ def test_malformed_supervised_set_is_data_error(tmp_path, pipelined, capsys, cor
     assert run_cli(command, "--config", config, "--out", out) == 3
     assert capsys.readouterr().err.startswith("ERROR DataError:")
     assert not output.exists()
+
+
+def test_negative_n_runs_in_run_meta_is_data_error(tmp_path, pipelined, capsys):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *FEATURE_OUTPUTS)
+    run_id = dataio.read_run_meta(out)[0].run_id
+    _corrupt(out / dataio.RUN_META_CSV, _set_column(dataio.RUN_META_CSV, "n_runs", "-1"))
+    assert run_cli("build-features", "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err == (
+        f"ERROR DataError: run {run_id}: n_runs must be >= 0, got -1\n"
+    )
+    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
 def _drop_outputs(out, *names):
@@ -441,7 +451,8 @@ def test_hi_csv_that_does_not_follow_run_meta_is_data_error(tmp_path, pipelined,
     _drop_outputs(stale, *FEATURE_OUTPUTS)
     hi_rows = dataio.read_table(stale / dataio.HI_CSV)
     assert run_cli("simulate", "--config", config, "--out", stale, "--seed", 1) == 0
-    meta = {(rid, asset, start, n) for rid, asset, start, _, n in dataio.read_run_meta(stale)}
+    meta = {tuple(getattr(run, name) for name in dataio.HI_RUN_FIELDS)
+            for run in dataio.read_run_meta(stale)}
     first_stale = next(row[0] for row in hi_rows if tuple(row[:4]) not in meta)
     # a row for a run that run_meta.csv does not list, before every other row
     unknown = shutil.copytree(work, tmp_path / "unknown")
@@ -532,7 +543,6 @@ OUT_OF_RANGE_SETTINGS = {
                     "finite, got inf"),
     "recipe-probs-negative": ("simgen", "recipe_probs", "std:0.5, light:-0.3, heavy:0.2",
                               ">= 0, got -0.3"),
-    "hi-cycle-length-zero": ("hi", "cycle_length", "0", ">= 1, got 0"),
     "analysis-limit-negative": ("hi", "analysis_limit", "-1", ">= 1, got -1"),
     "analysis-limit-zero": ("hi", "analysis_limit", "0", ">= 1, got 0"),
     "horizon-zero": ("features", "horizon", "0", ">= 1, got 0"),
@@ -649,13 +659,13 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     cfg = load_config(small_config)
     sensors = cfg.chamber.sensors
     ds = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
-                          n_runs_total=cfg.n_runs_total, cycle_length=cfg.sim_cycle_length,
+                          n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
                           seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
     curves = [core.composite_curve(run, sensors) for run in ds.runs]
-    _, series = derive_hi(ds.runs, curves, cfg.segments, cycle_length=cfg.hi_cycle_length,
+    _, series = derive_hi(ds.runs, curves, cfg.segments, cycle_length=cfg.cycle_length,
                           analysis_limit=cfg.analysis_limit)
-    summaries = [summarize_run(run, curve) for run, curve in zip(ds.runs, curves)]
-    sset = build_supervised(summaries, hi_by_run_id(series), ds.plan, horizon=cfg.horizon)
+    sset = build_supervised(ds.runs, aggregate_runs(ds.runs, curves), hi_by_run_id(series),
+                            ds.plan, horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()
     dataio.write_supervised(ref, *chrono_split(sset, train_frac=cfg.train_frac))

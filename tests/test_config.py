@@ -69,6 +69,9 @@ def test_unknown_keys_and_sections_rejected():
     # the thread cap was removed; old config dumps still carrying it fail loudly
     with pytest.raises(ConfigError, match=r"unknown \[cli\] key: threads"):
         config_from_ini("[cli]\nthreads = 1\n")
+    # and so was [hi] cycle_length: the impact's cycle is the one simgen cleans at
+    with pytest.raises(ConfigError, match=r"unknown \[hi\] key: cycle_length"):
+        config_from_ini("[hi]\ncycle_length = 100\n")
     # so was the [eval] section, whose one switch is now always on
     with pytest.raises(ConfigError, match=r"unknown config sections: \['eval'\]"):
         config_from_ini("[eval]\ndump_predictions = true\n")

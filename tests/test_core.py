@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chamberhealth.core import (
+    RunMeta,
     RunRecord,
     SegmentSpec,
     SensorSpec,
@@ -192,7 +193,10 @@ def test_run_record_validation():
         readings=np.array([[1.0], [2.0]]),
     )
     RunRecord(**good)
-    with pytest.raises(DataError):
+    # the RunMeta check, which every RunRecord passes first
+    with pytest.raises(DataError, match="run r: n_runs must be >= 0, got -1"):
+        RunMeta("r", "a", 0.0, "std", -1)
+    with pytest.raises(DataError, match="n_runs must be >= 0"):
         RunRecord(**{**good, "n_runs": -1})
     with pytest.raises(DataError):
         RunRecord(**{**good, "t": np.array([0.5, 0.5]), "readings": np.array([[1.0], [2.0]])})

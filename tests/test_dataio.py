@@ -13,7 +13,7 @@ import pytest
 from chamberhealth import dataio
 from chamberhealth.errors import DataError
 from chamberhealth.core import composite_curve
-from chamberhealth.features import build_supervised, chrono_split, summarize_run
+from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
 from chamberhealth.hi import derive_hi
 from chamberhealth.simgen import (
     ChamberConfig,
@@ -141,11 +141,22 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
     hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, ds.runs)
-    assert list(hi_map) == [e.run_id for e in series.entries]
-    assert all(hi_map[e.run_id] == e.hi for e in series.entries)
+    assert hi_map == hi_by_run_id(series)
+    assert list(hi_map) == [e.run.run_id for e in series.entries]
     header, rows = dataio.read_csv(tmp_path / dataio.FITS_CSV)
     assert header == ["segment", "k", "d", "t_bar", "alpha", "r2", "n_points"]
     assert len(rows) == len(fits)
+
+
+def test_run_aggregates_roundtrip(tmp_path, small_dataset):
+    config, ds = small_dataset
+    columns = aggregate_runs(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs])
+    dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, ds.runs, columns)
+    back = dataio.read_run_aggregates(tmp_path, ds.runs)
+    assert list(back) == list(columns)
+    assert all(np.array_equal(back[name], columns[name]) for name in columns)
+    with pytest.raises(DataError, match="does not list the runs of run_meta.csv"):
+        dataio.read_run_aggregates(tmp_path, ds.runs[::-1])
 
 
 def test_supervised_roundtrip(tmp_path, small_dataset):
@@ -153,8 +164,8 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     curves = [composite_curve(r, config.sensors) for r in ds.runs]
     fits, series = derive_hi(ds.runs, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
-    summaries = [summarize_run(r, c) for r, c in zip(ds.runs, curves)]
-    sset = build_supervised(summaries, hi_by_run_id(series), ds.plan)
+    sset = build_supervised(ds.runs, aggregate_runs(ds.runs, curves), hi_by_run_id(series),
+                            ds.plan)
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)

@@ -8,10 +8,10 @@ from chamberhealth.errors import DataError
 from chamberhealth.features import (
     Standardizer,
     aggregate_channels,
+    aggregate_runs,
     build_supervised,
     chrono_split,
     encode_recipe_plan,
-    summarize_run,
 )
 from chamberhealth.hi import derive_hi
 from chamberhealth.simgen import (
@@ -37,8 +37,8 @@ def standardize(train_X, X):
     return Standardizer.fit(train_X).transform(X)
 
 
-def _summaries(runs, sensors=WIDE):
-    return [summarize_run(r, composite_curve(r, sensors)) for r in runs]
+def _aggregates(runs, sensors=WIDE):
+    return aggregate_runs(runs, [composite_curve(r, sensors) for r in runs])
 
 
 def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"):
@@ -101,6 +101,16 @@ def test_aggregates_match_two_pass_oracle():
         assert aggs[f"{name}_std"] == pytest.approx(var ** 0.5, rel=1e-12)
 
 
+def test_aggregate_runs_hold_each_runs_aggregates_as_columns():
+    runs = [make_run(run_id=f"r{i}", channel=[float(i), 2.0 * i + 1]) for i in range(3)]
+    curves = [composite_curve(r, WIDE) for r in runs]
+    columns = aggregate_runs(runs, curves)
+    assert list(columns) == list(aggregate_channels(runs[0], curves[0]))
+    for i, (run, curve) in enumerate(zip(runs, curves)):
+        row = {name: values[i] for name, values in columns.items()}
+        assert row == aggregate_channels(run, curve)
+
+
 def test_encode_plan_basic_blocks():
     vocab = ["A", "B"]
     out = encode_recipe_plan(["A", "B", "A"], vocab, horizon=3)
@@ -139,7 +149,7 @@ def _hi_for(runs):
 
 def test_build_supervised_row_count():
     runs = _asset_runs(15)
-    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     assert sset.n_rows == 5
 
 
@@ -148,7 +158,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
     for i in range(30):
         runs.append(make_run(run_id=f"r{i:03d}", start=float(i), n=i % 20,
                              channel=[1.0, 2.0]))
-    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     spanning = [m for m in sset.meta if m.n_runs_target < m.n_runs]
     assert spanning  # rows crossing the reset survive
     assert sset.n_rows == 20
@@ -156,7 +166,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
 
 def test_build_supervised_pairs_stay_within_asset():
     runs = _asset_runs(15, asset="a1") + _asset_runs(12, asset="a2", start0=0.5)
-    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     assert sset.n_rows == 5 + 2
     for m in sset.meta:
         assert m.run_id.split("-")[0] == m.run_id_target.split("-")[0]
@@ -164,7 +174,7 @@ def test_build_supervised_pairs_stay_within_asset():
 
 def test_build_supervised_rows_sorted_by_time():
     runs = _asset_runs(15, asset="a1") + _asset_runs(15, asset="a2", start0=0.5)
-    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     times = [m.start_time for m in sset.meta]
     assert times == sorted(times)
 
@@ -177,7 +187,7 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     ds = simulate_history(config, recipes, 1, 60, 100, seed=0)
     fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
                              default_segments(), 100)
-    sset = build_supervised(_summaries(ds.runs, config.sensors), hi_by_run_id(series),
+    sset = build_supervised(ds.runs, _aggregates(ds.runs, config.sensors), hi_by_run_id(series),
                             ds.plan, horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
@@ -190,12 +200,12 @@ def test_build_supervised_noiseless_target_matches_closed_form():
 def test_build_supervised_plan_mismatch_raises():
     runs = _asset_runs(15)
     with pytest.raises(DataError):
-        build_supervised(_summaries(runs), _hi_for(runs), {"a1": ["std"] * 3}, horizon=10)
+        build_supervised(runs, _aggregates(runs), _hi_for(runs), {"a1": ["std"] * 3}, horizon=10)
 
 
 def _supervised_fixture(n=40, asset="a1", start0=0.0):
     runs = _asset_runs(n, asset=asset, start0=start0)
-    return build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    return build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
 
 
 def test_chrono_split_sizes():
@@ -226,7 +236,7 @@ def test_chrono_split_encodes_one_hot_blocks():
     runs = _asset_runs(20, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i % 2 == 0 else "B")
-    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     train, test = chrono_split(sset, 0.7)
     assert _vocab(train) == ("A", "B")
     names = train.feature_names
@@ -245,7 +255,7 @@ def test_unseen_test_recipe_encodes_to_zero_block():
     runs = _asset_runs(30, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i < 24 else "ZNEW")
-    sset = build_supervised(_summaries(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
     train, test = chrono_split(sset, 0.7)
     # ZNEW appears only in late rows; if absent from train vocab its
     # current-recipe block is all zero

@@ -486,18 +486,18 @@ def test_bm2_systematically_low_under_drift():
     # derived: with the default late-year drift the train-era average
     # curve under-predicts the drifted test period
     from chamberhealth.core import composite_curve
-    from chamberhealth.features import build_supervised, chrono_split, summarize_run
+    from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
     from chamberhealth.hi import derive_hi
     from chamberhealth.simgen import ChamberConfig, default_recipes, default_segments, simulate_history
 
-    def summaries(runs, sensors):
-        return [summarize_run(r, composite_curve(r, sensors)) for r in runs]
+    def aggregates(runs, sensors):
+        return aggregate_runs(runs, [composite_curve(r, sensors) for r in runs])
 
     config = ChamberConfig(weather_sigma=0.0)
     ds = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
     fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
                              default_segments(), 100)
-    sset = build_supervised(summaries(ds.runs, config.sensors), hi_by_run_id(series),
+    sset = build_supervised(ds.runs, aggregates(ds.runs, config.sensors), hi_by_run_id(series),
                             ds.plan)
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
@@ -507,7 +507,7 @@ def test_bm2_systematically_low_under_drift():
     ds2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
     fits2, series2 = derive_hi(ds2.runs, [composite_curve(r, flat.sensors) for r in ds2.runs],
                                default_segments(), 100)
-    sset2 = build_supervised(summaries(ds2.runs, flat.sensors), hi_by_run_id(series2),
+    sset2 = build_supervised(ds2.runs, aggregates(ds2.runs, flat.sensors), hi_by_run_id(series2),
                              ds2.plan)
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
