@@ -45,7 +45,7 @@ def stage_simulate(cfg: PipelineConfig) -> None:
     seed = cfg.require_seed()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = simulate_history(
+    runs = simulate_history(
         cfg.chamber,
         cfg.recipes,
         n_assets=cfg.n_assets,
@@ -54,7 +54,7 @@ def stage_simulate(cfg: PipelineConfig) -> None:
         seed=seed,
         recipe_probs=cfg.recipe_probs,
     )
-    dataio.write_dataset(out, dataset)
+    dataio.write_dataset(out, runs)
 
 
 def stage_derive_hi(cfg: PipelineConfig) -> None:
@@ -78,14 +78,13 @@ def stage_derive_hi(cfg: PipelineConfig) -> None:
 
 
 def stage_build_features(cfg: PipelineConfig) -> None:
-    """The supervised split from run_meta.csv, run_aggregates.csv, plan.csv
-    and hi.csv; runs.csv is not read."""
+    """The supervised split from run_meta.csv, run_aggregates.csv and
+    hi.csv; runs.csv is not read."""
     out = Path(cfg.out_dir)
     runs = dataio.read_run_meta(out)
     aggregates = dataio.read_run_aggregates(out, runs)
-    plan = dataio.read_plan(out)
     hi_map = dataio.read_hi_csv(out / dataio.HI_CSV, runs)
-    sset = build_supervised(runs, aggregates, hi_map, plan, horizon=cfg.horizon)
+    sset = build_supervised(runs, aggregates, hi_map, horizon=cfg.horizon)
     train, test = chrono_split(sset, train_frac=cfg.train_frac)
     dataio.write_supervised(out, train, test)
 

@@ -96,7 +96,8 @@ def _mapping_to_str(mapping: Mapping[str, float]) -> str:
 
 def _parse_segments(text: str) -> tuple[SegmentSpec, ...]:
     segments = tuple(
-        SegmentSpec(int(p[0]), FLOAT.parse(p[1]), FLOAT.parse(p[2])) for p in _parse_list(text, 3)
+        SegmentSpec(POS_INT.parse(p[0]), FLOAT.parse(p[1]), FLOAT.parse(p[2]))
+        for p in _parse_list(text, 3)
     )
     indices = [s.index for s in segments]
     if len(set(indices)) != len(indices):

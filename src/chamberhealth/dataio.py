@@ -7,9 +7,10 @@ repr(), so that every write/read cycle round-trips bit-exactly. Files
 are written to a temp path and renamed into place, and a failed write
 removes its temp file, so a failing stage never leaves a partial file.
 
-The eight fixed-header CSVs are declared once, in ``SCHEMAS``: column
+The seven fixed-header CSVs are declared once, in ``SCHEMAS``: column
 names in order, each with its cell type (``run_meta.csv``'s are the
-fields of ``core.RunMeta``). Their writers take the header
+fields of ``core.RunMeta``; ``meta.csv``'s are those of
+``features.RowMeta``, then the split). Their writers take the header
 from it, and ``read_table`` reads any of them back, refusing a wrong
 header, a cell its column's type does not parse and NaN or an infinity
 in a float column (DataError). ``runs.csv``, ``run_aggregates.csv`` and
@@ -54,7 +55,6 @@ from .core import RunMeta, RunRecord
 from .errors import DataError
 from .features import RowMeta, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
-from .simgen import SimDataset
 from .workers import map_in_order
 
 PathLike = Union[str, Path]
@@ -63,7 +63,6 @@ RUNS_CSV = "runs.csv"
 RUN_META_CSV = "run_meta.csv"
 RUN_AGGREGATES_CSV = "run_aggregates.csv"
 GROUND_TRUTH_CSV = "ground_truth.csv"
-PLAN_CSV = "plan.csv"
 FITS_CSV = "fits.csv"
 HI_CSV = "hi.csv"
 FEATURES_CSV = "features.csv"
@@ -76,6 +75,7 @@ MODELS_DIR = "models"
 # The RunMeta fields that hi.csv repeats, so that each row names its run
 HI_RUN_FIELDS = ("run_id", "asset_id", "start_time", "n_runs")
 _RUN_META_TYPES = get_type_hints(RunMeta)
+_ROW_META_TYPES = get_type_hints(RowMeta)
 
 # The fixed-header CSVs: each file's columns in order, with the type of
 # their cells. Writers take the header from here; read_table checks it
@@ -83,18 +83,13 @@ _RUN_META_TYPES = get_type_hints(RunMeta)
 SCHEMAS: dict[str, dict[str, type]] = {
     RUN_META_CSV: _RUN_META_TYPES,
     GROUND_TRUTH_CSV: {"run_id": str, "c": float, "p_ss": float},
-    PLAN_CSV: {"asset_id": str, "position": int, "recipe_id": str},
     FITS_CSV: {
         "segment": int, "k": float, "d": float, "t_bar": float, "alpha": float, "r2": float,
         "n_points": int,
     },
     HI_CSV: {**{name: _RUN_META_TYPES[name] for name in HI_RUN_FIELDS}, "hi_s": float},
-    # in RowMeta's field order, plan joined by "|", then the split
-    META_CSV: {
-        "asset_id": str, "run_id": str, "run_id_target": str, "start_time": float,
-        "n_runs": int, "n_runs_target": int, "hi_current": float, "recipe_id": str,
-        "plan": str, "split": str,
-    },
+    # RowMeta's fields, plan joined by "|", then the split
+    META_CSV: {**_ROW_META_TYPES, "plan": str, "split": str},
     PREDICTIONS_CSV: {"run_id": str, "target": float, "model": str, "prediction": float},
     PLOT_HI_CSV: {
         "start_time": float, "n_runs": int, "target": float, "prediction_best": float,
@@ -257,15 +252,13 @@ def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
         fh.writelines(map_in_order(partial(_render_runs, channels), chunks))
 
 
-def write_dataset(out_dir: PathLike, dataset: SimDataset) -> None:
-    out, runs = Path(out_dir), dataset.runs
+def write_dataset(out_dir: PathLike, runs: Sequence[RunRecord]) -> None:
+    out = Path(out_dir)
     write_runs_csv(out / RUNS_CSV, runs)
     write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV],
               map(attrgetter(*SCHEMAS[RUN_META_CSV]), runs))
     write_csv(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], (
         [r.run_id, float(r.true_c), float(r.true_p_ss)] for r in runs))
-    write_csv(out / PLAN_CSV, SCHEMAS[PLAN_CSV], (
-        [asset, pos, rid] for asset, ids in dataset.plan.items() for pos, rid in enumerate(ids)))
 
 
 def read_run_meta(in_dir: PathLike) -> list[RunMeta]:
@@ -278,21 +271,6 @@ def read_run_meta(in_dir: PathLike) -> list[RunMeta]:
             raise DataError(f"run {run.run_id} listed twice in {RUN_META_CSV}")
         seen.add(run.run_id)
     return meta
-
-
-def read_plan(in_dir: PathLike) -> dict[str, list[str]]:
-    """``plan.csv`` as asset_id -> recipe_ids in position order. Each
-    asset's positions must be 0..n-1, once each."""
-    plan: dict[str, list[tuple[int, str]]] = {}
-    for asset, pos, rid in read_table(Path(in_dir) / PLAN_CSV):
-        plan.setdefault(asset, []).append((pos, rid))
-    for asset, entries in plan.items():
-        entries.sort()
-        if [pos for pos, _ in entries] != list(range(len(entries))):
-            raise DataError(
-                f"{PLAN_CSV}: asset {asset}'s positions are not 0..{len(entries) - 1} once each"
-            )
-    return {asset: [rid for _, rid in entries] for asset, entries in plan.items()}
 
 
 def read_dataset(in_dir: PathLike, n_sensors: int) -> list[RunRecord]:
@@ -421,11 +399,14 @@ def write_supervised(
 
     write_csv(out / FEATURES_CSV, list(train.feature_names) + ["target"], feature_rows())
 
-    write_csv(out / META_CSV, SCHEMAS[META_CSV], (
-        [m.asset_id, m.run_id, m.run_id_target, float(m.start_time), m.n_runs, m.n_runs_target,
-         float(m.hi_current), m.recipe_id, "|".join(m.plan), split]
-        for split, part in (("train", train), ("test", test))
-        for m in part.meta))
+    def meta_rows():
+        for split, part in (("train", train), ("test", test)):
+            for m in part.meta:
+                cells = {**vars(m), "plan": "|".join(m.plan), "split": split}
+                # as its column's type: a numpy scalar is written as the value read back
+                yield [kind(cells[name]) for name, kind in SCHEMAS[META_CSV].items()]
+
+    write_csv(out / META_CSV, SCHEMAS[META_CSV], meta_rows())
 
 
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
@@ -438,10 +419,11 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     if len(m_rows) != len(f_rows):
         raise DataError(f"{FEATURES_CSV} and {META_CSV} row counts differ")
     values = _finite_floats(f_rows, FEATURES_CSV)
-    meta = [
-        RowMeta(*fields, tuple(plan.split("|")) if plan else ())
-        for *fields, plan, _ in m_rows
-    ]
+    meta = []
+    for row in m_rows:
+        cells = dict(zip(_ROW_META_TYPES, row))  # all but the split
+        cells["plan"] = tuple(cells["plan"].split("|")) if cells["plan"] else ()
+        meta.append(RowMeta(**cells))
     splits = [m_row[-1] for m_row in m_rows]
     n_train = splits.count("train")
     if splits != ["train"] * n_train + ["test"] * (len(splits) - n_train):

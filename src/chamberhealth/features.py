@@ -112,17 +112,17 @@ def build_supervised(
     runs: Sequence[RunMeta],
     aggregates: Mapping[str, np.ndarray],
     hi: Mapping[str, float],
-    plan: Mapping[str, Sequence[str]],
     horizon: int = 10,
 ) -> SupervisedSet:
     """One row per run that has a same-asset run ``horizon`` positions later.
 
     ``aggregates`` holds one value per run of ``runs`` in each column
     (``aggregate_runs``). ``hi`` maps run_id to the derived health index
-    in seconds. ``plan`` maps asset_id to that asset's scheduled recipe
-    sequence. Rows spanning a maintenance event are kept: the
-    post-cleaning drop is part of the target. Rows are sorted by
-    start_time.
+    in seconds. A row's plan is the recipe_ids of its asset's next
+    ``horizon`` runs in (start_time, run_id) order, the production plan
+    a scheduler knows in advance. Rows spanning a maintenance event are
+    kept: the post-cleaning drop is part of the target. Rows are sorted
+    by start_time.
     """
     numeric = np.column_stack([*aggregates.values(), [run.n_runs for run in runs]])
     by_asset: dict[str, list[int]] = {}
@@ -132,9 +132,6 @@ def build_supervised(
     rows = []
     for asset_id in sorted(by_asset):
         seq = sorted(by_asset[asset_id], key=lambda i: (runs[i].start_time, runs[i].run_id))
-        recipe_seq = list(plan.get(asset_id, ()))
-        if len(recipe_seq) < len(seq):
-            raise DataError(f"plan for {asset_id} covers {len(recipe_seq)} of {len(seq)} runs")
         for t in range(len(seq) - horizon):
             cur, tgt = runs[seq[t]], runs[seq[t + horizon]]
             if cur.run_id not in hi or tgt.run_id not in hi:
@@ -154,7 +151,7 @@ def build_supervised(
                         n_runs_target=tgt.n_runs,
                         hi_current=hi[cur.run_id],
                         recipe_id=cur.recipe_id,
-                        plan=tuple(recipe_seq[t + 1 : t + 1 + horizon]),
+                        plan=tuple(runs[i].recipe_id for i in seq[t + 1 : t + 1 + horizon]),
                     ),
                 )
             )

@@ -345,17 +345,6 @@ def simulate_run(
     )
 
 
-@dataclass(frozen=True)
-class SimDataset:
-    """Generator output: runs ordered by (asset_id, start_time) plus the
-    full recipe plan, so a forecaster legitimately knows future recipes.
-    The plan maps each asset_id to its recipe_ids in position order, as
-    ``dataio.read_plan`` reads it back."""
-
-    runs: tuple[RunRecord, ...]
-    plan: Mapping[str, list[str]]
-
-
 def recipe_probabilities(recipes: Sequence[RecipeSpec],
                          recipe_probs: Optional[Mapping[str, float]]) -> np.ndarray:
     """``recipe_probs`` normalized in ``recipes`` order, uniform if None. Refuses
@@ -381,8 +370,9 @@ def simulate_history(
     cycle_length: int,
     seed: int,
     recipe_probs: Optional[Mapping[str, float]] = None,
-) -> SimDataset:
-    """Generate a multi-asset production history.
+) -> tuple[RunRecord, ...]:
+    """Generate a multi-asset production history, its runs ordered by
+    (asset_id, start_time).
 
     ``n_runs_total`` runs are spread as evenly as possible over
     ``n_assets`` assets; each asset is cleaned every ``cycle_length``
@@ -390,7 +380,6 @@ def simulate_history(
     omitted) by a dedicated schedule stream, then each asset's runs are
     generated in order from its own seeded substream.
     """
-    recipe_by_id = {r.recipe_id: r for r in recipes}
     probs = recipe_probabilities(recipes, recipe_probs)
 
     base, extra = divmod(n_runs_total, n_assets)
@@ -398,26 +387,23 @@ def simulate_history(
     asset_ids = [f"asset{a + 1}" for a in range(n_assets)]
 
     schedule_rng = np.random.default_rng(np.random.SeedSequence((seed, 90001)))
-    plan: dict[str, list[str]] = {}
-    for asset_id, count in zip(asset_ids, counts):
-        draws = schedule_rng.choice(len(recipes), size=count, p=probs)
-        plan[asset_id] = [recipes[int(i)].recipe_id for i in draws]
+    schedule = [schedule_rng.choice(len(recipes), size=count, p=probs) for count in counts]
 
     runs: list[RunRecord] = []
     sigma_w = config.weather_sigma
     rho = config.weather_rho
     step_w = sigma_w * math.sqrt(1.0 - rho * rho)
-    for a_idx, (asset_id, count) in enumerate(zip(asset_ids, counts)):
+    for a_idx, (asset_id, draws) in enumerate(zip(asset_ids, schedule)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, a_idx)))
         state = ChamberState(contamination=config.maintenance_residual, n_runs=0)
         start = config.time_origin + a_idx * config.run_interval_s / n_assets
         weather = sigma_w * float(rng.standard_normal()) if sigma_w > 0 else 0.0
-        for pos in range(count):
+        for pos, draw in enumerate(draws):
             if sigma_w > 0 and pos > 0:
                 weather = rho * weather + step_w * float(rng.standard_normal())
             # clamp keeps the floor safely below the pumpdown target
             weather = min(max(weather, -3.0 * sigma_w), 3.0 * sigma_w)
-            recipe = recipe_by_id[plan[asset_id][pos]]
+            recipe = recipes[int(draw)]
             phase = ((start - config.time_origin) % config.seasonal_period_s) / config.seasonal_period_s
             state = replace(state, seasonal_phase=phase, weather=weather)
             runs.append(
@@ -438,4 +424,4 @@ def simulate_history(
             start += config.run_interval_s * recipe.duration_scale
 
     runs.sort(key=lambda r: (r.asset_id, r.start_time))
-    return SimDataset(runs=tuple(runs), plan=plan)
+    return tuple(runs)

@@ -65,10 +65,10 @@ def test_criterion_2_segment_selection():
     ok = True
     details = []
     for seed in range(5):
-        ds = simulate_history(config, recipes, n_assets=1, n_runs_total=400,
-                              cycle_length=100, seed=seed)
-        curves = [composite_curve(run, config.sensors) for run in ds.runs]
-        fits, series = derive_hi(ds.runs, curves, default_segments(),
+        history = simulate_history(config, recipes, n_assets=1, n_runs_total=400,
+                                   cycle_length=100, seed=seed)
+        curves = [composite_curve(run, config.sensors) for run in history]
+        fits, series = derive_hi(history, curves, default_segments(),
                                  cycle_length=100, analysis_limit=400)
         r2 = {f.segment.index: f.r2 for f in fits}
         sel = series.selected_segment.index

@@ -7,7 +7,8 @@ import shutil
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import chain, groupby
+from itertools import chain, groupby, takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from chamberhealth import cli, core, dataio
 from chamberhealth.cli import build_parser, main
 from chamberhealth.config import (
-    FLOAT, INT, RECIPES, SEGMENTS, SENSORS, SETTINGS, TEXT, load_config,
+    FLOAT, INT, RECIPES, SENSORS, SETTINGS, TEXT, load_config,
 )
 from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
 from chamberhealth.hi import derive_hi
@@ -28,7 +29,6 @@ ARTIFACTS = [
     dataio.RUNS_CSV,
     dataio.RUN_META_CSV,
     dataio.GROUND_TRUTH_CSV,
-    dataio.PLAN_CSV,
     dataio.FITS_CSV,
     dataio.HI_CSV,
     dataio.RUN_AGGREGATES_CSV,
@@ -59,6 +59,23 @@ def test_pipeline_smoke_produces_all_artifacts(tmp_path, small_config):
         assert (out / name).exists(), name
     report = json.loads((out / dataio.REPORT_JSON).read_text())
     assert {r["model"] for r in report["results"]} == {"dt", "rf", "knn", "svr", "mlp", "lstm"}
+
+
+def _readme_artifacts() -> set[str]:
+    """The files of README's artifact table, ``<kind>`` expanded over MODEL_KINDS."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| File | Written by | Read by | Columns |") + 2
+    names = set()
+    for line in takewhile(lambda line: line.startswith("| `"), lines[start:]):
+        name = line.split("`")[1]
+        names.update(name.replace("<kind>", kind) for kind in MODEL_KINDS)
+    return names
+
+
+def test_readme_artifact_table_lists_what_pipeline_writes(pipelined):
+    _, work = pipelined
+    written = {p.relative_to(work).as_posix() for p in work.rglob("*") if p.is_file()}
+    assert _readme_artifacts() == written
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path, small_config):
@@ -376,9 +393,10 @@ def test_inconsistent_dataset_is_data_error(tmp_path, simulated, capsys, corrupt
 # (input file, stage that reads it, the stage's outputs)
 FEATURE_OUTPUTS = (dataio.FEATURES_CSV, dataio.META_CSV)
 NOT_UTF8_INPUTS = {
-    dataio.PLAN_CSV: ("build-features", FEATURE_OUTPUTS),
+    dataio.RUN_META_CSV: ("build-features", FEATURE_OUTPUTS),
     dataio.RUNS_CSV: ("derive-hi", DERIVE_OUTPUTS),
     dataio.RUN_AGGREGATES_CSV: ("build-features", FEATURE_OUTPUTS),
+    dataio.HI_CSV: ("build-features", FEATURE_OUTPUTS),
 }
 
 
@@ -483,29 +501,6 @@ def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipeline
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
-# (corruption, start of the error message)
-PLAN_CORRUPTIONS = {
-    "duplicated-row": (lambda lines: lines[:3] + [lines[2]] + lines[3:], f"{dataio.PLAN_CSV}: "),
-    "position-gap": (lambda lines: lines[:3] + lines[4:], f"{dataio.PLAN_CSV}: "),
-    # run_meta.csv's only asset has no plan rows left
-    "asset-missing": (lambda lines: lines[:1], "plan for asset1 covers 0 of "),
-}
-
-
-@pytest.mark.parametrize("corruption", sorted(PLAN_CORRUPTIONS))
-def test_bad_plan_is_data_error(tmp_path, pipelined, capsys, corruption):
-    # each asset of run_meta.csv needs a plan whose positions are 0..n-1
-    # once each; a duplicated row would shift every later planned recipe
-    config, work = pipelined
-    out = shutil.copytree(work, tmp_path / "work")
-    _drop_outputs(out, *FEATURE_OUTPUTS)
-    corrupt, message = PLAN_CORRUPTIONS[corruption]
-    _corrupt(out / dataio.PLAN_CSV, corrupt)
-    assert run_cli("build-features", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith(f"ERROR DataError: {message}")
-    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
-
-
 # an out-of-range value for each bounded key, and a few non-finite floats:
 # (section, key, value, the refusal)
 OUT_OF_RANGE_SETTINGS = {
@@ -543,6 +538,9 @@ OUT_OF_RANGE_SETTINGS = {
                     "finite, got inf"),
     "recipe-probs-negative": ("simgen", "recipe_probs", "std:0.5, light:-0.3, heavy:0.2",
                               ">= 0, got -0.3"),
+    # SegmentSpec's index is 1-based: fits.csv would name these dp0 and dp-2
+    "segment-index-zero": ("hi", "segments", "0:1013.0:0.02, -2:0.03:0.002", ">= 1, got 0"),
+    "segment-index-negative": ("hi", "segments", "1:1013.0:0.02, -2:0.03:0.002", ">= 1, got -2"),
     "analysis-limit-negative": ("hi", "analysis_limit", "-1", ">= 1, got -1"),
     "analysis-limit-zero": ("hi", "analysis_limit", "0", ">= 1, got 0"),
     "horizon-zero": ("features", "horizon", "0", ">= 1, got 0"),
@@ -564,7 +562,7 @@ OUT_OF_RANGE_SETTINGS = {
     "mlp-learning-rate-negative": ("models", "mlp_learning_rate", "-0.5", "> 0, got -0.5"),
 }
 # formats without a range of their own (FLOAT refuses only nan and inf)
-UNBOUNDED_FORMATS = (INT, FLOAT, TEXT, SENSORS, SEGMENTS, RECIPES)
+UNBOUNDED_FORMATS = (INT, FLOAT, TEXT, SENSORS, RECIPES)
 
 
 def test_every_bounded_setting_has_an_out_of_range_case():
@@ -658,14 +656,14 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     # the same split built from the generator's in-memory runs, no CSV in between
     cfg = load_config(small_config)
     sensors = cfg.chamber.sensors
-    ds = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
-                          n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
-                          seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
-    curves = [core.composite_curve(run, sensors) for run in ds.runs]
-    _, series = derive_hi(ds.runs, curves, cfg.segments, cycle_length=cfg.cycle_length,
+    history = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
+                               n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
+                               seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
+    curves = [core.composite_curve(run, sensors) for run in history]
+    _, series = derive_hi(history, curves, cfg.segments, cycle_length=cfg.cycle_length,
                           analysis_limit=cfg.analysis_limit)
-    sset = build_supervised(ds.runs, aggregate_runs(ds.runs, curves), hi_by_run_id(series),
-                            ds.plan, horizon=cfg.horizon)
+    sset = build_supervised(history, aggregate_runs(history, curves), hi_by_run_id(series),
+                            horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()
     dataio.write_supervised(ref, *chrono_split(sset, train_frac=cfg.train_frac))

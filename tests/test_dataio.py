@@ -27,18 +27,17 @@ from helpers import hi_by_run_id
 @pytest.fixture(scope="module")
 def small_dataset():
     config = ChamberConfig()
-    ds = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=70,
-                          cycle_length=20, seed=5)
-    return config, ds
+    history = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=70,
+                               cycle_length=20, seed=5)
+    return config, history
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
-    config, ds = small_dataset
-    dataio.write_dataset(tmp_path, ds)
+    config, history = small_dataset
+    dataio.write_dataset(tmp_path, history)
     runs = dataio.read_dataset(tmp_path, len(config.sensors))
-    plan = dataio.read_plan(tmp_path)
-    assert len(runs) == len(ds.runs)
-    by_id = {r.run_id: r for r in ds.runs}
+    assert len(runs) == len(history)
+    by_id = {r.run_id: r for r in history}
     for run in runs:
         orig = by_id[run.run_id]
         assert run.asset_id == orig.asset_id
@@ -49,24 +48,18 @@ def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
         assert np.array_equal(run.readings, orig.readings, equal_nan=True)
         for name in orig.extra_channels:
             assert np.array_equal(run.extra_channels[name], orig.extra_channels[name])
-    realized = {}
-    for r in ds.runs:
-        realized.setdefault(r.asset_id, []).append(r)
-    for asset, seq in realized.items():
-        seq.sort(key=lambda r: r.start_time)
-        assert plan[asset] == [r.recipe_id for r in seq]
 
 
 def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
-    _, ds = small_dataset
+    _, history = small_dataset
     # invalid readings in the first and the last sensor column, and ids that need quoting
-    base = ds.runs[0]
+    base = history[0]
     readings = np.nan_to_num(base.readings, nan=1.0)
     readings[0, 0] = readings[1, -1] = np.nan
     readings[2, [0, -1]] = np.nan
     # three chunks or more, rendered apart, with the two odd runs on either
     # side of the first chunk boundary
-    runs = list(ds.runs) * 2
+    runs = list(history) * 2
     k = dataio.RUNS_PER_CHUNK
     runs[k - 1 : k + 1] = [
         replace(base, run_id="r,nan", readings=readings),
@@ -95,9 +88,9 @@ def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
 def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
     # 1 s sampling halves the rows per run, which keeps the traced read short
     config = ChamberConfig(sample_dt=1.0)
-    ds = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=200,
-                          cycle_length=20, seed=5)
-    dataio.write_dataset(tmp_path, ds)
+    history = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=200,
+                               cycle_length=20, seed=5)
+    dataio.write_dataset(tmp_path, history)
     tracemalloc.start()
     try:
         runs = dataio.read_dataset(tmp_path, len(config.sensors))
@@ -116,8 +109,8 @@ def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
 def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_sensors):
     # four gauge columns on disk: with three configured sensors p4_mbar must
     # not pass for a process channel
-    _, ds = small_dataset
-    dataio.write_dataset(tmp_path, ds)
+    _, history = small_dataset
+    dataio.write_dataset(tmp_path, history)
     expected = dataio.runs_csv_header(n_sensors, ["gas_flow", "temp_c"])
     with pytest.raises(DataError, match=f"{n_sensors} configured sensors need "
                                         f"{re.escape(str(expected))}; rerun simulate$"):
@@ -125,8 +118,8 @@ def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_
 
 
 def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
-    config, ds = small_dataset
-    dataio.write_dataset(tmp_path, ds)
+    config, history = small_dataset
+    dataio.write_dataset(tmp_path, history)
     text = (tmp_path / dataio.RUNS_CSV).read_text()
     assert ",," in text  # clipped readings serialize as empty cells
     runs = dataio.read_dataset(tmp_path, len(config.sensors))
@@ -134,13 +127,13 @@ def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
 
 
 def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
-    config, ds = small_dataset
-    curves = [composite_curve(r, config.sensors) for r in ds.runs]
-    fits, series = derive_hi(ds.runs, curves, default_segments(),
+    config, history = small_dataset
+    curves = [composite_curve(r, config.sensors) for r in history]
+    fits, series = derive_hi(history, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
-    hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, ds.runs)
+    hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, history)
     assert hi_map == hi_by_run_id(series)
     assert list(hi_map) == [e.run.run_id for e in series.entries]
     header, rows = dataio.read_csv(tmp_path / dataio.FITS_CSV)
@@ -149,23 +142,22 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
 
 
 def test_run_aggregates_roundtrip(tmp_path, small_dataset):
-    config, ds = small_dataset
-    columns = aggregate_runs(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs])
-    dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, ds.runs, columns)
-    back = dataio.read_run_aggregates(tmp_path, ds.runs)
+    config, history = small_dataset
+    columns = aggregate_runs(history, [composite_curve(r, config.sensors) for r in history])
+    dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, history, columns)
+    back = dataio.read_run_aggregates(tmp_path, history)
     assert list(back) == list(columns)
     assert all(np.array_equal(back[name], columns[name]) for name in columns)
     with pytest.raises(DataError, match="does not list the runs of run_meta.csv"):
-        dataio.read_run_aggregates(tmp_path, ds.runs[::-1])
+        dataio.read_run_aggregates(tmp_path, history[::-1])
 
 
 def test_supervised_roundtrip(tmp_path, small_dataset):
-    config, ds = small_dataset
-    curves = [composite_curve(r, config.sensors) for r in ds.runs]
-    fits, series = derive_hi(ds.runs, curves, default_segments(),
+    config, history = small_dataset
+    curves = [composite_curve(r, config.sensors) for r in history]
+    fits, series = derive_hi(history, curves, default_segments(),
                              cycle_length=20, analysis_limit=400)
-    sset = build_supervised(ds.runs, aggregate_runs(ds.runs, curves), hi_by_run_id(series),
-                            ds.plan)
+    sset = build_supervised(history, aggregate_runs(history, curves), hi_by_run_id(series))
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)
@@ -197,8 +189,8 @@ def test_float_cells_use_shortest_roundtrip_form(tmp_path):
 
 
 def test_no_tmp_files_left_behind(tmp_path, small_dataset):
-    config, ds = small_dataset
-    dataio.write_dataset(tmp_path, ds)
+    config, history = small_dataset
+    dataio.write_dataset(tmp_path, history)
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -214,8 +206,8 @@ def test_failed_write_leaves_neither_temp_nor_target(tmp_path):
 
 def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_dataset,
                                                                monkeypatch):
-    _, ds = small_dataset
-    second = ds.runs[dataio.RUNS_PER_CHUNK].run_id
+    _, history = small_dataset
+    second = history[dataio.RUNS_PER_CHUNK].run_id
     render = dataio._render_runs
 
     def failing_render(channels, runs):
@@ -226,5 +218,5 @@ def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_d
 
     monkeypatch.setattr(dataio, "_render_runs", failing_render)
     with pytest.raises(DataError, match="second chunk failed"):
-        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, ds.runs)
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, history)
     assert list(tmp_path.iterdir()) == []

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chamberhealth.core import RunRecord, SensorSpec, composite_curve
+from chamberhealth.core import RunMeta, RunRecord, SensorSpec, composite_curve
 from chamberhealth.errors import DataError
 from chamberhealth.features import (
     Standardizer,
@@ -22,7 +23,7 @@ from chamberhealth.simgen import (
     simulate_history,
     true_segment_duration,
 )
-from helpers import hi_by_run_id, realized_plan
+from helpers import hi_by_run_id
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
@@ -149,7 +150,7 @@ def _hi_for(runs):
 
 def test_build_supervised_row_count():
     runs = _asset_runs(15)
-    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     assert sset.n_rows == 5
 
 
@@ -158,7 +159,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
     for i in range(30):
         runs.append(make_run(run_id=f"r{i:03d}", start=float(i), n=i % 20,
                              channel=[1.0, 2.0]))
-    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     spanning = [m for m in sset.meta if m.n_runs_target < m.n_runs]
     assert spanning  # rows crossing the reset survive
     assert sset.n_rows == 20
@@ -166,7 +167,7 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
 
 def test_build_supervised_pairs_stay_within_asset():
     runs = _asset_runs(15, asset="a1") + _asset_runs(12, asset="a2", start0=0.5)
-    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     assert sset.n_rows == 5 + 2
     for m in sset.meta:
         assert m.run_id.split("-")[0] == m.run_id_target.split("-")[0]
@@ -174,7 +175,7 @@ def test_build_supervised_pairs_stay_within_asset():
 
 def test_build_supervised_rows_sorted_by_time():
     runs = _asset_runs(15, asset="a1") + _asset_runs(15, asset="a2", start0=0.5)
-    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     times = [m.start_time for m in sset.meta]
     assert times == sorted(times)
 
@@ -184,11 +185,11 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     # form evaluated at the contamination ten runs later
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
     recipes = (RecipeSpec("std", 0.8),)
-    ds = simulate_history(config, recipes, 1, 60, 100, seed=0)
-    fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
+    history = simulate_history(config, recipes, 1, 60, 100, seed=0)
+    fits, series = derive_hi(history, [composite_curve(r, config.sensors) for r in history],
                              default_segments(), 100)
-    sset = build_supervised(ds.runs, _aggregates(ds.runs, config.sensors), hi_by_run_id(series),
-                            ds.plan, horizon=10)
+    sset = build_supervised(history, _aggregates(history, config.sensors), hi_by_run_id(series),
+                            horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
         m = sset.meta[row_idx]
@@ -197,15 +198,41 @@ def test_build_supervised_noiseless_target_matches_closed_form():
         assert sset.y[row_idx] == pytest.approx(expected, abs=config.sample_dt)
 
 
-def test_build_supervised_plan_mismatch_raises():
-    runs = _asset_runs(15)
-    with pytest.raises(DataError):
-        build_supervised(runs, _aggregates(runs), _hi_for(runs), {"a1": ["std"] * 3}, horizon=10)
+@settings(max_examples=100, deadline=None)
+@given(
+    recipes=st.lists(st.lists(st.sampled_from("ABC"), max_size=12), min_size=1, max_size=3),
+    horizon=st.integers(1, 4),
+    data=st.data(),
+)
+def test_row_plan_is_the_assets_next_runs_in_time_order(recipes, horizon, data):
+    # asset a's k-th run in time is a<a>-<k>; pairs of runs share a
+    # start_time, so run_id breaks the tie; the runs come in shuffled order
+    runs = [
+        RunMeta(run_id=f"a{a}-{k:02d}", asset_id=f"a{a}", start_time=float(k // 2),
+                recipe_id=rid, n_runs=k)
+        for a, seq in enumerate(recipes) for k, rid in enumerate(seq)
+    ]
+    runs = data.draw(st.permutations(runs))
+    code = {run.run_id: 100.0 * int(run.asset_id[1:]) + run.n_runs for run in runs}
+    aggregates = {"x_mean": np.array([code[run.run_id] for run in runs])}
+    hi = dict.fromkeys(code, 1.0)
+    expected = {
+        f"a{a}-{k:02d}": (seq[k], tuple(seq[k + 1 : k + 1 + horizon]))
+        for a, seq in enumerate(recipes) for k in range(len(seq) - horizon)
+    }
+    if not expected:
+        with pytest.raises(DataError, match="no supervised rows"):
+            build_supervised(runs, aggregates, hi, horizon=horizon)
+        return
+    sset = build_supervised(runs, aggregates, hi, horizon=horizon)
+    assert {m.run_id: (m.recipe_id, m.plan) for m in sset.meta} == expected
+    assert sset.n_rows == len(expected)
+    assert sset.X[:, 0].tolist() == [code[m.run_id] for m in sset.meta]
 
 
 def _supervised_fixture(n=40, asset="a1", start0=0.0):
     runs = _asset_runs(n, asset=asset, start0=start0)
-    return build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    return build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
 
 
 def test_chrono_split_sizes():
@@ -236,7 +263,7 @@ def test_chrono_split_encodes_one_hot_blocks():
     runs = _asset_runs(20, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i % 2 == 0 else "B")
-    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     train, test = chrono_split(sset, 0.7)
     assert _vocab(train) == ("A", "B")
     names = train.feature_names
@@ -255,7 +282,7 @@ def test_unseen_test_recipe_encodes_to_zero_block():
     runs = _asset_runs(30, asset="a1")
     for i, r in enumerate(runs):
         object.__setattr__(r, "recipe_id", "A" if i < 24 else "ZNEW")
-    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), realized_plan(runs), horizon=10)
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     train, test = chrono_split(sset, 0.7)
     # ZNEW appears only in late rows; if absent from train vocab its
     # current-recipe block is all zero

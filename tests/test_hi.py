@@ -171,10 +171,10 @@ def test_clean_baseline_near_closed_form_on_tuned_default():
     # derived: the pooled first-10-run mean sits within 5% of the
     # closed-form duration at the maintenance residual
     config = ChamberConfig()
-    ds = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
+    history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
     seg2 = default_segments()[1]
     n, y = [], []
-    for run in ds.runs:
+    for run in history:
         d = extract_segment_duration(run.t, composite_curve(run, config.sensors), seg2)
         if d is not None:
             n.append(run.n_runs)
@@ -318,8 +318,9 @@ def test_derive_hi_alpha_tie_break():
 
 def test_derive_hi_selects_dp2_on_tuned_default():
     config = ChamberConfig()
-    ds = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
-    fits, series = derive_hi(ds.runs, _curves(ds.runs, config.sensors), default_segments(), 100, 400)
+    history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
+    fits, series = derive_hi(history, _curves(history, config.sensors), default_segments(),
+                             100, 400)
     assert series.selected_segment.index == 2
     by_idx = {f.segment.index: f for f in fits}
     assert 0.5 <= by_idx[2].r2 <= 0.7
@@ -333,8 +334,8 @@ def test_noiseless_degradation_gives_near_perfect_r2():
     # (selection itself is only meaningful with realistic noise: in a
     # zero-noise world every segment fits essentially perfectly)
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
-    ds = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0)
-    fits, series = derive_hi(ds.runs, _curves(ds.runs, config.sensors), default_segments(), 100)
+    history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0)
+    fits, series = derive_hi(history, _curves(history, config.sensors), default_segments(), 100)
     by_idx = {f.segment.index: f for f in fits}
     assert by_idx[2].r2 > 1.0 - 1e-3
 
@@ -344,10 +345,10 @@ def test_ols_slope_recovers_true_increment():
     # match the closed-form per-run duration increment within 1%
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
     w = 0.8
-    ds = simulate_history(config, (RecipeSpec("std", w),), 1, 500, 100, seed=0)
+    history = simulate_history(config, (RecipeSpec("std", w),), 1, 500, 100, seed=0)
     seg2 = default_segments()[1]
     n, y = [], []
-    for run in ds.runs:
+    for run in history:
         d = extract_segment_duration(run.t, composite_curve(run, config.sensors), seg2)
         n.append(run.n_runs)
         y.append(d)

@@ -494,21 +494,19 @@ def test_bm2_systematically_low_under_drift():
         return aggregate_runs(runs, [composite_curve(r, sensors) for r in runs])
 
     config = ChamberConfig(weather_sigma=0.0)
-    ds = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
-    fits, series = derive_hi(ds.runs, [composite_curve(r, config.sensors) for r in ds.runs],
+    history = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
+    fits, series = derive_hi(history, [composite_curve(r, config.sensors) for r in history],
                              default_segments(), 100)
-    sset = build_supervised(ds.runs, aggregates(ds.runs, config.sensors), hi_by_run_id(series),
-                            ds.plan)
+    sset = build_supervised(history, aggregates(history, config.sensors), hi_by_run_id(series))
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
 
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
-    ds2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
-    fits2, series2 = derive_hi(ds2.runs, [composite_curve(r, flat.sensors) for r in ds2.runs],
+    history2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
+    fits2, series2 = derive_hi(history2, [composite_curve(r, flat.sensors) for r in history2],
                                default_segments(), 100)
-    sset2 = build_supervised(ds2.runs, aggregates(ds2.runs, flat.sensors), hi_by_run_id(series2),
-                             ds2.plan)
+    sset2 = build_supervised(history2, aggregates(history2, flat.sensors), hi_by_run_id(series2))
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered

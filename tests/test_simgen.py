@@ -121,11 +121,11 @@ def test_linear_accumulation_over_100_runs():
 
 def test_history_counter_arithmetic():
     config = quiet_config()
-    ds = simulate_history(config, default_recipes(), n_assets=5, n_runs_total=2000,
-                          cycle_length=100, seed=0)
-    assert len(ds.runs) == 2000
+    history = simulate_history(config, default_recipes(), n_assets=5, n_runs_total=2000,
+                               cycle_length=100, seed=0)
+    assert len(history) == 2000
     by_asset = {}
-    for run in ds.runs:
+    for run in history:
         by_asset.setdefault(run.asset_id, []).append(run)
     assert len(by_asset) == 5
     total_cycles = 0
@@ -142,28 +142,20 @@ def test_history_is_deterministic():
     config = ChamberConfig()
     a = simulate_history(config, default_recipes(), 2, 60, 30, seed=9)
     b = simulate_history(config, default_recipes(), 2, 60, 30, seed=9)
-    assert a.plan == b.plan
-    for ra, rb in zip(a.runs, b.runs):
-        assert ra.run_id == rb.run_id
+    for ra, rb in zip(a, b, strict=True):
+        assert (ra.run_id, ra.recipe_id) == (rb.run_id, rb.recipe_id)
         assert np.array_equal(ra.readings, rb.readings, equal_nan=True)
-
-
-def test_plan_matches_realized_recipes():
-    ds = simulate_history(quiet_config(), default_recipes(), 2, 80, 40, seed=4)
-    for run in ds.runs:
-        pos = int(run.run_id.split("-")[1])
-        assert ds.plan[run.asset_id][pos] == run.recipe_id
 
 
 def test_seasonal_drift_slows_late_year_pumpdowns():
     config = quiet_config(seasonal_amplitude=1.2e-5)
     recipes = (RecipeSpec("std", 0.0),)  # zero deposition isolates the drift
-    ds = simulate_history(config, recipes, n_assets=1, n_runs_total=400,
-                          cycle_length=100, seed=0)
+    history = simulate_history(config, recipes, n_assets=1, n_runs_total=400,
+                               cycle_length=100, seed=0)
     seg2 = default_segments()[1]
     year = config.seasonal_period_s
     early, late = [], []
-    for run in ds.runs:
+    for run in history:
         frac = ((run.start_time - config.time_origin) % year) / year
         curve = composite_curve(run, config.sensors)
         duration = extract_segment_duration(run.t, curve, seg2)
@@ -179,9 +171,9 @@ def test_noiseless_duration_ratio_matches_closed_form():
     # derived: compare the sampled first/last-run ratio to the closed form
     config = quiet_config()
     recipes = (RecipeSpec("std", 0.8),)
-    ds = simulate_history(config, recipes, 1, 100, 100, seed=1)
+    history = simulate_history(config, recipes, 1, 100, 100, seed=1)
     seg2 = default_segments()[1]
-    runs = sorted(ds.runs, key=lambda r: r.start_time)
+    runs = sorted(history, key=lambda r: r.start_time)
     first, last = runs[0], runs[-1]
     assert first.n_runs == 0 and last.n_runs == 99
 
@@ -199,9 +191,9 @@ def test_sawtooth_within_and_across_cycles():
     # maintenance
     config = quiet_config()
     recipes = (RecipeSpec("std", 0.8),)
-    ds = simulate_history(config, recipes, 1, 200, 100, seed=0)
+    history = simulate_history(config, recipes, 1, 200, 100, seed=0)
     seg2 = default_segments()[1]
-    runs = sorted(ds.runs, key=lambda r: r.start_time)
+    runs = sorted(history, key=lambda r: r.start_time)
     durations = [
         extract_segment_duration(r.t, composite_curve(r, config.sensors), seg2)
         for r in runs
