@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import dataio
 from .config import (
@@ -24,11 +27,11 @@ from .config import (
     default_config,
     load_config,
 )
-from .core import composite_curve
+from .core import RunChunk, composite_columns
 from .errors import ConfigError, DataError, ModelError
 from .evaluation import evaluate_all
 from .features import aggregate_runs, build_supervised, chrono_split
-from .hi import derive_hi
+from .hi import derive_hi, run_segment_durations
 from .models import (
     MODEL_KINDS,
     RegressorSpec,
@@ -57,21 +60,35 @@ def stage_simulate(cfg: PipelineConfig) -> None:
     dataio.write_dataset(out, runs)
 
 
+def _summarize_chunk(sensors, segments, chunk: RunChunk) -> tuple[np.ndarray, dict]:
+    """A chunk's segment durations and channel aggregates, from its runs
+    fused once."""
+    pressure = composite_columns(chunk, sensors)
+    return run_segment_durations(chunk, pressure, segments), aggregate_runs(chunk, pressure)
+
+
 def stage_derive_hi(cfg: PipelineConfig) -> None:
-    """The HI and each run's channel aggregates, from one pass over runs.csv
-    that fuses every run once."""
+    """The HI and each run's channel aggregates from one pass over runs.csv.
+
+    ``dataio.read_dataset`` parses runs.csv in chunks of whole runs on
+    every CPU; each chunk is fused once and reduced to its runs' segment
+    durations and aggregates, so only those columns reach this process.
+    """
     out = Path(cfg.out_dir)
     sensors = cfg.chamber.sensors
-    runs = dataio.read_dataset(out, len(sensors))
-    curves = [composite_curve(run, sensors) for run in runs]
+    runs, parts = dataio.read_dataset(out, len(sensors),
+                                      partial(_summarize_chunk, sensors, cfg.segments))
+    if not runs:
+        raise DataError("no runs to derive a health index from")
     fits, series = derive_hi(
         runs,
-        curves,
+        np.concatenate([durations for durations, _ in parts]),
         cfg.segments,
         cycle_length=cfg.cycle_length,
         analysis_limit=cfg.analysis_limit,
     )
-    aggregates = aggregate_runs(runs, curves)
+    aggregates = {name: np.concatenate([columns[name] for _, columns in parts])
+                  for name in parts[0][1]}
     dataio.write_fits_csv(out / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(out / dataio.HI_CSV, series)
     dataio.write_run_aggregates_csv(out / dataio.RUN_AGGREGATES_CSV, runs, aggregates)

@@ -5,6 +5,8 @@ overlap to cover roughly 1e-6 to 1e3 mbar. ``composite_curve`` fuses
 each sample's readings into a single value by picking the
 highest-priority gauge that is both valid and inside its own range.
 A gauge is its position: readings column j is the j-th configured sensor.
+``RunChunk`` holds consecutive runs as columns, and ``composite_columns``
+fuses all of their samples at once by the same rule.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -131,6 +133,17 @@ class RunRecord(RunMeta):
         return int(self.t.size)
 
 
+def _fuse(readings: np.ndarray, sensors: Sequence[SensorSpec]) -> np.ndarray:
+    """Each row's reading from the highest-priority sensor whose value is
+    valid and inside that sensor's own range; NaN where there is none."""
+    out = np.full(len(readings), np.nan)
+    for spec, col in sorted(zip(sensors, readings.T, strict=True), key=lambda pair: pair[0].priority):
+        lo, hi = spec.valid_range
+        usable = np.isnan(out) & ~np.isnan(col) & (col >= lo) & (col <= hi)
+        out[usable] = col[usable]
+    return out
+
+
 def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray:
     """Fuse every sample of a run into one pressure curve in mbar.
 
@@ -142,12 +155,63 @@ def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray
     """
     if run.readings.shape[1] != len(sensors):
         raise DataError(f"run {run.run_id}: {run.readings.shape[1]} gauges, {len(sensors)} sensors")
-    out = np.full(run.n_samples, np.nan)
-    for spec, col in sorted(zip(sensors, run.readings.T), key=lambda pair: pair[0].priority):
-        lo, hi = spec.valid_range
-        usable = np.isnan(out) & ~np.isnan(col) & (col >= lo) & (col <= hi)
-        out[usable] = col[usable]
+    out = _fuse(run.readings, sensors)
     if np.any(np.isnan(out)):
         i = int(np.flatnonzero(np.isnan(out))[0])
         raise DataError(f"run {run.run_id}: no valid in-range reading at t={run.t[i]}")
+    return out
+
+
+@dataclass(frozen=True)
+class RunChunk:
+    """Consecutive runs as columns: run k is ``run_ids[k]`` and its samples
+    are rows ``starts[k]`` up to the next start (or the end) of ``t``,
+    ``readings`` and every channel, as in ``RunRecord``.
+
+    ``RunRecord``'s sample checks hold for every run: times strictly
+    increase within a run, and every valid reading is finite and > 0. The
+    first run that breaks one, in run order, raises DataError naming it.
+    """
+
+    run_ids: tuple[str, ...]
+    starts: np.ndarray
+    t: np.ndarray
+    readings: np.ndarray
+    channels: Mapping[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        back = np.zeros(self.t.size, dtype=bool)
+        back[1:] = np.diff(self.t) <= 0
+        back[self.starts] = False  # a run's first sample follows another run's last
+        valid = ~np.isnan(self.readings)
+        bad = (valid & ~((self.readings > 0) & (self.readings < np.inf))).any(axis=1)
+        faults = [
+            (self.run_at(int(np.argmax(mask))), message)
+            for mask, message in ((back, "sample times must be strictly increasing"),
+                                  (bad, "valid readings must be finite and > 0"))
+            if mask.any()
+        ]
+        if faults:
+            # the earliest run at fault; on one run, the check RunRecord makes first
+            run, message = min(faults, key=lambda fault: fault[0])
+            raise DataError(f"run {self.run_ids[run]}: {message}")
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each run's sample count."""
+        return np.diff(self.starts, append=self.t.size)
+
+    def run_at(self, sample: int) -> int:
+        """The index of the run that holds row ``sample``."""
+        return int(np.searchsorted(self.starts, sample, side="right")) - 1
+
+
+def composite_columns(chunk: RunChunk, sensors: Sequence[SensorSpec]) -> np.ndarray:
+    """``composite_curve`` of every run of ``chunk``, end to end, from one
+    pass of the per-sample rule over all of its readings."""
+    out = _fuse(chunk.readings, sensors)
+    if np.any(np.isnan(out)):
+        i = int(np.flatnonzero(np.isnan(out))[0])
+        raise DataError(f"run {chunk.run_ids[chunk.run_at(i)]}: no valid in-range reading "
+                        f"at t={chunk.t[i]}")
     return out

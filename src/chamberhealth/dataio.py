@@ -21,12 +21,16 @@ sensor cell marks an invalid reading.
 ``runs.csv`` holds each run as one contiguous block of rows in time
 order, the blocks in ``run_meta.csv`` order; only ``run_meta.csv`` says
 which asset a run belongs to, and ``runs_csv_header`` declares the
-columns. It is written one block at a time, each block rendered as one
-string, and read one block at a time, so no stage holds more than one
-run's text rows. An empty cell is allowed only in a sensor column,
-where it means the reading was invalid. Any other malformed input (a wrong field count, a non-numeric or empty cell
-elsewhere, a block that is not the run ``run_meta.csv`` lists at its
-place) raises DataError, as do bytes that are not UTF-8 in any CSV.
+columns. It is written in chunks of whole runs, each rendered as one
+string on some CPU, and read in byte ranges of about 1 MiB that end
+between blocks, each parsed into a ``core.RunChunk`` and reduced on
+some CPU (``read_dataset``), so no process holds more than one chunk's
+text and samples. An empty cell is allowed only in a sensor column,
+where it means the reading was invalid. Any other malformed input (a
+wrong field count, a non-numeric or empty cell elsewhere, a block that
+is not the run ``run_meta.csv`` lists at its place) raises DataError,
+naming the file's line where it names one, as do bytes that are not
+UTF-8 in any CSV.
 
 ``derive-hi`` is the only stage that reads ``runs.csv``. Beside the HI
 it writes ``run_aggregates.csv``, the channel aggregates of every run
@@ -42,22 +46,23 @@ import csv
 import io
 import math
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
 from itertools import groupby, zip_longest
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union, get_type_hints
 
 import numpy as np
 
-from .core import RunMeta, RunRecord
+from .core import RunChunk, RunMeta, RunRecord
 from .errors import DataError
 from .features import RowMeta, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
 from .workers import map_in_order
 
 PathLike = Union[str, Path]
+R = TypeVar("R")
 
 RUNS_CSV = "runs.csv"
 RUN_META_CSV = "run_meta.csv"
@@ -123,6 +128,25 @@ def write_csv(path: PathLike, header: Iterable[str], rows: Iterable[Sequence]) -
         writer.writerows(rows)
 
 
+def _unreadable(path: Path, line: int, exc: Exception) -> DataError:
+    return DataError(f"{path.name}: unreadable text after line {line}: {exc}")
+
+
+def _checked_rows(path: Path, reader, width: int, lines_before=lambda: 0) -> Iterator[list[str]]:
+    """The rows of csv ``reader`` over ``path``'s text. A row without
+    ``width`` fields, text that is not UTF-8 and text the csv module cannot
+    split raise DataError naming the file's line: the reader's, plus
+    ``lines_before()`` when the reader starts inside the file."""
+    try:
+        for row in reader:
+            if len(row) != width:
+                raise DataError(f"{path.name} line {lines_before() + reader.line_num}: "
+                                f"{len(row)} fields, header has {width}")
+            yield row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(path, lines_before() + reader.line_num, exc) from None
+
+
 @contextmanager
 def _open_csv(path: PathLike) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
     """Yield the header and a lazy row iterator that rejects a wrong field
@@ -132,30 +156,13 @@ def _open_csv(path: PathLike) -> Iterator[tuple[list[str], Iterator[list[str]]]]
         raise DataError(f"missing input file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-
-        def bad_text(exc: Exception) -> DataError:
-            return DataError(f"{path.name}: unreadable text after line {reader.line_num}: {exc}")
-
         try:
             header = next(reader, None)
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise bad_text(exc) from None
+            raise _unreadable(path, reader.line_num, exc) from None
         if header is None:
             raise DataError(f"empty file: {path}")
-
-        def rows():
-            try:
-                for row in reader:
-                    if len(row) != len(header):
-                        raise DataError(
-                            f"{path.name} line {reader.line_num}: {len(row)} fields, "
-                            f"header has {len(header)}"
-                        )
-                    yield row
-            except (UnicodeDecodeError, csv.Error) as exc:
-                raise bad_text(exc) from None
-
-        yield header, rows()
+        yield header, _checked_rows(path, reader, len(header))
 
 
 def read_csv(path: PathLike) -> tuple[list[str], list[list[str]]]:
@@ -273,49 +280,127 @@ def read_run_meta(in_dir: PathLike) -> list[RunMeta]:
     return meta
 
 
-def read_dataset(in_dir: PathLike, n_sensors: int) -> list[RunRecord]:
-    """Load the runs back from ``runs.csv`` and ``run_meta.csv``.
+# About 1 MiB of runs.csv text per chunk that read_dataset parses: ~110
+# runs at the default config, whatever the number of runs
+RUNS_CSV_CHUNK_BYTES = 1 << 20
+
+
+def _next_block_start(fh, pos: int, size: int) -> int:
+    """The offset of the first line after the one holding byte ``pos`` of
+    binary file ``fh`` whose first field differs from its previous line's,
+    or ``size`` (the file's) if none does."""
+    fh.seek(min(pos, size))
+    fh.readline()  # the rest of the line that holds pos
+    key = None
+    while True:
+        at = fh.tell()
+        line = fh.readline()
+        first = line.split(b",", 1)[0]
+        if not line or (key is not None and first != key):
+            return at
+        key = first
+
+
+def _runs_csv_spans(path: Path) -> list[tuple[int, int]]:
+    """Byte ranges that cut runs.csv's lines after its header into chunks
+    of about RUNS_CSV_CHUNK_BYTES, each ending where a block does."""
+    spans = []
+    with open(path, "rb") as fh:
+        start = len(fh.readline())
+        size = fh.seek(0, os.SEEK_END)
+        while start < size:
+            stop = _next_block_start(fh, start + RUNS_CSV_CHUNK_BYTES, size)
+            spans.append((start, stop))
+            start = stop
+    return spans
+
+
+def _lines_before(path: Path, offset: int) -> int:
+    """The number of lines, as the csv module counts them, before byte ``offset``."""
+    with open(path, "rb") as fh:
+        data = fh.read(offset)
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace",
+                          newline="") as text:
+        return sum(1 for _ in text)
+
+
+def _read_runs(
+    path: Path, header: list[str], n_sensors: int, summarize: Callable[[RunChunk], R],
+    span: tuple[int, int],
+) -> tuple[tuple[str, ...], R]:
+    """The run id of each block in byte range ``span`` of runs.csv, and
+    ``summarize`` of the block's runs as one RunChunk."""
+    start, stop = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    run_ids, blocks = [], []
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as text:
+        rows = _checked_rows(path, csv.reader(text), len(header),
+                             partial(_lines_before, path, start))
+        for rid, block in groupby(rows, key=itemgetter(0)):
+            run_ids.append(rid)
+            # an empty cell reads as NaN, which only a sensor column may hold
+            with _cells(f"{RUNS_CSV}, run {rid}"):
+                blocks.append(np.array([c or "nan" for row in block for c in row[1:]],
+                                       dtype=np.float64).reshape(-1, len(header) - 1))
+    starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+    values = np.concatenate(blocks)
+    t, channels = values[:, 0], values[:, 1 + n_sensors :]
+    finite = np.isfinite(t) & np.isfinite(channels).all(axis=1)
+    if not finite.all():
+        rid = run_ids[int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1]
+        raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
+    chunk = RunChunk(
+        run_ids=tuple(run_ids),
+        starts=starts,
+        t=t,
+        readings=values[:, 1 : 1 + n_sensors],
+        channels=dict(zip(header[2 + n_sensors :], channels.T)),
+    )
+    return chunk.run_ids, summarize(chunk)
+
+
+def read_dataset(
+    in_dir: PathLike, n_sensors: int, summarize: Callable[[RunChunk], R]
+) -> tuple[list[RunMeta], list[R]]:
+    """``run_meta.csv``'s runs, and ``summarize`` of each chunk of
+    ``runs.csv``'s runs, in file order.
 
     The header must be ``runs_csv_header``'s for ``n_sensors``. The
-    n-th block of ``runs.csv`` must be the n-th run of ``run_meta.csv``,
-    which gives each run its identity and order. Ground truth is not
-    re-attached; it only exists on freshly generated in-memory runs.
+    lines after it are cut into byte ranges of about
+    RUNS_CSV_CHUNK_BYTES that end between blocks, and each range is
+    parsed into a RunChunk and summarized on every CPU (see workers), so
+    this process holds neither the file's text nor its samples, only the
+    summaries. The n-th block of ``runs.csv`` must be the n-th run of
+    ``run_meta.csv``, which gives each run its identity and order.
     """
     in_dir = Path(in_dir)
     meta = read_run_meta(in_dir)
+    path = in_dir / RUNS_CSV
+    with _open_csv(path) as (header, _):
+        pass
+    channel_names = [name for name in header[2:] if not name.endswith("_mbar")]
+    expected = runs_csv_header(n_sensors, channel_names)
+    if header != expected:
+        raise DataError(f"bad {RUNS_CSV} header {header}: {n_sensors} configured sensors "
+                        f"need {expected}; rerun simulate")
+    summaries = []
 
-    runs = []
-    with _open_csv(in_dir / RUNS_CSV) as (header, rows):
-        channel_names = [name for name in header[2:] if not name.endswith("_mbar")]
-        expected = runs_csv_header(n_sensors, channel_names)
-        if header != expected:
-            raise DataError(f"bad {RUNS_CSV} header {header}: {n_sensors} configured sensors "
-                            f"need {expected}; rerun simulate")
-        pairs = zip_longest(((run.run_id, run) for run in meta),
-                            groupby(rows, key=itemgetter(0)), fillvalue=(None, None))
-        for n, ((want, run), (rid, block)) in enumerate(pairs, 1):
+    def block_ids(chunks):
+        for run_ids, summary in chunks:
+            summaries.append(summary)
+            yield from run_ids
+
+    read = partial(_read_runs, path, header, n_sensors, summarize)
+    with closing(map_in_order(read, _runs_csv_spans(path))) as chunks:
+        pairs = zip_longest((run.run_id for run in meta), block_ids(chunks))
+        for n, (want, rid) in enumerate(pairs, 1):
             if rid != want:
                 expected, found = ("the end" if r is None else f"run {r}" for r in (want, rid))
                 raise DataError(f"{RUNS_CSV} block {n} does not follow {RUN_META_CSV}: "
                                 f"expected {expected}, found {found}")
-            block = list(block)
-            # an empty cell reads as NaN, which only a sensor column may hold
-            with _cells(f"{RUNS_CSV}, run {rid}"):
-                values = np.array(
-                    [c or "nan" for row in block for c in row[1:]], dtype=np.float64
-                ).reshape(len(block), -1)
-            t, channels = values[:, 0], values[:, 1 + n_sensors :]
-            if not (np.isfinite(t).all() and np.isfinite(channels).all()):
-                raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
-            runs.append(
-                RunRecord(
-                    **vars(run),
-                    t=t,
-                    readings=values[:, 1 : 1 + n_sensors],
-                    extra_channels={name: channels[:, j] for j, name in enumerate(channel_names)},
-                )
-            )
-    return runs
+    return meta, summaries
 
 
 def write_run_aggregates_csv(

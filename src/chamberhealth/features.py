@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import RunMeta, RunRecord
+from .core import RunChunk, RunMeta, RunRecord
 from .errors import DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
@@ -45,13 +45,30 @@ def aggregate_names(channels: Iterable[str]) -> list[str]:
     return [f"{ch}_{suffix}" for ch in channels for suffix in AGGREGATE_SUFFIXES]
 
 
-def aggregate_runs(
-    runs: Sequence[RunRecord], curves: Sequence[np.ndarray]
-) -> dict[str, np.ndarray]:
-    """``aggregate_channels`` of every run, given each run's composite
-    curve, as columns: name -> one float64 per run, in run order."""
-    per_run = [aggregate_channels(run, curve) for run, curve in zip(runs, curves, strict=True)]
-    return dict(zip(per_run[0], np.array([list(a.values()) for a in per_run]).T))
+def aggregate_runs(chunk: RunChunk, pressure: np.ndarray) -> dict[str, np.ndarray]:
+    """``aggregate_channels`` of every run of ``chunk``, given the chunk's
+    composite curve, as columns: name -> one float64 per run, in run order.
+
+    min and max are reduced per run in one call. The runs of each length
+    are gathered as the rows of one matrix, whose mean and std numpy sums
+    row by row exactly as it sums one run alone, so every value has the
+    bits of the per-run function.
+    """
+    channels = {"pressure": pressure, **chunk.channels}
+    names = sorted(channels)
+    values = np.stack([channels[name] for name in names])  # channel-major rows
+    lengths = chunk.lengths
+    mean, std = np.empty((2, len(names), lengths.size))
+    for n in np.unique(lengths):
+        runs = np.flatnonzero(lengths == n)
+        # channels x runs x samples, C-contiguous: each run's samples are one row
+        block = np.take(values, chunk.starts[runs, None] + np.arange(n), axis=1)
+        mean[:, runs] = block.mean(axis=2)
+        std[:, runs] = block.std(axis=2)
+    lo = np.minimum.reduceat(values, chunk.starts, axis=1)
+    hi = np.maximum.reduceat(values, chunk.starts, axis=1)
+    stats = np.stack([mean, lo, hi, std], axis=1)  # in AGGREGATE_SUFFIXES order
+    return dict(zip(aggregate_names(names), stats.reshape(-1, lengths.size)))
 
 
 def encode_recipe_plan(

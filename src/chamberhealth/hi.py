@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunMeta, RunRecord, SegmentSpec
+from .core import RunChunk, RunMeta, SegmentSpec
 from .errors import DataError, DegenerateFit
 
 # clean-machine baseline pools runs with n_runs in {0..9}
@@ -135,24 +135,43 @@ def impact(k: float, t_bar: float, cycle_length: int = 100) -> float:
     return k * cycle_length / t_bar * 100.0
 
 
+def first_crossings(chunk: RunChunk, pressure: np.ndarray, threshold: float) -> np.ndarray:
+    """``first_crossing_time`` of every run of ``chunk`` on its stretch of
+    ``pressure`` (the chunk's composite curve), NaN where a run never
+    reaches ``threshold``.
+
+    A run's crossing is its first sample at or below the threshold. The
+    logs are taken with ``math.log`` on the two bracketing values, as the
+    per-run function takes them, so every time has the same bits.
+    """
+    n = pressure.size
+    first = np.minimum.reduceat(np.where(pressure <= threshold, np.arange(n), n), chunk.starts)
+    out = np.full(first.size, np.nan)
+    crossed = first < np.append(chunk.starts[1:], n)
+    at_start = crossed & (first == chunk.starts)
+    out[at_start] = chunk.t[first[at_start]]
+    later = crossed & ~at_start
+    i = first[later]
+    lo = np.array([math.log(p) for p in pressure[i].tolist()])
+    hi = np.array([math.log(p) for p in pressure[i - 1].tolist()])
+    frac = (hi - math.log(threshold)) / (hi - lo)
+    out[later] = chunk.t[i - 1] + frac * (chunk.t[i] - chunk.t[i - 1])
+    return out
+
+
 def run_segment_durations(
-    runs: Sequence[RunRecord],
-    curves: Sequence[np.ndarray],
-    segments: Sequence[SegmentSpec],
+    chunk: RunChunk, pressure: np.ndarray, segments: Sequence[SegmentSpec]
 ) -> np.ndarray:
-    """Measured duration of every segment for every run, given each run's
-    composite curve: a (runs x segments) array whose column j belongs to
-    ``segments[j]``, NaN where a run never finished that segment."""
-    return np.array(  # a None duration converts to NaN
-        [[extract_segment_duration(run.t, curve, seg) for seg in segments]
-         for run, curve in zip(runs, curves, strict=True)],
-        dtype=np.float64,
-    )
+    """``extract_segment_duration`` of every run of ``chunk`` through every
+    segment, given the chunk's composite curve: a (runs x segments) array
+    whose column j belongs to ``segments[j]``, NaN where a run never
+    finished that segment."""
+    bounds = dict.fromkeys(bound for seg in segments for bound in (seg.upper, seg.lower))
+    crossing = {bound: first_crossings(chunk, pressure, bound) for bound in bounds}
+    return np.column_stack([crossing[seg.lower] - crossing[seg.upper] for seg in segments])
 
 
-def select_analysis_subset(
-    runs: Sequence[RunRecord], limit: int = 400
-) -> list[int]:
+def select_analysis_subset(runs: Sequence[RunMeta], limit: int = 400) -> list[int]:
     """Indices of the derivation subset: the (asset, recipe) pair with the
     most runs, oldest first, capped at ``limit`` runs.
 
@@ -169,15 +188,17 @@ def select_analysis_subset(
 
 
 def derive_hi(
-    runs: Sequence[RunRecord],
-    curves: Sequence[np.ndarray],
+    runs: Sequence[RunMeta],
+    durations: np.ndarray,
     segments: Sequence[SegmentSpec],
     cycle_length: int = 100,
     analysis_limit: int = 400,
 ) -> tuple[list[DegradationFit], HiSeries]:
     """Fit every segment on the analysis subset and select the HI segment.
 
-    ``curves`` holds each run's composite pressure curve, in run order.
+    ``durations`` holds one row per run of ``runs``, in run order, and
+    one column per segment (``run_segment_durations``), NaN where a run
+    never finished the segment; ``runs`` must not be empty.
     ``cycle_length`` is the maintenance period in runs; it scales each
     fit's impact ``alpha``.
 
@@ -187,9 +208,6 @@ def derive_hi(
     The returned HiSeries covers ALL runs where the winning segment
     completed, not just the analysis subset.
     """
-    if not runs:
-        raise DataError("no runs to derive a health index from")
-    durations = run_segment_durations(runs, curves, segments)
     subset = select_analysis_subset(runs, analysis_limit)
     n_runs = np.array([runs[i].n_runs for i in subset], dtype=np.float64)
 

@@ -1,5 +1,9 @@
 """Chunks of independent work mapped over every CPU this process may use.
 
+Three jobs use it: simulate renders runs.csv in chunks of runs,
+derive-hi parses and reduces runs.csv in byte ranges of whole runs, and
+train grows the forest in ranges of trees.
+
 ``map_in_order(fn, chunks)`` yields ``fn(chunk)`` of each chunk in chunk
 order, so what a caller builds from the results does not depend on the
 CPU count. With one CPU or one chunk the chunks run here. Otherwise

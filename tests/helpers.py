@@ -1,14 +1,18 @@
 """The small config of the CLI tests, test-only views of in-memory
-pipeline objects, in the shapes the program reads back from hi.csv, an
-editor of model files, the reference tree grower that the rank-code
-split search and the node tables are checked against, and the reference
-bm2 benchmark."""
+pipeline objects, in the shapes the program reads back from runs.csv and
+hi.csv, an editor of model files, the reference tree grower that the
+rank-code split search and the node tables are checked against, and the
+reference bm2 benchmark."""
 
 import io
 import math
 from typing import Optional
 
 import numpy as np
+
+from chamberhealth.core import RunChunk, composite_columns
+from chamberhealth.features import aggregate_runs
+from chamberhealth.hi import derive_hi, run_segment_durations
 
 # one asset, 100 runs, four maintenance cycles; small models
 SMALL_INI = """
@@ -28,6 +32,37 @@ rf_n_trees = 20
 svr_steps = 500
 mlp_epochs = 20
 """
+
+
+def chunk_of(runs) -> RunChunk:
+    """In-memory runs end to end as one RunChunk, as ``dataio.read_dataset``
+    hands a stretch of runs.csv to its summary."""
+    lengths = [run.n_samples for run in runs]
+    return RunChunk(
+        run_ids=tuple(run.run_id for run in runs),
+        starts=np.cumsum([0] + lengths[:-1]),
+        t=np.concatenate([run.t for run in runs]),
+        readings=np.concatenate([run.readings for run in runs]),
+        channels={name: np.concatenate([run.extra_channels[name] for run in runs])
+                  for name in runs[0].extra_channels},
+    )
+
+
+def durations_of(runs, sensors, segments) -> np.ndarray:
+    """``run_segment_durations`` of in-memory runs."""
+    chunk = chunk_of(runs)
+    return run_segment_durations(chunk, composite_columns(chunk, sensors), segments)
+
+
+def aggregates_of(runs, sensors) -> dict:
+    """``aggregate_runs`` of in-memory runs."""
+    chunk = chunk_of(runs)
+    return aggregate_runs(chunk, composite_columns(chunk, sensors))
+
+
+def derive_hi_of(runs, sensors, segments, *args, **kwargs):
+    """``derive_hi`` on the segment durations of in-memory runs."""
+    return derive_hi(runs, durations_of(runs, sensors, segments), segments, *args, **kwargs)
 
 
 def hi_by_run_id(series):

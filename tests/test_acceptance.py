@@ -16,7 +16,7 @@ import pytest
 from chamberhealth import dataio
 from chamberhealth.cli import run_pipeline
 from chamberhealth.config import default_config
-from chamberhealth.hi import derive_hi, extract_segment_duration, fit_ols, impact
+from chamberhealth.hi import extract_segment_duration, fit_ols, impact
 from chamberhealth.core import composite_curve
 from chamberhealth.models import (
     fit_decision_tree,
@@ -34,6 +34,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_segment_duration,
 )
+from helpers import derive_hi_of
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -67,9 +68,8 @@ def test_criterion_2_segment_selection():
     for seed in range(5):
         history = simulate_history(config, recipes, n_assets=1, n_runs_total=400,
                                    cycle_length=100, seed=seed)
-        curves = [composite_curve(run, config.sensors) for run in history]
-        fits, series = derive_hi(history, curves, default_segments(),
-                                 cycle_length=100, analysis_limit=400)
+        fits, series = derive_hi_of(history, config.sensors, default_segments(),
+                                    cycle_length=100, analysis_limit=400)
         r2 = {f.segment.index: f.r2 for f in fits}
         sel = series.selected_segment.index
         seed_ok = (

@@ -1,12 +1,15 @@
 """End-to-end CLI tests on a small synthetic config."""
 
 import argparse
+import csv
 import io
 import json
+import re
 import shutil
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import chain, groupby, takewhile
 from pathlib import Path
 
@@ -14,16 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chamberhealth import cli, core, dataio
+from chamberhealth import cli, core, dataio, workers
 from chamberhealth.cli import build_parser, main
 from chamberhealth.config import (
     FLOAT, INT, RECIPES, SENSORS, SETTINGS, TEXT, load_config,
 )
-from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
-from chamberhealth.hi import derive_hi
+from chamberhealth.features import build_supervised, chrono_split
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
-from helpers import SMALL_INI, edited_npz, hi_by_run_id
+from helpers import SMALL_INI, aggregates_of, derive_hi_of, edited_npz, hi_by_run_id
 
 ARTIFACTS = [
     dataio.RUNS_CSV,
@@ -209,16 +211,38 @@ def _set_column(name, column, value):
     return lambda lines: _set_cell(lines, 1, list(dataio.SCHEMAS[name]).index(column), value)
 
 
+def _block_start(lines, b):
+    """The index of the first line of runs.csv block b: 0 the first, -1 the last."""
+    keys = [line.split(",", 1)[0] for line in lines]
+    return [i for i in range(1, len(lines)) if i == 1 or keys[i] != keys[i - 1]][b]
+
+
+# Each runs.csv corruption acts on block b, the first run's (0) or the last
+# run's (-1), as far as it touches a block.
+
+
 def _set_runs_cell(column, value):
-    """A corruption that sets the first row's cell of a runs.csv column, found by its header."""
-    return lambda lines: _set_cell(lines, 1, lines[0].rstrip("\n").split(",").index(column), value)
+    """A corruption that sets a runs.csv column's cell, found by its header,
+    in the first row of block b."""
+    return lambda lines, b=0: _set_cell(lines, _block_start(lines, b),
+                                        lines[0].rstrip("\n").split(",").index(column), value)
 
 
-def _split_first_run(lines):
-    """Move the first run's last row to the end of the file."""
-    first = lines[1].split(",", 1)[0]
-    i = max(k for k, line in enumerate(lines) if line.startswith(first + ","))
-    return lines[:i] + lines[i + 1 :] + [lines[i]]
+def _blank_line(lines, b=0):
+    """A blank line halfway through the file, or through its last block."""
+    i = (len(lines) + (0 if b == 0 else _block_start(lines, b))) // 2
+    return lines[:i] + ["\n"] + lines[i:]
+
+
+def _split_run(lines, b=0):
+    """Move a run's last row out of its block: the first run's to the end of
+    the file, the last run's to before the run before it."""
+    if b == 0:
+        first = lines[1].split(",", 1)[0]
+        i = max(k for k, line in enumerate(lines) if line.startswith(first + ","))
+        return lines[:i] + lines[i + 1 :] + [lines[i]]
+    i = _block_start(lines, -2)
+    return lines[:i] + lines[-1:] + lines[i:-1]
 
 
 def _run_blocks(lines):
@@ -226,15 +250,18 @@ def _run_blocks(lines):
     return lines[0], [list(b) for _, b in groupby(lines[1:], key=lambda l: l.split(",", 1)[0])]
 
 
-def _swap_first_two_runs(lines):
+def _swap_runs(lines, b=0):
+    """Swap the first two runs' blocks, or the last two."""
     header, blocks = _run_blocks(lines)
-    return [header, *chain(blocks[1], blocks[0], *blocks[2:])]
+    i = 0 if b == 0 else len(blocks) - 2
+    blocks[i : i + 2] = blocks[i + 1], blocks[i]
+    return [header, *chain(*blocks)]
 
 
-def _rename_first_run(lines):
+def _rename_run(lines, b=0):
     header, blocks = _run_blocks(lines)
-    renamed = ["not-a-run," + line.split(",", 1)[1] for line in blocks[0]]
-    return [header, *chain(renamed, *blocks[1:])]
+    blocks[b] = ["not-a-run," + line.split(",", 1)[1] for line in blocks[b]]
+    return [header, *chain(*blocks)]
 
 
 def _corrupt(path, corruption):
@@ -247,16 +274,18 @@ RUNS_CSV_CORRUPTIONS = {
     "non-numeric-sensor-cell": _set_runs_cell("p1_mbar", "abc"),
     "inf-sensor-cell": _set_runs_cell("p1_mbar", "inf"),
     "empty-t-cell": _set_runs_cell("t_s", ""),
-    "empty-channel-cell": lambda lines: _set_cell(lines, 1, -1, ""),
-    "cut-mid-row": lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
-    "blank-line": lambda lines: lines[: len(lines) // 2] + ["\n"] + lines[len(lines) // 2 :],
-    "run-split-in-two-blocks": _split_first_run,
-    "blocks-out-of-run-meta-order": _swap_first_two_runs,
-    "block-not-in-run-meta": _rename_first_run,
-    "gauge-columns-swapped": lambda lines: [
+    "empty-channel-cell": lambda lines, b=0: _set_cell(lines, _block_start(lines, b), -1, ""),
+    # the file's last row is the last run's
+    "cut-mid-row": lambda lines, b=0: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
+    "blank-line": _blank_line,
+    "run-split-in-two-blocks": _split_run,
+    "blocks-out-of-run-meta-order": _swap_runs,
+    "block-not-in-run-meta": _rename_run,
+    # the header belongs to no block
+    "gauge-columns-swapped": lambda lines, b=0: [
         lines[0].replace("p1_mbar,p2_mbar", "p2_mbar,p1_mbar")
     ] + lines[1:],
-    "gauge-column-renamed": lambda lines: [
+    "gauge-column-renamed": lambda lines, b=0: [
         lines[0].replace("p1_mbar,p2_mbar", "p1_mbar,pressure_mbar")
     ] + lines[1:],
 }
@@ -303,15 +332,25 @@ def pipelined(tmp_path_factory):
     return _stage_output(tmp_path_factory, "pipeline")
 
 
-@pytest.mark.parametrize("corruption", sorted(RUNS_CSV_CORRUPTIONS))
-def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, corruption):
+@pytest.mark.parametrize("corruption, block", [
+    *(pytest.param(name, 0, id=name) for name in sorted(RUNS_CSV_CORRUPTIONS)),
+    *(pytest.param(name, -1, id=f"{name}-in-last-block") for name in sorted(RUNS_CSV_CORRUPTIONS)),
+])
+def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, monkeypatch, corruption,
+                                          block):
     config, work = simulated
     out = shutil.copytree(work, tmp_path / "work")
-    _corrupt(out / dataio.RUNS_CSV, RUNS_CSV_CORRUPTIONS[corruption])
+    _corrupt(out / dataio.RUNS_CSV, partial(RUNS_CSV_CORRUPTIONS[corruption], b=block))
+    if block:  # every run its own chunk, on two workers: the last chunk is the second's
+        monkeypatch.setattr(dataio, "RUNS_CSV_CHUNK_BYTES", 1)
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     assert run_cli("derive-hi", "--config", config, "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("ERROR DataError:")
     assert RUNS_CSV_REFUSALS.get(corruption, "") in err
+    if named := re.search(r"runs\.csv line (\d+): ", err):  # the file's line, not a chunk's
+        lines = (out / dataio.RUNS_CSV).read_text().splitlines()
+        assert len(next(csv.reader([lines[int(named[1]) - 1]]), [])) != len(next(csv.reader(lines)))
     assert not [o for o in DERIVE_OUTPUTS if (out / o).exists()]
 
 
@@ -659,10 +698,9 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     history = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
                                n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
                                seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
-    curves = [core.composite_curve(run, sensors) for run in history]
-    _, series = derive_hi(history, curves, cfg.segments, cycle_length=cfg.cycle_length,
-                          analysis_limit=cfg.analysis_limit)
-    sset = build_supervised(history, aggregate_runs(history, curves), hi_by_run_id(series),
+    _, series = derive_hi_of(history, sensors, cfg.segments, cycle_length=cfg.cycle_length,
+                             analysis_limit=cfg.analysis_limit)
+    sset = build_supervised(history, aggregates_of(history, sensors), hi_by_run_id(series),
                             horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -672,24 +710,56 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
 
 
 def test_pipeline_parses_runs_csv_once_and_fuses_each_run_once(tmp_path, small_config, monkeypatch):
+    # one CPU: runs.csv's chunks are read and fused in this process, where the spies are
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     calls = Counter()
+    fused = []  # the runs of each chunk fused, and their sample counts
 
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def read_dataset(*args, **kwargs):
+        calls["read_dataset"] += 1
+        return original_read(*args, **kwargs)
 
-    monkeypatch.setattr(dataio, "read_dataset", spy("read_dataset", dataio.read_dataset))
-    original = core.composite_curve
-    wrapped = spy("composite_curve", original)
-    for name, module in list(sys.modules.items()):  # every `from .core import composite_curve`
-        if name.startswith("chamberhealth") and getattr(module, "composite_curve", None) is original:
-            monkeypatch.setattr(module, "composite_curve", wrapped)
-    assert cli.composite_curve is wrapped
-    assert run_cli("pipeline", "--config", small_config, "--out", tmp_path / "work",
+    def composite_columns(chunk, sensors):
+        fused.append((chunk.run_ids, chunk.lengths))
+        return original_fuse(chunk, sensors)
+
+    original_read, original_fuse = dataio.read_dataset, core.composite_columns
+    monkeypatch.setattr(dataio, "read_dataset", read_dataset)
+    for name, module in list(sys.modules.items()):  # every `from .core import composite_columns`
+        if name.startswith("chamberhealth") and getattr(module, "composite_columns", None) is original_fuse:
+            monkeypatch.setattr(module, "composite_columns", composite_columns)
+    assert cli.composite_columns is composite_columns
+    out = tmp_path / "work"
+    assert run_cli("pipeline", "--config", small_config, "--out", out,
                    "--n-runs-total", 300, "--n-assets", 3) == 0
-    assert calls == {"read_dataset": 1, "composite_curve": 300}
+    assert calls == {"read_dataset": 1}
+    assert len(fused) > 1  # runs.csv is cut into chunks
+    # every run fused once, in file order, and with it every sample of runs.csv
+    run_ids = [run.run_id for run in dataio.read_run_meta(out)]
+    assert list(chain.from_iterable(ids for ids, _ in fused)) == run_ids
+    with open(out / dataio.RUNS_CSV, "rb") as fh:
+        data_rows = sum(1 for _ in fh) - 1
+    assert sum(int(lengths.sum()) for _, lengths in fused) == data_rows
+
+
+def test_derive_hi_outputs_do_not_depend_on_the_chunks_or_the_cpu_count(tmp_path, small_config,
+                                                                       monkeypatch):
+    work = tmp_path / "work"
+    # ~3 MB of runs.csv: three chunks at the default size
+    assert run_cli("simulate", "--config", small_config, "--out", work,
+                   "--n-runs-total", 300, "--n-assets", 3) == 0
+    setups = {"one-cpu": (1, dataio.RUNS_CSV_CHUNK_BYTES),
+              "two-cpus": (2, dataio.RUNS_CSV_CHUNK_BYTES),
+              "run-per-chunk": (2, 1)}
+    outputs = {}
+    for setup, (cpus, chunk_bytes) in setups.items():
+        monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(dataio, "RUNS_CSV_CHUNK_BYTES", chunk_bytes)
+        assert run_cli("derive-hi", "--config", small_config, "--out", work) == 0
+        outputs[setup] = {name: (work / name).read_bytes() for name in DERIVE_OUTPUTS}
+    assert outputs["two-cpus"] == outputs["one-cpu"]
+    assert outputs["run-per-chunk"] == outputs["one-cpu"]
+    assert len(dataio._runs_csv_spans(work / dataio.RUNS_CSV)) == 300  # one per run
 
 
 EVALUATE_OUTPUTS = (dataio.REPORT_JSON, dataio.PLOT_HI_CSV)

@@ -5,13 +5,16 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chamberhealth.core import (
+    RunChunk,
     RunMeta,
     RunRecord,
     SegmentSpec,
     SensorSpec,
     check_sensor_priorities,
+    composite_columns,
     composite_curve,
 )
 from chamberhealth.errors import ConfigError, DataError
@@ -22,6 +25,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_pressure_curve,
 )
+from helpers import chunk_of
 
 # -- scalar per-sample oracle for the vectorized composite_curve ---------------
 
@@ -205,3 +209,53 @@ def test_run_record_validation():
     for readings in (np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0])):
         with pytest.raises(DataError, match="readings shape"):
             RunRecord(**{**good, "readings": readings})
+
+
+def _fused(fuse):
+    """What ``fuse`` returns, or the message of the DataError it raises."""
+    try:
+        return fuse().tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+# a reading: invalid (NaN) or a pressure on a coarse grid that every gauge
+# range below starts, ends or misses on
+_READING = st.one_of(st.just(np.nan), st.sampled_from([1e-6, 1e-4, 0.01, 1.0, 50.0, 1000.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ranges=st.lists(st.sampled_from([(1e-6, 1.0), (1e-4, 50.0), (0.01, 1000.0), (1.0, 1000.0)]),
+                    min_size=1, max_size=4),
+    priorities=st.randoms(use_true_random=False),
+    runs=st.lists(st.lists(st.lists(_READING, min_size=4, max_size=4), min_size=1, max_size=6),
+                  min_size=1, max_size=6),
+)
+def test_composite_columns_equal_composite_curve_of_each_run(ranges, priorities, runs):
+    ranks = list(range(1, len(ranges) + 1))
+    priorities.shuffle(ranks)
+    sensors = [SensorSpec(f"s{j}", r, rank) for j, (r, rank) in enumerate(zip(ranges, ranks))]
+    records = [
+        RunRecord(run_id=f"r{k}", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
+                  t=np.arange(len(rows)) * 0.5, readings=np.array(rows)[:, : len(sensors)])
+        for k, rows in enumerate(runs)
+    ]
+    expected = _fused(lambda: np.concatenate([composite_curve(r, sensors) for r in records]))
+    assert _fused(lambda: composite_columns(chunk_of(records), sensors)) == expected
+
+
+def test_run_chunk_checks_name_the_first_run_at_fault():
+    def chunk(t, readings):
+        return RunChunk(run_ids=("r0", "r1", "r2"), starts=np.array([0, 2, 4]),
+                        t=np.array(t, dtype=float), readings=np.array(readings, dtype=float)[:, None])
+
+    good_t, good = [0.0, 0.5, 0.0, 0.5, 0.0, 0.5], [1.0, np.nan, 2.0, 3.0, 4.0, 5.0]
+    chunk(good_t, good)  # times restart with every run
+    with pytest.raises(DataError, match=r"^run r1: sample times must be strictly increasing$"):
+        chunk([0.0, 0.5, 0.5, 0.5, 0.0, 0.5], [1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(DataError, match=r"^run r1: valid readings must be finite and > 0$"):
+        chunk([0.0, 0.5, 0.0, 0.5, 0.5, 0.5], [1.0, 1.0, 1.0, np.inf, 1.0, 1.0])
+    # on one run, the times are checked first, as RunRecord checks them
+    with pytest.raises(DataError, match=r"^run r0: sample times"):
+        chunk([0.5, 0.0, 0.0, 0.5, 0.0, 0.5], [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])

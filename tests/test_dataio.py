@@ -5,23 +5,27 @@ import io
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from chamberhealth import dataio
+from chamberhealth import dataio, workers
+from chamberhealth.core import RunMeta
 from chamberhealth.errors import DataError
-from chamberhealth.core import composite_curve
-from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
-from chamberhealth.hi import derive_hi
+from chamberhealth.features import build_supervised, chrono_split
 from chamberhealth.simgen import (
     ChamberConfig,
     default_recipes,
     default_segments,
     simulate_history,
 )
-from helpers import hi_by_run_id
+from helpers import aggregates_of, chunk_of, derive_hi_of, hi_by_run_id
+
+
+def _chunks(chunk):
+    """A read_dataset summary that keeps each chunk whole."""
+    return chunk
 
 
 @pytest.fixture(scope="module")
@@ -32,22 +36,24 @@ def small_dataset():
     return config, history
 
 
-def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset):
+def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset, monkeypatch):
     config, history = small_dataset
     dataio.write_dataset(tmp_path, history)
-    runs = dataio.read_dataset(tmp_path, len(config.sensors))
-    assert len(runs) == len(history)
-    by_id = {r.run_id: r for r in history}
-    for run in runs:
-        orig = by_id[run.run_id]
-        assert run.asset_id == orig.asset_id
-        assert run.start_time == orig.start_time
-        assert run.recipe_id == orig.recipe_id
-        assert run.n_runs == orig.n_runs
-        assert np.array_equal(run.t, orig.t)
-        assert np.array_equal(run.readings, orig.readings, equal_nan=True)
-        for name in orig.extra_channels:
-            assert np.array_equal(run.extra_channels[name], orig.extra_channels[name])
+    monkeypatch.setattr(dataio, "RUNS_CSV_CHUNK_BYTES", 20_000)  # a few runs per chunk
+    runs, chunks = dataio.read_dataset(tmp_path, len(config.sensors), _chunks)
+    assert len(chunks) > 1
+    assert runs == [RunMeta(**{f.name: getattr(r, f.name) for f in fields(RunMeta)})
+                    for r in history]
+    orig = chunk_of(history)
+    assert sum((c.run_ids for c in chunks), ()) == orig.run_ids
+    assert np.array_equal(np.concatenate([c.lengths for c in chunks]), orig.lengths)
+    assert np.array_equal(np.concatenate([c.t for c in chunks]), orig.t)
+    assert np.array_equal(np.concatenate([c.readings for c in chunks]), orig.readings,
+                          equal_nan=True)
+    assert sorted(chunks[0].channels) == sorted(orig.channels)
+    for name in orig.channels:
+        assert np.array_equal(np.concatenate([c.channels[name] for c in chunks]),
+                              orig.channels[name])
 
 
 def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
@@ -85,24 +91,28 @@ def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
     assert empty == [[0], [3], [0, 3], []]  # sensor columns p1..p4
 
 
-def test_read_dataset_peak_memory_is_bounded_by_its_output(tmp_path):
-    # 1 s sampling halves the rows per run, which keeps the traced read short
+def test_read_dataset_peak_memory_does_not_grow_with_the_run_count(tmp_path, monkeypatch):
+    # one CPU: every chunk is read in this process, where tracemalloc sees it;
+    # 1 s sampling halves the rows per run, which keeps the traced reads short
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
     config = ChamberConfig(sample_dt=1.0)
-    history = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=200,
-                               cycle_length=20, seed=5)
-    dataio.write_dataset(tmp_path, history)
-    tracemalloc.start()
-    try:
-        runs = dataio.read_dataset(tmp_path, len(config.sensors))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    nbytes = sum(
-        r.t.nbytes + r.readings.nbytes + sum(c.nbytes for c in r.extra_channels.values())
-        for r in runs
-    )
-    assert len(runs) == 200
-    assert peak <= 3 * nbytes, peak / nbytes
+    peaks = {}
+    for n_runs in (200, 800):
+        out = tmp_path / str(n_runs)
+        out.mkdir()
+        history = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=n_runs,
+                                   cycle_length=20, seed=5)
+        dataio.write_dataset(out, history)
+        del history
+        tracemalloc.start()
+        try:
+            runs, lengths = dataio.read_dataset(out, len(config.sensors), lambda c: c.lengths)
+            _, peaks[n_runs] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, lengths)) == len(runs) == n_runs
+    # 4x the runs and samples, about the same peak: one chunk at a time
+    assert peaks[800] <= 1.5 * peaks[200], peaks
 
 
 @pytest.mark.parametrize("n_sensors", [3, 5])
@@ -114,7 +124,7 @@ def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_
     expected = dataio.runs_csv_header(n_sensors, ["gas_flow", "temp_c"])
     with pytest.raises(DataError, match=f"{n_sensors} configured sensors need "
                                         f"{re.escape(str(expected))}; rerun simulate$"):
-        dataio.read_dataset(tmp_path, n_sensors)
+        dataio.read_dataset(tmp_path, n_sensors, _chunks)
 
 
 def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
@@ -122,15 +132,14 @@ def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
     dataio.write_dataset(tmp_path, history)
     text = (tmp_path / dataio.RUNS_CSV).read_text()
     assert ",," in text  # clipped readings serialize as empty cells
-    runs = dataio.read_dataset(tmp_path, len(config.sensors))
-    assert any(np.isnan(r.readings).any() for r in runs)
+    _, chunks = dataio.read_dataset(tmp_path, len(config.sensors), _chunks)
+    assert any(np.isnan(c.readings).any() for c in chunks)
 
 
 def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
     config, history = small_dataset
-    curves = [composite_curve(r, config.sensors) for r in history]
-    fits, series = derive_hi(history, curves, default_segments(),
-                             cycle_length=20, analysis_limit=400)
+    fits, series = derive_hi_of(history, config.sensors, default_segments(),
+                                cycle_length=20, analysis_limit=400)
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
     dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
     hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, history)
@@ -143,7 +152,7 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
 
 def test_run_aggregates_roundtrip(tmp_path, small_dataset):
     config, history = small_dataset
-    columns = aggregate_runs(history, [composite_curve(r, config.sensors) for r in history])
+    columns = aggregates_of(history, config.sensors)
     dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, history, columns)
     back = dataio.read_run_aggregates(tmp_path, history)
     assert list(back) == list(columns)
@@ -154,10 +163,9 @@ def test_run_aggregates_roundtrip(tmp_path, small_dataset):
 
 def test_supervised_roundtrip(tmp_path, small_dataset):
     config, history = small_dataset
-    curves = [composite_curve(r, config.sensors) for r in history]
-    fits, series = derive_hi(history, curves, default_segments(),
-                             cycle_length=20, analysis_limit=400)
-    sset = build_supervised(history, aggregate_runs(history, curves), hi_by_run_id(series))
+    fits, series = derive_hi_of(history, config.sensors, default_segments(),
+                                cycle_length=20, analysis_limit=400)
+    sset = build_supervised(history, aggregates_of(history, config.sensors), hi_by_run_id(series))
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)
@@ -172,7 +180,7 @@ def test_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError):
         dataio.read_csv(tmp_path / "nope.csv")
     with pytest.raises(DataError):
-        dataio.read_dataset(tmp_path, 1)
+        dataio.read_dataset(tmp_path, 1, _chunks)
 
 
 @pytest.mark.parametrize("name", sorted(dataio.SCHEMAS))

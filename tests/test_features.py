@@ -14,7 +14,6 @@ from chamberhealth.features import (
     chrono_split,
     encode_recipe_plan,
 )
-from chamberhealth.hi import derive_hi
 from chamberhealth.simgen import (
     ChamberConfig,
     RecipeSpec,
@@ -23,7 +22,7 @@ from chamberhealth.simgen import (
     simulate_history,
     true_segment_duration,
 )
-from helpers import hi_by_run_id
+from helpers import aggregates_of, chunk_of, derive_hi_of, hi_by_run_id
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
@@ -39,7 +38,7 @@ def standardize(train_X, X):
 
 
 def _aggregates(runs, sensors=WIDE):
-    return aggregate_runs(runs, [composite_curve(r, sensors) for r in runs])
+    return aggregates_of(runs, sensors)
 
 
 def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"):
@@ -104,12 +103,41 @@ def test_aggregates_match_two_pass_oracle():
 
 def test_aggregate_runs_hold_each_runs_aggregates_as_columns():
     runs = [make_run(run_id=f"r{i}", channel=[float(i), 2.0 * i + 1]) for i in range(3)]
+    columns = _aggregates(runs)
     curves = [composite_curve(r, WIDE) for r in runs]
-    columns = aggregate_runs(runs, curves)
     assert list(columns) == list(aggregate_channels(runs[0], curves[0]))
     for i, (run, curve) in enumerate(zip(runs, curves)):
         row = {name: values[i] for name, values in columns.items()}
         assert row == aggregate_channels(run, curve)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # equal lengths share one matrix; 1 and lengths past numpy's 128-value
+    # pairwise-summation block included
+    lengths=st.lists(st.one_of(st.sampled_from([1, 2, 130, 300]), st.integers(1, 400)),
+                     min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_runs_equal_aggregate_channels_of_each_run(lengths, seed):
+    rng = np.random.default_rng(seed)
+
+    def values(n):  # a channel around an offset, on a scale of its own
+        return rng.uniform(-1e3, 1e3) + 10.0 ** rng.uniform(-6, 3) * rng.standard_normal(n)
+
+    runs = [
+        RunRecord(run_id=f"r{k}", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
+                  t=np.arange(n) * 0.5, readings=np.ones((n, 1)),
+                  extra_channels={"temp_c": values(n), "gas_flow": values(n)})
+        for k, n in enumerate(lengths)
+    ]
+    curves = [np.abs(values(n)) for n in lengths]
+    columns = aggregate_runs(chunk_of(runs), np.concatenate(curves))
+    for k, (run, curve) in enumerate(zip(runs, curves)):
+        expected = aggregate_channels(run, curve)
+        assert list(columns) == list(expected)
+        assert np.array([c[k] for c in columns.values()]).tobytes() == \
+            np.array(list(expected.values())).tobytes()
 
 
 def test_encode_plan_basic_blocks():
@@ -186,8 +214,7 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
     recipes = (RecipeSpec("std", 0.8),)
     history = simulate_history(config, recipes, 1, 60, 100, seed=0)
-    fits, series = derive_hi(history, [composite_curve(r, config.sensors) for r in history],
-                             default_segments(), 100)
+    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
     sset = build_supervised(history, _aggregates(history, config.sensors), hi_by_run_id(series),
                             horizon=10)
     seg = series.selected_segment

@@ -4,17 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chamberhealth.core import SegmentSpec, composite_curve
+from chamberhealth.core import RunChunk, SegmentSpec, composite_curve
 from chamberhealth.errors import DataError, DegenerateFit
 from chamberhealth.hi import (
     clean_baseline,
-    derive_hi,
     extract_segment_duration,
     fit_ols,
     impact,
     r_squared,
+    run_segment_durations,
 )
 from chamberhealth.simgen import (
     ChamberConfig,
@@ -26,6 +26,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_segment_duration,
 )
+from helpers import derive_hi_of
 
 T_NO_FLOOR = 5.41610040220442  # 2*ln(15), frozen independent value
 
@@ -244,14 +245,10 @@ def _wide_sensors():
     return [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
 
-def _curves(runs, sensors):
-    return [composite_curve(run, sensors) for run in runs]
-
-
 def test_derive_hi_single_segment_linear_data():
     runs = _synthetic_selection_case(lambda n: 2.0 + 0.01 * n)
     segments = [SegmentSpec(1, 0.03, 0.002)]
-    fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), segments, cycle_length=30)
+    fits, series = derive_hi_of(runs, _wide_sensors(), segments, cycle_length=30)
     assert series.selected_segment.index == 1
     assert fits[0].r2 == pytest.approx(1.0, abs=1e-3)
     assert len(series.entries) == len(runs)
@@ -261,13 +258,12 @@ def test_derive_hi_skips_a_degenerate_segment():
     # tau 2 s at n_runs = 0, else 10 s: within the 210 s curve only the
     # n_runs = 0 runs reach 1e-8 mbar, so segment 2's fit has no spread in n_runs
     runs = _synthetic_selection_case(lambda n: 2.0 if n == 0 else 10.0)
-    curves = _curves(runs, _wide_sensors())
     usable, degenerate = SegmentSpec(1, 0.03, 0.002), SegmentSpec(2, 0.03, 1e-8)
-    fits, series = derive_hi(runs, curves, [degenerate, usable], cycle_length=30)
+    fits, series = derive_hi_of(runs, _wide_sensors(), [degenerate, usable], cycle_length=30)
     assert [f.segment.index for f in fits] == [1]
     assert series.selected_segment.index == 1
     with pytest.raises(DataError, match="every segment was degenerate"):
-        derive_hi(runs, curves, [degenerate], cycle_length=30)
+        derive_hi_of(runs, _wide_sensors(), [degenerate], cycle_length=30)
 
 
 def test_derive_hi_fits_each_segment_on_its_own_durations():
@@ -275,7 +271,7 @@ def test_derive_hi_fits_each_segment_on_its_own_durations():
     # every run crosses 0.002 mbar but n_runs 26..29 never reach 1e-7
     runs = _synthetic_selection_case(lambda n: 4.0 + 0.2 * n)
     shallow, deep = SegmentSpec(2, 0.03, 0.002), SegmentSpec(2, 0.03, 1e-7)
-    fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), [shallow, deep],
+    fits, series = derive_hi_of(runs, _wide_sensors(), [shallow, deep],
                              cycle_length=30)
     by_segment = {f.segment: f for f in fits}
     assert (by_segment[shallow].n_points, by_segment[deep].n_points) == (60, 52)
@@ -293,7 +289,7 @@ def test_derive_hi_tie_break_prefers_larger_alpha():
         SegmentSpec(1, 0.03, 0.002),       # duration = tau*ln(15)
         SegmentSpec(2, 0.03, 0.03 / 225.0) # duration = tau*ln(225) = 2x
     ]
-    fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), segments, cycle_length=30)
+    fits, series = derive_hi_of(runs, _wide_sensors(), segments, cycle_length=30)
     by_idx = {f.segment.index: f for f in fits}
     # scaling durations by a constant leaves r2 and alpha unchanged, so
     # the tie falls through to the lower segment index
@@ -319,7 +315,7 @@ def test_derive_hi_alpha_tie_break():
 def test_derive_hi_selects_dp2_on_tuned_default():
     config = ChamberConfig()
     history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
-    fits, series = derive_hi(history, _curves(history, config.sensors), default_segments(),
+    fits, series = derive_hi_of(history, config.sensors, default_segments(),
                              100, 400)
     assert series.selected_segment.index == 2
     by_idx = {f.segment.index: f for f in fits}
@@ -335,7 +331,7 @@ def test_noiseless_degradation_gives_near_perfect_r2():
     # zero-noise world every segment fits essentially perfectly)
     config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
     history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0)
-    fits, series = derive_hi(history, _curves(history, config.sensors), default_segments(), 100)
+    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
     by_idx = {f.segment.index: f for f in fits}
     assert by_idx[2].r2 > 1.0 - 1e-3
 
@@ -366,7 +362,7 @@ def test_selection_invariant_under_uniform_time_rescaling():
 
     def profile(scale):
         runs = _synthetic_selection_case(lambda n: scale * (2.0 + 0.01 * n + 0.3 * ((n * 7919) % 11) / 11))
-        fits, series = derive_hi(runs, _curves(runs, _wide_sensors()), seg, cycle_length=30)
+        fits, series = derive_hi_of(runs, _wide_sensors(), seg, cycle_length=30)
         return series.selected_segment.index, {f.segment.index: f.r2 for f in fits}
 
     sel1, r1 = profile(1.0)
@@ -374,3 +370,43 @@ def test_selection_invariant_under_uniform_time_rescaling():
     assert sel1 == sel2
     for i in r1:
         assert r1[i] == pytest.approx(r2[i], rel=1e-6)
+
+
+# segment bounds, and pressures on a log grid a third of a decade apart
+# that holds every bound, so that some samples sit exactly on one
+_BOUNDS = [1e-6, 2e-3, 0.03, 1.0, 100.0]
+_PRESSURES = sorted({*_BOUNDS, *(10.0 ** (k / 3) for k in range(-21, 10))})
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # a one-sample run that never crosses, a crossing at sample 0 exactly on
+    # the upper bound, a crossing between samples that ends exactly on the lower,
+    # and a bracket whose np.log is one ulp off math.log
+    segments=[(0.03, 2e-3)],
+    runs=[[(0.5, 100.0)], [(0.5, 0.03), (0.5, 1e-6)], [(0.5, 1.0), (0.5, 0.01), (0.5, 2e-3)],
+          [(0.5, 0.07650202918590379), (0.5, 1e-3)]],
+)
+@given(
+    segments=st.lists(st.tuples(st.sampled_from(_BOUNDS), st.sampled_from(_BOUNDS))
+                      .filter(lambda b: b[0] > b[1]), min_size=1, max_size=4),
+    # one-sample runs, runs that never reach a bound, runs that start below
+    # one: random curves on the grid, not only decaying ones
+    runs=st.lists(st.lists(st.tuples(st.floats(0.01, 3.0), st.sampled_from(_PRESSURES)),
+                           min_size=1, max_size=12), min_size=1, max_size=8),
+)
+def test_run_segment_durations_equal_extract_segment_duration_of_each_run(segments, runs):
+    segments = [SegmentSpec(j + 1, upper, lower) for j, (upper, lower) in enumerate(segments)]
+    # each run's clock starts anywhere and strictly increases
+    ts = [np.cumsum([step for step, _ in run]) for run in runs]
+    pressures = [np.array([p for _, p in run]) for run in runs]
+    expected = np.array(
+        [[extract_segment_duration(t, p, seg) for seg in segments] for t, p in zip(ts, pressures)],
+        dtype=np.float64,  # None reads as NaN
+    )
+    lengths = [len(run) for run in runs]
+    chunk = RunChunk(run_ids=tuple(f"r{k}" for k in range(len(runs))),
+                     starts=np.cumsum([0] + lengths[:-1]), t=np.concatenate(ts),
+                     readings=np.concatenate(pressures)[:, None])
+    got = run_segment_durations(chunk, np.concatenate(pressures), segments)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

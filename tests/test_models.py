@@ -485,28 +485,22 @@ def test_bm2_exact_on_in_distribution_curve():
 def test_bm2_systematically_low_under_drift():
     # derived: with the default late-year drift the train-era average
     # curve under-predicts the drifted test period
-    from chamberhealth.core import composite_curve
-    from chamberhealth.features import aggregate_runs, build_supervised, chrono_split
-    from chamberhealth.hi import derive_hi
+    from chamberhealth.features import build_supervised, chrono_split
     from chamberhealth.simgen import ChamberConfig, default_recipes, default_segments, simulate_history
-
-    def aggregates(runs, sensors):
-        return aggregate_runs(runs, [composite_curve(r, sensors) for r in runs])
+    from helpers import aggregates_of, derive_hi_of
 
     config = ChamberConfig(weather_sigma=0.0)
     history = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
-    fits, series = derive_hi(history, [composite_curve(r, config.sensors) for r in history],
-                             default_segments(), 100)
-    sset = build_supervised(history, aggregates(history, config.sensors), hi_by_run_id(series))
+    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
+    sset = build_supervised(history, aggregates_of(history, config.sensors), hi_by_run_id(series))
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
 
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
     history2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
-    fits2, series2 = derive_hi(history2, [composite_curve(r, flat.sensors) for r in history2],
-                               default_segments(), 100)
-    sset2 = build_supervised(history2, aggregates(history2, flat.sensors), hi_by_run_id(series2))
+    fits2, series2 = derive_hi_of(history2, flat.sensors, default_segments(), 100)
+    sset2 = build_supervised(history2, aggregates_of(history2, flat.sensors), hi_by_run_id(series2))
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered
