@@ -55,7 +55,6 @@ def stage_simulate(cfg: PipelineConfig) -> None:
         n_runs_total=cfg.n_runs_total,
         cycle_length=cfg.cycle_length,
         seed=seed,
-        recipe_probs=cfg.recipe_probs,
     )
     dataio.write_dataset(out, runs)
 

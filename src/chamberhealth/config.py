@@ -5,10 +5,12 @@ module ([simgen], [hi], [features], [models]) plus [cli] for seed and
 output directory; any other section, [DEFAULT] too, is refused. Every
 key is declared once, in ``SETTINGS``, which drives the INI writer, the
 INI reader and the CLI override flags; a key's format refuses a value
-outside its range before any stage runs. Flags override file keys; every
-subcommand prints the fully resolved form before acting. The config hash
-covers only the science-relevant sections, so runs that differ merely in
-output path reproduce identical reports.
+outside its range before any stage runs. A list entry carries every
+field of its item: a gauge's range, priority and noise in ``sensors``,
+a recipe's weights and schedule share in ``recipes``. Flags override
+file keys; every subcommand prints the fully resolved form before
+acting. The config hash covers only the science-relevant sections, so
+runs that differ merely in output path reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import SegmentSpec, SensorSpec
 from .errors import ConfigError
 from .models import DEFAULT_HYPERPARAMS, MODEL_KINDS
 from .simgen import (
-    DEFAULT_RECIPE_PROBS,
     ChamberConfig,
     RecipeSpec,
     default_recipes,
@@ -42,7 +43,6 @@ class PipelineConfig:
 
     chamber: ChamberConfig = field(default_factory=ChamberConfig)
     recipes: tuple[RecipeSpec, ...] = field(default_factory=default_recipes)
-    recipe_probs: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_RECIPE_PROBS))
     n_assets: int = 5
     n_runs_total: int = 2000
     cycle_length: int = 100
@@ -55,7 +55,7 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        recipe_probabilities(self.recipes, self.recipe_probs)  # refused at resolve, not simulate
+        recipe_probabilities(self.recipes)  # refused at resolve, not simulate
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -84,14 +84,6 @@ def _parse_list(text: str, n_fields: int) -> list[list[str]]:
     if not out:
         raise ValueError("list must not be empty")
     return out
-
-
-def _parse_mapping(text: str) -> dict[str, float]:
-    return {p[0]: NONNEG_FLOAT.parse(p[1]) for p in _parse_list(text, 2)}
-
-
-def _mapping_to_str(mapping: Mapping[str, float]) -> str:
-    return ", ".join(f"{k}:{float(v)!r}" for k, v in mapping.items())
 
 
 def _parse_segments(text: str) -> tuple[SegmentSpec, ...]:
@@ -134,16 +126,15 @@ NONNEG_FLOAT = _bounded(FLOAT, ">= 0", lambda v: v >= 0)
 POS_FLOAT = _bounded(FLOAT, "> 0", lambda v: v > 0)
 FRACTION = _bounded(FLOAT, "in (0, 1)", lambda v: 0 < v < 1)
 SEED = Format(lambda v: "" if v is None else str(v), lambda t: NONNEG_INT.parse(t) if t else None)
-NONNEG_MAPPING = Format(_mapping_to_str, _parse_mapping)
-# a scalar applies to every sensor; written back as the per-sensor mapping
-NOISE = Format(_mapping_to_str, lambda t: _parse_mapping(t) if ":" in t else NONNEG_FLOAT.parse(t))
 SENSORS = Format(
     lambda sensors: ", ".join(
-        f"{s.sensor_id}:{s.valid_range[0]!r}:{s.valid_range[1]!r}:{s.priority}" for s in sensors
+        f"{s.sensor_id}:{s.valid_range[0]!r}:{s.valid_range[1]!r}:{s.priority}:{s.noise_sigma!r}"
+        for s in sensors
     ),
     lambda t: tuple(
-        SensorSpec(p[0], (FLOAT.parse(p[1]), FLOAT.parse(p[2])), int(p[3]))
-        for p in _parse_list(t, 4)
+        SensorSpec(p[0], (FLOAT.parse(p[1]), FLOAT.parse(p[2])), int(p[3]),
+                   NONNEG_FLOAT.parse(p[4]))
+        for p in _parse_list(t, 5)
     ),
 )
 SEGMENTS = Format(
@@ -152,10 +143,11 @@ SEGMENTS = Format(
 )
 RECIPES = Format(
     lambda recipes: ", ".join(
-        f"{r.recipe_id}:{r.deposition_weight!r}:{r.duration_scale!r}" for r in recipes
+        f"{r.recipe_id}:{r.deposition_weight!r}:{r.duration_scale!r}:{r.share!r}" for r in recipes
     ),
     lambda t: tuple(
-        RecipeSpec(p[0], FLOAT.parse(p[1]), FLOAT.parse(p[2])) for p in _parse_list(t, 3)
+        RecipeSpec(p[0], FLOAT.parse(p[1]), FLOAT.parse(p[2]), NONNEG_FLOAT.parse(p[3]))
+        for p in _parse_list(t, 4)
     ),
 )
 
@@ -182,8 +174,6 @@ class Setting:
         if self.scope == "pipeline":
             return getattr(cfg, self.field)
         if self.scope == "chamber":
-            if self.field == "noise_sigma":
-                return cfg.chamber.sigma_by_sensor()
             return getattr(cfg.chamber, self.field)
         params = cfg.model_params.get(self.scope, {})
         return params.get(self.field, DEFAULT_HYPERPARAMS[self.scope][self.field])
@@ -199,7 +189,7 @@ _CHAMBER_FORMATS = {
                      "weather_sigma", "maintenance_residual", "temp_seasonal_amplitude",
                      "temp_run_noise", "temp_sample_noise", "flow_run_noise",
                      "flow_sample_noise"), NONNEG_FLOAT),
-    "tail_samples": NONNEG_INT, "noise_sigma": NOISE, "sensors": SENSORS,
+    "tail_samples": NONNEG_INT, "sensors": SENSORS,
     "weather_rho": _bounded(FLOAT, "in [0, 1)", lambda v: 0 <= v < 1),
 }
 _CHAMBER_SETTINGS = tuple(
@@ -229,7 +219,6 @@ SETTINGS: tuple[Setting, ...] = (
             _bounded(INT, ">= 2", lambda v: v >= 2)),
     *_CHAMBER_SETTINGS,
     Setting("simgen", "recipes", "pipeline", "recipes", RECIPES),
-    Setting("simgen", "recipe_probs", "pipeline", "recipe_probs", NONNEG_MAPPING),
     Setting("hi", "segments", "pipeline", "segments", SEGMENTS),
     Setting("hi", "analysis_limit", "pipeline", "analysis_limit", POS_INT),
     Setting("features", "horizon", "pipeline", "horizon", POS_INT),
@@ -266,7 +255,7 @@ def apply_settings(cfg: PipelineConfig, values: Mapping[tuple[str, str], str]) -
     """Parse the text of each (section, key) and set it on ``cfg``.
 
     All chamber keys go into one ``replace()``, so cross-field checks
-    (a noise mapping against the sensor list) see them together.
+    (the order of the three pressures) see them together.
     """
     top: dict[str, Any] = {}
     chamber: dict[str, Any] = {}

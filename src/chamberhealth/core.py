@@ -24,15 +24,19 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """One pressure gauge: identity, usable range in mbar, priority rank.
+    """One pressure gauge: identity, usable range in mbar, priority rank
+    and reading noise.
 
     Lower ``priority`` wins when several gauges cover the same pressure
     (rank 1 is consulted first). Range bounds are inclusive.
+    ``noise_sigma`` is the sigma of the generator's multiplicative
+    log-normal noise on this gauge's readings; 0 reads the true pressure.
     """
 
     sensor_id: str
     valid_range: tuple[float, float]
     priority: int
+    noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         lo, hi = self.valid_range
@@ -44,8 +48,9 @@ class SensorSpec:
 
 def check_sensor_priorities(sensors: Sequence[SensorSpec]) -> None:
     """Sensor ids and priorities must each be unique within one chamber
-    configuration: the noise mapping names a sensor by its id, and
-    ``composite_curve`` consults the sensors in priority order."""
+    configuration: an id names one gauge in the config and in its
+    refusals, and ``composite_curve`` consults the sensors in priority
+    order."""
     for what, values in (("ids", [s.sensor_id for s in sensors]),
                          ("priorities", [s.priority for s in sensors])):
         if len(set(values)) != len(values):

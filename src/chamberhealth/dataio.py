@@ -132,19 +132,42 @@ def _unreadable(path: Path, line: int, exc: Exception) -> DataError:
     return DataError(f"{path.name}: unreadable text after line {line}: {exc}")
 
 
-def _checked_rows(path: Path, reader, width: int, lines_before=lambda: 0) -> Iterator[list[str]]:
-    """The rows of csv ``reader`` over ``path``'s text. A row without
-    ``width`` fields, text that is not UTF-8 and text the csv module cannot
-    split raise DataError naming the file's line: the reader's, plus
-    ``lines_before()`` when the reader starts inside the file."""
+def _not_utf8(path: Path, start: int = 0, stop: int = -1) -> DataError:
+    """The refusal of bytes [start, stop) of ``path`` (stop -1: to its
+    end), which a text reader failed to decode, naming the line and file
+    offset of the first bad byte. The decoder meets it a block ahead of
+    the lines read, so only this error path decodes the bytes again, in
+    one call, to find it."""
+    with open(path, "rb") as fh:
+        data = fh.read(stop)
+    try:
+        data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = start + exc.start
+        line = data.count(b"\n", 0, at) + 1
+        return DataError(f"{path.name} line {line}: byte {at} is not UTF-8: {exc.reason}")
+    return DataError(f"{path.name} changed while it was read")
+
+
+def _checked_rows(path: Path, reader, width: int, start: int = 0,
+                  stop: int = -1) -> Iterator[list[str]]:
+    """The rows of csv ``reader`` over the text of bytes [start, stop) of
+    ``path``. A row without ``width`` fields, text that is not UTF-8 and
+    text the csv module cannot split raise DataError naming the file's
+    line."""
+
+    def line() -> int:
+        return _lines_before(path, start) + reader.line_num
+
     try:
         for row in reader:
             if len(row) != width:
-                raise DataError(f"{path.name} line {lines_before() + reader.line_num}: "
-                                f"{len(row)} fields, header has {width}")
+                raise DataError(f"{path.name} line {line()}: {len(row)} fields, header has {width}")
             yield row
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise _unreadable(path, lines_before() + reader.line_num, exc) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path, start, stop) from None
+    except csv.Error as exc:
+        raise _unreadable(path, line(), exc) from None
 
 
 @contextmanager
@@ -158,7 +181,9 @@ def _open_csv(path: PathLike) -> Iterator[tuple[list[str], Iterator[list[str]]]]
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except csv.Error as exc:
             raise _unreadable(path, reader.line_num, exc) from None
         if header is None:
             raise DataError(f"empty file: {path}")
@@ -336,8 +361,7 @@ def _read_runs(
         data = fh.read(stop - start)
     run_ids, blocks = [], []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as text:
-        rows = _checked_rows(path, csv.reader(text), len(header),
-                             partial(_lines_before, path, start))
+        rows = _checked_rows(path, csv.reader(text), len(header), start, stop)
         for rid, block in groupby(rows, key=itemgetter(0)):
             run_ids.append(rid)
             # an empty cell reads as NaN, which only a sensor column may hold
@@ -497,8 +521,8 @@ def write_supervised(
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     in_dir = Path(in_dir)
     f_header, f_rows = read_csv(in_dir / FEATURES_CSV)
-    if not f_header or f_header[-1] != "target":
-        raise DataError(f"bad {FEATURES_CSV} header: expected trailing 'target' column")
+    if len(f_header) < 2 or f_header[-1] != "target":
+        raise DataError(f"bad {FEATURES_CSV} header: expected feature columns, then 'target'")
     names = tuple(f_header[:-1])
     m_rows = read_table(in_dir / META_CSV)
     if len(m_rows) != len(f_rows):

@@ -10,8 +10,12 @@ outgassing-limited floor
 
 so accumulated wall contamination ``c`` slows evacuation most near the
 floor. The linearity of p_ss in c is an assumption of this generator,
-not an established physical law. Every run also records the noiseless
-truth so downstream derivations can be checked against the closed form.
+not an established physical law. Each gauge reads the true pressure
+under multiplicative log-normal noise of its own ``SensorSpec.noise_sigma``,
+and each run's recipe is drawn in proportion to its ``RecipeSpec.share``:
+both inputs are declared with the gauge or recipe they belong to. Every
+run also records the noiseless truth so downstream derivations can be
+checked against the closed form.
 
 Determinism: a (config, seed) pair fully determines the dataset. Assets
 draw from independent seeded substreams, so per-asset generation could
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,10 +44,10 @@ def default_sensors() -> tuple[SensorSpec, ...]:
     as cold-cathode style gauges tend to be.
     """
     return (
-        SensorSpec("s1", (5e-1, 2.0e3), priority=4),
-        SensorSpec("s2", (1e-3, 5.0), priority=1),
-        SensorSpec("s3", (1.2e-4, 1.5e-3), priority=2),
-        SensorSpec("s4", (1e-6, 1.5e-3), priority=3),
+        SensorSpec("s1", (5e-1, 2.0e3), priority=4, noise_sigma=0.05),
+        SensorSpec("s2", (1e-3, 5.0), priority=1, noise_sigma=0.0005),
+        SensorSpec("s3", (1.2e-4, 1.5e-3), priority=2, noise_sigma=0.05),
+        SensorSpec("s4", (1e-6, 1.5e-3), priority=3, noise_sigma=0.30),
     )
 
 
@@ -65,22 +69,17 @@ def default_segments() -> tuple[SegmentSpec, ...]:
     )
 
 
-DEFAULT_NOISE_SIGMA: Mapping[str, float] = {
-    "s1": 0.05,
-    "s2": 0.0005,
-    "s3": 0.05,
-    "s4": 0.30,
-}
-
-
 @dataclass(frozen=True)
 class RecipeSpec:
-    """A product recipe: how much contamination a run deposits and how
-    it scales the non-pumpdown process time."""
+    """A product recipe: how much contamination a run deposits, how it
+    scales the non-pumpdown process time, and its share of the production
+    schedule (weights relative to the other recipes; equal shares draw
+    uniformly)."""
 
     recipe_id: str
     deposition_weight: float
     duration_scale: float = 1.0
+    share: float = 1.0
 
     def __post_init__(self) -> None:
         if self.deposition_weight < 0:
@@ -91,13 +90,10 @@ class RecipeSpec:
 
 def default_recipes() -> tuple[RecipeSpec, ...]:
     return (
-        RecipeSpec("std", deposition_weight=0.8, duration_scale=1.0),
-        RecipeSpec("light", deposition_weight=0.0, duration_scale=0.85),
-        RecipeSpec("heavy", deposition_weight=2.4, duration_scale=1.25),
+        RecipeSpec("std", deposition_weight=0.8, duration_scale=1.0, share=0.5),
+        RecipeSpec("light", deposition_weight=0.0, duration_scale=0.85, share=0.3),
+        RecipeSpec("heavy", deposition_weight=2.4, duration_scale=1.25, share=0.2),
     )
-
-
-DEFAULT_RECIPE_PROBS: Mapping[str, float] = {"std": 0.5, "light": 0.3, "heavy": 0.2}
 
 
 @dataclass(frozen=True)
@@ -129,11 +125,6 @@ class ChamberConfig:
     sample_dt: float = 0.5
     tail_samples: int = 4
     max_samples: int = 200_000
-    # multiplicative log-normal noise on every gauge reading; a scalar
-    # applies to all sensors, a mapping sets per-sensor sigmas
-    noise_sigma: Union[float, Mapping[str, float]] = field(
-        default_factory=lambda: dict(DEFAULT_NOISE_SIGMA)
-    )
     sensors: tuple[SensorSpec, ...] = field(default_factory=default_sensors)
     # additive drift on p_ss: amplitude * sin(2*pi*phase + pi), one
     # period per year, rising over the late-year months
@@ -165,17 +156,6 @@ class ChamberConfig:
                 f"({self.target_pressure}, {self.crossover_pressure}, {self.p_atm})"
             )
         check_sensor_priorities(self.sensors)
-        self.sigma_by_sensor()  # a noise mapping must name every sensor
-
-    def sigma_by_sensor(self) -> dict[str, float]:
-        if isinstance(self.noise_sigma, (int, float)):
-            return {s.sensor_id: float(self.noise_sigma) for s in self.sensors}
-        out = {}
-        for s in self.sensors:
-            if s.sensor_id not in self.noise_sigma:
-                raise ConfigError(f"noise_sigma mapping is missing sensor {s.sensor_id}")
-            out[s.sensor_id] = float(self.noise_sigma[s.sensor_id])
-        return out
 
     def seasonal_drift(self, phase: float) -> float:
         """Additive p_ss offset in mbar at a given fraction of the year."""
@@ -307,11 +287,10 @@ def simulate_run(
     t = np.arange(n_samples, dtype=np.float64) * config.sample_dt
     truth = true_pressure_curve(t, config, p_ss)
 
-    sigmas = config.sigma_by_sensor()
     z = rng.standard_normal((n_samples, len(config.sensors)))
     readings = np.empty_like(z)
     for j, spec in enumerate(config.sensors):
-        col = truth * np.exp(sigmas[spec.sensor_id] * z[:, j])
+        col = truth * np.exp(spec.noise_sigma * z[:, j])
         lo, hi = spec.valid_range
         col[(col < lo) | (col > hi)] = np.nan
         readings[:, j] = col
@@ -345,21 +324,20 @@ def simulate_run(
     )
 
 
-def recipe_probabilities(recipes: Sequence[RecipeSpec],
-                         recipe_probs: Optional[Mapping[str, float]]) -> np.ndarray:
-    """``recipe_probs`` normalized in ``recipes`` order, uniform if None. Refuses
-    duplicate recipe ids, a mapping that misses a recipe and a zero sum."""
+def recipe_probabilities(recipes: Sequence[RecipeSpec]) -> np.ndarray:
+    """Each recipe's share of the schedule, normalized, in ``recipes``
+    order. Refuses duplicate recipe ids, and shares that sum to 0 or
+    past the largest float, which would normalize to no distribution."""
     if len({r.recipe_id for r in recipes}) != len(recipes):
         raise ConfigError("recipe ids must be unique")
-    if recipe_probs is None:
-        return np.full(len(recipes), 1.0 / len(recipes))
-    missing = [r.recipe_id for r in recipes if r.recipe_id not in recipe_probs]
-    if missing:
-        raise ConfigError(f"recipe_probs is missing recipes: {missing}")
-    probs = np.array([float(recipe_probs[r.recipe_id]) for r in recipes])
-    if probs.sum() <= 0:
+    probs = np.array([float(r.share) for r in recipes])
+    with np.errstate(over="ignore"):  # refused below
+        total = probs.sum()
+    if total <= 0:
         raise ConfigError("recipe probabilities must sum > 0")
-    return probs / probs.sum()
+    if total == np.inf:
+        raise ConfigError("recipe shares must sum to a finite number")
+    return probs / total
 
 
 def simulate_history(
@@ -369,18 +347,17 @@ def simulate_history(
     n_runs_total: int,
     cycle_length: int,
     seed: int,
-    recipe_probs: Optional[Mapping[str, float]] = None,
 ) -> tuple[RunRecord, ...]:
     """Generate a multi-asset production history, its runs ordered by
     (asset_id, start_time).
 
     ``n_runs_total`` runs are spread as evenly as possible over
     ``n_assets`` assets; each asset is cleaned every ``cycle_length``
-    runs. Recipes are drawn per run from ``recipe_probs`` (uniform when
-    omitted) by a dedicated schedule stream, then each asset's runs are
-    generated in order from its own seeded substream.
+    runs. Recipes are drawn per run in proportion to their ``share`` by a
+    dedicated schedule stream, then each asset's runs are generated in
+    order from its own seeded substream.
     """
-    probs = recipe_probabilities(recipes, recipe_probs)
+    probs = recipe_probabilities(recipes)
 
     base, extra = divmod(n_runs_total, n_assets)
     counts = [base + (1 if a < extra else 0) for a in range(n_assets)]

@@ -1,11 +1,13 @@
-"""The small config of the CLI tests, test-only views of in-memory
-pipeline objects, in the shapes the program reads back from runs.csv and
-hi.csv, an editor of model files, the reference tree grower that the
-rank-code split search and the node tables are checked against, and the
-reference bm2 benchmark."""
+"""The small config of the CLI tests, the default gauges and recipes
+with their noise or schedule shares evened out, test-only views of
+in-memory pipeline objects, in the shapes the program reads back from
+runs.csv and hi.csv, an editor of model files, the reference tree grower
+that the rank-code split search and the node tables are checked against,
+and the reference bm2 benchmark."""
 
 import io
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from chamberhealth.core import RunChunk, composite_columns
 from chamberhealth.features import aggregate_runs
 from chamberhealth.hi import derive_hi, run_segment_durations
+from chamberhealth.simgen import default_recipes, default_sensors
 
 # one asset, 100 runs, four maintenance cycles; small models
 SMALL_INI = """
@@ -32,6 +35,17 @@ rf_n_trees = 20
 svr_steps = 500
 mlp_epochs = 20
 """
+
+
+def sensors_with_sigma(sigma: float = 0.0) -> tuple:
+    """The default gauges, each reading with noise ``sigma``: a noiseless
+    chamber by default."""
+    return tuple(replace(s, noise_sigma=sigma) for s in default_sensors())
+
+
+def equal_share_recipes() -> tuple:
+    """The default recipes with equal schedule shares: a uniform draw."""
+    return tuple(replace(r, share=1.0) for r in default_recipes())
 
 
 def chunk_of(runs) -> RunChunk:

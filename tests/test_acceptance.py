@@ -34,7 +34,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_segment_duration,
 )
-from helpers import derive_hi_of
+from helpers import derive_hi_of, sensors_with_sigma
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -113,7 +113,7 @@ def test_criterion_4_pumpdown_oracle_consistency():
             base_outgassing_q0=float(rng.uniform(1e-6, 1.5e-5)),
             outgassing_per_unit=float(rng.uniform(1e-7, 6e-7)),
             target_pressure=float(rng.uniform(9.0e-5, 9.8e-5)),
-            noise_sigma=0.0,
+            sensors=sensors_with_sigma(),
             seasonal_amplitude=0.0,
             weather_sigma=0.0,
         )

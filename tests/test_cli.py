@@ -308,6 +308,9 @@ SUPERVISED_CORRUPTIONS = {
     "short-meta-row": (dataio.META_CSV, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:]),
     "non-numeric-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "abc")),
     "nan-feature-cell": (dataio.FEATURES_CSV, lambda lines: _set_cell(lines, 1, 0, "nan")),
+    # a model has nothing to split or weigh on
+    "target-only-features": (dataio.FEATURES_CSV,
+                             lambda lines: [line.rsplit(",", 1)[-1] for line in lines]),
     "inf-hi-current-cell": (dataio.META_CSV, _set_column(dataio.META_CSV, "hi_current", "inf")),
     # the second row, a train row, relabelled: a test row that predates train rows
     "test-row-among-train-rows": (dataio.META_CSV, lambda lines: _set_cell(lines, 2, -1, "test")),
@@ -440,16 +443,33 @@ NOT_UTF8_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(NOT_UTF8_INPUTS))
-def test_input_that_is_not_utf8_is_data_error(tmp_path, pipelined, capsys, name):
+def test_input_that_is_not_utf8_is_data_error(tmp_path, pipelined, capsys, monkeypatch, name):
+    # the refusal names the line and the file offset of the bad byte
     config, work = pipelined
-    out = shutil.copytree(work, tmp_path / "work")
     command, outputs = NOT_UTF8_INPUTS[name]
-    _drop_outputs(out, *outputs)
-    with open(out / name, "ab") as fh:
-        fh.write(b"\xff")
-    assert run_cli(command, "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith(f"ERROR DataError: {name}: ")
-    assert not [o for o in outputs if (out / o).exists()]
+    lines = (work / name).read_bytes().splitlines(keepends=True)
+    mid = len(lines) // 2
+    places = [
+        (sum(map(len, lines)), len(lines) + 1),  # after the last line
+        (sum(map(len, lines[:mid])) + lines[mid].index(b",") + 1, mid + 1),  # in a cell
+    ]
+    # runs.csv again with one run per chunk, on two workers: a later chunk's fault
+    cases = [(at, line, chunked) for at, line in places
+             for chunked in ((False, True) if name == dataio.RUNS_CSV else (False,))]
+    for i, (at, line, chunked) in enumerate(cases):
+        out = shutil.copytree(work, tmp_path / f"work{i}")
+        _drop_outputs(out, *outputs)
+        data = (out / name).read_bytes()
+        (out / name).write_bytes(data[:at] + b"\xfe" + data[at:])
+        with monkeypatch.context() as patch:
+            if chunked:
+                patch.setattr(dataio, "RUNS_CSV_CHUNK_BYTES", 1)
+                patch.setattr(workers, "cpu_count", lambda: 2)
+            assert run_cli(command, "--config", config, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"ERROR DataError: {name} line {line}: byte {at} is not UTF-8: invalid start byte\n"
+        )
+        assert not [o for o in outputs if (out / o).exists()]
 
 
 RUN_AGGREGATES_CORRUPTIONS = {
@@ -556,8 +576,10 @@ OUT_OF_RANGE_SETTINGS = {
                                      ">= 0, got -1e-07"),
     "sample-dt-zero": ("simgen", "sample_dt", "0", "> 0, got 0.0"),
     "tail-samples-negative": ("simgen", "tail_samples", "-1", ">= 0, got -1"),
-    "noise-sigma-negative": ("simgen", "noise_sigma", "-0.1", ">= 0, got -0.1"),
-    "noise-sigma-mapping-negative": ("simgen", "noise_sigma", "s1:0.05, s2:-0.5, s3:0.05, s4:0.3",
+    "noise-sigma-negative": ("simgen", "sensors", "g1:1e-06:2000.0:1:-0.1", ">= 0, got -0.1"),
+    "noise-sigma-mapping-negative": ("simgen", "sensors",
+                                     "s1:0.5:2000.0:4:0.05, s2:0.001:5.0:1:-0.5, "
+                                     "s3:0.00012:0.0015:2:0.05, s4:1e-06:0.0015:3:0.3",
                                      ">= 0, got -0.5"),
     "seasonal-amplitude-negative": ("simgen", "seasonal_amplitude", "-1.2e-05",
                                     ">= 0, got -1.2e-05"),
@@ -573,9 +595,10 @@ OUT_OF_RANGE_SETTINGS = {
     "temp-sample-noise-negative": ("simgen", "temp_sample_noise", "-0.1", ">= 0, got -0.1"),
     "flow-run-noise-negative": ("simgen", "flow_run_noise", "-0.3", ">= 0, got -0.3"),
     "flow-sample-noise-negative": ("simgen", "flow_sample_noise", "-0.2", ">= 0, got -0.2"),
-    "recipes-inf": ("simgen", "recipes", "std:0.8:inf, light:0.0:0.85, heavy:2.4:1.25",
+    "recipes-inf": ("simgen", "recipes", "std:0.8:inf:0.5, light:0.0:0.85:0.3, heavy:2.4:1.25:0.2",
                     "finite, got inf"),
-    "recipe-probs-negative": ("simgen", "recipe_probs", "std:0.5, light:-0.3, heavy:0.2",
+    "recipe-probs-negative": ("simgen", "recipes",
+                              "std:0.8:1.0:0.5, light:0.0:0.85:-0.3, heavy:2.4:1.25:0.2",
                               ">= 0, got -0.3"),
     # SegmentSpec's index is 1-based: fits.csv would name these dp0 and dp-2
     "segment-index-zero": ("hi", "segments", "0:1013.0:0.02, -2:0.03:0.002", ">= 1, got 0"),
@@ -623,14 +646,15 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
-# recipes and recipe_probs that disagree, refused while the config is resolved
+# recipes that make no schedule, refused while the config is resolved
 INCONSISTENT_RECIPES = {
-    "duplicate-recipe-ids": ("recipes = std:0.8:1.0, std:0.0:0.85, heavy:2.4:1.25",
+    "duplicate-recipe-ids": ("recipes = std:0.8:1.0:0.5, std:0.0:0.85:0.3, heavy:2.4:1.25:0.2",
                              "recipe ids must be unique"),
-    "probs-miss-a-recipe": ("recipe_probs = std:0.5, heavy:0.5",
-                            "recipe_probs is missing recipes: ['light']"),
-    "probs-all-zero": ("recipe_probs = std:0.0, light:0.0, heavy:0.0",
+    "probs-all-zero": ("recipes = std:0.8:1.0:0.0, light:0.0:0.85:0.0, heavy:2.4:1.25:0.0",
                        "recipe probabilities must sum > 0"),
+    # each share is finite, their sum is not
+    "shares-sum-past-float-max": ("recipes = std:0.8:1.0:1e308, light:0.0:0.85:1e308",
+                                  "recipe shares must sum to a finite number"),
 }
 
 
@@ -697,7 +721,7 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     sensors = cfg.chamber.sensors
     history = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
                                n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
-                               seed=cfg.require_seed(), recipe_probs=cfg.recipe_probs)
+                               seed=cfg.require_seed())
     _, series = derive_hi_of(history, sensors, cfg.segments, cycle_length=cfg.cycle_length,
                              analysis_limit=cfg.analysis_limit)
     sset = build_supervised(history, aggregates_of(history, sensors), hi_by_run_id(series),
@@ -863,8 +887,7 @@ def test_models_trained_on_other_features_are_model_error(tmp_path, pipelined, c
     renamed = tmp_path / "renamed.ini"
     renamed.write_text(SMALL_INI.replace("[simgen]\n", (
         "[simgen]\n"
-        "recipes = std:0.8:1.0, dim:0.0:0.85, heavy:2.4:1.25\n"
-        "recipe_probs = std:0.5, dim:0.3, heavy:0.2\n"
+        "recipes = std:0.8:1.0:0.5, dim:0.0:0.85:0.3, heavy:2.4:1.25:0.2\n"
     )))
     for command in ("simulate", "derive-hi", "build-features"):
         assert run_cli(command, "--config", renamed, "--out", out) == 0

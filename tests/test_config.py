@@ -1,17 +1,25 @@
 """Config INI round-trip, overrides and fingerprint hashing."""
 
+import re
 from dataclasses import replace
+from fnmatch import fnmatch
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 from chamberhealth.config import (
+    SECTIONS,
+    SETTINGS,
     config_from_ini,
     config_hash,
     config_to_ini,
     default_config,
     load_config,
 )
+from chamberhealth.core import SensorSpec
 from chamberhealth.errors import ConfigError
+from chamberhealth.simgen import RecipeSpec
 
 
 def test_ini_roundtrip_is_identity():
@@ -23,6 +31,20 @@ def test_ini_roundtrip_is_identity():
     assert back.recipes == cfg.recipes
     assert back.segments == cfg.segments
     assert back.seed == 7
+    # one noiseless gauge; schedule shares that do not sum to 1, one of them 0
+    other = replace(
+        cfg,
+        chamber=replace(cfg.chamber, sensors=(SensorSpec("g1", (1e-6, 2000.0), 1, 0.0),)),
+        recipes=(RecipeSpec("a", 0.8, 1.0, 3.0), RecipeSpec("b", 0.0, 0.85, 0.0),
+                 RecipeSpec("c", 2.4, 1.25, 1.5)),
+    )
+    text = config_to_ini(other)
+    assert "sensors = g1:1e-06:2000.0:1:0.0\n" in text
+    assert "recipes = a:0.8:1.0:3.0, b:0.0:0.85:0.0, c:2.4:1.25:1.5\n" in text
+    back = config_from_ini(text)
+    assert config_to_ini(back) == text
+    assert back.chamber == other.chamber
+    assert back.recipes == other.recipes
 
 
 def test_partial_ini_overrides_defaults():
@@ -35,7 +57,7 @@ out = work
 [simgen]
 n_assets = 2
 tau_stage2 = 6.5
-noise_sigma = 0.01
+sensors = g1:1e-6:2000.0:1:0.01
 
 [features]
 horizon = 3
@@ -47,7 +69,7 @@ rf_n_trees = 10
     assert cfg.seed == 5 and cfg.out_dir == "work"
     assert cfg.n_assets == 2
     assert cfg.chamber.tau_stage2 == 6.5
-    assert cfg.chamber.noise_sigma == 0.01
+    assert [s.noise_sigma for s in cfg.chamber.sensors] == [0.01]
     assert cfg.horizon == 3
     assert cfg.model_params["rf"]["n_trees"] == 10
     # untouched keys keep defaults
@@ -78,6 +100,12 @@ def test_unknown_keys_and_sections_rejected():
     # [DEFAULT] is an ordinary, unknown section, never a fallback for every other
     with pytest.raises(ConfigError, match=r"unknown config sections: \['DEFAULT'\]"):
         config_from_ini("[DEFAULT]\nn_assets = 2\n")
+    # a gauge's noise and a recipe's share moved into their list entries; the
+    # side tables of an old config dump are refused
+    with pytest.raises(ConfigError, match=r"^unknown \[simgen\] key: noise_sigma$"):
+        config_from_ini("[simgen]\nnoise_sigma = s1:0.05, s2:0.0005, s3:0.05, s4:0.3\n")
+    with pytest.raises(ConfigError, match=r"^unknown \[simgen\] key: recipe_probs$"):
+        config_from_ini("[simgen]\nrecipe_probs = std:0.5, light:0.3, heavy:0.2\n")
 
 
 def test_bad_values_rejected():
@@ -92,17 +120,27 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError, match=r"segment indices must be unique, got \[2, 2\]"):
         config_from_ini("[hi]\nsegments = 2:0.03:0.002, 2:1013.0:0.02\n")
     with pytest.raises(ConfigError, match="sensor ids must be unique"):
-        config_from_ini("[simgen]\nsensors = s2:1e-3:5.0:1, s2:0.5:2000.0:2\n")
+        config_from_ini("[simgen]\nsensors = s2:1e-3:5.0:1:0.0, s2:0.5:2000.0:2:0.0\n")
+    # an old config dump's entries lack the noise and share fields
+    with pytest.raises(ConfigError, match=(
+        r"^bad config value for \[simgen\] sensors: bad entry 's1:0.5:2000.0:4': "
+        r"expected 5 ':'-separated fields$"
+    )):
+        config_from_ini("[simgen]\nsensors = s1:0.5:2000.0:4, s2:0.001:5.0:1, "
+                        "s3:0.00012:0.0015:2, s4:1e-06:0.0015:3\n")
+    with pytest.raises(ConfigError, match=(
+        r"^bad config value for \[simgen\] recipes: bad entry 'std:0.8:1.0': "
+        r"expected 4 ':'-separated fields$"
+    )):
+        config_from_ini("[simgen]\nrecipes = std:0.8:1.0, light:0.0:0.85, heavy:2.4:1.25\n")
 
 
 def test_sensor_segment_recipe_parsing():
     cfg = config_from_ini(
         """
 [simgen]
-sensors = g1:1e-6:2000.0:1
-noise_sigma = g1:0.01
-recipes = only:1.5:1.0
-recipe_probs = only:1.0
+sensors = g1:1e-6:2000.0:1:0.01
+recipes = only:1.5:1.0:1.0
 
 [hi]
 segments = 1:100.0:0.01
@@ -110,7 +148,9 @@ segments = 1:100.0:0.01
     )
     assert len(cfg.chamber.sensors) == 1
     assert cfg.chamber.sensors[0].sensor_id == "g1"
+    assert cfg.chamber.sensors[0].noise_sigma == 0.01
     assert cfg.recipes[0].deposition_weight == 1.5
+    assert cfg.recipes[0].share == 1.0
     assert cfg.segments[0].upper == 100.0
 
 
@@ -147,3 +187,28 @@ def test_require_seed():
     with pytest.raises(ConfigError):
         default_config().require_seed()
     assert replace(default_config(), seed=0).require_seed() == 0
+
+
+def _readme_config_keys() -> dict[str, set[str]]:
+    """The keys of each section in README's configuration table; a
+    ``temp_*`` or ``*_noise`` pattern stands for the section's keys that
+    it matches, and a ``a:b:c`` list form names no key."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Section | Keys (range) |") + 2
+    keys = {}
+    for line in takewhile(lambda line: line.startswith("| `["), lines[start:]):
+        _, section, cell, _ = line.split("|")
+        section = section.strip().strip("`[]")
+        declared = {s.key for s in SETTINGS if s.section == section}
+        keys[section] = set()
+        for name in re.findall(r"`([^`]+)`", cell):
+            if ":" not in name:
+                keys[section] |= {k for k in declared if fnmatch(k, name)} or {name}
+    return keys
+
+
+def test_readme_config_table_names_every_setting():
+    table = _readme_config_keys()
+    assert list(table) == list(SECTIONS)
+    for section in SECTIONS:
+        assert table[section] == {s.key for s in SETTINGS if s.section == section}, section

@@ -25,7 +25,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_pressure_curve,
 )
-from helpers import chunk_of
+from helpers import chunk_of, sensors_with_sigma
 
 # -- scalar per-sample oracle for the vectorized composite_curve ---------------
 
@@ -135,7 +135,7 @@ def test_composite_curve_pairs_sensors_with_columns_by_position():
 def test_composite_tracks_truth_within_one_percent():
     # derived check: against the generator's noiseless curve, with a
     # quiet gauge set every fused sample stays within 1%
-    config = ChamberConfig(noise_sigma=0.002)
+    config = ChamberConfig(sensors=sensors_with_sigma(0.002))
     run = simulate_run(ChamberState(contamination=50.0), RecipeSpec("std", 0.8), config, seed=11)
     curve = composite_curve(run, config.sensors)
     rel = np.abs(curve / true_pressure_curve(run.t, config, run.true_p_ss) - 1.0)

@@ -16,11 +16,10 @@ from chamberhealth.errors import DataError
 from chamberhealth.features import build_supervised, chrono_split
 from chamberhealth.simgen import (
     ChamberConfig,
-    default_recipes,
     default_segments,
     simulate_history,
 )
-from helpers import aggregates_of, chunk_of, derive_hi_of, hi_by_run_id
+from helpers import aggregates_of, chunk_of, derive_hi_of, equal_share_recipes, hi_by_run_id
 
 
 def _chunks(chunk):
@@ -31,7 +30,7 @@ def _chunks(chunk):
 @pytest.fixture(scope="module")
 def small_dataset():
     config = ChamberConfig()
-    history = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=70,
+    history = simulate_history(config, equal_share_recipes(), n_assets=2, n_runs_total=70,
                                cycle_length=20, seed=5)
     return config, history
 
@@ -100,7 +99,7 @@ def test_read_dataset_peak_memory_does_not_grow_with_the_run_count(tmp_path, mon
     for n_runs in (200, 800):
         out = tmp_path / str(n_runs)
         out.mkdir()
-        history = simulate_history(config, default_recipes(), n_assets=2, n_runs_total=n_runs,
+        history = simulate_history(config, equal_share_recipes(), n_assets=2, n_runs_total=n_runs,
                                    cycle_length=20, seed=5)
         dataio.write_dataset(out, history)
         del history

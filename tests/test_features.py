@@ -22,7 +22,7 @@ from chamberhealth.simgen import (
     simulate_history,
     true_segment_duration,
 )
-from helpers import aggregates_of, chunk_of, derive_hi_of, hi_by_run_id
+from helpers import aggregates_of, chunk_of, derive_hi_of, hi_by_run_id, sensors_with_sigma
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
@@ -211,7 +211,7 @@ def test_build_supervised_rows_sorted_by_time():
 def test_build_supervised_noiseless_target_matches_closed_form():
     # derived: constant recipe, no noise; y at row t equals the closed
     # form evaluated at the contamination ten runs later
-    config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
+    config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     recipes = (RecipeSpec("std", 0.8),)
     history = simulate_history(config, recipes, 1, 60, 100, seed=0)
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)

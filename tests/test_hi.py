@@ -26,7 +26,7 @@ from chamberhealth.simgen import (
     simulate_run,
     true_segment_duration,
 )
-from helpers import derive_hi_of
+from helpers import derive_hi_of, sensors_with_sigma
 
 T_NO_FLOOR = 5.41610040220442  # 2*ln(15), frozen independent value
 
@@ -329,7 +329,7 @@ def test_noiseless_degradation_gives_near_perfect_r2():
     # segment's r2 reaches 1 up to log-interpolation error below 1e-3
     # (selection itself is only meaningful with realistic noise: in a
     # zero-noise world every segment fits essentially perfectly)
-    config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
+    config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0)
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
     by_idx = {f.segment.index: f for f in fits}
@@ -339,7 +339,7 @@ def test_noiseless_degradation_gives_near_perfect_r2():
 def test_ols_slope_recovers_true_increment():
     # derived: 500 noiseless points over 5 cycles; the fitted slope must
     # match the closed-form per-run duration increment within 1%
-    config = ChamberConfig(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
+    config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     w = 0.8
     history = simulate_history(config, (RecipeSpec("std", w),), 1, 500, 100, seed=0)
     seg2 = default_segments()[1]

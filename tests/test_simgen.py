@@ -13,12 +13,13 @@ from chamberhealth.simgen import (
     RecipeSpec,
     advance_contamination,
     closed_form_segment_duration,
-    default_recipes,
     default_segments,
     simulate_history,
     simulate_run,
     true_segment_duration,
 )
+
+from helpers import equal_share_recipes, sensors_with_sigma
 
 # frozen from an independent recomputation of the closed form
 T_NO_FLOOR = 5.41610040220442          # 2*ln(15)
@@ -27,7 +28,7 @@ T_WITH_FLOOR = 5.957850310475219       # 2*ln(0.0295/0.0015)
 
 def quiet_config(**overrides) -> ChamberConfig:
     """Default physics without noise, drift or weather."""
-    base = dict(noise_sigma=0.0, seasonal_amplitude=0.0, weather_sigma=0.0)
+    base = dict(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     base.update(overrides)
     return ChamberConfig(**base)
 
@@ -121,7 +122,7 @@ def test_linear_accumulation_over_100_runs():
 
 def test_history_counter_arithmetic():
     config = quiet_config()
-    history = simulate_history(config, default_recipes(), n_assets=5, n_runs_total=2000,
+    history = simulate_history(config, equal_share_recipes(), n_assets=5, n_runs_total=2000,
                                cycle_length=100, seed=0)
     assert len(history) == 2000
     by_asset = {}
@@ -140,8 +141,8 @@ def test_history_counter_arithmetic():
 
 def test_history_is_deterministic():
     config = ChamberConfig()
-    a = simulate_history(config, default_recipes(), 2, 60, 30, seed=9)
-    b = simulate_history(config, default_recipes(), 2, 60, 30, seed=9)
+    a = simulate_history(config, equal_share_recipes(), 2, 60, 30, seed=9)
+    b = simulate_history(config, equal_share_recipes(), 2, 60, 30, seed=9)
     for ra, rb in zip(a, b, strict=True):
         assert (ra.run_id, ra.recipe_id) == (rb.run_id, rb.recipe_id)
         assert np.array_equal(ra.readings, rb.readings, equal_nan=True)
@@ -213,10 +214,3 @@ def test_config_validation():
         ChamberConfig(target_pressure=0.05)
     with pytest.raises(ConfigError):
         RecipeSpec("bad", deposition_weight=-1.0)
-
-
-def test_noise_sigma_mapping_requires_all_sensors():
-    with pytest.raises(ConfigError):
-        ChamberConfig(noise_sigma={"s1": 0.01}).sigma_by_sensor()
-    scalar = ChamberConfig(noise_sigma=0.01)
-    assert set(scalar.sigma_by_sensor()) == {"s1", "s2", "s3", "s4"}
