@@ -37,7 +37,7 @@ from .models import (
     RegressorSpec,
     load_model,
     save_model,
-    train_model,
+    train_models,
 )
 from .simgen import simulate_history
 
@@ -107,17 +107,17 @@ def stage_build_features(cfg: PipelineConfig) -> None:
 
 def stage_train(cfg: PipelineConfig, kinds: Optional[Sequence[str]] = None) -> None:
     """Make models/, fit every requested kind, then save them all: no kind
-    is fitted into a models/ that cannot be made, and a failed fit changes no file."""
+    is fitted into a models/ that cannot be made, and a failed fit changes
+    no file. ``models.train_models`` fits the kinds side by side on every
+    CPU, and reports the first failing kind in the requested order."""
     seed = cfg.require_seed()
     out = Path(cfg.out_dir)
     train, _ = dataio.read_supervised(out)
     models_dir = out / dataio.MODELS_DIR
     models_dir.mkdir(parents=True, exist_ok=True)
-    models = [
-        train_model(RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed), train)
-        for kind in kinds or MODEL_KINDS
-    ]
-    for model in models:
+    specs = [RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed)
+             for kind in kinds or MODEL_KINDS]
+    for model in train_models(specs, train):
         save_model(model, models_dir / f"{model.kind}.npz")
 
 

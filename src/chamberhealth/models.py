@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union, get_type_hints
+from typing import Callable, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 import numpy.typing as npt
@@ -38,7 +39,7 @@ import numpy.typing as npt
 from .dataio import atomic_open
 from .errors import ConfigError, ModelError
 from .features import Standardizer, SupervisedSet
-from .workers import cpu_count, map_in_order
+from .workers import map_in_order
 
 MODEL_KINDS = ("dt", "rf", "knn", "svr", "mlp")
 BENCHMARK_KINDS = ("bm1", "bm2", "bm3")
@@ -273,6 +274,48 @@ def _grow_trees(
     return tables
 
 
+TREES_PER_TASK = 5  # a forest's trees reach the workers in ranges of this many
+
+
+def _forest_tasks(
+    X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int, min_samples_leaf: int,
+    features_per_split: Optional[int], seed: int, bootstrap: bool = True,
+) -> tuple[list[Callable[[], list]], Callable[[list], RFModel]]:
+    """A forest fit as tasks, each growing one range of TREES_PER_TASK
+    trees, and the join of the tasks' results, in task order, into the
+    forest."""
+    X, y, codes = _tree_data(X, y, "random forest")
+    if n_trees < 1:
+        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    m = X.shape[1]
+    fps = int(features_per_split) if features_per_split else int(math.ceil(m / 3))
+    fps = max(1, min(fps, m))
+    # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
+    subset = fps if fps < m else None
+    grow = partial(_grow_trees, X, y, codes, max_depth, min_samples_leaf, subset, seed, bootstrap)
+    tasks = [partial(grow, np.arange(lo, min(lo + TREES_PER_TASK, n_trees)))
+             for lo in range(0, n_trees, TREES_PER_TASK)]
+    join = partial(_join_trees, n_trees=n_trees, max_depth=max_depth,
+                   min_samples_leaf=min_samples_leaf, features_per_split=fps,
+                   bootstrap=bootstrap, seed=seed)
+    return tasks, join
+
+
+def _join_trees(ranges: list[list[dict[str, np.ndarray]]], **params) -> RFModel:
+    """The trees of every range, in tree order, as the forest's one table."""
+    tables = [table for tables in ranges for table in tables]
+    roots = np.cumsum([0] + [table["value"].size for table in tables[:-1]], dtype=np.intp)
+    for table, root in zip(tables, roots):
+        # in the forest's one table, right indices count from the table's start
+        table["right"][table["feature"] >= 0] += root
+    columns = {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
+    return RFModel(**columns, roots=roots, **params)
+
+
+def _call(task: Callable[[], object]) -> object:
+    return task()
+
+
 def fit_random_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -286,35 +329,14 @@ def fit_random_forest(
     """Bagged CART trees with a uniform random feature subset at each split.
 
     features_per_split defaults to ceil(m / 3). Prediction is the plain
-    mean over trees, so it is independent of training order. Each CPU
-    grows one contiguous range of trees (see workers), and the ranges
-    join in tree order, so the forest does not depend on the CPU count.
+    mean over trees, so it is independent of training order. The trees
+    grow in ranges of TREES_PER_TASK on every CPU (see workers), and the
+    ranges join in tree order, so the forest does not depend on the CPU
+    count. ``train_models`` maps the same ranges among the other kinds' fits.
     """
-    X, y, codes = _tree_data(X, y, "random forest")
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
-    m = X.shape[1]
-    fps = int(features_per_split) if features_per_split else int(math.ceil(m / 3))
-    fps = max(1, min(fps, m))
-    # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
-    subset = fps if fps < m else None
-    grow = partial(_grow_trees, X, y, codes, max_depth, min_samples_leaf, subset, seed, bootstrap)
-    ranges = np.array_split(np.arange(n_trees), min(cpu_count(), n_trees))
-    tables = [table for chunk in map_in_order(grow, ranges) for table in chunk]
-    roots = np.cumsum([0] + [table["value"].size for table in tables[:-1]], dtype=np.intp)
-    for table, root in zip(tables, roots):
-        # in the forest's one table, right indices count from the table's start
-        table["right"][table["feature"] >= 0] += root
-    return RFModel(
-        **{name: np.concatenate([table[name] for table in tables]) for name in tables[0]},
-        roots=roots,
-        n_trees=n_trees,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        features_per_split=fps,
-        bootstrap=bootstrap,
-        seed=seed,
-    )
+    tasks, join = _forest_tasks(X, y, n_trees, max_depth, min_samples_leaf, features_per_split,
+                                seed, bootstrap)
+    return join(list(map_in_order(_call, tasks)))
 
 
 # -- k nearest neighbors -----------------------------------------------------
@@ -471,15 +493,17 @@ def fit_mlp(
     params = list(mlp_init(X.shape[1], hidden_units, seed))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     n = y.size
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = perm[lo : lo + batch_size]
-            grads = mlp_gradients(params, X[idx], y[idx])
-            for p, g in zip(params, grads):
-                p -= learning_rate * g
-        if not math.isfinite(mlp_loss(params, X, y)):
-            raise ModelError("mlp loss became non-finite; lower the learning rate")
+    # a diverging fit is this ModelError alone, without numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            for lo in range(0, n, batch_size):
+                idx = perm[lo : lo + batch_size]
+                grads = mlp_gradients(params, X[idx], y[idx])
+                for p, g in zip(params, grads):
+                    p -= learning_rate * g
+            if not math.isfinite(mlp_loss(params, X, y)):
+                raise ModelError("mlp loss became non-finite; lower the learning rate")
     return MLPModel(*params)
 
 
@@ -539,20 +563,59 @@ _FITTERS = {"dt": fit_decision_tree, "rf": fit_random_forest, "knn": fit_knn,
             "svr": fit_linear_svr, "mlp": fit_mlp}
 
 
-def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
-    """Fit one model kind on a (fully encoded) train set."""
+def _params(spec: RegressorSpec) -> dict:
+    """The keyword arguments of the kind's fit function."""
     params = spec.resolved()
     if spec.kind in ("rf", "mlp"):
         params["seed"] = spec.seed
+    return params
+
+
+def train_model(spec: RegressorSpec, train: SupervisedSet) -> TrainedModel:
+    """Fit one model kind on a (fully encoded) train set, here; a forest
+    grows its trees on every CPU."""
     std = Standardizer.fit(train.X) if spec.kind in STANDARDIZED_KINDS else None
     X = train.X if std is None else std.transform(train.X)
     return TrainedModel(
         kind=spec.kind,
-        inner=_FITTERS[spec.kind](X, train.y, **params),
+        inner=_FITTERS[spec.kind](X, train.y, **_params(spec)),
         feature_names=train.feature_names,
         standardizer=std,
         seed=spec.seed,
     )
+
+
+def _reraise(exc: Exception) -> None:
+    raise exc
+
+
+def _fit_tasks(
+    spec: RegressorSpec, train: SupervisedSet
+) -> tuple[list[Callable[[], object]], Callable[[list], TrainedModel]]:
+    """One kind's fit as tasks and the join of their results, in task
+    order, into its model: a forest's tree ranges, or any other kind's
+    whole fit as one task."""
+    if spec.kind != "rf":
+        return [partial(train_model, spec, train)], itemgetter(0)
+    try:
+        tasks, join = _forest_tasks(train.X, train.y, **_params(spec))
+    except Exception as exc:  # raised in the forest's place in the task list, after earlier fits
+        return [partial(_reraise, exc)], itemgetter(0)
+    return tasks, lambda ranges: TrainedModel(kind="rf", inner=join(ranges),
+                                              feature_names=train.feature_names,
+                                              standardizer=None, seed=spec.seed)
+
+
+def train_models(specs: Sequence[RegressorSpec], train: SupervisedSet) -> list[TrainedModel]:
+    """Fit every spec's kind from one ordered task list on every CPU (see
+    workers), each kind's results joined in order. The tasks keep the
+    specs' order and the map raises the first failed task's error, so
+    the error is that of the first spec whose fit fails, as if each were
+    fitted in turn. No task maps tasks of its own."""
+    plans = [_fit_tasks(spec, train) for spec in specs]
+    # every result is in before any join: the workers are gone by then
+    results = iter(list(map_in_order(_call, [task for tasks, _ in plans for task in tasks])))
+    return [join([next(results) for _ in tasks]) for tasks, join in plans]
 
 
 _MODEL_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}

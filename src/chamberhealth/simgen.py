@@ -289,11 +289,17 @@ def simulate_run(
 
     z = rng.standard_normal((n_samples, len(config.sensors)))
     readings = np.empty_like(z)
-    for j, spec in enumerate(config.sensors):
-        col = truth * np.exp(spec.noise_sigma * z[:, j])
-        lo, hi = spec.valid_range
-        col[(col < lo) | (col > hi)] = np.nan
-        readings[:, j] = col
+    try:
+        with np.errstate(over="raise"):
+            for j, spec in enumerate(config.sensors):
+                col = truth * np.exp(spec.noise_sigma * z[:, j])
+                lo, hi = spec.valid_range
+                col[(col < lo) | (col > hi)] = np.nan
+                readings[:, j] = col
+    except FloatingPointError:
+        raise ConfigError(
+            f"sensor {spec.sensor_id}: noise_sigma {spec.noise_sigma!r} overflows a reading"
+        ) from None
 
     temp_level = (
         config.temp_base_c

@@ -2,7 +2,10 @@
 
 Three jobs use it: simulate renders runs.csv in chunks of runs,
 derive-hi parses and reduces runs.csv in byte ranges of whole runs, and
-train grows the forest in ranges of trees.
+train fits every requested model kind from one task list, in which a
+forest's trees come in ranges of five and every other kind's whole fit
+is one task. No chunk calls map_in_order: each worker would fork W
+more processes.
 
 ``map_in_order(fn, chunks)`` yields ``fn(chunk)`` of each chunk in chunk
 order, so what a caller builds from the results does not depend on the

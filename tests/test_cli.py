@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import shutil
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chamberhealth import cli, core, dataio, workers
+from chamberhealth import cli, core, dataio, models, workers
 from chamberhealth.cli import build_parser, main
 from chamberhealth.config import (
     FLOAT, INT, RECIPES, SENSORS, SETTINGS, TEXT, load_config,
@@ -669,21 +670,70 @@ def test_inconsistent_recipes_are_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys):
-    # dt and rf fit, then knn fails: k exceeds the train rows
+def test_gauge_noise_that_overflows_a_reading_is_config_error(tmp_path, capsys):
+    # refused while the runs are generated, before runs.csv is written:
+    # the sigma passes its >= 0 bound, but sigma * z overflows a float
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[simgen]\nn_runs_total = 5\nsensors = s1:0.5:2000.0:4:0.05, "
+                   "s2:0.001:5.0:1:1e308, s3:0.00012:0.0015:2:0.05, s4:1e-06:0.0015:3:0.3\n")
+    out = tmp_path / "work"
+    assert run_cli("simulate", "--config", bad, "--seed", 0, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "ERROR ConfigError: sensor s2: noise_sigma 1e+308 overflows a reading\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("fails", [("knn",), ("mlp",), ("knn", "mlp")], ids="-".join)
+def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys, monkeypatch, cpus,
+                                                  fails):
+    # knn fails when k exceeds the train rows, mlp when its loss overflows;
+    # the error is the first failing kind's, wherever the fits run
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
-    models = out / dataio.MODELS_DIR
-    before = {p.name: p.read_bytes() for p in models.iterdir()}
+    models_dir = out / dataio.MODELS_DIR
+    before = {p.name: p.read_bytes() for p in models_dir.iterdir()}
     n_train = dataio.read_supervised(out)[0].n_rows
+    settings = {
+        "knn": (f"knn_k = {n_train + 1}", f"k must be in [1, {n_train}], got {n_train + 1}"),
+        "mlp": ("mlp_learning_rate = 1e6", "mlp loss became non-finite; lower the learning rate"),
+    }
     bad = tmp_path / "bad.ini"
-    bad.write_text(config.read_text() + f"knn_k = {n_train + 1}\n")
+    bad.write_text(config.read_text() + "".join(f"{settings[kind][0]}\n" for kind in fails))
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
     capsys.readouterr()
     assert run_cli("train", "--config", bad, "--out", out) == 4
-    assert capsys.readouterr().err == (
-        f"ERROR ModelError: k must be in [1, {n_train}], got {n_train + 1}\n"
-    )
-    assert {p.name: p.read_bytes() for p in models.iterdir()} == before
+    assert capsys.readouterr().err == f"ERROR ModelError: {settings[fails[0]][1]}\n"
+    assert {p.name: p.read_bytes() for p in models_dir.iterdir()} == before
+
+
+def test_train_outputs_do_not_depend_on_the_cpu_count(tmp_path, pipelined, monkeypatch):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    names = [f"{dataio.MODELS_DIR}/{kind}.npz" for kind in MODEL_KINDS] + [dataio.REPORT_JSON]
+    parent, map_in_order = os.getpid(), models.map_in_order
+
+    def map_here(fn, chunks):
+        # a worker that maps forks workers of its own
+        assert os.getpid() == parent, "a worker called map_in_order"
+        return map_in_order(fn, chunks)
+
+    monkeypatch.setattr(models, "map_in_order", map_here)
+    outputs = {}
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+        shutil.rmtree(out / dataio.MODELS_DIR)
+        assert run_cli("train", "--config", config, "--out", out) == 0
+        assert run_cli("evaluate", "--config", config, "--out", out) == 0
+        outputs[len(cpus)] = {name: (out / name).read_bytes() for name in names}
+    # the pipeline's models and report came from the host's own CPUs
+    assert outputs[1] == outputs[2] == outputs[3] == {name: (work / name).read_bytes()
+                                                     for name in names}
+    rf = f"{dataio.MODELS_DIR}/rf.npz"
+    (out / rf).unlink()
+    assert run_cli("train", "--config", config, "--out", out, "--model", "rf") == 0
+    assert (out / rf).read_bytes() == outputs[1][rf]
 
 
 def test_out_that_is_a_file_is_data_error(tmp_path, small_config, capsys):
@@ -700,7 +750,8 @@ def test_models_path_that_is_a_file_is_data_error(tmp_path, pipelined, capsys, m
     shutil.rmtree(out / dataio.MODELS_DIR)
     (out / dataio.MODELS_DIR).write_text("")
     fits = Counter()
-    monkeypatch.setattr(cli, "train_model", lambda spec, train: fits.update([spec.kind]))
+    monkeypatch.setattr(cli, "train_models",
+                        lambda specs, train: fits.update(spec.kind for spec in specs))
     capsys.readouterr()
     assert run_cli("train", "--config", config, "--out", out) == 3
     err = capsys.readouterr().err

@@ -23,6 +23,7 @@ from chamberhealth.models import (
     mlp_loss,
     save_model,
     train_model,
+    train_models,
 )
 from helpers import (
     edited_npz,
@@ -705,6 +706,39 @@ def test_standardized_kinds_carry_the_handle():
     scaled_train = replace(scaled_train, X=scaled_train.X * 100.0)
     dt_scaled = train_model(RegressorSpec("dt"), scaled_train)
     assert np.allclose(dt.predict(q), dt_scaled.predict(q * 100.0))
+
+
+# small fits of every kind; rf's 12 trees make three tree-range tasks
+SMALL_PARAMS = {"rf": {"n_trees": 12}, "mlp": {"epochs": 3}, "svr": {"steps": 50}}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_train_models_fits_each_kind_as_train_model_does(monkeypatch, tmp_path, cpus):
+    train = _train_fixture()
+    specs = [RegressorSpec(kind, SMALL_PARAMS.get(kind, {}), seed=4)
+             for kind in ("mlp", "rf", "dt", "knn", "svr")]
+    alone = [train_model(spec, train) for spec in specs]
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+    together = train_models(specs, train)
+    assert [model.kind for model in together] == [spec.kind for spec in specs]
+    for a, b in zip(alone, together):
+        save_model(a, tmp_path / "alone.npz")
+        save_model(b, tmp_path / "together.npz")
+        assert (tmp_path / "together.npz").read_bytes() == (tmp_path / "alone.npz").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_train_models_raises_the_first_failing_spec_s_error(monkeypatch, cpus):
+    # the forest's n_trees is refused before its trees are tasks, yet its
+    # error comes only after the fits of the specs before it
+    train = _train_fixture()
+    bad_knn = RegressorSpec("knn", {"k": 61})
+    bad_rf = RegressorSpec("rf", {"n_trees": 0})
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+    with pytest.raises(ModelError, match=r"^k must be in \[1, 60\], got 61$"):
+        train_models([RegressorSpec("dt"), bad_knn, bad_rf], train)
+    with pytest.raises(ConfigError, match="^n_trees must be >= 1, got 0$"):
+        train_models([RegressorSpec("dt"), bad_rf, bad_knn], train)
 
 
 def test_spec_rejects_unknown_params():
