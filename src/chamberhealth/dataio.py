@@ -21,16 +21,16 @@ sensor cell marks an invalid reading.
 ``runs.csv`` holds each run as one contiguous block of rows in time
 order, the blocks in ``run_meta.csv`` order; only ``run_meta.csv`` says
 which asset a run belongs to, and ``runs_csv_header`` declares the
-columns. It is written in chunks of whole runs, each rendered as one
-string on some CPU, and read in byte ranges of about 1 MiB that end
-between blocks, each parsed into a ``core.RunChunk`` and reduced on
-some CPU (``read_dataset``), so no process holds more than one chunk's
-text and samples. An empty cell is allowed only in a sensor column,
-where it means the reading was invalid. Any other malformed input (a
-wrong field count, a non-numeric or empty cell elsewhere, a block that
-is not the run ``run_meta.csv`` lists at its place) raises DataError,
-naming the file's line where it names one, as do bytes that are not
-UTF-8 in any CSV.
+columns. It is written in chunks of whole runs as they are generated,
+each rendered as one string on some CPU, and read in byte ranges of
+about 1 MiB that end between blocks, each parsed into a
+``core.RunChunk`` and reduced on some CPU (``read_dataset``), so no
+process holds more than a few chunks' text and samples. An empty cell
+is allowed only in a sensor column, where it means the reading was
+invalid. Any other malformed input (a wrong field count, a non-numeric
+or empty cell elsewhere, a block that is not the run ``run_meta.csv``
+lists at its place) raises DataError, naming the file's line where it
+names one, as do bytes that are not UTF-8 in any CSV.
 
 ``derive-hi`` is the only stage that reads ``runs.csv``. Beside the HI
 it writes ``run_aggregates.csv``, the channel aggregates of every run
@@ -48,7 +48,7 @@ import math
 import os
 from contextlib import closing, contextmanager
 from functools import partial
-from itertools import groupby, zip_longest
+from itertools import chain, groupby, islice, repeat, zip_longest
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union, get_type_hints
@@ -247,18 +247,16 @@ RUNS_PER_CHUNK = 20
 
 
 def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
-    """The runs.csv rows of ``runs``: per run, the quoted run_id prefix
-    once, then repr() of every value, NaN as an empty cell."""
+    """The runs.csv rows of ``runs``, rendered column by column: per run,
+    the quoted run_id prefix once, then repr() of every value, NaN as an
+    empty cell."""
     lines = []
     for run in runs:
-        prefix = _csv_line([run.run_id]) + ","
-        block = np.column_stack(
-            [run.t, run.readings, *(run.extra_channels[name] for name in channels)]
-        )
-        # repr() of a float spells "nan" only for NaN itself
-        lines += [prefix + ",".join(map(repr, row)).replace("nan", "") + "\r\n"
-                  for row in block.tolist()]
-    return "".join(lines)
+        columns = [run.t, *run.readings.T, *(run.extra_channels[name] for name in channels)]
+        # v != v only for NaN
+        cells = [["" if v != v else repr(v) for v in column.tolist()] for column in columns]
+        lines += map(",".join, zip(repeat(_csv_line([run.run_id])), *cells))
+    return "\r\n".join(lines) + "\r\n"
 
 
 def runs_csv_header(n_sensors: int, channels: Sequence[str]) -> list[str]:
@@ -268,29 +266,43 @@ def runs_csv_header(n_sensors: int, channels: Sequence[str]) -> list[str]:
     return ["run_id", "t_s", *(f"p{j + 1}_mbar" for j in range(n_sensors)), *channels]
 
 
-def write_runs_csv(path: PathLike, runs: Sequence[RunRecord]) -> None:
+def write_runs_csv(path: PathLike, runs: Iterable[RunRecord]) -> None:
     """``runs_csv_header`` with the channels sorted, one row per sample.
 
-    Chunks of RUNS_PER_CHUNK runs are rendered on every CPU (see
-    workers) and written in run order as they arrive. The bytes are the
-    ones write_csv would write cell by cell, except that NaN is an empty cell.
+    ``runs`` is pulled as the writing goes, in chunks of RUNS_PER_CHUNK
+    runs that are rendered on every CPU (see workers) and written in run
+    order as they arrive, so no more than a few chunks are held at a
+    time. The bytes are the ones write_csv would write cell by cell,
+    except that NaN is an empty cell.
     """
-    if not runs:
+    runs = iter(runs)
+    first = next(runs, None)
+    if first is None:
         raise DataError("no runs to write")
-    channels = sorted(runs[0].extra_channels)
-    chunks = [runs[i : i + RUNS_PER_CHUNK] for i in range(0, len(runs), RUNS_PER_CHUNK)]
+    channels = sorted(first.extra_channels)
+    runs = chain([first], runs)
+    chunks = iter(lambda: list(islice(runs, RUNS_PER_CHUNK)), [])
     with atomic_open(path) as fh:
-        fh.write(_csv_line(runs_csv_header(runs[0].readings.shape[1], channels)) + "\r\n")
+        fh.write(_csv_line(runs_csv_header(first.readings.shape[1], channels)) + "\r\n")
         fh.writelines(map_in_order(partial(_render_runs, channels), chunks))
 
 
-def write_dataset(out_dir: PathLike, runs: Sequence[RunRecord]) -> None:
+def write_dataset(out_dir: PathLike, runs: Iterable[RunRecord]) -> None:
+    """``runs.csv``, then ``run_meta.csv`` and ``ground_truth.csv``, from
+    one pass over ``runs``: only the rows of the last two are kept."""
     out = Path(out_dir)
-    write_runs_csv(out / RUNS_CSV, runs)
-    write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV],
-              map(attrgetter(*SCHEMAS[RUN_META_CSV]), runs))
-    write_csv(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], (
-        [r.run_id, float(r.true_c), float(r.true_p_ss)] for r in runs))
+    meta_fields = attrgetter(*SCHEMAS[RUN_META_CSV])
+    meta, truth = [], []
+
+    def kept(runs: Iterable[RunRecord]) -> Iterator[RunRecord]:
+        for run in runs:
+            meta.append(meta_fields(run))
+            truth.append([run.run_id, float(run.true_c), float(run.true_p_ss)])
+            yield run
+
+    write_runs_csv(out / RUNS_CSV, kept(runs))
+    write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV], meta)
+    write_csv(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], truth)
 
 
 def read_run_meta(in_dir: PathLike) -> list[RunMeta]:

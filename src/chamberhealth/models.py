@@ -312,8 +312,10 @@ def _join_trees(ranges: list[list[dict[str, np.ndarray]]], **params) -> RFModel:
     return RFModel(**columns, roots=roots, **params)
 
 
-def _call(task: Callable[[], object]) -> object:
-    return task()
+def _run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
+    """Each task's result, in task order, from every CPU (see workers):
+    the workers inherit ``tasks`` and are sent only their indices."""
+    return list(map_in_order(lambda i: tasks[i](), range(len(tasks))))
 
 
 def fit_random_forest(
@@ -336,7 +338,7 @@ def fit_random_forest(
     """
     tasks, join = _forest_tasks(X, y, n_trees, max_depth, min_samples_leaf, features_per_split,
                                 seed, bootstrap)
-    return join(list(map_in_order(_call, tasks)))
+    return join(_run_tasks(tasks))
 
 
 # -- k nearest neighbors -----------------------------------------------------
@@ -399,6 +401,7 @@ def fit_linear_svr(
     starting from w = 0, b = mean(y); the final iterate is returned.
     The loss is a mean, so duplicating every row leaves the fit
     unchanged. Full-batch updates are deterministic, so no seed is needed.
+    Raises ModelError if the final iterate is not finite.
     """
     X = np.asarray(X_std, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -407,15 +410,19 @@ def fit_linear_svr(
     n = y.size
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = float(y.mean())
-    for t in range(steps):
-        r = y - (X @ w + b)
-        active = np.abs(r) > epsilon
-        sign = np.sign(r) * active
-        grad_w = 2.0 * reg_lambda * w - (X.T @ sign) / n
-        grad_b = -float(sign.sum()) / n
-        step = step_size / math.sqrt(1.0 + t)
-        w -= step * grad_w
-        b -= step * grad_b
+    # a diverging fit is the ModelError below alone, without numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            r = y - (X @ w + b)
+            active = np.abs(r) > epsilon
+            sign = np.sign(r) * active
+            grad_w = 2.0 * reg_lambda * w - (X.T @ sign) / n
+            grad_b = -float(sign.sum()) / n
+            step = step_size / math.sqrt(1.0 + t)
+            w -= step * grad_w
+            b -= step * grad_b
+    if not (np.isfinite(w).all() and math.isfinite(b)):
+        raise ModelError("svr weights became non-finite; lower the step size")
     return SVRModel(w=w, b=b, epsilon=epsilon, reg_lambda=reg_lambda)
 
 
@@ -614,7 +621,7 @@ def train_models(specs: Sequence[RegressorSpec], train: SupervisedSet) -> list[T
     fitted in turn. No task maps tasks of its own."""
     plans = [_fit_tasks(spec, train) for spec in specs]
     # every result is in before any join: the workers are gone by then
-    results = iter(list(map_in_order(_call, [task for tasks, _ in plans for task in tasks])))
+    results = iter(_run_tasks([task for tasks, _ in plans for task in tasks]))
     return [join([next(results) for _ in tasks]) for tasks, join in plans]
 
 

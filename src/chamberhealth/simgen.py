@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -353,15 +353,18 @@ def simulate_history(
     n_runs_total: int,
     cycle_length: int,
     seed: int,
-) -> tuple[RunRecord, ...]:
-    """Generate a multi-asset production history, its runs ordered by
-    (asset_id, start_time).
+) -> Iterator[RunRecord]:
+    """Generate a multi-asset production history, yielding its runs one
+    at a time in file order, (asset_id, start_time).
 
     ``n_runs_total`` runs are spread as evenly as possible over
     ``n_assets`` assets; each asset is cleaned every ``cycle_length``
     runs. Recipes are drawn per run in proportion to their ``share`` by a
-    dedicated schedule stream, then each asset's runs are generated in
-    order from its own seeded substream.
+    dedicated schedule stream, for every asset first; then each asset's
+    runs are generated in order from its own seeded substream, the
+    assets in sorted asset_id order (``asset10`` before ``asset2``). A
+    caller that needs the runs twice keeps them
+    (``tuple(simulate_history(...))``).
     """
     probs = recipe_probabilities(recipes)
 
@@ -372,11 +375,11 @@ def simulate_history(
     schedule_rng = np.random.default_rng(np.random.SeedSequence((seed, 90001)))
     schedule = [schedule_rng.choice(len(recipes), size=count, p=probs) for count in counts]
 
-    runs: list[RunRecord] = []
     sigma_w = config.weather_sigma
     rho = config.weather_rho
     step_w = sigma_w * math.sqrt(1.0 - rho * rho)
-    for a_idx, (asset_id, draws) in enumerate(zip(asset_ids, schedule)):
+    for a_idx in sorted(range(n_assets), key=asset_ids.__getitem__):
+        asset_id, draws = asset_ids[a_idx], schedule[a_idx]
         rng = np.random.default_rng(np.random.SeedSequence((seed, a_idx)))
         state = ChamberState(contamination=config.maintenance_residual, n_runs=0)
         start = config.time_origin + a_idx * config.run_interval_s / n_assets
@@ -389,22 +392,17 @@ def simulate_history(
             recipe = recipes[int(draw)]
             phase = ((start - config.time_origin) % config.seasonal_period_s) / config.seasonal_period_s
             state = replace(state, seasonal_phase=phase, weather=weather)
-            runs.append(
-                simulate_run(
-                    state,
-                    recipe,
-                    config,
-                    rng,
-                    run_id=f"{asset_id}-{pos:05d}",
-                    asset_id=asset_id,
-                    start_time=start,
-                )
+            yield simulate_run(
+                state,
+                recipe,
+                config,
+                rng,
+                run_id=f"{asset_id}-{pos:05d}",
+                asset_id=asset_id,
+                start_time=start,
             )
             maintenance_due = (pos + 1) % cycle_length == 0
             state = advance_contamination(
                 state, recipe, maintenance_due, residual=config.maintenance_residual
             )
             start += config.run_interval_s * recipe.duration_scale
-
-    runs.sort(key=lambda r: (r.asset_id, r.start_time))
-    return tuple(runs)

@@ -66,8 +66,8 @@ def test_criterion_2_segment_selection():
     ok = True
     details = []
     for seed in range(5):
-        history = simulate_history(config, recipes, n_assets=1, n_runs_total=400,
-                                   cycle_length=100, seed=seed)
+        history = tuple(simulate_history(config, recipes, n_assets=1, n_runs_total=400,
+                                         cycle_length=100, seed=seed))
         fits, series = derive_hi_of(history, config.sensors, default_segments(),
                                     cycle_length=100, analysis_limit=400)
         r2 = {f.segment.index: f.r2 for f in fits}

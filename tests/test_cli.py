@@ -8,8 +8,10 @@ import os
 import re
 import shutil
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from functools import partial
 from itertools import chain, groupby, takewhile
 from pathlib import Path
@@ -685,11 +687,12 @@ def test_gauge_noise_that_overflows_a_reading_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-@pytest.mark.parametrize("fails", [("knn",), ("mlp",), ("knn", "mlp")], ids="-".join)
+@pytest.mark.parametrize("fails", [("knn",), ("mlp",), ("knn", "mlp"), ("svr",)], ids="-".join)
 def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys, monkeypatch, cpus,
                                                   fails):
-    # knn fails when k exceeds the train rows, mlp when its loss overflows;
-    # the error is the first failing kind's, wherever the fits run
+    # knn fails when k exceeds the train rows, mlp when its loss overflows and
+    # svr when its weights do; the error is the first failing kind's, wherever
+    # the fits run, and no numpy warning comes first (a RuntimeWarning fails a test)
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
     models_dir = out / dataio.MODELS_DIR
@@ -698,6 +701,8 @@ def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys, mo
     settings = {
         "knn": (f"knn_k = {n_train + 1}", f"k must be in [1, {n_train}], got {n_train + 1}"),
         "mlp": ("mlp_learning_rate = 1e6", "mlp loss became non-finite; lower the learning rate"),
+        "svr": ("svr_epsilon = 0.0\nsvr_step_size = 1e300",
+                "svr weights became non-finite; lower the step size"),
     }
     bad = tmp_path / "bad.ini"
     bad.write_text(config.read_text() + "".join(f"{settings[kind][0]}\n" for kind in fails))
@@ -770,9 +775,9 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
     # the same split built from the generator's in-memory runs, no CSV in between
     cfg = load_config(small_config)
     sensors = cfg.chamber.sensors
-    history = simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
-                               n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
-                               seed=cfg.require_seed())
+    history = tuple(simulate_history(cfg.chamber, cfg.recipes, n_assets=cfg.n_assets,
+                                     n_runs_total=cfg.n_runs_total, cycle_length=cfg.cycle_length,
+                                     seed=cfg.require_seed()))
     _, series = derive_hi_of(history, sensors, cfg.segments, cycle_length=cfg.cycle_length,
                              analysis_limit=cfg.analysis_limit)
     sset = build_supervised(history, aggregates_of(history, sensors), hi_by_run_id(series),
@@ -835,6 +840,40 @@ def test_derive_hi_outputs_do_not_depend_on_the_chunks_or_the_cpu_count(tmp_path
     assert outputs["two-cpus"] == outputs["one-cpu"]
     assert outputs["run-per-chunk"] == outputs["one-cpu"]
     assert len(dataio._runs_csv_spans(work / dataio.RUNS_CSV)) == 300  # one per run
+
+
+SIMULATE_OUTPUTS = (dataio.RUNS_CSV, dataio.RUN_META_CSV, dataio.GROUND_TRUTH_CSV)
+
+
+def test_simulate_outputs_do_not_depend_on_the_cpu_count(tmp_path, small_config, monkeypatch):
+    outputs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        # eight chunks of runs, from three assets
+        assert run_cli("simulate", "--config", small_config, "--out", out,
+                       "--n-runs-total", 150, "--n-assets", 3) == 0
+        outputs[len(cpus)] = {name: (out / name).read_bytes() for name in SIMULATE_OUTPUTS}
+    assert outputs[1] == outputs[2]
+
+
+def test_simulate_peak_memory_does_not_grow_with_the_run_count(tmp_path, small_config,
+                                                              monkeypatch):
+    # one CPU: the runs are generated and rendered in this process, where tracemalloc sees them
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+    peaks = {}
+    for n_runs in (200, 800):
+        cfg = replace(load_config(small_config), out_dir=str(tmp_path / str(n_runs)),
+                      n_runs_total=n_runs)
+        tracemalloc.start()
+        try:
+            cli.stage_simulate(cfg)
+            _, peaks[n_runs] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataio.read_run_meta(cfg.out_dir)) == n_runs
+    # 4x the runs, about the same peak: a chunk of runs at a time
+    assert peaks[800] <= 1.5 * peaks[200], peaks
 
 
 EVALUATE_OUTPUTS = (dataio.REPORT_JSON, dataio.PLOT_HI_CSV)

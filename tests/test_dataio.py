@@ -30,8 +30,8 @@ def _chunks(chunk):
 @pytest.fixture(scope="module")
 def small_dataset():
     config = ChamberConfig()
-    history = simulate_history(config, equal_share_recipes(), n_assets=2, n_runs_total=70,
-                               cycle_length=20, seed=5)
+    history = tuple(simulate_history(config, equal_share_recipes(), n_assets=2, n_runs_total=70,
+                                     cycle_length=20, seed=5))
     return config, history
 
 

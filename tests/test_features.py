@@ -213,7 +213,7 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     # form evaluated at the contamination ten runs later
     config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     recipes = (RecipeSpec("std", 0.8),)
-    history = simulate_history(config, recipes, 1, 60, 100, seed=0)
+    history = tuple(simulate_history(config, recipes, 1, 60, 100, seed=0))
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
     sset = build_supervised(history, _aggregates(history, config.sensors), hi_by_run_id(series),
                             horizon=10)

@@ -314,7 +314,7 @@ def test_derive_hi_alpha_tie_break():
 
 def test_derive_hi_selects_dp2_on_tuned_default():
     config = ChamberConfig()
-    history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0)
+    history = tuple(simulate_history(config, (RecipeSpec("std", 0.8),), 1, 400, 100, seed=0))
     fits, series = derive_hi_of(history, config.sensors, default_segments(),
                              100, 400)
     assert series.selected_segment.index == 2
@@ -330,7 +330,7 @@ def test_noiseless_degradation_gives_near_perfect_r2():
     # (selection itself is only meaningful with realistic noise: in a
     # zero-noise world every segment fits essentially perfectly)
     config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
-    history = simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0)
+    history = tuple(simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0))
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
     by_idx = {f.segment.index: f for f in fits}
     assert by_idx[2].r2 > 1.0 - 1e-3

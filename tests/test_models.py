@@ -491,7 +491,7 @@ def test_bm2_systematically_low_under_drift():
     from helpers import aggregates_of, derive_hi_of
 
     config = ChamberConfig(weather_sigma=0.0)
-    history = simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0)
+    history = tuple(simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0))
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
     sset = build_supervised(history, aggregates_of(history, config.sensors), hi_by_run_id(series))
     train, test = chrono_split(sset, 0.7)
@@ -499,7 +499,7 @@ def test_bm2_systematically_low_under_drift():
     assert float(np.mean(pred - test.y)) < 0.0
 
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
-    history2 = simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0)
+    history2 = tuple(simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0))
     fits2, series2 = derive_hi_of(history2, flat.sensors, default_segments(), 100)
     sset2 = build_supervised(history2, aggregates_of(history2, flat.sensors), hi_by_run_id(series2))
     train2, test2 = chrono_split(sset2, 0.7)

@@ -122,8 +122,8 @@ def test_linear_accumulation_over_100_runs():
 
 def test_history_counter_arithmetic():
     config = quiet_config()
-    history = simulate_history(config, equal_share_recipes(), n_assets=5, n_runs_total=2000,
-                               cycle_length=100, seed=0)
+    history = tuple(simulate_history(config, equal_share_recipes(), n_assets=5, n_runs_total=2000,
+                                     cycle_length=100, seed=0))
     assert len(history) == 2000
     by_asset = {}
     for run in history:
@@ -146,6 +146,16 @@ def test_history_is_deterministic():
     for ra, rb in zip(a, b, strict=True):
         assert (ra.run_id, ra.recipe_id) == (rb.run_id, rb.recipe_id)
         assert np.array_equal(ra.readings, rb.readings, equal_nan=True)
+
+
+def test_an_eleven_asset_history_streams_in_file_order():
+    # file order sorts asset ids as text: asset10 and asset11 come before asset2
+    runs = list(simulate_history(quiet_config(), equal_share_recipes(), 11, 44, 30, seed=2))
+    keys = [(run.asset_id, run.start_time) for run in runs]
+    assert keys == sorted(keys)
+    assert list(dict.fromkeys(asset for asset, _ in keys))[:4] == [
+        "asset1", "asset10", "asset11", "asset2"]
+    assert len(runs) == 44
 
 
 def test_seasonal_drift_slows_late_year_pumpdowns():
