@@ -7,16 +7,21 @@ repr(), so that every write/read cycle round-trips bit-exactly. Files
 are written to a temp path and renamed into place, and a failed write
 removes its temp file, so a failing stage never leaves a partial file.
 
-The seven fixed-header CSVs are declared once, in ``SCHEMAS``: column
-names in order, each with its cell type (``run_meta.csv``'s are the
-fields of ``core.RunMeta``; ``meta.csv``'s are those of
-``features.RowMeta``, then the split). Their writers take the header
-from it, and ``read_table`` reads any of them back, refusing a wrong
-header, a cell its column's type does not parse and NaN or an infinity
-in a float column (DataError). ``runs.csv``, ``run_aggregates.csv`` and
-``features.csv`` have headers that depend on the data and readers of
-their own; their float cells must be finite too, except that an empty
-sensor cell marks an invalid reading.
+Every table but ``runs.csv`` travels as columns: ``write_columns``
+renders them ROWS_PER_BLOCK rows at a time through csv.writer, and
+``read_columns`` parses and converts that many rows at a time, a float
+column into one float64 array, so neither holds more than one block of
+a table as text or as Python rows. The seven fixed-header CSVs are
+declared once, in ``SCHEMAS``: column names in order, each with its
+cell type (``run_meta.csv``'s are the fields of ``core.RunMeta``;
+``meta.csv``'s are those of ``features.RowMeta``, then the split).
+Their writers take the header from it, and ``read_table`` reads any of
+them back as typed rows. ``run_aggregates.csv`` and ``features.csv``
+have headers that depend on the data, which their readers check. Every
+reader refuses a wrong header, a cell its column's type does not parse
+and NaN or an infinity in a float column (DataError); in ``runs.csv``,
+which has a reader of its own, an empty sensor cell marks an invalid
+reading.
 
 ``runs.csv`` holds each run as one contiguous block of rows in time
 order, the blocks in ``run_meta.csv`` order; only ``run_meta.csv`` says
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from contextlib import closing, contextmanager
 from functools import partial
@@ -121,11 +125,26 @@ def atomic_write_text(path: PathLike, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: PathLike, header: Iterable[str], rows: Iterable[Sequence]) -> None:
+# Rows per block in which write_columns renders a table and read_columns
+# converts one, so that neither holds more of a table as Python cells
+ROWS_PER_BLOCK = 128
+
+
+def write_columns(path: PathLike, header: Sequence[str], *parts: Sequence[Sequence]) -> None:
+    """``header``, then the rows of each part in turn. A part is a list of
+    columns of one length: numpy arrays, whose cells are written as their
+    ``.tolist()`` values, or sequences of cells. csv.writer is passed
+    ROWS_PER_BLOCK rows at a time, so the bytes are the ones it writes
+    cell by cell."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for columns in parts:
+            n, = {len(column) for column in columns}  # a ValueError if they differ
+            for start in range(0, n, ROWS_PER_BLOCK):
+                block = [column[start : start + ROWS_PER_BLOCK] for column in columns]
+                writer.writerows(zip(*(cells.tolist() if isinstance(cells, np.ndarray) else cells
+                                       for cells in block)))
 
 
 def _unreadable(path: Path, line: int, exc: Exception) -> DataError:
@@ -185,14 +204,9 @@ def _open_csv(path: PathLike) -> Iterator[tuple[list[str], Iterator[list[str]]]]
             raise _not_utf8(path) from None
         except csv.Error as exc:
             raise _unreadable(path, reader.line_num, exc) from None
-        if header is None:
+        if not header:  # none, or a blank first line
             raise DataError(f"empty file: {path}")
         yield header, _checked_rows(path, reader, len(header))
-
-
-def read_csv(path: PathLike) -> tuple[list[str], list[list[str]]]:
-    with _open_csv(path) as (header, rows):
-        return header, list(rows)
 
 
 @contextmanager
@@ -204,14 +218,51 @@ def _cells(name: str):
         raise DataError(f"bad cell in {name}: {exc}") from None
 
 
-def _finite_floats(rows: Sequence[Sequence[str]], name: str) -> np.ndarray:
-    """The cells of ``rows`` as one float64 array; a cell that does not
-    parse or is not finite raises DataError naming file ``name``."""
-    with _cells(name):
-        values = np.array(rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DataError(f"non-finite cell in {name}")
-    return values
+def read_columns(
+    path: PathLike, kinds: Callable[[list[str]], Iterable[type]]
+) -> tuple[list[str], list]:
+    """The header of CSV ``path`` and its cells column by column, typed by
+    ``kinds(header)``, which refuses a bad header (DataError): a float
+    column as one float64 array, any other as a list. The rows are
+    converted ROWS_PER_BLOCK at a time, so no more than one block is held
+    as text. A cell its type does not parse and NaN or an infinity in a
+    float column raise DataError, as do the rows _checked_rows refuses."""
+    path = Path(path)
+    with _open_csv(path) as (header, rows):
+        types = list(kinds(header))
+        parts = [[] for _ in types]
+        for block in iter(lambda: list(islice(rows, ROWS_PER_BLOCK)), []):
+            for part, column, kind, cells in zip(parts, header, types, zip(*block)):
+                with _cells(path.name):
+                    part.append(np.array(cells, dtype=np.float64) if kind is float
+                                else list(map(kind, cells)))
+                if kind is float and not np.isfinite(part[-1]).all():
+                    raise DataError(f"non-finite {column} cell in {path.name}")
+    return header, [
+        list(chain.from_iterable(part)) if kind is not float
+        else np.concatenate(part) if part else np.empty(0)
+        for kind, part in zip(types, parts)
+    ]
+
+
+def read_csv(path: PathLike) -> tuple[list[str], np.ndarray]:
+    """A CSV of finite float cells: its header, and its rows as one 2-D
+    float64 array (see read_columns)."""
+    header, columns = read_columns(path, lambda header: [float] * len(header))
+    return header, np.column_stack(columns)
+
+
+def _schema_types(name: str, header: list[str]) -> Iterable[type]:
+    """The cell types of SCHEMAS' file ``name``, whose header must be its columns."""
+    schema = SCHEMAS[name]
+    if header != list(schema):
+        raise DataError(f"bad {name} header: {header}")
+    return schema.values()
+
+
+def _python(column) -> list:
+    """A read_columns column as a list of Python values."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def read_table(path: PathLike) -> list[tuple]:
@@ -219,16 +270,8 @@ def read_table(path: PathLike) -> list[tuple]:
     of typed cells per row. A wrong header, a cell its column's type does
     not parse, and NaN or an infinity in a float column raise DataError."""
     path = Path(path)
-    schema = SCHEMAS[path.name]
-    header, rows = read_csv(path)
-    if header != list(schema):
-        raise DataError(f"bad {path.name} header: {header}")
-    with _cells(path.name):
-        columns = [list(map(kind, cells)) for kind, cells in zip(schema.values(), zip(*rows))]
-    for (name, kind), values in zip(schema.items(), columns):
-        if kind is float and not all(map(math.isfinite, values)):
-            raise DataError(f"non-finite {name} cell in {path.name}")
-    return list(zip(*columns))
+    _, columns = read_columns(path, partial(_schema_types, path.name))
+    return list(zip(*map(_python, columns)))
 
 
 # -- raw samples + run metadata (core schemas) --------------------------------
@@ -289,20 +332,23 @@ def write_runs_csv(path: PathLike, runs: Iterable[RunRecord]) -> None:
 
 def write_dataset(out_dir: PathLike, runs: Iterable[RunRecord]) -> None:
     """``runs.csv``, then ``run_meta.csv`` and ``ground_truth.csv``, from
-    one pass over ``runs``: only the rows of the last two are kept."""
+    one pass over ``runs``: only the columns of the last two are kept."""
     out = Path(out_dir)
     meta_fields = attrgetter(*SCHEMAS[RUN_META_CSV])
-    meta, truth = [], []
+    meta = [[] for _ in SCHEMAS[RUN_META_CSV]]
+    truth = [[] for _ in SCHEMAS[GROUND_TRUTH_CSV]]
 
     def kept(runs: Iterable[RunRecord]) -> Iterator[RunRecord]:
         for run in runs:
-            meta.append(meta_fields(run))
-            truth.append([run.run_id, float(run.true_c), float(run.true_p_ss)])
+            for columns, cells in ((meta, meta_fields(run)),
+                                   (truth, (run.run_id, float(run.true_c), float(run.true_p_ss)))):
+                for column, cell in zip(columns, cells):
+                    column.append(cell)
             yield run
 
     write_runs_csv(out / RUNS_CSV, kept(runs))
-    write_csv(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV], meta)
-    write_csv(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], truth)
+    write_columns(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV], meta)
+    write_columns(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], truth)
 
 
 def read_run_meta(in_dir: PathLike) -> list[RunMeta]:
@@ -444,9 +490,8 @@ def write_run_aggregates_csv(
 ) -> None:
     """`run_id,<channel>_<mean|min|max|std>...`: one row per run, the
     columns of ``features.aggregate_runs`` in its order."""
-    values = np.column_stack(list(aggregates.values())).tolist()
-    write_csv(path, ["run_id", *aggregates],
-              ([run.run_id, *row] for run, row in zip(runs, values, strict=True)))
+    write_columns(path, ["run_id", *aggregates],
+                  [[run.run_id for run in runs], *aggregates.values()])
 
 
 def read_run_aggregates(in_dir: PathLike, runs: Sequence[RunMeta]) -> dict[str, np.ndarray]:
@@ -456,36 +501,43 @@ def read_run_aggregates(in_dir: PathLike, runs: Sequence[RunMeta]) -> dict[str, 
     same order, under a ``run_id`` plus ``<channel>_<suffix>`` header
     with the channels sorted and ``pressure`` among them.
     """
-    header, rows = read_csv(Path(in_dir) / RUN_AGGREGATES_CSV)
-    channels = sorted({name.rpartition("_")[0] for name in header[1:]})
-    if (
-        header[:1] != ["run_id"]
-        or header[1:] != aggregate_names(channels)
-        or "pressure" not in channels
-    ):
-        raise DataError(f"bad {RUN_AGGREGATES_CSV} header: {header}")
-    if [row[0] for row in rows] != [run.run_id for run in runs]:
+
+    def types(header: list[str]) -> list[type]:
+        channels = sorted({name.rpartition("_")[0] for name in header[1:]})
+        if (
+            header[:1] != ["run_id"]
+            or header[1:] != aggregate_names(channels)
+            or "pressure" not in channels
+        ):
+            raise DataError(f"bad {RUN_AGGREGATES_CSV} header: {header}")
+        return [str] + [float] * (len(header) - 1)
+
+    header, (run_ids, *values) = read_columns(Path(in_dir) / RUN_AGGREGATES_CSV, types)
+    if run_ids != [run.run_id for run in runs]:
         raise DataError(
             f"{RUN_AGGREGATES_CSV} does not list the runs of {RUN_META_CSV} in the same order; "
             "rerun derive-hi"
         )
-    values = _finite_floats([row[1:] for row in rows], RUN_AGGREGATES_CSV)
-    return dict(zip(header[1:], values.T))
+    return dict(zip(header[1:], values))
 
 
 # -- HI artifacts --------------------------------------------------------------
 
 
 def write_fits_csv(path: PathLike, fits: Sequence[DegradationFit]) -> None:
-    write_csv(path, SCHEMAS[FITS_CSV], (
-        [f.segment.index, f.k, f.d, f.t_bar, f.alpha, f.r2, f.n_points] for f in fits))
+    # the segment's index, then DegradationFit's fields of the other columns' names
+    columns = [[f.segment.index for f in fits]]
+    columns += ([getattr(f, name) for f in fits] for name in list(SCHEMAS[FITS_CSV])[1:])
+    write_columns(path, SCHEMAS[FITS_CSV], columns)
 
 
 _hi_run_fields = attrgetter(*HI_RUN_FIELDS)
 
 
 def write_hi_csv(path: PathLike, series: HiSeries) -> None:
-    write_csv(path, SCHEMAS[HI_CSV], ([*_hi_run_fields(e.run), e.hi] for e in series.entries))
+    runs = [e.run for e in series.entries]
+    columns = [[getattr(run, name) for run in runs] for name in HI_RUN_FIELDS]
+    write_columns(path, SCHEMAS[HI_CSV], [*columns, [e.hi for e in series.entries]])
 
 
 def read_hi_csv(path: PathLike, runs: Sequence[RunMeta]) -> dict[str, float]:
@@ -513,39 +565,33 @@ def write_supervised(
     if train.feature_names != test.feature_names:
         raise DataError("train/test feature names differ")
     out = Path(out_dir)
+    write_columns(out / FEATURES_CSV, [*train.feature_names, "target"],
+                  *([*part.X.T, part.y] for part in (train, test)))
 
-    def feature_rows():
-        for part in (train, test):
-            yield from np.column_stack([part.X, part.y]).tolist()
+    def meta_columns(split: str, part: SupervisedSet) -> list[list]:
+        cells = {name: [getattr(m, name) for m in part.meta] for name in _ROW_META_TYPES}
+        cells["plan"] = ["|".join(plan) for plan in cells["plan"]]
+        cells["split"] = [split] * part.n_rows
+        # as its column's type: a numpy scalar is written as the value read back
+        return [list(map(kind, cells[name])) for name, kind in SCHEMAS[META_CSV].items()]
 
-    write_csv(out / FEATURES_CSV, list(train.feature_names) + ["target"], feature_rows())
-
-    def meta_rows():
-        for split, part in (("train", train), ("test", test)):
-            for m in part.meta:
-                cells = {**vars(m), "plan": "|".join(m.plan), "split": split}
-                # as its column's type: a numpy scalar is written as the value read back
-                yield [kind(cells[name]) for name, kind in SCHEMAS[META_CSV].items()]
-
-    write_csv(out / META_CSV, SCHEMAS[META_CSV], meta_rows())
+    write_columns(out / META_CSV, SCHEMAS[META_CSV],
+                  meta_columns("train", train), meta_columns("test", test))
 
 
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     in_dir = Path(in_dir)
-    f_header, f_rows = read_csv(in_dir / FEATURES_CSV)
+    f_header, values = read_csv(in_dir / FEATURES_CSV)
     if len(f_header) < 2 or f_header[-1] != "target":
         raise DataError(f"bad {FEATURES_CSV} header: expected feature columns, then 'target'")
     names = tuple(f_header[:-1])
-    m_rows = read_table(in_dir / META_CSV)
-    if len(m_rows) != len(f_rows):
+    _, columns = read_columns(in_dir / META_CSV, partial(_schema_types, META_CSV))
+    *fields, splits = map(_python, columns)  # RowMeta's fields, then the split
+    if len(splits) != len(values):
         raise DataError(f"{FEATURES_CSV} and {META_CSV} row counts differ")
-    values = _finite_floats(f_rows, FEATURES_CSV)
-    meta = []
-    for row in m_rows:
-        cells = dict(zip(_ROW_META_TYPES, row))  # all but the split
-        cells["plan"] = tuple(cells["plan"].split("|")) if cells["plan"] else ()
-        meta.append(RowMeta(**cells))
-    splits = [m_row[-1] for m_row in m_rows]
+    plan = list(_ROW_META_TYPES).index("plan")
+    fields[plan] = [tuple(cell.split("|")) if cell else () for cell in fields[plan]]
+    meta = list(map(RowMeta, *fields))
     n_train = splits.count("train")
     if splits != ["train"] * n_train + ["test"] * (len(splits) - n_train):
         raise DataError(f"{META_CSV}'s split column is not every train row, then every test row")
@@ -567,10 +613,9 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
 def write_predictions_csv(
     path: PathLike, test: SupervisedSet, predictions: dict[str, np.ndarray]
 ) -> None:
-    write_csv(path, SCHEMAS[PREDICTIONS_CSV], (
-        [m.run_id_target, float(y), kind, float(p)]
-        for kind in sorted(predictions)
-        for m, y, p in zip(test.meta, test.y, predictions[kind])))
+    run_ids = [m.run_id_target for m in test.meta]
+    write_columns(path, SCHEMAS[PREDICTIONS_CSV], *(
+        [run_ids, test.y, [kind] * test.n_rows, predictions[kind]] for kind in sorted(predictions)))
 
 
 def write_plot_hi_csv(
@@ -580,7 +625,6 @@ def write_plot_hi_csv(
     predictions: dict[str, np.ndarray],
 ) -> None:
     """Plot-ready dump: target vs best-model and benchmark predictions."""
-    columns = [test.y] + [predictions[kind] for kind in (best_kind, "bm1", "bm2", "bm3")]
-    write_csv(path, SCHEMAS[PLOT_HI_CSV], (
-        [float(m.start_time), m.n_runs_target, *(float(c[i]) for c in columns)]
-        for i, m in enumerate(test.meta)))
+    write_columns(path, SCHEMAS[PLOT_HI_CSV], [
+        [float(m.start_time) for m in test.meta], [m.n_runs_target for m in test.meta], test.y,
+        *(predictions[kind] for kind in (best_kind, "bm1", "bm2", "bm3"))])

@@ -613,16 +613,40 @@ def _fit_tasks(
                                               standardizer=None, seed=spec.seed)
 
 
+# sent before every other task, in this order: the two longest whole fits,
+# which sent last would end the map with every worker but one idle
+_SENT_FIRST = {"mlp": 0, "svr": 1}
+
+
+def _caught(task: Callable[[], object]) -> tuple[bool, object]:
+    """(True, the task's result), or (False, the exception it raised)."""
+    try:
+        return True, task()
+    except Exception as exc:
+        return False, exc
+
+
 def train_models(specs: Sequence[RegressorSpec], train: SupervisedSet) -> list[TrainedModel]:
-    """Fit every spec's kind from one ordered task list on every CPU (see
-    workers), each kind's results joined in order. The tasks keep the
-    specs' order and the map raises the first failed task's error, so
-    the error is that of the first spec whose fit fails, as if each were
-    fitted in turn. No task maps tasks of its own."""
+    """Fit every spec's kind from one task list on every CPU (see
+    workers), each kind's results joined in order. The whole MLP fit is
+    sent first, then the SVR fit, then the forest's tree ranges and the
+    other fits in the specs' order. Each task returns the exception it
+    raises, so every task runs, also those after a failure; once all
+    are in, the error raised is that of the first spec whose fit failed,
+    as if each were fitted in turn. No task maps tasks of its own."""
     plans = [_fit_tasks(spec, train) for spec in specs]
+    tasks = [(spec.kind, task) for spec, (kind_tasks, _) in zip(specs, plans)
+             for task in kind_tasks]
+    order = sorted(range(len(tasks)), key=lambda i: _SENT_FIRST.get(tasks[i][0], len(_SENT_FIRST)))
+    results = [None] * len(tasks)
     # every result is in before any join: the workers are gone by then
-    results = iter(_run_tasks([task for tasks, _ in plans for task in tasks]))
-    return [join([next(results) for _ in tasks]) for tasks, join in plans]
+    for i, result in zip(order, _run_tasks([partial(_caught, tasks[i][1]) for i in order])):
+        results[i] = result
+    for ok, value in results:
+        if not ok:
+            raise value
+    values = iter(value for _, value in results)
+    return [join([next(values) for _ in kind_tasks]) for kind_tasks, join in plans]
 
 
 _MODEL_CLASSES = {"dt": DTModel, "rf": RFModel, "knn": KNNModel, "svr": SVRModel, "mlp": MLPModel}

@@ -28,7 +28,7 @@ last result, so neither side waits to send while the other does. It
 starts no thread, and the program starts none of its own that a fork
 could copy mid-operation; OpenBLAS re-initialises its thread pool in a
 forked child. Two chunks per worker were tried: simulate gained about a
-tenth, but train's SVR and MLP fits, the last and longest tasks, could
+tenth, but train's SVR and MLP fits, the longest tasks, could
 queue on one worker while the other sat idle.
 """
 

@@ -200,7 +200,7 @@ def test_plot_csv_schema(tmp_path, small_config):
     assert run_cli("pipeline", "--config", small_config, "--out", out) == 0
     header, rows = dataio.read_csv(out / dataio.PLOT_HI_CSV)
     assert header == ["start_time", "n_runs", "target", "prediction_best", "bm1", "bm2", "bm3"]
-    assert rows
+    assert len(rows)
 
 
 def _set_cell(lines, i, j, value):
@@ -559,7 +559,7 @@ def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipeline
         rows = dataio.read_table(out / name)
         assert rows, name
         assert all(type(cell) is t for row in rows for cell, t in zip(row, schema.values())), name
-        dataio.write_csv(tmp_path / name, schema, rows)
+        dataio.write_columns(tmp_path / name, schema, list(zip(*rows)))
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 

@@ -10,10 +10,18 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from chamberhealth import dataio, workers
 from chamberhealth.core import RunMeta
 from chamberhealth.errors import DataError
-from chamberhealth.features import build_supervised, chrono_split
+from chamberhealth.features import (
+    RowMeta,
+    SupervisedSet,
+    aggregate_names,
+    build_supervised,
+    chrono_split,
+)
 from chamberhealth.simgen import (
     ChamberConfig,
     default_segments,
@@ -191,7 +199,7 @@ def test_header_validation(tmp_path, name):
 
 def test_float_cells_use_shortest_roundtrip_form(tmp_path):
     path = tmp_path / "x.csv"
-    dataio.write_csv(path, ["a", "b", "c", "d"], [[0.1, 1e-06, 7, 1e16]])
+    dataio.write_columns(path, ["a", "b", "c", "d"], [[0.1], np.array([1e-06]), [7], [1e16]])
     assert path.read_bytes() == b"a,b,c,d\r\n0.1,1e-06,7,1e+16\r\n"
 
 
@@ -202,12 +210,14 @@ def test_no_tmp_files_left_behind(tmp_path, small_dataset):
 
 
 def test_failed_write_leaves_neither_temp_nor_target(tmp_path):
-    def rows():
-        yield [1.0, 2.0]
-        raise RuntimeError("row source failed")
+    class Failing:
+        def __str__(self):
+            raise RuntimeError("row source failed")
 
+    # the failing cell is in the second block, after the first was written
+    column = [1.0] * dataio.ROWS_PER_BLOCK + [Failing()]
     with pytest.raises(RuntimeError, match="row source failed"):
-        dataio.write_csv(tmp_path / "x.csv", ["a", "b"], rows())
+        dataio.write_columns(tmp_path / "x.csv", ["a", "b"], [column, column])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -227,3 +237,121 @@ def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_d
     with pytest.raises(DataError, match="second chunk failed"):
         dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, history)
     assert list(tmp_path.iterdir()) == []
+
+
+BLOCK = dataio.ROWS_PER_BLOCK
+FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+INTS = st.one_of(st.sampled_from([2**63 - 1, -(2**63), 10**30, -(10**30)]), st.integers())
+# strings the csv module must quote, and any other text that UTF-8 can encode
+TEXTS = st.one_of(
+    st.sampled_from(["a,b", 'say "hi"', "two\r\nlines", "cr\ronly", " padded ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A float, an int and a str column of one block's length, one less or
+    one more, and where to cut them into two parts."""
+    n = draw(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))
+    columns = [draw(st.lists(cells, min_size=n, max_size=n)) for cells in (FLOATS, INTS, TEXTS)]
+    return columns, draw(st.integers(0, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_tables())
+def test_write_columns_writes_csv_writer_bytes_and_read_columns_reads_them_back(
+        tmp_path_factory, table):
+    (floats, ints, texts), cut = table
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    header = ["x", "n", "s"]
+    columns = [np.array(floats, dtype=np.float64), ints, texts]
+    dataio.write_columns(path, header, [c[:cut] for c in columns], [c[cut:] for c in columns])
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for row in zip(floats, ints, texts):
+        writer.writerow(row)  # cell by cell
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    back, (x, n, s) = dataio.read_columns(path, lambda header: [float, int, str])
+    assert back == header
+    assert x.dtype == np.float64 and x.tobytes() == columns[0].tobytes()  # bit for bit
+    assert n == ints and s == texts
+
+
+HI_ROWS = BLOCK + 50
+SECOND_BLOCK_LINE = BLOCK + 21  # the file's line of a row in the second block
+
+
+def _hi_lines(tmp_path):
+    """A hi.csv of HI_ROWS rows, as its text's lines."""
+    path = tmp_path / dataio.HI_CSV
+    ids = [f"asset1-{i:05d}" for i in range(HI_ROWS)]
+    dataio.write_columns(path, dataio.SCHEMAS[dataio.HI_CSV], [
+        ids, ["asset1"] * HI_ROWS, np.arange(HI_ROWS) * 60.0 + 1.6e9, list(range(HI_ROWS)),
+        np.linspace(10.0, 11.0, HI_ROWS)])
+    return path, path.read_bytes().splitlines(keepends=True)
+
+
+SECOND_BLOCK_FAULTS = {  # what a row of hi.csv becomes, and the refusal of each
+    "wrong-field-count": (lambda row: row.rsplit(b",", 1)[0] + b"\r\n",
+                          "hi.csv line {line}: 4 fields, header has 5"),
+    "non-numeric-cell": (lambda row: row.rsplit(b",", 1)[0] + b",abc\r\n",
+                         "bad cell in hi.csv: could not convert string to float: 'abc'"),
+    "nan-cell": (lambda row: row.rsplit(b",", 1)[0] + b",nan\r\n",
+                 "non-finite hi_s cell in hi.csv"),
+    "not-utf8": (lambda row: row[:3] + b"\xfe" + row[3:],
+                 "hi.csv line {line}: byte {at} is not UTF-8: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("line", [2, SECOND_BLOCK_LINE], ids=["first-block", "second-block"])
+@pytest.mark.parametrize("fault", sorted(SECOND_BLOCK_FAULTS))
+def test_a_fault_past_the_first_block_is_refused_as_in_the_first(tmp_path, fault, line):
+    path, lines = _hi_lines(tmp_path)
+    corrupt, refusal = SECOND_BLOCK_FAULTS[fault]
+    lines[line - 1] = corrupt(lines[line - 1])
+    path.write_bytes(b"".join(lines))
+    at = sum(map(len, lines[: line - 1])) + 3  # the byte not_utf8 puts in
+    with pytest.raises(DataError) as refused:
+        dataio.read_table(path)
+    assert str(refused.value) == refusal.format(line=line, at=at)
+
+
+def _traced(call):
+    """The bytes that ``call``'s result keeps and the peak while it ran, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return kept, peak
+
+
+def test_table_readers_peak_memory_is_a_small_multiple_of_what_they_return(tmp_path):
+    # 2 000 runs and rows of the default config's shapes, random cells
+    n, rng, recipes = 2000, np.random.default_rng(0), ["heavy", "light", "std"]
+    runs = [RunMeta(run_id=f"asset{i % 5 + 1}-{i // 5:05d}", asset_id=f"asset{i % 5 + 1}",
+                    start_time=1.6e9 + 60.0 * i, recipe_id=recipes[i % 3], n_runs=i // 5)
+            for i in range(n)]
+    aggregates = {name: rng.normal(size=n)
+                  for name in aggregate_names(["gas_flow", "pressure", "temp_c"])}
+    dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, runs, aggregates)
+    meta = tuple(RowMeta(asset_id=r.asset_id, run_id=r.run_id, run_id_target=r.run_id,
+                         start_time=r.start_time, n_runs=r.n_runs, n_runs_target=r.n_runs + 10,
+                         hi_current=10.0 + rng.random(), recipe_id=r.recipe_id,
+                         plan=tuple(recipes[j] for j in rng.integers(0, 3, 10)))
+                 for r in runs)
+    sset = SupervisedSet(X=rng.normal(size=(n, 46)), y=rng.normal(size=n),
+                         feature_names=tuple(f"f{j}" for j in range(46)), meta=meta)
+    train, test = (replace(sset, X=sset.X[rows], y=sset.y[rows], meta=meta[rows])
+                   for rows in (slice(1400), slice(1400, None)))
+    dataio.write_supervised(tmp_path, train, test)
+    # the whole tables as Python cells peaked at 3.3x and 13x what was kept
+    kept, peak = _traced(lambda: dataio.read_supervised(tmp_path))
+    assert peak <= 2 * kept, (kept, peak)
+    kept, peak = _traced(lambda: dataio.read_run_aggregates(tmp_path, runs))
+    assert peak <= 5 * kept, (kept, peak)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chamberhealth import models
 from chamberhealth.errors import ConfigError, ModelError
 from chamberhealth.features import RowMeta, SupervisedSet
 from chamberhealth.models import (
@@ -739,6 +740,21 @@ def test_train_models_raises_the_first_failing_spec_s_error(monkeypatch, cpus):
         train_models([RegressorSpec("dt"), bad_knn, bad_rf], train)
     with pytest.raises(ConfigError, match="^n_trees must be >= 1, got 0$"):
         train_models([RegressorSpec("dt"), bad_rf, bad_knn], train)
+
+
+def test_train_models_sends_the_mlp_fit_then_the_svr_fit_first(monkeypatch):
+    # one CPU: the tasks run here, in the order they are sent
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    train = _train_fixture()
+    sent = []
+    fit, grow = models.train_model, models._grow_trees
+    monkeypatch.setattr(models, "train_model",
+                        lambda spec, data: sent.append(spec.kind) or fit(spec, data))
+    monkeypatch.setattr(models, "_grow_trees", lambda *args: sent.append("rf") or grow(*args))
+    specs = [RegressorSpec(kind, SMALL_PARAMS.get(kind, {}))
+             for kind in ("dt", "rf", "knn", "svr", "mlp")]
+    assert [model.kind for model in train_models(specs, train)] == [s.kind for s in specs]
+    assert sent == ["mlp", "svr", "dt", "rf", "rf", "rf", "knn"]
 
 
 def test_spec_rejects_unknown_params():
