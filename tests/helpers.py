@@ -3,15 +3,21 @@ with their noise or schedule shares evened out, test-only views of
 in-memory pipeline objects, in the shapes the program reads back from
 runs.csv and hi.csv, an editor of model files, the reference tree grower
 that the rank-code split search and the node tables are checked against,
-and the reference bm2 benchmark."""
+the reference bm2 benchmark, and the small pipeline whose artifact
+digests tests/golden/digests.json holds."""
 
+import hashlib
 import io
 import math
+import platform
+from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from chamberhealth import cli
 from chamberhealth.core import RunChunk, composite_columns
 from chamberhealth.features import aggregate_runs
 from chamberhealth.hi import derive_hi, run_segment_durations
@@ -236,3 +242,35 @@ def reference_bm2(train, test) -> np.ndarray:
             gaps = np.abs(positions - pos)
             out[i] = means[int(positions[int(np.argmin(gaps))])]
     return out
+
+
+# -- golden artifact digests: the sha256 of every file that pipeline writes
+# at 2 assets and 300 runs, at each of two seeds. tests/golden/regenerate.py
+# writes them to GOLDEN; test_golden checks that a rerun gives the same.
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+GOLDEN_SEEDS = (0, 3)
+GOLDEN_ARGS = ("pipeline", "--n-assets", "2", "--n-runs-total", "300")
+
+
+def pipeline_digests(root: Path) -> dict[str, dict[str, str]]:
+    """Seed -> file -> sha256 hex digest of every artifact of ``GOLDEN_ARGS``
+    at each of GOLDEN_SEEDS, run under ``root``; a file is named by its
+    path in the working directory."""
+    digests = {}
+    for seed in GOLDEN_SEEDS:
+        work = Path(root) / f"seed{seed}"
+        with redirect_stdout(io.StringIO()):
+            code = cli.main([*GOLDEN_ARGS, "--seed", str(seed), "--out", str(work)])
+        if code != 0:
+            raise RuntimeError(f"pipeline at seed {seed} exited {code}")
+        digests[str(seed)] = {
+            path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.rglob("*")) if path.is_file()
+        }
+    return digests
+
+
+def golden_versions() -> dict[str, str]:
+    """The Python and numpy versions that artifact bytes may depend on."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
