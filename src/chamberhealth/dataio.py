@@ -14,7 +14,8 @@ column into one float64 array, so neither holds more than one block of
 a table as text or as Python rows. The seven fixed-header CSVs are
 declared once, in ``SCHEMAS``: column names in order, each with its
 cell type (``run_meta.csv``'s are the fields of ``core.RunMeta``;
-``meta.csv``'s are those of ``features.RowMeta``, then the split).
+``meta.csv``'s are the columns of ``features.RowMeta`` with their
+annotated cell types, a plan's recipes joined by "|", then the split).
 Their writers take the header from it, and ``read_table`` reads any of
 them back as typed rows. ``run_aggregates.csv`` and ``features.csv``
 have headers that depend on the data, which their readers check. Every
@@ -84,7 +85,9 @@ MODELS_DIR = "models"
 # The RunMeta fields that hi.csv repeats, so that each row names its run
 HI_RUN_FIELDS = ("run_id", "asset_id", "start_time", "n_runs")
 _RUN_META_TYPES = get_type_hints(RunMeta)
-_ROW_META_TYPES = get_type_hints(RowMeta)
+# RowMeta's columns, each by the type of its cells
+_ROW_META_TYPES = {name: column.__metadata__[0]
+                   for name, column in get_type_hints(RowMeta, include_extras=True).items()}
 
 # The fixed-header CSVs: each file's columns in order, with the type of
 # their cells. Writers take the header from here; read_table checks it
@@ -97,8 +100,8 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "n_points": int,
     },
     HI_CSV: {**{name: _RUN_META_TYPES[name] for name in HI_RUN_FIELDS}, "hi_s": float},
-    # RowMeta's fields, plan joined by "|", then the split
-    META_CSV: {**_ROW_META_TYPES, "plan": str, "split": str},
+    # RowMeta's columns, a plan's recipes joined by "|", then the split
+    META_CSV: {**_ROW_META_TYPES, "split": str},
     PREDICTIONS_CSV: {"run_id": str, "target": float, "model": str, "prediction": float},
     PLOT_HI_CSV: {
         "start_time": float, "n_runs": int, "target": float, "prediction_best": float,
@@ -214,7 +217,7 @@ def _cells(name: str):
     """Map a failed cell conversion inside the block to DataError."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int past int64 overflows
         raise DataError(f"bad cell in {name}: {exc}") from None
 
 
@@ -260,18 +263,13 @@ def _schema_types(name: str, header: list[str]) -> Iterable[type]:
     return schema.values()
 
 
-def _python(column) -> list:
-    """A read_columns column as a list of Python values."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
 def read_table(path: PathLike) -> list[tuple]:
     """A fixed-header CSV, chosen in SCHEMAS by its file name, as one tuple
     of typed cells per row. A wrong header, a cell its column's type does
     not parse, and NaN or an infinity in a float column raise DataError."""
     path = Path(path)
     _, columns = read_columns(path, partial(_schema_types, path.name))
-    return list(zip(*map(_python, columns)))
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 
 # -- raw samples + run metadata (core schemas) --------------------------------
@@ -568,15 +566,46 @@ def write_supervised(
     write_columns(out / FEATURES_CSV, [*train.feature_names, "target"],
                   *([*part.X.T, part.y] for part in (train, test)))
 
-    def meta_columns(split: str, part: SupervisedSet) -> list[list]:
-        cells = {name: [getattr(m, name) for m in part.meta] for name in _ROW_META_TYPES}
-        cells["plan"] = ["|".join(plan) for plan in cells["plan"]]
-        cells["split"] = [split] * part.n_rows
-        # as its column's type: a numpy scalar is written as the value read back
-        return [list(map(kind, cells[name])) for name, kind in SCHEMAS[META_CSV].items()]
+    def meta_columns(split: str, part: SupervisedSet) -> list:
+        columns = {name: getattr(part.meta, name) for name in _ROW_META_TYPES}
+        # a row at a time: the whole array at once as Python strings is ~3x its size
+        columns["plan"] = ["|".join(plan.tolist()) for plan in part.meta.plan]
+        return [*columns.values(), [split] * part.n_rows]
 
     write_columns(out / META_CSV, SCHEMAS[META_CSV],
                   meta_columns("train", train), meta_columns("test", test))
+
+
+def _plan_column(cells: list[str]) -> np.ndarray:
+    """meta.csv's plan cells as a rows x horizon array of recipe ids, split
+    at "|" ROWS_PER_BLOCK cells at a time. A cell with an empty recipe, or
+    with other than as many recipes as the first, raises DataError naming
+    its line."""
+    width = cells[0].count("|") + 1 if cells else 0
+    blocks = []
+    for start in range(0, len(cells), ROWS_PER_BLOCK):
+        plans = [cell.split("|") for cell in cells[start : start + ROWS_PER_BLOCK]]
+        for line, plan in enumerate(plans, start + 2):
+            if "" in plan:
+                raise DataError(f"{META_CSV} line {line}: empty recipe in plan cell "
+                                f"{'|'.join(plan)!r}")
+            if len(plan) != width:
+                raise DataError(f"{META_CSV} line {line}: plan cell holds {len(plan)} recipes, "
+                                f"line 2's holds {width}")
+        blocks.append(np.array(plans, dtype=str))
+    return np.concatenate(blocks) if blocks else np.empty((0, width), dtype=str)
+
+
+def _read_meta(path: Path) -> tuple[RowMeta, list[str]]:
+    """``meta.csv``'s RowMeta columns, and its split column."""
+    _, columns = read_columns(path, partial(_schema_types, META_CSV))
+    *columns, splits = columns
+    plan = list(_ROW_META_TYPES).index("plan")
+    columns[plan] = _plan_column(columns[plan])
+    with _cells(META_CSV):
+        meta = RowMeta(*(np.asarray(column, dtype=kind)
+                         for column, kind in zip(columns, _ROW_META_TYPES.values())))
+    return meta, splits
 
 
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
@@ -585,23 +614,19 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     if len(f_header) < 2 or f_header[-1] != "target":
         raise DataError(f"bad {FEATURES_CSV} header: expected feature columns, then 'target'")
     names = tuple(f_header[:-1])
-    _, columns = read_columns(in_dir / META_CSV, partial(_schema_types, META_CSV))
-    *fields, splits = map(_python, columns)  # RowMeta's fields, then the split
+    meta, splits = _read_meta(in_dir / META_CSV)
     if len(splits) != len(values):
         raise DataError(f"{FEATURES_CSV} and {META_CSV} row counts differ")
-    plan = list(_ROW_META_TYPES).index("plan")
-    fields[plan] = [tuple(cell.split("|")) if cell else () for cell in fields[plan]]
-    meta = list(map(RowMeta, *fields))
     n_train = splits.count("train")
     if splits != ["train"] * n_train + ["test"] * (len(splits) - n_train):
         raise DataError(f"{META_CSV}'s split column is not every train row, then every test row")
 
     def assemble(rows: slice) -> SupervisedSet:
-        if not meta[rows]:
+        if not values[rows].size:
             raise DataError("empty split in persisted supervised set")
         return SupervisedSet(
             X=values[rows, :-1].copy(), y=values[rows, -1].copy(), feature_names=names,
-            meta=tuple(meta[rows]),
+            meta=meta.take(rows),
         )
 
     return assemble(slice(n_train)), assemble(slice(n_train, None))
@@ -613,9 +638,9 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
 def write_predictions_csv(
     path: PathLike, test: SupervisedSet, predictions: dict[str, np.ndarray]
 ) -> None:
-    run_ids = [m.run_id_target for m in test.meta]
     write_columns(path, SCHEMAS[PREDICTIONS_CSV], *(
-        [run_ids, test.y, [kind] * test.n_rows, predictions[kind]] for kind in sorted(predictions)))
+        [test.meta.run_id_target, test.y, [kind] * test.n_rows, predictions[kind]]
+        for kind in sorted(predictions)))
 
 
 def write_plot_hi_csv(
@@ -626,5 +651,5 @@ def write_plot_hi_csv(
 ) -> None:
     """Plot-ready dump: target vs best-model and benchmark predictions."""
     write_columns(path, SCHEMAS[PLOT_HI_CSV], [
-        [float(m.start_time) for m in test.meta], [m.n_runs_target for m in test.meta], test.y,
+        test.meta.start_time, test.meta.n_runs_target, test.y,
         *(predictions[kind] for kind in (best_kind, "bm1", "bm2", "bm3"))])

@@ -73,9 +73,7 @@ def evaluate_all(
     scores = {kind: mae(test.y, pred) for kind, pred in predictions.items()}
     results = sorted(((kind, scores[kind]) for kind in models), key=lambda item: (item[1], item[0]))
 
-    bm1_identity = float(
-        np.mean([abs(y - m.hi_current) for y, m in zip(test.y, test.meta)])
-    )
+    bm1_identity = float(np.mean(np.abs(test.y - test.meta.hi_current)))
     fingerprint = dict(dataset_fingerprint or {})
     fingerprint.setdefault("train_rows", train.n_rows)
     fingerprint.setdefault("test_rows", test.n_rows)

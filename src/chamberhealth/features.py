@@ -6,13 +6,14 @@ the run's per-channel aggregates (mean, min, max, population std), the
 maintenance counter, the current recipe, and the planned recipes of the
 next ten runs; nothing from the future leaks in. One-hot vocabularies
 and standardization statistics come from the chronological train
-partition only.
+partition only. The rows' bookkeeping travels as columns (``RowMeta``),
+built, split and encoded by array operations, not row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Annotated, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,38 +72,37 @@ def aggregate_runs(chunk: RunChunk, pressure: np.ndarray) -> dict[str, np.ndarra
     return dict(zip(aggregate_names(names), stats.reshape(-1, lengths.size)))
 
 
-def encode_recipe_plan(
-    plan: Sequence[str], vocab: Sequence[str], horizon: int = 10
-) -> np.ndarray:
-    """One-hot encode the next ``horizon`` recipes against a fixed vocabulary.
-
-    Block b encodes plan[b]; a recipe missing from the vocabulary
-    encodes to an all-zero block (open-vocabulary fallback).
-    """
-    if len(plan) != horizon:
-        raise DataError(f"plan length {len(plan)} != horizon {horizon}")
-    index = {rid: j for j, rid in enumerate(vocab)}
-    out = np.zeros(horizon * len(vocab), dtype=np.float64)
-    for b, rid in enumerate(plan):
-        j = index.get(rid)
-        if j is not None:
-            out[b * len(vocab) + j] = 1.0
-    return out
+def encode_recipe_plan(plans: np.ndarray, vocab: Sequence[str]) -> np.ndarray:
+    """One-hot encode a rows x k array of recipe ids against a fixed
+    vocabulary: row r holds k blocks of len(vocab) columns, and block b
+    is 1.0 at the vocabulary position of plans[r, b] and 0.0 elsewhere.
+    A recipe missing from the vocabulary encodes to an all-zero block
+    (open-vocabulary fallback)."""
+    rows, k = plans.shape
+    hits = plans[:, :, None] == np.asarray(vocab, dtype=str)
+    return hits.reshape(rows, k * len(vocab)).astype(np.float64)
 
 
 @dataclass(frozen=True)
 class RowMeta:
-    """Bookkeeping for one supervised row (current run t, target run t+h)."""
+    """Bookkeeping of the supervised rows (current run t, target run t+h)
+    as columns: each field one numpy array with an entry per row, of the
+    annotated cell type; ``plan`` is rows x horizon, the recipe ids of
+    the asset's next runs."""
 
-    asset_id: str
-    run_id: str
-    run_id_target: str
-    start_time: float
-    n_runs: int
-    n_runs_target: int
-    hi_current: float
-    recipe_id: str
-    plan: tuple[str, ...]
+    asset_id: Annotated[np.ndarray, str]
+    run_id: Annotated[np.ndarray, str]
+    run_id_target: Annotated[np.ndarray, str]
+    start_time: Annotated[np.ndarray, float]
+    n_runs: Annotated[np.ndarray, int]
+    n_runs_target: Annotated[np.ndarray, int]
+    hi_current: Annotated[np.ndarray, float]
+    recipe_id: Annotated[np.ndarray, str]
+    plan: Annotated[np.ndarray, str]
+
+    def take(self, rows) -> "RowMeta":
+        """The rows that ``rows`` (any numpy index) picks, in every column."""
+        return RowMeta(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class SupervisedSet:
     X: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...]
-    meta: tuple[RowMeta, ...]
+    meta: RowMeta
 
     @property
     def n_rows(self) -> int:
@@ -139,57 +139,34 @@ def build_supervised(
     ``horizon`` runs in (start_time, run_id) order, the production plan
     a scheduler knows in advance. Rows spanning a maintenance event are
     kept: the post-cleaning drop is part of the target. Rows are sorted
-    by start_time.
+    by (start_time, run_id).
+
+    The runs are ordered by (asset_id, start_time, run_id) in one
+    lexsort; the target of the run at position p is the run at
+    p + horizon, if both are of one asset and both have an HI.
     """
-    numeric = np.column_stack([*aggregates.values(), [run.n_runs for run in runs]])
-    by_asset: dict[str, list[int]] = {}
-    for i, run in enumerate(runs):
-        by_asset.setdefault(run.asset_id, []).append(i)
-
-    rows = []
-    for asset_id in sorted(by_asset):
-        seq = sorted(by_asset[asset_id], key=lambda i: (runs[i].start_time, runs[i].run_id))
-        for t in range(len(seq) - horizon):
-            cur, tgt = runs[seq[t]], runs[seq[t + horizon]]
-            if cur.run_id not in hi or tgt.run_id not in hi:
-                continue
-            rows.append(
-                (
-                    cur.start_time,
-                    cur.run_id,
-                    seq[t],
-                    hi[tgt.run_id],
-                    RowMeta(
-                        asset_id=asset_id,
-                        run_id=cur.run_id,
-                        run_id_target=tgt.run_id,
-                        start_time=cur.start_time,
-                        n_runs=cur.n_runs,
-                        n_runs_target=tgt.n_runs,
-                        hi_current=hi[cur.run_id],
-                        recipe_id=cur.recipe_id,
-                        plan=tuple(runs[i].recipe_id for i in seq[t + 1 : t + 1 + horizon]),
-                    ),
-                )
-            )
-
-    if not rows:
+    ids, assets, recipes = (np.array([getattr(run, name) for run in runs], dtype=str)
+                            for name in ("run_id", "asset_id", "recipe_id"))
+    starts = np.array([run.start_time for run in runs], dtype=np.float64)
+    counters = np.array([run.n_runs for run in runs], dtype=int)
+    # hi.csv holds only finite HIs: NaN marks a run without one
+    his = np.array([hi.get(run.run_id, np.nan) for run in runs], dtype=np.float64)
+    seq = np.lexsort((ids, starts, assets))
+    p = np.arange(max(0, len(runs) - horizon))
+    cur, tgt = seq[p], seq[p + horizon]
+    p = p[(assets[cur] == assets[tgt]) & ~np.isnan(his[cur]) & ~np.isnan(his[tgt])]
+    if not p.size:
         raise DataError("no supervised rows could be built")
-    rows.sort(key=lambda r: (r[0], r[1]))
+    p = p[np.lexsort((ids[seq[p]], starts[seq[p]]))]
 
-    X = numeric[[r[2] for r in rows]]
-    y = np.array([r[3] for r in rows], dtype=np.float64)
-    meta = tuple(r[4] for r in rows)
-    return SupervisedSet(X=X, y=y, feature_names=(*aggregates, "n_runs"), meta=meta)
-
-
-def _encode_with_vocab(sset: SupervisedSet, vocab: tuple[str, ...], horizon: int) -> SupervisedSet:
-    """Append current-recipe and plan one-hot blocks to the numeric matrix."""
-    blocks = [encode_recipe_plan((m.recipe_id, *m.plan), vocab, horizon + 1) for m in sset.meta]
-    prefixes = ["recipe"] + [f"plan{b}" for b in range(1, horizon + 1)]
-    names = sset.feature_names + tuple(f"{p}_{rid}" for p in prefixes for rid in vocab)
-    X = np.hstack([sset.X, np.stack(blocks)])
-    return replace(sset, X=X, feature_names=names)
+    cur, tgt = seq[p], seq[p + horizon]
+    meta = RowMeta(
+        asset_id=assets[cur], run_id=ids[cur], run_id_target=ids[tgt], start_time=starts[cur],
+        n_runs=counters[cur], n_runs_target=counters[tgt], hi_current=his[cur],
+        recipe_id=recipes[cur], plan=recipes[seq[p[:, None] + np.arange(1, horizon + 1)]],
+    )
+    X = np.column_stack([*aggregates.values(), counters])[cur]
+    return SupervisedSet(X=X, y=his[tgt], feature_names=(*aggregates, "n_runs"), meta=meta)
 
 
 def chrono_split(
@@ -208,23 +185,18 @@ def chrono_split(
     if n_train == 0 or n_train == sset.n_rows:
         raise DataError(f"degenerate split sizes ({n_train}, {sset.n_rows - n_train})")
 
-    horizon = len(sset.meta[0].plan)
-    seen: set[str] = set()
-    for m in sset.meta[:n_train]:
-        seen.add(m.recipe_id)
-        seen.update(m.plan)
-    vocab = tuple(sorted(seen))
+    recipes = np.column_stack([sset.meta.recipe_id, sset.meta.plan])
+    # column by column: all the train rows' cells at once as Python strings are ~3x their size
+    vocab = tuple(sorted(set().union(*(set(column.tolist()) for column in recipes[:n_train].T))))
+    prefixes = ["recipe"] + [f"plan{b}" for b in range(1, recipes.shape[1])]
+    names = sset.feature_names + tuple(f"{p}_{rid}" for p in prefixes for rid in vocab)
 
-    def take(lo: int, hi: int) -> SupervisedSet:
-        part = SupervisedSet(
-            X=sset.X[lo:hi],
-            y=sset.y[lo:hi],
-            feature_names=sset.feature_names,
-            meta=sset.meta[lo:hi],
-        )
-        return _encode_with_vocab(part, vocab, horizon)
+    def take(rows: slice) -> SupervisedSet:
+        X = np.hstack([sset.X[rows], encode_recipe_plan(recipes[rows], vocab)])
+        return SupervisedSet(X=X, y=sset.y[rows], feature_names=names,
+                             meta=sset.meta.take(rows))
 
-    return take(0, n_train), take(n_train, sset.n_rows)
+    return take(slice(n_train)), take(slice(n_train, None))
 
 
 @dataclass(frozen=True)

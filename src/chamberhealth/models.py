@@ -530,15 +530,14 @@ def benchmark_predict(
     if train.n_rows == 0:
         raise ModelError("benchmarks need a non-empty train set")
     if kind == "bm1":
-        return np.array([m.hi_current for m in test.meta], dtype=np.float64)
+        return np.array(test.meta.hi_current, dtype=np.float64)
     if kind == "bm3":
         return np.full(test.n_rows, float(train.y.mean()))
     if kind == "bm2":
-        positions, slot = np.unique([m.n_runs_target for m in train.meta], return_inverse=True)
+        positions, slot = np.unique(train.meta.n_runs_target, return_inverse=True)
         # bincount sums in train-row order; argmin takes the lower of two equal gaps
         means = np.bincount(slot, weights=train.y) / np.bincount(slot)
-        target = np.array([m.n_runs_target for m in test.meta])
-        return means[np.argmin(np.abs(positions - target[:, None]), axis=1)]
+        return means[np.argmin(np.abs(positions - test.meta.n_runs_target[:, None]), axis=1)]
     raise ConfigError(f"unknown benchmark kind {kind!r}, expected one of {BENCHMARK_KINDS}")
 
 

@@ -3,7 +3,8 @@ with their noise or schedule shares evened out, test-only views of
 in-memory pipeline objects, in the shapes the program reads back from
 runs.csv and hi.csv, an editor of model files, the reference tree grower
 that the rank-code split search and the node tables are checked against,
-the reference bm2 benchmark, and the small pipeline whose artifact
+the reference bm2 benchmark, the reference row-by-row supervised set
+and one-hot encoder, and the small pipeline whose artifact
 digests tests/golden/digests.json holds."""
 
 import hashlib
@@ -19,7 +20,7 @@ import numpy as np
 
 from chamberhealth import cli
 from chamberhealth.core import RunChunk, composite_columns
-from chamberhealth.features import aggregate_runs
+from chamberhealth.features import RowMeta, aggregate_runs
 from chamberhealth.hi import derive_hi, run_segment_durations
 from chamberhealth.simgen import default_recipes, default_sensors
 
@@ -88,6 +89,22 @@ def derive_hi_of(runs, sensors, segments, *args, **kwargs):
 def hi_by_run_id(series):
     """A HiSeries as run_id -> HI seconds, as ``dataio.read_hi_csv`` returns it."""
     return {e.run.run_id: e.hi for e in series.entries}
+
+
+def toy_meta(n_runs, n_runs_target, hi_current, start: int = 0) -> RowMeta:
+    """The RowMeta columns of one row per entry of ``n_runs``, all of asset
+    a1 and recipe std: row i is run r<start+i> at start_time start+i, and
+    its target run is r<start+i+10>."""
+    n = len(n_runs)
+    runs = range(start, start + n)
+    return RowMeta(
+        asset_id=np.full(n, "a1"), run_id=np.array([f"r{i}" for i in runs], dtype=str),
+        run_id_target=np.array([f"r{i + 10}" for i in runs], dtype=str),
+        start_time=np.arange(start, start + n, dtype=np.float64),
+        n_runs=np.asarray(n_runs, dtype=int), n_runs_target=np.asarray(n_runs_target, dtype=int),
+        hi_current=np.asarray(hi_current, dtype=np.float64), recipe_id=np.full(n, "std"),
+        plan=np.full((n, 10), "std"),
+    )
 
 
 def edited_npz(path, edit) -> bytes:
@@ -227,21 +244,74 @@ def reference_bm2(train, test) -> np.ndarray:
     the nearest populated position, the lower one on a tie."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for value, m in zip(train.y, train.meta):
-        pos = m.n_runs_target
+    for value, pos in zip(train.y.tolist(), train.meta.n_runs_target.tolist()):
         sums[pos] = sums.get(pos, 0.0) + float(value)
         counts[pos] = counts.get(pos, 0) + 1
     positions = np.array(sorted(sums))
     means = {pos: sums[pos] / counts[pos] for pos in sums}
     out = np.empty(test.n_rows, dtype=np.float64)
-    for i, m in enumerate(test.meta):
-        pos = m.n_runs_target
+    for i, pos in enumerate(test.meta.n_runs_target.tolist()):
         if pos in means:
             out[i] = means[pos]
         else:
             gaps = np.abs(positions - pos)
             out[i] = means[int(positions[int(np.argmin(gaps))])]
     return out
+
+
+# -- reference supervised set: one tuple per row, a Python sort and one
+# one-hot call per row; features.build_supervised and chrono_split must
+# give the same bits
+
+
+def reference_encode_recipe_plan(plan, vocab, horizon) -> np.ndarray:
+    """One row's one-hot blocks: block b encodes plan[b], all zeros for a
+    recipe missing from the vocabulary."""
+    assert len(plan) == horizon
+    index = {rid: j for j, rid in enumerate(vocab)}
+    out = np.zeros(horizon * len(vocab), dtype=np.float64)
+    for b, rid in enumerate(plan):
+        j = index.get(rid)
+        if j is not None:
+            out[b * len(vocab) + j] = 1.0
+    return out
+
+
+def reference_build_supervised(runs, aggregates, hi, horizon):
+    """``X``, ``y`` and a dict of RowMeta's columns, built row by row: per
+    asset in name order, the runs sorted by (start_time, run_id), a row
+    per run whose run ``horizon`` positions later exists and both have an
+    HI; the rows then sorted by (start_time, run_id), stably."""
+    numeric = np.column_stack([*aggregates.values(), [run.n_runs for run in runs]])
+    by_asset: dict[str, list[int]] = {}
+    for i, run in enumerate(runs):
+        by_asset.setdefault(run.asset_id, []).append(i)
+    rows = []
+    for asset_id in sorted(by_asset):
+        seq = sorted(by_asset[asset_id], key=lambda i: (runs[i].start_time, runs[i].run_id))
+        for t in range(len(seq) - horizon):
+            cur, tgt = runs[seq[t]], runs[seq[t + horizon]]
+            if cur.run_id not in hi or tgt.run_id not in hi:
+                continue
+            meta = {"asset_id": asset_id, "run_id": cur.run_id, "run_id_target": tgt.run_id,
+                    "start_time": cur.start_time, "n_runs": cur.n_runs,
+                    "n_runs_target": tgt.n_runs, "hi_current": hi[cur.run_id],
+                    "recipe_id": cur.recipe_id,
+                    "plan": [runs[i].recipe_id for i in seq[t + 1 : t + 1 + horizon]]}
+            rows.append((cur.start_time, cur.run_id, seq[t], hi[tgt.run_id], meta))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    X = numeric[[r[2] for r in rows]]
+    y = np.array([r[3] for r in rows], dtype=np.float64)
+    columns = {name: np.array([r[4][name] for r in rows]) for name in rows[0][4]} if rows else {}
+    return X, y, columns
+
+
+def same_column(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two columns hold the same cells: equal strings, or numbers
+    of one dtype with the same bits."""
+    if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+        return False
+    return a.tolist() == b.tolist() if a.dtype.kind == "U" else a.tobytes() == b.tobytes()
 
 
 # -- golden artifact digests: the sha256 of every file that pipeline writes

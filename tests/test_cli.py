@@ -191,7 +191,7 @@ def test_evaluate_writes_every_prediction(tmp_path, pipelined):
     kinds = sorted({*MODEL_KINDS, "bm1", "bm2", "bm3"})
     # every model and benchmark predicts each test row once, in kind order
     assert [(row[2], row[0]) for row in dataio.read_table(out / dataio.PREDICTIONS_CSV)] == [
-        (kind, m.run_id_target) for kind in kinds for m in test.meta
+        (kind, run_id) for kind in kinds for run_id in test.meta.run_id_target.tolist()
     ]
 
 
@@ -315,6 +315,8 @@ SUPERVISED_CORRUPTIONS = {
     "target-only-features": (dataio.FEATURES_CSV,
                              lambda lines: [line.rsplit(",", 1)[-1] for line in lines]),
     "inf-hi-current-cell": (dataio.META_CSV, _set_column(dataio.META_CSV, "hi_current", "inf")),
+    # the counters are an int64 column
+    "n-runs-past-int64": (dataio.META_CSV, _set_column(dataio.META_CSV, "n_runs", "9" * 20)),
     # the second row, a train row, relabelled: a test row that predates train rows
     "test-row-among-train-rows": (dataio.META_CSV, lambda lines: _set_cell(lines, 2, -1, "test")),
 }
@@ -392,6 +394,34 @@ def test_malformed_supervised_set_is_data_error(tmp_path, pipelined, capsys, cor
         output.unlink()
     assert run_cli(command, "--config", config, "--out", out) == 3
     assert capsys.readouterr().err.startswith("ERROR DataError:")
+    assert not output.exists()
+
+
+# (row, edit of its plan cell, refusal); the small config's plans hold one recipe
+PLAN_CELL_FAULTS = {
+    "ragged": (2, lambda cell: f"{cell}|{cell}",
+               "meta.csv line 3: plan cell holds 2 recipes, line 2's holds 1"),
+    "empty": (1, lambda cell: "", "meta.csv line 2: empty recipe in plan cell ''"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("fault", sorted(PLAN_CELL_FAULTS))
+def test_ragged_or_empty_plan_cell_is_data_error(tmp_path, pipelined, capsys, fault, command):
+    # a plan is a row of the rows x horizon plan column, so every cell holds as many recipes
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    row, edit, refusal = PLAN_CELL_FAULTS[fault]
+    column = list(dataio.SCHEMAS[dataio.META_CSV]).index("plan")
+    _corrupt(out / dataio.META_CSV, lambda lines: _set_cell(
+        lines, row, column, edit(lines[row].rstrip("\n").split(",")[column])))
+    output = out / {"train": dataio.MODELS_DIR, "evaluate": dataio.REPORT_JSON}[command]
+    if output.is_dir():
+        shutil.rmtree(output)
+    else:
+        output.unlink()
+    assert run_cli(command, "--config", config, "--out", out) == 3
+    assert capsys.readouterr().err == f"ERROR DataError: {refusal}\n"
     assert not output.exists()
 
 

@@ -27,7 +27,14 @@ from chamberhealth.simgen import (
     default_segments,
     simulate_history,
 )
-from helpers import aggregates_of, chunk_of, derive_hi_of, equal_share_recipes, hi_by_run_id
+from helpers import (
+    aggregates_of,
+    chunk_of,
+    derive_hi_of,
+    equal_share_recipes,
+    hi_by_run_id,
+    same_column,
+)
 
 
 def _chunks(chunk):
@@ -179,8 +186,9 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     assert train2.feature_names == train.feature_names
     assert np.array_equal(train2.X, train.X)
     assert np.array_equal(test2.y, test.y)
-    assert train2.meta == train.meta
-    assert test2.meta == test.meta
+    for field in fields(RowMeta):
+        assert same_column(getattr(train2.meta, field.name), getattr(train.meta, field.name))
+        assert same_column(getattr(test2.meta, field.name), getattr(test.meta, field.name))
 
 
 def test_missing_file_raises_data_error(tmp_path):
@@ -340,14 +348,14 @@ def test_table_readers_peak_memory_is_a_small_multiple_of_what_they_return(tmp_p
     aggregates = {name: rng.normal(size=n)
                   for name in aggregate_names(["gas_flow", "pressure", "temp_c"])}
     dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, runs, aggregates)
-    meta = tuple(RowMeta(asset_id=r.asset_id, run_id=r.run_id, run_id_target=r.run_id,
-                         start_time=r.start_time, n_runs=r.n_runs, n_runs_target=r.n_runs + 10,
-                         hi_current=10.0 + rng.random(), recipe_id=r.recipe_id,
-                         plan=tuple(recipes[j] for j in rng.integers(0, 3, 10)))
-                 for r in runs)
+    columns = {name: np.array([getattr(r, name) for r in runs])
+                for name in ("asset_id", "run_id", "start_time", "n_runs", "recipe_id")}
+    meta = RowMeta(**columns, run_id_target=columns["run_id"],
+                   n_runs_target=columns["n_runs"] + 10, hi_current=10.0 + rng.random(n),
+                   plan=np.array(recipes)[rng.integers(0, 3, (n, 10))])
     sset = SupervisedSet(X=rng.normal(size=(n, 46)), y=rng.normal(size=n),
                          feature_names=tuple(f"f{j}" for j in range(46)), meta=meta)
-    train, test = (replace(sset, X=sset.X[rows], y=sset.y[rows], meta=meta[rows])
+    train, test = (replace(sset, X=sset.X[rows], y=sset.y[rows], meta=meta.take(rows))
                    for rows in (slice(1400), slice(1400, None)))
     dataio.write_supervised(tmp_path, train, test)
     # the whole tables as Python cells peaked at 3.3x and 13x what was kept

@@ -5,8 +5,9 @@ import pytest
 
 from chamberhealth.errors import DataError
 from chamberhealth.evaluation import evaluate_all, mae
-from chamberhealth.features import RowMeta, SupervisedSet
+from chamberhealth.features import SupervisedSet
 from chamberhealth.models import RegressorSpec, train_model
+from helpers import toy_meta
 
 
 def test_mae_hand_case():
@@ -41,11 +42,7 @@ def _toy_sets(n_train=40, n_test=20, seed=0):
     def build(n, start):
         X = rng.uniform(size=(n, 3))
         y = 2.0 + X[:, 0]
-        meta = tuple(
-            RowMeta("a1", f"r{start + i}", f"r{start + i + 10}", float(start + i),
-                    i % 100, (i + 10) % 100, float(y[i] - 0.1), "std", ("std",) * 10)
-            for i in range(n)
-        )
+        meta = toy_meta(np.arange(n) % 100, (np.arange(n) + 10) % 100, y - 0.1, start)
         return SupervisedSet(X=X, y=y, feature_names=("f0", "f1", "f2"),
                              meta=meta)
 
@@ -72,7 +69,7 @@ def test_perfect_model_ranks_first():
 def test_bm1_identity_check():
     train, test = _toy_sets()
     report = evaluate_all({}, train, test)
-    expected = float(np.mean([abs(y - m.hi_current) for y, m in zip(test.y, test.meta)]))
+    expected = float(np.mean([abs(y - h) for y, h in zip(test.y, test.meta.hi_current)]))
     assert report.benchmarks["bm1"] == pytest.approx(expected, rel=1e-12)
     assert report.bm1_identity == pytest.approx(expected, rel=1e-12)
 

@@ -1,5 +1,7 @@
 """Supervised dataset construction tests: aggregates, encoding, split."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chamberhealth.core import RunMeta, RunRecord, SensorSpec, composite_curve
 from chamberhealth.errors import DataError
 from chamberhealth.features import (
+    RowMeta,
     Standardizer,
     aggregate_channels,
     aggregate_runs,
@@ -22,7 +25,16 @@ from chamberhealth.simgen import (
     simulate_history,
     true_segment_duration,
 )
-from helpers import aggregates_of, chunk_of, derive_hi_of, hi_by_run_id, sensors_with_sigma
+from helpers import (
+    aggregates_of,
+    chunk_of,
+    derive_hi_of,
+    hi_by_run_id,
+    reference_build_supervised,
+    reference_encode_recipe_plan,
+    same_column,
+    sensors_with_sigma,
+)
 
 WIDE = [SensorSpec("s1", (1e-10, 2e3), priority=1)]
 
@@ -142,26 +154,21 @@ def test_aggregate_runs_equal_aggregate_channels_of_each_run(lengths, seed):
 
 def test_encode_plan_basic_blocks():
     vocab = ["A", "B"]
-    out = encode_recipe_plan(["A", "B", "A"], vocab, horizon=3)
-    assert out.tolist() == [1, 0, 0, 1, 1, 0]
+    out = encode_recipe_plan(np.array([["A", "B", "A"], ["B", "B", "A"]]), vocab)
+    assert out.tolist() == [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 1, 0]]
 
 
 def test_encode_plan_unknown_recipe_is_zero_block():
-    out = encode_recipe_plan(["A", "C"], ["A", "B"], horizon=2)
-    assert out.tolist() == [1, 0, 0, 0]
+    out = encode_recipe_plan(np.array([["A", "C"]]), ["A", "B"])
+    assert out.tolist() == [[1, 0, 0, 0]]
 
 
 def test_encode_plan_shape_and_mass():
     vocab = ["A", "B", "C"]
-    plan = ["A"] * 10
-    out = encode_recipe_plan(plan, vocab, horizon=10)
+    plan = np.array([["A"] * 10])
+    out = encode_recipe_plan(plan, vocab)
     assert out.size == 30
     assert out.sum() <= 10
-
-
-def test_encode_plan_length_mismatch():
-    with pytest.raises(DataError, match="plan length 1 != horizon 10"):
-        encode_recipe_plan(["A"], ["A"], horizon=10)
 
 
 def _asset_runs(n, asset="a1", start0=0.0, recipe="std"):
@@ -188,8 +195,8 @@ def test_build_supervised_keeps_maintenance_spanning_rows():
         runs.append(make_run(run_id=f"r{i:03d}", start=float(i), n=i % 20,
                              channel=[1.0, 2.0]))
     sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
-    spanning = [m for m in sset.meta if m.n_runs_target < m.n_runs]
-    assert spanning  # rows crossing the reset survive
+    spanning = sset.meta.n_runs_target < sset.meta.n_runs
+    assert spanning.any()  # rows crossing the reset survive
     assert sset.n_rows == 20
 
 
@@ -197,14 +204,14 @@ def test_build_supervised_pairs_stay_within_asset():
     runs = _asset_runs(15, asset="a1") + _asset_runs(12, asset="a2", start0=0.5)
     sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
     assert sset.n_rows == 5 + 2
-    for m in sset.meta:
-        assert m.run_id.split("-")[0] == m.run_id_target.split("-")[0]
+    for run_id, target in zip(sset.meta.run_id.tolist(), sset.meta.run_id_target.tolist()):
+        assert run_id.split("-")[0] == target.split("-")[0]
 
 
 def test_build_supervised_rows_sorted_by_time():
     runs = _asset_runs(15, asset="a1") + _asset_runs(15, asset="a2", start0=0.5)
     sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
-    times = [m.start_time for m in sset.meta]
+    times = sset.meta.start_time.tolist()
     assert times == sorted(times)
 
 
@@ -219,10 +226,15 @@ def test_build_supervised_noiseless_target_matches_closed_form():
                             horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
-        m = sset.meta[row_idx]
-        c_target = 0.8 * m.n_runs_target
+        c_target = 0.8 * sset.meta.n_runs_target[row_idx]
         expected = true_segment_duration(seg, config, config.steady_state_pressure(c_target))
         assert sset.y[row_idx] == pytest.approx(expected, abs=config.sample_dt)
+
+
+# run names in text order, which is not their numeric order: "10" < "2";
+# and run id prefixes in the reverse of their assets' order
+RUN_NAMES = sorted(map(str, range(12)))
+RUN_PREFIX = ("r2", "r1", "r0")
 
 
 @settings(max_examples=100, deadline=None)
@@ -232,29 +244,51 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     data=st.data(),
 )
 def test_row_plan_is_the_assets_next_runs_in_time_order(recipes, horizon, data):
-    # asset a's k-th run in time is a<a>-<k>; pairs of runs share a
-    # start_time, so run_id breaks the tie; the runs come in shuffled order
+    # asset a's k-th run in time is <RUN_PREFIX[a]>-<RUN_NAMES[k]>; runs
+    # 2j-1 and 2j share a start_time, so run_id breaks the tie, in text
+    # order ("11" before "2"), as it does between assets, in the reverse
+    # of their order; some runs have no HI; the runs come in shuffled order
     runs = [
-        RunMeta(run_id=f"a{a}-{k:02d}", asset_id=f"a{a}", start_time=float(k // 2),
-                recipe_id=rid, n_runs=k)
+        RunMeta(run_id=f"{RUN_PREFIX[a]}-{RUN_NAMES[k]}", asset_id=f"a{a}",
+                start_time=float((k + 1) // 2), recipe_id=rid, n_runs=k)
         for a, seq in enumerate(recipes) for k, rid in enumerate(seq)
     ]
     runs = data.draw(st.permutations(runs))
+    has_hi = data.draw(st.lists(st.booleans(), min_size=len(runs), max_size=len(runs)))
     code = {run.run_id: 100.0 * int(run.asset_id[1:]) + run.n_runs for run in runs}
     aggregates = {"x_mean": np.array([code[run.run_id] for run in runs])}
-    hi = dict.fromkeys(code, 1.0)
+    hi = {run.run_id: code[run.run_id] + 0.5 for run, has in zip(runs, has_hi) if has}
+    name = [[f"{RUN_PREFIX[a]}-{k}" for k in RUN_NAMES] for a in range(len(recipes))]
     expected = {
-        f"a{a}-{k:02d}": (seq[k], tuple(seq[k + 1 : k + 1 + horizon]))
+        name[a][k]: (seq[k], tuple(seq[k + 1 : k + 1 + horizon]))
         for a, seq in enumerate(recipes) for k in range(len(seq) - horizon)
+        if {name[a][k], name[a][k + horizon]} <= hi.keys()
     }
     if not expected:
         with pytest.raises(DataError, match="no supervised rows"):
             build_supervised(runs, aggregates, hi, horizon=horizon)
         return
     sset = build_supervised(runs, aggregates, hi, horizon=horizon)
-    assert {m.run_id: (m.recipe_id, m.plan) for m in sset.meta} == expected
+    meta = sset.meta
+    plans = map(tuple, meta.plan.tolist())
+    assert dict(zip(meta.run_id.tolist(), zip(meta.recipe_id.tolist(), plans))) == expected
     assert sset.n_rows == len(expected)
-    assert sset.X[:, 0].tolist() == [code[m.run_id] for m in sset.meta]
+    assert sset.X[:, 0].tolist() == [code[run_id] for run_id in meta.run_id.tolist()]
+
+    # bit for bit the row-by-row reference's rows, and its one-hot blocks
+    X, y, columns = reference_build_supervised(runs, aggregates, hi, horizon)
+    assert same_column(sset.X, X) and same_column(sset.y, y)
+    for field in fields(RowMeta):
+        assert same_column(getattr(meta, field.name), columns[field.name]), field.name
+    if sset.n_rows < 10:
+        return
+    train, test = chrono_split(sset, 0.7)
+    vocab = sorted(set(train.meta.recipe_id.tolist()) | set(train.meta.plan.ravel().tolist()))
+    assert _vocab(train) == tuple(vocab)
+    for part in (train, test):
+        blocks = [reference_encode_recipe_plan((rid, *plan), vocab, horizon + 1)
+                  for rid, plan in zip(part.meta.recipe_id.tolist(), part.meta.plan.tolist())]
+        assert same_column(part.X[:, len(sset.feature_names):], np.array(blocks))
 
 
 def _supervised_fixture(n=40, asset="a1", start0=0.0):
@@ -271,7 +305,7 @@ def test_chrono_split_sizes():
 def test_chrono_split_time_ordering():
     sset = _supervised_fixture(40)
     train, test = chrono_split(sset, 0.7)
-    assert max(m.start_time for m in train.meta) < min(m.start_time for m in test.meta)
+    assert train.meta.start_time.max() < test.meta.start_time.min()
 
 
 def test_chrono_split_2000_rows_gives_1400_train():
@@ -305,6 +339,16 @@ def test_chrono_split_encodes_one_hot_blocks():
                 assert block.sum() in (0.0, 1.0)
 
 
+def test_vocabulary_holds_a_recipe_planned_only_last_in_train():
+    # 20 runs make rows 0-9, of which 0-6 train; run 16 is row 6's tenth planned run
+    runs = _asset_runs(20, asset="a1")
+    object.__setattr__(runs[16], "recipe_id", "Z")
+    sset = build_supervised(runs, _aggregates(runs), _hi_for(runs), horizon=10)
+    train, test = chrono_split(sset, 0.7)
+    assert _vocab(train) == ("Z", "std")
+    assert train.X[6, train.feature_names.index("plan10_Z")] == 1.0
+
+
 def test_unseen_test_recipe_encodes_to_zero_block():
     runs = _asset_runs(30, asset="a1")
     for i, r in enumerate(runs):
@@ -316,8 +360,8 @@ def test_unseen_test_recipe_encodes_to_zero_block():
     if "ZNEW" not in _vocab(train):
         vocab_n = len(_vocab(train))
         start = len(train.feature_names) - 11 * vocab_n
-        for row, m in zip(test.X, test.meta):
-            if m.recipe_id == "ZNEW":
+        for row, recipe_id in zip(test.X, test.meta.recipe_id.tolist()):
+            if recipe_id == "ZNEW":
                 assert row[start : start + vocab_n].sum() == 0.0
 
 
@@ -328,10 +372,9 @@ def test_no_leakage_from_test_rows():
     sset2 = _supervised_fixture(40)
     X2 = sset2.X.copy()
     X2[-1] += 1e6
-    from dataclasses import replace
-    meta2 = list(sset2.meta)
-    meta2[-1] = replace(meta2[-1], recipe_id="EVIL", plan=("EVIL",) * 10)
-    sset2 = replace(sset2, X=X2, meta=tuple(meta2))
+    meta2 = replace(sset2.meta, recipe_id=np.append(sset2.meta.recipe_id[:-1], "EVIL"),
+                    plan=np.vstack([sset2.meta.plan[:-1], ["EVIL"] * 10]))
+    sset2 = replace(sset2, X=X2, meta=meta2)
     train2, _ = chrono_split(sset2, 0.7)
     assert np.array_equal(train1.X, train2.X)
     assert _vocab(train1) == _vocab(train2)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chamberhealth import models
 from chamberhealth.errors import ConfigError, ModelError
-from chamberhealth.features import RowMeta, SupervisedSet
+from chamberhealth.features import SupervisedSet
 from chamberhealth.models import (
     RegressorSpec,
     benchmark_predict,
@@ -34,6 +34,7 @@ from helpers import (
     reference_build_tree,
     reference_forest_tree,
     table_rows,
+    toy_meta,
 )
 
 # -- CART ----------------------------------------------------------------
@@ -413,15 +414,9 @@ def test_mlp_same_seed_identical_weights():
 # -- benchmarks ---------------------------------------------------------------
 
 
-def _toy_set(y, n_runs_target, hi_current=None, start=0.0):
+def _toy_set(y, n_runs_target, hi_current=None):
     n = len(y)
-    hi_current = hi_current or [0.0] * n
-    meta = tuple(
-        RowMeta(asset_id="a1", run_id=f"r{i}", run_id_target=f"r{i + 10}",
-                start_time=start + i, n_runs=i, n_runs_target=n_runs_target[i],
-                hi_current=hi_current[i], recipe_id="std", plan=("std",) * 10)
-        for i in range(n)
-    )
+    meta = toy_meta(range(n), n_runs_target, hi_current or [0.0] * n)
     X = np.zeros((n, 1))
     return SupervisedSet(X=X, y=np.asarray(y, dtype=float),
                          feature_names=("x0",), meta=meta)
@@ -511,7 +506,7 @@ def test_bm2_systematically_low_under_drift():
 
 def test_benchmarks_require_train_rows():
     empty = SupervisedSet(X=np.zeros((0, 1)), y=np.array([]),
-                          feature_names=("x0",), meta=())
+                          feature_names=("x0",), meta=toy_meta([], [], []))
     test = _toy_set([1.0], [0])
     with pytest.raises(ModelError, match="benchmarks need a non-empty train set"):
         benchmark_predict("bm3", empty, test)
@@ -531,11 +526,7 @@ def _train_fixture(n=60, m=5, seed=0):
     X = rng.uniform(size=(n, m))
     y = rng.normal(size=n)
     names = tuple(f"f{j}" for j in range(m))
-    meta = tuple(
-        RowMeta("a1", f"r{i}", f"r{i + 10}", float(i), i % 100, (i + 10) % 100,
-                float(rng.uniform()), "std", ("std",) * 10)
-        for i in range(n)
-    )
+    meta = toy_meta(np.arange(n) % 100, (np.arange(n) + 10) % 100, rng.uniform(size=n))
     return SupervisedSet(X=X, y=y, feature_names=names, meta=meta)
 
 
