@@ -185,16 +185,17 @@ def chrono_split(
     if n_train == 0 or n_train == sset.n_rows:
         raise DataError(f"degenerate split sizes ({n_train}, {sset.n_rows - n_train})")
 
-    recipes = np.column_stack([sset.meta.recipe_id, sset.meta.plan])
+    seen = sset.meta.take(slice(n_train))
     # column by column: all the train rows' cells at once as Python strings are ~3x their size
-    vocab = tuple(sorted(set().union(*(set(column.tolist()) for column in recipes[:n_train].T))))
-    prefixes = ["recipe"] + [f"plan{b}" for b in range(1, recipes.shape[1])]
+    vocab = tuple(sorted(set().union(*(set(c.tolist()) for c in (seen.recipe_id, *seen.plan.T)))))
+    prefixes = ["recipe"] + [f"plan{b}" for b in range(1, seen.plan.shape[1] + 1)]
     names = sset.feature_names + tuple(f"{p}_{rid}" for p in prefixes for rid in vocab)
 
     def take(rows: slice) -> SupervisedSet:
-        X = np.hstack([sset.X[rows], encode_recipe_plan(recipes[rows], vocab)])
-        return SupervisedSet(X=X, y=sset.y[rows], feature_names=names,
-                             meta=sset.meta.take(rows))
+        meta = sset.meta.take(rows)
+        one_hot = encode_recipe_plan(np.column_stack([meta.recipe_id, meta.plan]), vocab)
+        X = np.hstack([sset.X[rows], one_hot])
+        return SupervisedSet(X=X, y=sset.y[rows], feature_names=names, meta=meta)
 
     return take(slice(n_train)), take(slice(n_train, None))
 
