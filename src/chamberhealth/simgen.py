@@ -82,6 +82,8 @@ class RecipeSpec:
     share: float = 1.0
 
     def __post_init__(self) -> None:
+        if not self.recipe_id or "|" in self.recipe_id:  # "|" joins a plan's recipes in meta.csv
+            raise ConfigError(f"recipe {self.recipe_id!r}: an id must be non-empty, without '|'")
         if self.deposition_weight < 0:
             raise ConfigError(f"recipe {self.recipe_id}: deposition_weight must be >= 0")
         if self.duration_scale <= 0:

@@ -133,6 +133,12 @@ def test_bad_values_rejected():
         r"expected 4 ':'-separated fields$"
     )):
         config_from_ini("[simgen]\nrecipes = std:0.8:1.0, light:0.0:0.85, heavy:2.4:1.25\n")
+    # meta.csv joins a row's planned recipes with "|"
+    for recipe_id in ("a|b", ""):
+        with pytest.raises(ConfigError, match=(
+            rf"^recipe {re.escape(repr(recipe_id))}: an id must be non-empty, without '\|'$"
+        )):
+            config_from_ini(f"[simgen]\nrecipes = {recipe_id}:0.8:1.0:1.0\n")
 
 
 def test_sensor_segment_recipe_parsing():

@@ -349,7 +349,7 @@ def test_table_readers_peak_memory_is_a_small_multiple_of_what_they_return(tmp_p
                   for name in aggregate_names(["gas_flow", "pressure", "temp_c"])}
     dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, runs, aggregates)
     columns = {name: np.array([getattr(r, name) for r in runs])
-                for name in ("asset_id", "run_id", "start_time", "n_runs", "recipe_id")}
+               for name in ("asset_id", "run_id", "start_time", "n_runs", "recipe_id")}
     meta = RowMeta(**columns, run_id_target=columns["run_id"],
                    n_runs_target=columns["n_runs"] + 10, hi_current=10.0 + rng.random(n),
                    plan=np.array(recipes)[rng.integers(0, 3, (n, 10))])
