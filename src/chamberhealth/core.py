@@ -90,6 +90,8 @@ class RunMeta:
     def __post_init__(self) -> None:
         if self.n_runs < 0:
             raise DataError(f"run {self.run_id}: n_runs must be >= 0, got {self.n_runs}")
+        if self.n_runs >= 2**63:  # the supervised set's counters are int64
+            raise DataError(f"run {self.run_id}: n_runs must be < 2**63, got {self.n_runs}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,7 @@ class RunRecord(RunMeta):
         if valid.size and not (np.all(np.isfinite(valid)) and np.all(valid > 0)):
             raise DataError(f"run {self.run_id}: valid readings must be finite and > 0")
 
+    # No stage reads it: the tests and perfbench's sample counter do.
     @property
     def n_samples(self) -> int:
         return int(self.t.size)
@@ -149,6 +152,7 @@ def _fuse(readings: np.ndarray, sensors: Sequence[SensorSpec]) -> np.ndarray:
     return out
 
 
+# No stage calls it: it is the tests' per-run reference, and a name perfbench traces.
 def composite_curve(run: RunRecord, sensors: Sequence[SensorSpec]) -> np.ndarray:
     """Fuse every sample of a run into one pressure curve in mbar.
 

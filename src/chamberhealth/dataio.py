@@ -597,7 +597,7 @@ def _plan_column(cells: list[str]) -> np.ndarray:
 
 
 def _read_meta(path: Path) -> tuple[RowMeta, list[str]]:
-    """``meta.csv``'s RowMeta columns, and its split column."""
+    """``meta.csv``'s RowMeta columns, and its split column; a negative counter is a DataError."""
     _, columns = read_columns(path, partial(_schema_types, META_CSV))
     *columns, splits = columns
     plan = list(_ROW_META_TYPES).index("plan")
@@ -605,6 +605,11 @@ def _read_meta(path: Path) -> tuple[RowMeta, list[str]]:
     with _cells(META_CSV):
         meta = RowMeta(*(np.asarray(column, dtype=kind)
                          for column, kind in zip(columns, _ROW_META_TYPES.values())))
+    for name in ("n_runs", "n_runs_target"):  # maintenance counters, as RunMeta's
+        counters = getattr(meta, name)
+        if (bad := np.flatnonzero(counters < 0)).size:
+            raise DataError(f"{META_CSV} line {bad[0] + 2}: {name} must be >= 0, "
+                            f"got {counters[bad[0]]}")
     return meta, splits
 
 

@@ -23,6 +23,7 @@ from .errors import DataError
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 
 
+# No stage calls it: it is the tests' per-run reference, and a name perfbench traces.
 def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> dict[str, float]:
     """Per-channel mean, min, max and population std for one run, keyed
     by column name in ``aggregate_names`` order, channels sorted by name.

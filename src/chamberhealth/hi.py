@@ -70,6 +70,7 @@ def first_crossing_time(t: np.ndarray, pressure: np.ndarray, threshold: float) -
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))
 
 
+# No stage calls it or first_crossing_time: the tests' per-run reference, traced by perfbench.
 def extract_segment_duration(
     t: np.ndarray, pressure: np.ndarray, segment: SegmentSpec
 ) -> Optional[float]:

@@ -7,13 +7,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import partial
-from itertools import chain, groupby, takewhile
+from itertools import chain, groupby, product, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,8 @@ SUPERVISED_CORRUPTIONS = {
     "inf-hi-current-cell": (dataio.META_CSV, _set_column(dataio.META_CSV, "hi_current", "inf")),
     # the counters are an int64 column
     "n-runs-past-int64": (dataio.META_CSV, _set_column(dataio.META_CSV, "n_runs", "9" * 20)),
+    "negative-n-runs": (dataio.META_CSV, _set_column(dataio.META_CSV, "n_runs", "-7")),
+    "negative-n-runs-target": (dataio.META_CSV, _set_column(dataio.META_CSV, "n_runs_target", "-7")),
     # the second row, a train row, relabelled: a test row that predates train rows
     "test-row-among-train-rows": (dataio.META_CSV, lambda lines: _set_cell(lines, 2, -1, "test")),
 }
@@ -427,15 +430,17 @@ def test_ragged_or_empty_plan_cell_is_data_error(tmp_path, pipelined, capsys, fa
 
 def test_negative_n_runs_in_run_meta_is_data_error(tmp_path, pipelined, capsys):
     config, work = pipelined
-    out = shutil.copytree(work, tmp_path / "work")
-    _drop_outputs(out, *FEATURE_OUTPUTS)
-    run_id = dataio.read_run_meta(out)[0].run_id
-    _corrupt(out / dataio.RUN_META_CSV, _set_column(dataio.RUN_META_CSV, "n_runs", "-1"))
-    assert run_cli("build-features", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err == (
-        f"ERROR DataError: run {run_id}: n_runs must be >= 0, got -1\n"
-    )
-    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
+    # and one past int64: the supervised set holds the counters as int64
+    refusals = {"-1": "must be >= 0, got -1", "9" * 20: f"must be < 2**63, got {'9' * 20}"}
+    for (n_runs, refusal), (command, outputs) in product(refusals.items(), [
+            ("derive-hi", DERIVE_OUTPUTS), ("build-features", FEATURE_OUTPUTS)]):
+        out = shutil.copytree(work, tmp_path / f"{command}{n_runs}")
+        _drop_outputs(out, *outputs)
+        run_id = dataio.read_run_meta(out)[0].run_id
+        _corrupt(out / dataio.RUN_META_CSV, _set_column(dataio.RUN_META_CSV, "n_runs", n_runs))
+        assert run_cli(command, "--config", config, "--out", out) == 3, (command, n_runs)
+        assert capsys.readouterr().err == f"ERROR DataError: run {run_id}: n_runs {refusal}\n"
+        assert not [o for o in outputs if (out / o).exists()]
 
 
 def _drop_outputs(out, *names):
@@ -1020,3 +1025,17 @@ def test_models_trained_on_other_features_are_model_error(tmp_path, pipelined, c
         "rerun train\n"
     )
     assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]
+
+
+def test_the_package_binds_no_name_of_its_own():
+    # one import path per name: each is imported from its module, as in
+    # `from chamberhealth import hi`, and the version is pyproject.toml's
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import chamberhealth\n"
+              "print(sorted(name for name in vars(chamberhealth)\n"
+              "             if not name.startswith('__') or name in ('__all__', '__version__')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

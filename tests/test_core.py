@@ -202,6 +202,10 @@ def test_run_record_validation():
         RunMeta("r", "a", 0.0, "std", -1)
     with pytest.raises(DataError, match="n_runs must be >= 0"):
         RunRecord(**{**good, "n_runs": -1})
+    # the supervised set holds the counters as int64
+    RunMeta("r", "a", 0.0, "std", 2**63 - 1)
+    with pytest.raises(DataError, match=r"run r: n_runs must be < 2\*\*63, got 9223372036854775808"):
+        RunMeta("r", "a", 0.0, "std", 2**63)
     with pytest.raises(DataError):
         RunRecord(**{**good, "t": np.array([0.5, 0.5]), "readings": np.array([[1.0], [2.0]])})
     with pytest.raises(DataError):
