@@ -89,7 +89,7 @@ def stage_derive_hi(cfg: PipelineConfig) -> None:
     aggregates = {name: np.concatenate([columns[name] for _, columns in parts])
                   for name in parts[0][1]}
     dataio.write_fits_csv(out / dataio.FITS_CSV, fits)
-    dataio.write_hi_csv(out / dataio.HI_CSV, series)
+    dataio.write_hi_csv(out / dataio.HI_CSV, runs, series)
     dataio.write_run_aggregates_csv(out / dataio.RUN_AGGREGATES_CSV, runs, aggregates)
 
 
@@ -99,8 +99,8 @@ def stage_build_features(cfg: PipelineConfig) -> None:
     out = Path(cfg.out_dir)
     runs = dataio.read_run_meta(out)
     aggregates = dataio.read_run_aggregates(out, runs)
-    hi_map = dataio.read_hi_csv(out / dataio.HI_CSV, runs)
-    sset = build_supervised(runs, aggregates, hi_map, horizon=cfg.horizon)
+    hi = dataio.read_hi_csv(out / dataio.HI_CSV, runs)
+    sset = build_supervised(runs, aggregates, hi, horizon=cfg.horizon)
     train, test = chrono_split(sset, train_frac=cfg.train_frac)
     dataio.write_supervised(out, train, test)
 

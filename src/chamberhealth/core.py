@@ -101,7 +101,8 @@ class RunRecord(RunMeta):
     Sample data is stored columnar: ``t`` is the sample clock in seconds
     since run start (strictly increasing, nominal 0.5 s spacing) and
     ``readings`` is an (n_samples, n_sensors) array with NaN marking
-    invalid readings, column j read by the j-th configured sensor.
+    invalid readings, column j read by the j-th configured sensor. Only
+    the ``RunMeta`` fields are checked here; ``RunChunk`` checks samples.
 
     ``true_c`` / ``true_p_ss`` carry the generator's ground truth when the
     run is synthetic; they go to ``ground_truth.csv``, never into model
@@ -113,27 +114,6 @@ class RunRecord(RunMeta):
     extra_channels: Mapping[str, np.ndarray] = field(default_factory=dict)
     true_c: Optional[float] = None
     true_p_ss: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.t.ndim != 1 or self.t.size == 0:
-            raise DataError(f"run {self.run_id}: samples must be non-empty")
-        if np.any(np.diff(self.t) <= 0):
-            raise DataError(f"run {self.run_id}: sample times must be strictly increasing")
-        if self.readings.ndim != 2 or len(self.readings) != self.t.size:
-            raise DataError(
-                f"run {self.run_id}: readings shape {self.readings.shape} does not match "
-                f"{self.t.size} samples"
-            )
-        for name, series in self.extra_channels.items():
-            if np.asarray(series).shape != (self.t.size,):
-                raise DataError(
-                    f"run {self.run_id}: channel {name} has {np.asarray(series).size} "
-                    f"samples, expected {self.t.size}"
-                )
-        valid = self.readings[~np.isnan(self.readings)]
-        if valid.size and not (np.all(np.isfinite(valid)) and np.all(valid > 0)):
-            raise DataError(f"run {self.run_id}: valid readings must be finite and > 0")
 
     # No stage reads it: the tests and perfbench's sample counter do.
     @property
@@ -177,9 +157,9 @@ class RunChunk:
     are rows ``starts[k]`` up to the next start (or the end) of ``t``,
     ``readings`` and every channel, as in ``RunRecord``.
 
-    ``RunRecord``'s sample checks hold for every run: times strictly
-    increase within a run, and every valid reading is finite and > 0. The
-    first run that breaks one, in run order, raises DataError naming it.
+    These are the only sample checks: times strictly increase within a
+    run, and every valid reading is finite and > 0. The first run that
+    breaks one, in run order, raises DataError naming it.
     """
 
     run_ids: tuple[str, ...]
@@ -201,7 +181,7 @@ class RunChunk:
             if mask.any()
         ]
         if faults:
-            # the earliest run at fault; on one run, the check RunRecord makes first
+            # the earliest run at fault; within one run, its times first
             run, message = min(faults, key=lambda fault: fault[0])
             raise DataError(f"run {self.run_ids[run]}: {message}")
 

@@ -296,7 +296,8 @@ def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
         columns = [run.t, *run.readings.T, *(run.extra_channels[name] for name in channels)]
         # v != v only for NaN
         cells = [["" if v != v else repr(v) for v in column.tolist()] for column in columns]
-        lines += map(",".join, zip(repeat(_csv_line([run.run_id])), *cells))
+        prefix = repeat(_csv_line([run.run_id]), run.t.size)
+        lines += map(",".join, zip(prefix, *cells, strict=True))
     return "\r\n".join(lines) + "\r\n"
 
 
@@ -313,8 +314,9 @@ def write_runs_csv(path: PathLike, runs: Iterable[RunRecord]) -> None:
     ``runs`` is pulled as the writing goes, in chunks of RUNS_PER_CHUNK
     runs that are rendered on every CPU (see workers) and written in run
     order as they arrive, so no more than a few chunks are held at a
-    time. The bytes are the ones write_csv would write cell by cell,
-    except that NaN is an empty cell.
+    time. The bytes are the ones csv.writer would write cell by cell,
+    except that NaN is an empty cell. A run whose readings or a channel
+    has other than one row per sample raises ValueError, leaving no file.
     """
     runs = iter(runs)
     first = next(runs, None)
@@ -532,24 +534,27 @@ def write_fits_csv(path: PathLike, fits: Sequence[DegradationFit]) -> None:
 _hi_run_fields = attrgetter(*HI_RUN_FIELDS)
 
 
-def write_hi_csv(path: PathLike, series: HiSeries) -> None:
-    runs = [e.run for e in series.entries]
-    columns = [[getattr(run, name) for run in runs] for name in HI_RUN_FIELDS]
-    write_columns(path, SCHEMAS[HI_CSV], [*columns, [e.hi for e in series.entries]])
+def write_hi_csv(path: PathLike, runs: Sequence[RunMeta], series: HiSeries) -> None:
+    """The HI_RUN_FIELDS and the HI of each run of ``runs`` that has one in
+    ``series``, derive_hi's of the same runs."""
+    picked = map(_hi_run_fields, (runs[i] for i in series.entries.tolist()))
+    write_columns(path, SCHEMAS[HI_CSV], [*zip(*picked), series.hi])
 
 
-def read_hi_csv(path: PathLike, runs: Sequence[RunMeta]) -> dict[str, float]:
-    """``hi.csv`` as run_id -> HI seconds. Its rows must be ``runs``
-    (``run_meta.csv``'s) in order, less those without an HI, each equal
-    to its run on the HI_RUN_FIELDS (DataError)."""
-    later = iter(runs)
-    hi = {}
+def read_hi_csv(path: PathLike, runs: Sequence[RunMeta]) -> np.ndarray:
+    """``hi.csv``'s HI in seconds of each run of ``runs`` (``run_meta.csv``'s),
+    in run order, NaN for a run it does not list. Its rows must be ``runs``
+    in order, less those without an HI, each equal to its run on the
+    HI_RUN_FIELDS (DataError)."""
+    later = enumerate(map(_hi_run_fields, runs))
+    hi = np.full(len(runs), np.nan)
     for *fields, hi_s in read_table(path):
         # consumes ``later`` up to the row's run, so no row can go back
-        if tuple(fields) not in map(_hi_run_fields, later):
+        i = next((i for i, run in later if run == tuple(fields)), None)
+        if i is None:
             raise DataError(f"{HI_CSV} row of run {fields[0]} does not follow {RUN_META_CSV}; "
                             "rerun derive-hi")
-        hi[fields[0]] = hi_s
+        hi[i] = hi_s
     return hi
 
 

@@ -129,18 +129,18 @@ class SupervisedSet:
 def build_supervised(
     runs: Sequence[RunMeta],
     aggregates: Mapping[str, np.ndarray],
-    hi: Mapping[str, float],
+    hi: np.ndarray,
     horizon: int = 10,
 ) -> SupervisedSet:
     """One row per run that has a same-asset run ``horizon`` positions later.
 
-    ``aggregates`` holds one value per run of ``runs`` in each column
-    (``aggregate_runs``). ``hi`` maps run_id to the derived health index
-    in seconds. A row's plan is the recipe_ids of its asset's next
-    ``horizon`` runs in (start_time, run_id) order, the production plan
-    a scheduler knows in advance. Rows spanning a maintenance event are
-    kept: the post-cleaning drop is part of the target. Rows are sorted
-    by (start_time, run_id).
+    ``aggregates`` (``aggregate_runs``) and ``hi`` hold one value per run
+    of ``runs``: a column each, and the HI in seconds, NaN for a run
+    without one (``dataio.read_hi_csv``). A row's plan is the recipe_ids
+    of its asset's next ``horizon`` runs in (start_time, run_id) order,
+    the production plan a scheduler knows in advance. Rows spanning a
+    maintenance event are kept: the post-cleaning drop is part of the
+    target. Rows are sorted by (start_time, run_id).
 
     The runs are ordered by (asset_id, start_time, run_id) in one
     lexsort; the target of the run at position p is the run at
@@ -150,8 +150,7 @@ def build_supervised(
                             for name in ("run_id", "asset_id", "recipe_id"))
     starts = np.array([run.start_time for run in runs], dtype=np.float64)
     counters = np.array([run.n_runs for run in runs], dtype=int)
-    # hi.csv holds only finite HIs: NaN marks a run without one
-    his = np.array([hi.get(run.run_id, np.nan) for run in runs], dtype=np.float64)
+    his = np.asarray(hi, dtype=np.float64)
     seq = np.lexsort((ids, starts, assets))
     p = np.arange(max(0, len(runs) - horizon))
     cur, tgt = seq[p], seq[p + horizon]

@@ -37,16 +37,12 @@ class DegradationFit:
 
 
 @dataclass(frozen=True)
-class HiEntry:
-    run: RunMeta
-    hi: float
-
-
-@dataclass(frozen=True)
 class HiSeries:
-    """Health-index value per complete pumpdown run."""
+    """The runs that completed the selected segment, as their positions in
+    ``derive_hi``'s ``runs`` (``entries``), and their HIs in seconds (``hi``)."""
 
-    entries: tuple[HiEntry, ...]
+    entries: np.ndarray
+    hi: np.ndarray
     selected_segment: SegmentSpec
 
 
@@ -237,7 +233,5 @@ def derive_hi(
     best = min(fits, key=lambda f: (-f.r2, -f.alpha, f.segment.index))
     # the winning segment's column; equal specs measure equal columns
     hi = durations[:, list(segments).index(best.segment)]
-    entries = tuple(
-        HiEntry(run, float(hi[i])) for i, run in enumerate(runs) if not np.isnan(hi[i])
-    )
-    return fits, HiSeries(entries=entries, selected_segment=best.segment)
+    entries = np.flatnonzero(~np.isnan(hi))
+    return fits, HiSeries(entries=entries, hi=hi[entries], selected_segment=best.segment)

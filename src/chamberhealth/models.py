@@ -289,7 +289,8 @@ def _forest_tasks(
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     m = X.shape[1]
     fps = int(features_per_split) if features_per_split else int(math.ceil(m / 3))
-    fps = max(1, min(fps, m))
+    if not 1 <= fps <= m:
+        raise ModelError(f"features_per_split must be in [1, {m}], got {fps}")
     # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
     subset = fps if fps < m else None
     grow = partial(_grow_trees, X, y, codes, max_depth, min_samples_leaf, subset, seed, bootstrap)
@@ -330,8 +331,9 @@ def fit_random_forest(
 ) -> RFModel:
     """Bagged CART trees with a uniform random feature subset at each split.
 
-    features_per_split defaults to ceil(m / 3). Prediction is the plain
-    mean over trees, so it is independent of training order. The trees
+    features_per_split defaults to ceil(m / 3); one outside [1, m] raises
+    ModelError. Prediction is the plain mean over trees, so it is
+    independent of training order. The trees
     grow in ranges of TREES_PER_TASK on every CPU (see workers), and the
     ranges join in tree order, so the forest does not depend on the CPU
     count. ``train_models`` maps the same ranges among the other kinds' fits.

@@ -86,9 +86,13 @@ def derive_hi_of(runs, sensors, segments, *args, **kwargs):
     return derive_hi(runs, durations_of(runs, sensors, segments), segments, *args, **kwargs)
 
 
-def hi_by_run_id(series):
-    """A HiSeries as run_id -> HI seconds, as ``dataio.read_hi_csv`` returns it."""
-    return {e.run.run_id: e.hi for e in series.entries}
+def hi_column(runs, series):
+    """The HI of each run of ``runs``, NaN for a run without one, from
+    ``derive_hi``'s series of the same runs, as ``dataio.read_hi_csv``
+    returns it."""
+    hi = np.full(len(runs), np.nan)
+    hi[series.entries] = series.hi
+    return hi
 
 
 def toy_meta(n_runs, n_runs_target, hi_current, start: int = 0) -> RowMeta:
@@ -281,7 +285,8 @@ def reference_build_supervised(runs, aggregates, hi, horizon):
     """``X``, ``y`` and a dict of RowMeta's columns, built row by row: per
     asset in name order, the runs sorted by (start_time, run_id), a row
     per run whose run ``horizon`` positions later exists and both have an
-    HI; the rows then sorted by (start_time, run_id), stably."""
+    HI (not NaN in ``hi``); the rows then sorted by (start_time, run_id),
+    stably."""
     numeric = np.column_stack([*aggregates.values(), [run.n_runs for run in runs]])
     by_asset: dict[str, list[int]] = {}
     for i, run in enumerate(runs):
@@ -291,14 +296,15 @@ def reference_build_supervised(runs, aggregates, hi, horizon):
         seq = sorted(by_asset[asset_id], key=lambda i: (runs[i].start_time, runs[i].run_id))
         for t in range(len(seq) - horizon):
             cur, tgt = runs[seq[t]], runs[seq[t + horizon]]
-            if cur.run_id not in hi or tgt.run_id not in hi:
+            hi_cur, hi_tgt = hi[seq[t]], hi[seq[t + horizon]]
+            if math.isnan(hi_cur) or math.isnan(hi_tgt):
                 continue
             meta = {"asset_id": asset_id, "run_id": cur.run_id, "run_id_target": tgt.run_id,
                     "start_time": cur.start_time, "n_runs": cur.n_runs,
-                    "n_runs_target": tgt.n_runs, "hi_current": hi[cur.run_id],
+                    "n_runs_target": tgt.n_runs, "hi_current": hi_cur,
                     "recipe_id": cur.recipe_id,
                     "plan": [runs[i].recipe_id for i in seq[t + 1 : t + 1 + horizon]]}
-            rows.append((cur.start_time, cur.run_id, seq[t], hi[tgt.run_id], meta))
+            rows.append((cur.start_time, cur.run_id, seq[t], hi_tgt, meta))
     rows.sort(key=lambda r: (r[0], r[1]))
     X = numeric[[r[2] for r in rows]]
     y = np.array([r[3] for r in rows], dtype=np.float64)

@@ -29,7 +29,7 @@ from chamberhealth.config import (
 from chamberhealth.features import build_supervised, chrono_split
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
-from helpers import SMALL_INI, aggregates_of, derive_hi_of, edited_npz, hi_by_run_id
+from helpers import SMALL_INI, aggregates_of, derive_hi_of, edited_npz, hi_column
 
 ARTIFACTS = [
     dataio.RUNS_CSV,
@@ -722,19 +722,25 @@ def test_gauge_noise_that_overflows_a_reading_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-@pytest.mark.parametrize("fails", [("knn",), ("mlp",), ("knn", "mlp"), ("svr",)], ids="-".join)
+@pytest.mark.parametrize("fails", [("knn",), ("mlp",), ("knn", "mlp"), ("svr",), ("rf",),
+                                   ("rf", "knn")], ids="-".join)
 def test_failed_train_leaves_models_as_they_were(tmp_path, pipelined, capsys, monkeypatch, cpus,
                                                   fails):
-    # knn fails when k exceeds the train rows, mlp when its loss overflows and
-    # svr when its weights do; the error is the first failing kind's, wherever
-    # the fits run, and no numpy warning comes first (a RuntimeWarning fails a test)
+    # knn fails when k exceeds the train rows, rf when features_per_split
+    # exceeds the features, mlp when its loss overflows and svr when its
+    # weights do; ``fails`` lists them in MODEL_KINDS order. The error is the
+    # first failing kind's, wherever the fits run, and no numpy warning comes
+    # first (a RuntimeWarning fails a test)
     config, work = pipelined
     out = shutil.copytree(work, tmp_path / "work")
     models_dir = out / dataio.MODELS_DIR
     before = {p.name: p.read_bytes() for p in models_dir.iterdir()}
-    n_train = dataio.read_supervised(out)[0].n_rows
+    train = dataio.read_supervised(out)[0]
+    n_train, m = train.n_rows, len(train.feature_names)
     settings = {
         "knn": (f"knn_k = {n_train + 1}", f"k must be in [1, {n_train}], got {n_train + 1}"),
+        "rf": (f"rf_features_per_split = {m + 1}",
+               f"features_per_split must be in [1, {m}], got {m + 1}"),
         "mlp": ("mlp_learning_rate = 1e6", "mlp loss became non-finite; lower the learning rate"),
         "svr": ("svr_epsilon = 0.0\nsvr_step_size = 1e300",
                 "svr weights became non-finite; lower the step size"),
@@ -815,7 +821,7 @@ def test_build_features_does_not_read_runs_csv(tmp_path, small_config):
                                      seed=cfg.require_seed()))
     _, series = derive_hi_of(history, sensors, cfg.segments, cycle_length=cfg.cycle_length,
                              analysis_limit=cfg.analysis_limit)
-    sset = build_supervised(history, aggregates_of(history, sensors), hi_by_run_id(series),
+    sset = build_supervised(history, aggregates_of(history, sensors), hi_column(history, series),
                             horizon=cfg.horizon)
     ref = tmp_path / "ref"
     ref.mkdir()

@@ -32,7 +32,7 @@ from helpers import (
     chunk_of,
     derive_hi_of,
     equal_share_recipes,
-    hi_by_run_id,
+    hi_column,
     same_column,
 )
 
@@ -155,10 +155,14 @@ def test_hi_and_fits_roundtrip(tmp_path, small_dataset):
     fits, series = derive_hi_of(history, config.sensors, default_segments(),
                                 cycle_length=20, analysis_limit=400)
     dataio.write_fits_csv(tmp_path / dataio.FITS_CSV, fits)
-    dataio.write_hi_csv(tmp_path / dataio.HI_CSV, series)
-    hi_map = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, history)
-    assert hi_map == hi_by_run_id(series)
-    assert list(hi_map) == [e.run.run_id for e in series.entries]
+    dataio.write_hi_csv(tmp_path / dataio.HI_CSV, history, series)
+    hi = dataio.read_hi_csv(tmp_path / dataio.HI_CSV, history)
+    assert same_column(hi, hi_column(history, series))
+    assert np.flatnonzero(~np.isnan(hi)).tolist() == series.entries.tolist()
+    picked = [history[i] for i in series.entries]
+    assert dataio.read_table(tmp_path / dataio.HI_CSV) == [
+        (run.run_id, run.asset_id, run.start_time, run.n_runs, hi_s)
+        for run, hi_s in zip(picked, series.hi.tolist())]
     header, rows = dataio.read_csv(tmp_path / dataio.FITS_CSV)
     assert header == ["segment", "k", "d", "t_bar", "alpha", "r2", "n_points"]
     assert len(rows) == len(fits)
@@ -179,7 +183,8 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     config, history = small_dataset
     fits, series = derive_hi_of(history, config.sensors, default_segments(),
                                 cycle_length=20, analysis_limit=400)
-    sset = build_supervised(history, aggregates_of(history, config.sensors), hi_by_run_id(series))
+    sset = build_supervised(history, aggregates_of(history, config.sensors),
+                            hi_column(history, series))
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)
@@ -244,6 +249,23 @@ def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_d
     monkeypatch.setattr(dataio, "_render_runs", failing_render)
     with pytest.raises(DataError, match="second chunk failed"):
         dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, history)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("short", ["readings", "channel"])
+def test_a_run_with_a_short_column_fails_the_runs_csv_write(tmp_path, small_dataset, short):
+    # a RunRecord checks no samples: the writer refuses a column one row
+    # shorter than t, in the second chunk, instead of writing a short block
+    _, history = small_dataset
+    k = dataio.RUNS_PER_CHUNK
+    run = history[k]
+    if short == "readings":
+        bad = replace(run, readings=run.readings[:-1])
+    else:
+        bad = replace(run, extra_channels={**run.extra_channels,
+                                           "temp_c": run.extra_channels["temp_c"][:-1]})
+    with pytest.raises(ValueError, match=r"^zip\(\) argument \d+ is shorter than argument"):
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -29,7 +29,7 @@ from helpers import (
     aggregates_of,
     chunk_of,
     derive_hi_of,
-    hi_by_run_id,
+    hi_column,
     reference_build_supervised,
     reference_encode_recipe_plan,
     same_column,
@@ -180,7 +180,7 @@ def _asset_runs(n, asset="a1", start0=0.0, recipe="std"):
 
 
 def _hi_for(runs):
-    return {r.run_id: 10.0 + 0.1 * r.n_runs for r in runs}
+    return np.array([10.0 + 0.1 * r.n_runs for r in runs])
 
 
 def test_build_supervised_row_count():
@@ -222,8 +222,8 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     recipes = (RecipeSpec("std", 0.8),)
     history = tuple(simulate_history(config, recipes, 1, 60, 100, seed=0))
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
-    sset = build_supervised(history, _aggregates(history, config.sensors), hi_by_run_id(series),
-                            horizon=10)
+    sset = build_supervised(history, _aggregates(history, config.sensors),
+                            hi_column(history, series), horizon=10)
     seg = series.selected_segment
     for row_idx in range(0, sset.n_rows, max(1, sset.n_rows // 20)):
         c_target = 0.8 * sset.meta.n_runs_target[row_idx]
@@ -257,12 +257,13 @@ def test_row_plan_is_the_assets_next_runs_in_time_order(recipes, horizon, data):
     has_hi = data.draw(st.lists(st.booleans(), min_size=len(runs), max_size=len(runs)))
     code = {run.run_id: 100.0 * int(run.asset_id[1:]) + run.n_runs for run in runs}
     aggregates = {"x_mean": np.array([code[run.run_id] for run in runs])}
-    hi = {run.run_id: code[run.run_id] + 0.5 for run, has in zip(runs, has_hi) if has}
+    hi = np.array([code[run.run_id] + 0.5 if has else np.nan for run, has in zip(runs, has_hi)])
+    with_hi = {run.run_id for run, has in zip(runs, has_hi) if has}
     name = [[f"{RUN_PREFIX[a]}-{k}" for k in RUN_NAMES] for a in range(len(recipes))]
     expected = {
         name[a][k]: (seq[k], tuple(seq[k + 1 : k + 1 + horizon]))
         for a, seq in enumerate(recipes) for k in range(len(seq) - horizon)
-        if {name[a][k], name[a][k + horizon]} <= hi.keys()
+        if {name[a][k], name[a][k + horizon]} <= with_hi
     }
     if not expected:
         with pytest.raises(DataError, match="no supervised rows"):

@@ -28,7 +28,7 @@ from chamberhealth.models import (
 )
 from helpers import (
     edited_npz,
-    hi_by_run_id,
+    hi_column,
     preorder,
     reference_bm2,
     reference_build_tree,
@@ -283,6 +283,12 @@ def test_forest_validation():
     for limits in ({"max_depth": -1}, {"min_samples_leaf": 0}):
         with pytest.raises(ConfigError, match="need max_depth >= 0 and min_samples_leaf >= 1"):
             fit_random_forest(np.ones((3, 1)), np.ones(3), **limits)
+    # a feature count outside [1, m] is refused, not clamped; m itself is kept
+    X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    for fps in (3, -1):
+        with pytest.raises(ModelError, match=rf"^features_per_split must be in \[1, 2\], got {fps}$"):
+            fit_random_forest(X, y, n_trees=1, features_per_split=fps)
+    assert fit_random_forest(X, y, n_trees=1, features_per_split=2).features_per_split == 2
 
 
 # -- KNN ---------------------------------------------------------------------
@@ -489,7 +495,8 @@ def test_bm2_systematically_low_under_drift():
     config = ChamberConfig(weather_sigma=0.0)
     history = tuple(simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0))
     fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
-    sset = build_supervised(history, aggregates_of(history, config.sensors), hi_by_run_id(series))
+    sset = build_supervised(history, aggregates_of(history, config.sensors),
+                            hi_column(history, series))
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
@@ -497,7 +504,8 @@ def test_bm2_systematically_low_under_drift():
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
     history2 = tuple(simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0))
     fits2, series2 = derive_hi_of(history2, flat.sensors, default_segments(), 100)
-    sset2 = build_supervised(history2, aggregates_of(history2, flat.sensors), hi_by_run_id(series2))
+    sset2 = build_supervised(history2, aggregates_of(history2, flat.sensors),
+                             hi_column(history2, series2))
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered

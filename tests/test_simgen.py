@@ -1,8 +1,10 @@
 """Physics oracle and generator tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chamberhealth.core import composite_curve
 from chamberhealth.errors import ConfigError, DataError
@@ -19,7 +21,7 @@ from chamberhealth.simgen import (
     true_segment_duration,
 )
 
-from helpers import equal_share_recipes, sensors_with_sigma
+from helpers import chunk_of, equal_share_recipes, sensors_with_sigma
 
 # frozen from an independent recomputation of the closed form
 T_NO_FLOOR = 5.41610040220442          # 2*ln(15)
@@ -156,6 +158,29 @@ def test_an_eleven_asset_history_streams_in_file_order():
     assert list(dict.fromkeys(asset for asset, _ in keys))[:4] == [
         "asset1", "asset10", "asset11", "asset2"]
     assert len(runs) == 44
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_assets=st.integers(1, 2),
+    n_runs=st.integers(1, 30),
+    cycle_length=st.integers(2, 30),
+    # each gauge's sigma, up to noise that leaves most readings out of range
+    sigmas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=4, max_size=4),
+)
+def test_generated_runs_pass_the_run_chunk_checks(seed, n_assets, n_runs, cycle_length, sigmas):
+    # no RunRecord checks its samples: what derive-hi checks when it reads
+    # them back must hold of every run the generator makes
+    sensors = tuple(replace(s, noise_sigma=sigma) for s, sigma in zip(sensors_with_sigma(), sigmas))
+    runs = list(simulate_history(ChamberConfig(sensors=sensors), equal_share_recipes(), n_assets,
+                                 n_runs, cycle_length, seed))
+    assert len(runs) == n_runs
+    for run in runs:
+        assert run.readings.shape == (run.t.size, len(sensors))
+        assert all(channel.shape == run.t.shape for channel in run.extra_channels.values())
+    chunk = chunk_of(runs)  # raises DataError naming the first run at fault
+    assert chunk.lengths.min() >= 1
 
 
 def test_seasonal_drift_slows_late_year_pumpdowns():
