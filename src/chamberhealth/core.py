@@ -157,8 +157,8 @@ class RunChunk:
     are rows ``starts[k]`` up to the next start (or the end) of ``t``,
     ``readings`` and every channel, as in ``RunRecord``.
 
-    These are the only sample checks: times strictly increase within a
-    run, and every valid reading is finite and > 0. The first run that
+    Its checks are the only sample checks: times strictly increase within
+    a run, and every valid reading is finite and > 0. The first run that
     breaks one, in run order, raises DataError naming it.
     """
 

@@ -550,7 +550,7 @@ def read_hi_csv(path: PathLike, runs: Sequence[RunMeta]) -> np.ndarray:
     hi = np.full(len(runs), np.nan)
     for *fields, hi_s in read_table(path):
         # consumes ``later`` up to the row's run, so no row can go back
-        i = next((i for i, run in later if run == tuple(fields)), None)
+        i = next((i for i, key in later if key == tuple(fields)), None)
         if i is None:
             raise DataError(f"{HI_CSV} row of run {fields[0]} does not follow {RUN_META_CSV}; "
                             "rerun derive-hi")

@@ -333,10 +333,10 @@ def fit_random_forest(
 
     features_per_split defaults to ceil(m / 3); one outside [1, m] raises
     ModelError. Prediction is the plain mean over trees, so it is
-    independent of training order. The trees
-    grow in ranges of TREES_PER_TASK on every CPU (see workers), and the
-    ranges join in tree order, so the forest does not depend on the CPU
-    count. ``train_models`` maps the same ranges among the other kinds' fits.
+    independent of training order. The trees grow in ranges of
+    TREES_PER_TASK on every CPU (see workers), and the ranges join in
+    tree order, so the forest does not depend on the CPU count.
+    ``train_models`` maps the same ranges among the other kinds' fits.
     """
     tasks, join = _forest_tasks(X, y, n_trees, max_depth, min_samples_leaf, features_per_split,
                                 seed, bootstrap)

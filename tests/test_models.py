@@ -286,7 +286,8 @@ def test_forest_validation():
     # a feature count outside [1, m] is refused, not clamped; m itself is kept
     X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
     for fps in (3, -1):
-        with pytest.raises(ModelError, match=rf"^features_per_split must be in \[1, 2\], got {fps}$"):
+        refusal = rf"^features_per_split must be in \[1, 2\], got {fps}$"
+        with pytest.raises(ModelError, match=refusal):
             fit_random_forest(X, y, n_trees=1, features_per_split=fps)
     assert fit_random_forest(X, y, n_trees=1, features_per_split=2).features_per_split == 2
 
