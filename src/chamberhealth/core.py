@@ -15,7 +15,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -94,26 +94,28 @@ class RunMeta:
             raise DataError(f"run {self.run_id}: n_runs must be < 2**63, got {self.n_runs}")
 
 
+CHANNELS = ("gas_flow", "temp_c")  # every run's process channels, in runs.csv's order
+
+
 @dataclass(frozen=True)
 class RunRecord(RunMeta):
     """One production run: its ``RunMeta`` fields, then its samples.
 
-    Sample data is stored columnar: ``t`` is the sample clock in seconds
-    since run start (strictly increasing, nominal 0.5 s spacing) and
-    ``readings`` is an (n_samples, n_sensors) array with NaN marking
-    invalid readings, column j read by the j-th configured sensor. Only
-    the ``RunMeta`` fields are checked here; ``RunChunk`` checks samples.
+    Sample data is stored columnar, a row per sample: ``t`` is the clock
+    in seconds since run start (strictly increasing, nominal 0.5 s
+    spacing), column j of ``readings`` the j-th configured sensor's, NaN
+    where invalid, and ``extra_channels`` a column for each of CHANNELS.
+    Only the ``RunMeta`` fields are checked here; ``RunChunk`` checks samples.
 
-    ``true_c`` / ``true_p_ss`` carry the generator's ground truth when the
-    run is synthetic; they go to ``ground_truth.csv``, never into model
-    features.
+    ``true_c`` / ``true_p_ss`` carry the generator's ground truth; they go
+    to ``ground_truth.csv``, never into model features.
     """
 
     t: np.ndarray
     readings: np.ndarray
-    extra_channels: Mapping[str, np.ndarray] = field(default_factory=dict)
-    true_c: Optional[float] = None
-    true_p_ss: Optional[float] = None
+    extra_channels: Mapping[str, np.ndarray]
+    true_c: float
+    true_p_ss: float
 
     # No stage reads it: the tests and perfbench's sample counter do.
     @property

@@ -11,18 +11,19 @@ Every table but ``runs.csv`` travels as columns: ``write_columns``
 renders them ROWS_PER_BLOCK rows at a time through csv.writer, and
 ``read_columns`` parses and converts that many rows at a time, a float
 column into one float64 array, so neither holds more than one block of
-a table as text or as Python rows. The seven fixed-header CSVs are
+a table as text or as Python rows. The eight fixed-header CSVs are
 declared once, in ``SCHEMAS``: column names in order, each with its
 cell type (``run_meta.csv``'s are the fields of ``core.RunMeta``;
-``meta.csv``'s are the columns of ``features.RowMeta`` with their
-annotated cell types, a plan's recipes joined by "|", then the split).
-Their writers take the header from it, and ``read_table`` reads any of
-them back as typed rows. ``run_aggregates.csv`` and ``features.csv``
-have headers that depend on the data, which their readers check. Every
-reader refuses a wrong header, a cell its column's type does not parse
-and NaN or an infinity in a float column (DataError); in ``runs.csv``,
-which has a reader of its own, an empty sensor cell marks an invalid
-reading.
+``run_aggregates.csv``'s the run_id, then the aggregates of the
+composite curve and of each of ``core.CHANNELS``; ``meta.csv``'s the
+columns of ``features.RowMeta`` with their annotated cell types, a
+plan's recipes joined by "|", then the split). Their writers take the
+header from it, and ``read_table`` reads any of them back as typed
+rows. Only ``features.csv`` has a header that depends on the data,
+which its reader checks. Every reader refuses a wrong header, a cell
+its column's type does not parse and NaN or an infinity in a float
+column (DataError); in ``runs.csv``, which has a reader of its own, an
+empty sensor cell marks an invalid reading.
 
 ``runs.csv`` holds each run as one contiguous block of rows in time
 order, the blocks in ``run_meta.csv`` order; only ``run_meta.csv`` says
@@ -60,9 +61,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Uni
 
 import numpy as np
 
-from .core import RunChunk, RunMeta, RunRecord
+from .core import CHANNELS, RunChunk, RunMeta, RunRecord
 from .errors import DataError
-from .features import RowMeta, SupervisedSet, aggregate_names
+from .features import PRESSURE, RowMeta, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
 from .workers import map_in_order
 
@@ -100,6 +101,9 @@ SCHEMAS: dict[str, dict[str, type]] = {
         "n_points": int,
     },
     HI_CSV: {**{name: _RUN_META_TYPES[name] for name in HI_RUN_FIELDS}, "hi_s": float},
+    # features.aggregate_runs' columns of the composite curve and every channel
+    RUN_AGGREGATES_CSV: {"run_id": str,
+                         **dict.fromkeys(aggregate_names(sorted([PRESSURE, *CHANNELS])), float)},
     # RowMeta's columns, a plan's recipes joined by "|", then the split
     META_CSV: {**_ROW_META_TYPES, "split": str},
     PREDICTIONS_CSV: {"run_id": str, "target": float, "model": str, "prediction": float},
@@ -287,13 +291,15 @@ def _csv_line(cells: Sequence[str]) -> str:
 RUNS_PER_CHUNK = 20
 
 
-def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
+def _render_runs(runs: Sequence[RunRecord]) -> str:
     """The runs.csv rows of ``runs``, rendered column by column: per run,
     the quoted run_id prefix once, then repr() of every value, NaN as an
     empty cell."""
     lines = []
     for run in runs:
-        columns = [run.t, *run.readings.T, *(run.extra_channels[name] for name in channels)]
+        if (names := sorted(run.extra_channels)) != sorted(CHANNELS):
+            raise ValueError(f"run {run.run_id}: channels {names}, not {list(CHANNELS)}")
+        columns = [run.t, *run.readings.T, *(run.extra_channels[name] for name in CHANNELS)]
         # v != v only for NaN
         cells = [["" if v != v else repr(v) for v in column.tolist()] for column in columns]
         prefix = repeat(_csv_line([run.run_id]), run.t.size)
@@ -301,33 +307,32 @@ def _render_runs(channels: Sequence[str], runs: Sequence[RunRecord]) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def runs_csv_header(n_sensors: int, channels: Sequence[str]) -> list[str]:
+def runs_csv_header(n_sensors: int) -> list[str]:
     """``runs.csv``'s columns: ``p{j+1}_mbar`` holds the readings of the
-    j-th of ``n_sensors`` configured sensors, and no channel name ends in
-    ``_mbar``."""
-    return ["run_id", "t_s", *(f"p{j + 1}_mbar" for j in range(n_sensors)), *channels]
+    j-th of ``n_sensors`` configured sensors, then come the CHANNELS."""
+    return ["run_id", "t_s", *(f"p{j + 1}_mbar" for j in range(n_sensors)), *CHANNELS]
 
 
 def write_runs_csv(path: PathLike, runs: Iterable[RunRecord]) -> None:
-    """``runs_csv_header`` with the channels sorted, one row per sample.
+    """``runs_csv_header``, then one row per sample.
 
     ``runs`` is pulled as the writing goes, in chunks of RUNS_PER_CHUNK
     runs that are rendered on every CPU (see workers) and written in run
     order as they arrive, so no more than a few chunks are held at a
     time. The bytes are the ones csv.writer would write cell by cell,
-    except that NaN is an empty cell. A run whose readings or a channel
-    has other than one row per sample raises ValueError, leaving no file.
+    except that NaN is an empty cell. A run whose channels are not the
+    CHANNELS (naming the run), or whose readings or a channel has other
+    than one row per sample, raises ValueError, leaving no file.
     """
     runs = iter(runs)
     first = next(runs, None)
     if first is None:
         raise DataError("no runs to write")
-    channels = sorted(first.extra_channels)
     runs = chain([first], runs)
     chunks = iter(lambda: list(islice(runs, RUNS_PER_CHUNK)), [])
     with atomic_open(path) as fh:
-        fh.write(_csv_line(runs_csv_header(first.readings.shape[1], channels)) + "\r\n")
-        fh.writelines(map_in_order(partial(_render_runs, channels), chunks))
+        fh.write(_csv_line(runs_csv_header(first.readings.shape[1])) + "\r\n")
+        fh.writelines(map_in_order(_render_runs, chunks))
 
 
 def write_dataset(out_dir: PathLike, runs: Iterable[RunRecord]) -> None:
@@ -438,7 +443,7 @@ def _read_runs(
         starts=starts,
         t=t,
         readings=values[:, 1 : 1 + n_sensors],
-        channels=dict(zip(header[2 + n_sensors :], channels.T)),
+        channels=dict(zip(CHANNELS, channels.T)),
     )
     return chunk.run_ids, summarize(chunk)
 
@@ -462,8 +467,7 @@ def read_dataset(
     path = in_dir / RUNS_CSV
     with _open_csv(path) as (header, _):
         pass
-    channel_names = [name for name in header[2:] if not name.endswith("_mbar")]
-    expected = runs_csv_header(n_sensors, channel_names)
+    expected = runs_csv_header(n_sensors)
     if header != expected:
         raise DataError(f"bad {RUNS_CSV} header {header}: {n_sensors} configured sensors "
                         f"need {expected}; rerun simulate")
@@ -488,31 +492,20 @@ def read_dataset(
 def write_run_aggregates_csv(
     path: PathLike, runs: Sequence[RunMeta], aggregates: Mapping[str, np.ndarray]
 ) -> None:
-    """`run_id,<channel>_<mean|min|max|std>...`: one row per run, the
-    columns of ``features.aggregate_runs`` in its order."""
-    write_columns(path, ["run_id", *aggregates],
-                  [[run.run_id for run in runs], *aggregates.values()])
+    """SCHEMAS' ``run_aggregates.csv`` columns: one row per run, each
+    aggregate its column of ``aggregates`` (``features.aggregate_runs``)."""
+    names = list(SCHEMAS[RUN_AGGREGATES_CSV])
+    write_columns(path, names, [[run.run_id for run in runs], *(aggregates[n] for n in names[1:])])
 
 
 def read_run_aggregates(in_dir: PathLike, runs: Sequence[RunMeta]) -> dict[str, np.ndarray]:
     """``run_aggregates.csv``'s columns, name -> one float64 per run.
 
-    The file must list exactly ``runs`` (``run_meta.csv``'s), in the
-    same order, under a ``run_id`` plus ``<channel>_<suffix>`` header
-    with the channels sorted and ``pressure`` among them.
+    The file must have SCHEMAS' header and list exactly ``runs``
+    (``run_meta.csv``'s), in the same order.
     """
-
-    def types(header: list[str]) -> list[type]:
-        channels = sorted({name.rpartition("_")[0] for name in header[1:]})
-        if (
-            header[:1] != ["run_id"]
-            or header[1:] != aggregate_names(channels)
-            or "pressure" not in channels
-        ):
-            raise DataError(f"bad {RUN_AGGREGATES_CSV} header: {header}")
-        return [str] + [float] * (len(header) - 1)
-
-    header, (run_ids, *values) = read_columns(Path(in_dir) / RUN_AGGREGATES_CSV, types)
+    header, (run_ids, *values) = read_columns(Path(in_dir) / RUN_AGGREGATES_CSV,
+                                              partial(_schema_types, RUN_AGGREGATES_CSV))
     if run_ids != [run.run_id for run in runs]:
         raise DataError(
             f"{RUN_AGGREGATES_CSV} does not list the runs of {RUN_META_CSV} in the same order; "

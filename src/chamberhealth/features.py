@@ -21,6 +21,7 @@ from .core import RunChunk, RunMeta, RunRecord
 from .errors import DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
+PRESSURE = "pressure"  # the aggregates' name of a run's composite curve
 
 
 # No stage calls it: it is the tests' per-run reference, and a name perfbench traces.
@@ -32,8 +33,7 @@ def aggregate_channels(run: RunRecord, pressure: np.ndarray) -> dict[str, float]
     ``core.composite_curve``), plus every extra process channel;
     population std keeps n=1 channels well defined.
     """
-    channels: dict[str, np.ndarray] = {"pressure": pressure}
-    channels.update(run.extra_channels)
+    channels = {PRESSURE: pressure, **run.extra_channels}
     out = {}
     for name in sorted(channels):
         values = np.asarray(channels[name], dtype=np.float64)
@@ -56,7 +56,7 @@ def aggregate_runs(chunk: RunChunk, pressure: np.ndarray) -> dict[str, np.ndarra
     row by row exactly as it sums one run alone, so every value has the
     bits of the per-run function.
     """
-    channels = {"pressure": pressure, **chunk.channels}
+    channels = {PRESSURE: pressure, **chunk.channels}
     names = sorted(channels)
     values = np.stack([channels[name] for name in names])  # channel-major rows
     lengths = chunk.lengths

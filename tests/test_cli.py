@@ -26,7 +26,7 @@ from chamberhealth.cli import build_parser, main
 from chamberhealth.config import (
     FLOAT, INT, RECIPES, SENSORS, SETTINGS, TEXT, load_config,
 )
-from chamberhealth.features import build_supervised, chrono_split
+from chamberhealth.features import AGGREGATE_SUFFIXES, build_supervised, chrono_split
 from chamberhealth.models import MODEL_KINDS
 from chamberhealth.simgen import simulate_history
 from helpers import SMALL_INI, aggregates_of, derive_hi_of, edited_npz, hi_column
@@ -292,6 +292,14 @@ RUNS_CSV_CORRUPTIONS = {
     "gauge-column-renamed": lambda lines, b=0: [
         lines[0].replace("p1_mbar,p2_mbar", "p1_mbar,pressure_mbar")
     ] + lines[1:],
+    # the channels are declared, not read off the header: temp_c, the last
+    # column, cut from every line, or a channel's header renamed
+    "channel-column-dropped": lambda lines, b=0: [line.rsplit(",", 1)[0] + "\n"
+                                                  for line in lines],
+    "channel-renamed-pressure": lambda lines, b=0: [
+        lines[0].replace("temp_c", "pressure")
+    ] + lines[1:],
+    "channel-renamed": lambda lines, b=0: [lines[0].replace("gas_flow", "bogus")] + lines[1:],
 }
 # the header every refused header is told it should have (four default sensors)
 RUNS_CSV_EXPECTED = str(
@@ -303,8 +311,10 @@ RUNS_CSV_REFUSALS = {
     "inf-sensor-cell": "valid readings must be finite",
     "empty-t-cell": "empty or non-finite t_s or channel cell",
     "empty-channel-cell": "empty or non-finite t_s or channel cell",
-    "gauge-columns-swapped": f"4 configured sensors need {RUNS_CSV_EXPECTED}; rerun simulate",
-    "gauge-column-renamed": f"4 configured sensors need {RUNS_CSV_EXPECTED}; rerun simulate",
+    **dict.fromkeys(
+        ["gauge-columns-swapped", "gauge-column-renamed", "channel-column-dropped",
+         "channel-renamed-pressure", "channel-renamed"],
+        f"4 configured sensors need {RUNS_CSV_EXPECTED}; rerun simulate"),
 }
 
 SUPERVISED_CORRUPTIONS = {
@@ -357,7 +367,7 @@ def test_malformed_runs_csv_is_data_error(tmp_path, simulated, capsys, monkeypat
         monkeypatch.setattr(workers, "cpu_count", lambda: 2)
     assert run_cli("derive-hi", "--config", config, "--out", out) == 3
     err = capsys.readouterr().err
-    assert err.startswith("ERROR DataError:")
+    assert err.startswith("ERROR DataError:") and err.count("\n") == 1
     assert RUNS_CSV_REFUSALS.get(corruption, "") in err
     if named := re.search(r"runs\.csv line (\d+): ", err):  # the file's line, not a chunk's
         lines = (out / dataio.RUNS_CSV).read_text().splitlines()
@@ -518,6 +528,12 @@ RUN_AGGREGATES_CORRUPTIONS = {
     "swapped-header-columns": lambda lines: [
         lines[0].replace("pressure_min,pressure_max", "pressure_max,pressure_min")
     ] + lines[1:],
+    # the four temp_c_* columns, the last ones, cut from every row
+    "channel-dropped": lambda lines: [line.rstrip("\n").rsplit(",", 4)[0] + "\n"
+                                      for line in lines],
+    "extra-channel": lambda lines: [
+        lines[0].rstrip("\n") + "".join(f",vibration_{s}" for s in AGGREGATE_SUFFIXES) + "\n"
+    ] + [line.rstrip("\n") + ",1.0" * 4 + "\n" for line in lines[1:]],
 }
 
 
@@ -533,7 +549,8 @@ def test_bad_run_aggregates_is_data_error(tmp_path, pipelined, capsys, corruptio
     else:
         path.write_text("".join(lines))
     assert run_cli("build-features", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError:") and err.count("\n") == 1
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 

@@ -125,7 +125,8 @@ def test_composite_curve_pairs_sensors_with_columns_by_position():
     coarse = SensorSpec("coarse", (1.0, 1100.0), priority=1)
     fine = SensorSpec("fine", (1e-3, 1100.0), priority=2)
     run = RunRecord(run_id="r", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
-                    t=np.array([0.0]), readings=np.array([[5.0, 6.0]]))
+                    t=np.array([0.0]), readings=np.array([[5.0, 6.0]]), extra_channels={},
+                    true_c=0.0, true_p_ss=0.0)
     assert composite_curve(run, [coarse, fine]).tolist() == [5.0]
     assert composite_curve(run, [fine, coarse]).tolist() == [6.0]
     with pytest.raises(DataError, match=r"^run r: 2 gauges, 1 sensors$"):
@@ -195,8 +196,15 @@ def test_run_record_validation():
         n_runs=0,
         t=np.array([0.0, 0.5]),
         readings=np.array([[1.0], [2.0]]),
+        extra_channels={},
+        true_c=0.0,
+        true_p_ss=0.0,
     )
     RunRecord(**good)
+    # a run always carries its channels and its ground truth
+    for name in ("extra_channels", "true_c", "true_p_ss"):
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{name}'"):
+            RunRecord(**{k: v for k, v in good.items() if k != name})
     # the RunMeta check, which every RunRecord passes first
     with pytest.raises(DataError, match="run r: n_runs must be >= 0, got -1"):
         RunMeta("r", "a", 0.0, "std", -1)
@@ -235,7 +243,8 @@ def test_composite_columns_equal_composite_curve_of_each_run(ranges, priorities,
     sensors = [SensorSpec(f"s{j}", r, rank) for j, (r, rank) in enumerate(zip(ranges, ranks))]
     records = [
         RunRecord(run_id=f"r{k}", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
-                  t=np.arange(len(rows)) * 0.5, readings=np.array(rows)[:, : len(sensors)])
+                  t=np.arange(len(rows)) * 0.5, readings=np.array(rows)[:, : len(sensors)],
+                  extra_channels={}, true_c=0.0, true_p_ss=0.0)
         for k, rows in enumerate(runs)
     ]
     expected = _fused(lambda: np.concatenate([composite_curve(r, sensors) for r in records]))

@@ -135,7 +135,7 @@ def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_
     # not pass for a process channel
     _, history = small_dataset
     dataio.write_dataset(tmp_path, history)
-    expected = dataio.runs_csv_header(n_sensors, ["gas_flow", "temp_c"])
+    expected = dataio.runs_csv_header(n_sensors)
     with pytest.raises(DataError, match=f"{n_sensors} configured sensors need "
                                         f"{re.escape(str(expected))}; rerun simulate$"):
         dataio.read_dataset(tmp_path, n_sensors, _chunks)
@@ -240,11 +240,11 @@ def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_d
     second = history[dataio.RUNS_PER_CHUNK].run_id
     render = dataio._render_runs
 
-    def failing_render(channels, runs):
+    def failing_render(runs):
         # decided by the chunk's content, so it holds in whichever worker renders it
         if runs[0].run_id == second:
             raise DataError("second chunk failed")
-        return render(channels, runs)
+        return render(runs)
 
     monkeypatch.setattr(dataio, "_render_runs", failing_render)
     with pytest.raises(DataError, match="second chunk failed"):
@@ -265,6 +265,24 @@ def test_a_run_with_a_short_column_fails_the_runs_csv_write(tmp_path, small_data
         bad = replace(run, extra_channels={**run.extra_channels,
                                            "temp_c": run.extra_channels["temp_c"][:-1]})
     with pytest.raises(ValueError, match=r"^zip\(\) argument \d+ is shorter than argument"):
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("channels", [["gas_flow"], ["gas_flow", "humidity", "temp_c"]],
+                         ids=["temp_c-missing", "extra-channel"])
+def test_a_run_with_other_channels_fails_the_runs_csv_write(tmp_path, small_dataset,
+                                                            monkeypatch, channels, cpus):
+    # runs.csv holds CHANNELS: a run in the second chunk that lacks one, or
+    # has one more, is refused by name instead of being written without it
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    _, history = small_dataset
+    k = dataio.RUNS_PER_CHUNK
+    run = history[k]
+    bad = replace(run, extra_channels={name: run.t for name in channels})
+    with pytest.raises(ValueError, match=f"^run {run.run_id}: channels {re.escape(str(channels))}, "
+                                         r"not \['gas_flow', 'temp_c'\]$"):
         dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]])
     assert list(tmp_path.iterdir()) == []
 

@@ -69,6 +69,8 @@ def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"
         t=t,
         readings=p[:, None],
         extra_channels=extra,
+        true_c=0.0,
+        true_p_ss=0.0,
     )
 
 
@@ -77,7 +79,7 @@ def test_aggregates_hand_arithmetic():
     run2 = RunRecord(
         run_id="r1", asset_id="a1", start_time=0.0, recipe_id="std", n_runs=0,
         t=np.arange(3) * 0.5, readings=np.array([[100.0], [10.0], [1.0]]),
-        extra_channels={"ch": np.array([1.0, 2.0, 3.0])},
+        extra_channels={"ch": np.array([1.0, 2.0, 3.0])}, true_c=0.0, true_p_ss=0.0,
     )
     aggs = aggregate_channels(run2, composite_curve(run2, WIDE))
     assert (aggs["ch_mean"], aggs["ch_min"], aggs["ch_max"]) == (2.0, 1.0, 3.0)
@@ -88,7 +90,7 @@ def test_aggregates_constant_channel():
     run = RunRecord(
         run_id="r1", asset_id="a1", start_time=0.0, recipe_id="std", n_runs=0,
         t=np.arange(2) * 0.5, readings=np.array([[100.0], [10.0]]),
-        extra_channels={"ch": np.array([5.0, 5.0])},
+        extra_channels={"ch": np.array([5.0, 5.0])}, true_c=0.0, true_p_ss=0.0,
     )
     aggs = aggregate_channels(run, composite_curve(run, WIDE))
     assert [aggs[f"ch_{stat}"] for stat in ("mean", "min", "max", "std")] == [5.0, 5.0, 5.0, 0.0]
@@ -140,7 +142,8 @@ def test_aggregate_runs_equal_aggregate_channels_of_each_run(lengths, seed):
     runs = [
         RunRecord(run_id=f"r{k}", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
                   t=np.arange(n) * 0.5, readings=np.ones((n, 1)),
-                  extra_channels={"temp_c": values(n), "gas_flow": values(n)})
+                  extra_channels={"temp_c": values(n), "gas_flow": values(n)},
+                  true_c=0.0, true_p_ss=0.0)
         for k, n in enumerate(lengths)
     ]
     curves = [np.abs(values(n)) for n in lengths]

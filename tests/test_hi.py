@@ -234,6 +234,9 @@ def _synthetic_selection_case(duration_fn, n_runs=60, cycle=30):
                 n_runs=n,
                 t=t,
                 readings=p[:, None],
+                extra_channels={},
+                true_c=0.0,
+                true_p_ss=0.0,
             )
         )
     return runs

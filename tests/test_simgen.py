@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chamberhealth.core import composite_curve
+from chamberhealth.core import CHANNELS, composite_curve
 from chamberhealth.errors import ConfigError, DataError
 from chamberhealth.hi import extract_segment_duration
 from chamberhealth.simgen import (
@@ -178,6 +178,7 @@ def test_generated_runs_pass_the_run_chunk_checks(seed, n_assets, n_runs, cycle_
     assert len(runs) == n_runs
     for run in runs:
         assert run.readings.shape == (run.t.size, len(sensors))
+        assert sorted(run.extra_channels) == list(CHANNELS)
         assert all(channel.shape == run.t.shape for channel in run.extra_channels.values())
     chunk = chunk_of(runs)  # raises DataError naming the first run at fault
     assert chunk.lengths.min() >= 1
