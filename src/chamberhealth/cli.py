@@ -161,21 +161,12 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     stage_evaluate(cfg)
 
 
-# The function each subcommand runs; train --model <kind> passes its kind.
-STAGES = {
-    "simulate": stage_simulate,
-    "derive-hi": stage_derive_hi,
-    "build-features": stage_build_features,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-    "pipeline": run_pipeline,
-}
-
-
-# Override flags of each subcommand, as the (section, key) each one sets.
+# Each subcommand's help, its override flags as the (section, key) each one
+# sets, and the function it runs (train --model <kind> passes its kind).
 # The flag is the key with dashes; its value goes through the key's own
 # parser, exactly like a file value. Every subcommand also takes
-# --seed and --out; show-config takes every flag, to preview any command.
+# --seed and --out; show-config takes every flag, to preview any command,
+# and runs nothing.
 _CLI_FLAGS = (("cli", "seed"), ("cli", "out"))
 _SIMULATE_FLAGS = (("simgen", "n_assets"), ("simgen", "n_runs_total"), ("simgen", "cycle_length"))
 _FEATURE_FLAGS = (("features", "horizon"), ("features", "train_frac"))
@@ -188,16 +179,19 @@ _TRAIN_FLAGS = tuple(
     )
 )
 COMMANDS = {
-    "simulate": ("generate the synthetic dataset CSVs", _SIMULATE_FLAGS),
-    "derive-hi": ("fit segments and extract the health index", (("hi", "analysis_limit"),)),
-    "build-features": ("build the horizon-N supervised split", _FEATURE_FLAGS),
-    "train": ("train forecasting models", _TRAIN_FLAGS),
-    "evaluate": ("score models and benchmarks, write report.json", ()),
-    "pipeline": ("run all stages in order", _SIMULATE_FLAGS + _FEATURE_FLAGS),
+    "simulate": ("generate the synthetic dataset CSVs", _SIMULATE_FLAGS, stage_simulate),
+    "derive-hi": ("fit segments and extract the health index", (("hi", "analysis_limit"),),
+                  stage_derive_hi),
+    "build-features": ("build the horizon-N supervised split", _FEATURE_FLAGS,
+                       stage_build_features),
+    "train": ("train forecasting models", _TRAIN_FLAGS, stage_train),
+    "evaluate": ("score models and benchmarks, write report.json", (), stage_evaluate),
+    "pipeline": ("run all stages in order", _SIMULATE_FLAGS + _FEATURE_FLAGS, run_pipeline),
 }
 COMMANDS["show-config"] = (
     "print the fully resolved configuration",
-    tuple(dict.fromkeys(flag for _, flags in COMMANDS.values() for flag in flags)),
+    tuple(dict.fromkeys(flag for _, flags, _ in COMMANDS.values() for flag in flags)),
+    None,
 )
 
 
@@ -212,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chamber contamination health index: simulate, derive, forecast, evaluate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in COMMANDS.items():
+    for command, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=str, default=None, help="INI config file")
         if command == "train":
@@ -240,12 +234,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # effective configuration, defaults resolved, before any action
         sys.stdout.write(config_to_ini(cfg))
         sys.stdout.flush()
-        if args.command == "show-config":
+        _, _, stage = COMMANDS[args.command]
+        if stage is None:
             return 0
         if args.command == "train" and args.model != "all":
             stage_train(cfg, [args.model])
         else:
-            STAGES[args.command](cfg)
+            stage(cfg)
     except tuple(EXIT_CODES) as exc:
         cls = next(cls for cls in EXIT_CODES if isinstance(exc, cls))
         sys.stderr.write(f"ERROR {cls.__name__}: {exc}\n")

@@ -159,9 +159,10 @@ class RunChunk:
     are rows ``starts[k]`` up to the next start (or the end) of ``t``,
     ``readings`` and every channel, as in ``RunRecord``.
 
-    Its checks are the only sample checks: times strictly increase within
-    a run, and every valid reading is finite and > 0. The first run that
-    breaks one, in run order, raises DataError naming it.
+    Its checks are the only sample checks: every time and channel value
+    is finite, times strictly increase within a run, and every valid
+    reading is finite and > 0. The first run that breaks one, in run
+    order, raises DataError naming it; within one run, in that order.
     """
 
     run_ids: tuple[str, ...]
@@ -171,19 +172,23 @@ class RunChunk:
     channels: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        finite = np.isfinite(self.t)
+        for column in self.channels.values():
+            finite &= np.isfinite(column)
         back = np.zeros(self.t.size, dtype=bool)
-        back[1:] = np.diff(self.t) <= 0
+        back[1:] = self.t[1:] <= self.t[:-1]  # compared, not subtracted: inf - inf warns
         back[self.starts] = False  # a run's first sample follows another run's last
         valid = ~np.isnan(self.readings)
         bad = (valid & ~((self.readings > 0) & (self.readings < np.inf))).any(axis=1)
         faults = [
             (self.run_at(int(np.argmax(mask))), message)
-            for mask, message in ((back, "sample times must be strictly increasing"),
+            for mask, message in ((~finite, "empty or non-finite t_s or channel cell"),
+                                  (back, "sample times must be strictly increasing"),
                                   (bad, "valid readings must be finite and > 0"))
             if mask.any()
         ]
         if faults:
-            # the earliest run at fault; within one run, its times first
+            # the earliest run at fault; within one run, the first check it fails
             run, message = min(faults, key=lambda fault: fault[0])
             raise DataError(f"run {self.run_ids[run]}: {message}")
 

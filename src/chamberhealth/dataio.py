@@ -433,17 +433,12 @@ def _read_runs(
                                        dtype=np.float64).reshape(-1, len(header) - 1))
     starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
     values = np.concatenate(blocks)
-    t, channels = values[:, 0], values[:, 1 + n_sensors :]
-    finite = np.isfinite(t) & np.isfinite(channels).all(axis=1)
-    if not finite.all():
-        rid = run_ids[int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1]
-        raise DataError(f"run {rid}: empty or non-finite t_s or channel cell in {RUNS_CSV}")
     chunk = RunChunk(
         run_ids=tuple(run_ids),
         starts=starts,
-        t=t,
+        t=values[:, 0],
         readings=values[:, 1 : 1 + n_sensors],
-        channels=dict(zip(CHANNELS, channels.T)),
+        channels=dict(zip(CHANNELS, values[:, 1 + n_sensors :].T)),
     )
     return chunk.run_ids, summarize(chunk)
 

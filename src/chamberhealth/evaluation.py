@@ -57,7 +57,7 @@ def evaluate_all(
     models: Mapping[str, TrainedModel],
     train: SupervisedSet,
     test: SupervisedSet,
-    dataset_fingerprint: Optional[dict] = None,
+    dataset_fingerprint: dict,
 ) -> EvalReport:
     """Score every fitted model and every naive benchmark on the same rows.
 
@@ -66,7 +66,8 @@ def evaluate_all(
     stay explicit about what was not implemented here. The report also
     carries the definitional cross-check for bm1: the mean absolute
     ten-step target difference recomputed from the row metadata, and
-    every model's and benchmark's test predictions.
+    every model's and benchmark's test predictions. Its ``dataset`` is
+    ``dataset_fingerprint`` with the train and test row counts.
     """
     predictions = {kind: models[kind].predict(test.X) for kind in sorted(models)}
     predictions.update({kind: benchmark_predict(kind, train, test) for kind in BENCHMARK_KINDS})
@@ -74,13 +75,10 @@ def evaluate_all(
     results = sorted(((kind, scores[kind]) for kind in models), key=lambda item: (item[1], item[0]))
 
     bm1_identity = float(np.mean(np.abs(test.y - test.meta.hi_current)))
-    fingerprint = dict(dataset_fingerprint or {})
-    fingerprint.setdefault("train_rows", train.n_rows)
-    fingerprint.setdefault("test_rows", test.n_rows)
     return EvalReport(
         results=tuple(results),
         benchmarks={kind: scores[kind] for kind in BENCHMARK_KINDS},
-        dataset=fingerprint,
+        dataset={**dataset_fingerprint, "train_rows": train.n_rows, "test_rows": test.n_rows},
         bm1_identity=bm1_identity,
         predictions=predictions,
     )

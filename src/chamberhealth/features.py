@@ -130,7 +130,7 @@ def build_supervised(
     runs: Sequence[RunMeta],
     aggregates: Mapping[str, np.ndarray],
     hi: np.ndarray,
-    horizon: int = 10,
+    horizon: int,
 ) -> SupervisedSet:
     """One row per run that has a same-asset run ``horizon`` positions later.
 
@@ -170,7 +170,7 @@ def build_supervised(
 
 
 def chrono_split(
-    sset: SupervisedSet, train_frac: float = 0.7
+    sset: SupervisedSet, train_frac: float
 ) -> tuple[SupervisedSet, SupervisedSet]:
     """Split time-ordered rows into the oldest train_frac and the rest.
 

@@ -122,10 +122,10 @@ def clean_baseline(n_runs: np.ndarray, durations: np.ndarray) -> float:
     return float(y[mask].mean())
 
 
-def impact(k: float, t_bar: float, cycle_length: int = 100) -> float:
+def impact(k: float, t_bar: float, cycle_length: int) -> float:
     """Relative duration growth over one cleaning cycle, in percent.
 
-    impact(0.12, 21) = 57.1 %/cycle at the default 100-run cycle.
+    impact(0.12, 21, 100) = 57.1 %/cycle over a 100-run cycle.
     """
     if t_bar <= 0:
         raise DegenerateFit(f"clean baseline must be > 0, got {t_bar}")
@@ -168,7 +168,7 @@ def run_segment_durations(
     return np.column_stack([crossing[seg.lower] - crossing[seg.upper] for seg in segments])
 
 
-def select_analysis_subset(runs: Sequence[RunMeta], limit: int = 400) -> list[int]:
+def select_analysis_subset(runs: Sequence[RunMeta], limit: int) -> list[int]:
     """Indices of the derivation subset: the (asset, recipe) pair with the
     most runs, oldest first, capped at ``limit`` runs.
 
@@ -188,8 +188,8 @@ def derive_hi(
     runs: Sequence[RunMeta],
     durations: np.ndarray,
     segments: Sequence[SegmentSpec],
-    cycle_length: int = 100,
-    analysis_limit: int = 400,
+    cycle_length: int,
+    analysis_limit: int,
 ) -> tuple[list[DegradationFit], HiSeries]:
     """Fit every segment on the analysis subset and select the HI segment.
 

@@ -234,7 +234,7 @@ class DTModel(_Trees):
 
 
 def fit_decision_tree(
-    X: np.ndarray, y: np.ndarray, max_depth: int = 8, min_samples_leaf: int = 5
+    X: np.ndarray, y: np.ndarray, *, max_depth: int, min_samples_leaf: int
 ) -> DTModel:
     """Greedy CART: axis-aligned splits minimizing summed squared error,
     leaf value = mean target. Stops on depth, leaf size or zero variance."""
@@ -279,7 +279,7 @@ TREES_PER_TASK = 5  # a forest's trees reach the workers in ranges of this many
 
 def _forest_tasks(
     X: np.ndarray, y: np.ndarray, n_trees: int, max_depth: int, min_samples_leaf: int,
-    features_per_split: Optional[int], seed: int, bootstrap: bool = True,
+    features_per_split: int, seed: int, bootstrap: bool = True,
 ) -> tuple[list[Callable[[], list]], Callable[[list], RFModel]]:
     """A forest fit as tasks, each growing one range of TREES_PER_TASK
     trees, and the join of the tasks' results, in task order, into the
@@ -288,7 +288,7 @@ def _forest_tasks(
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     m = X.shape[1]
-    fps = int(features_per_split) if features_per_split else int(math.ceil(m / 3))
+    fps = math.ceil(m / 3) if features_per_split == 0 else features_per_split
     if not 1 <= fps <= m:
         raise ModelError(f"features_per_split must be in [1, {m}], got {fps}")
     # fps = m draws no feature ids, so each tree's rng stream stays that of plain bagging
@@ -322,16 +322,17 @@ def _run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
 def fit_random_forest(
     X: np.ndarray,
     y: np.ndarray,
-    n_trees: int = 100,
-    max_depth: int = 8,
-    min_samples_leaf: int = 5,
-    features_per_split: Optional[int] = None,
-    seed: int = 0,
+    *,
+    n_trees: int,
+    max_depth: int,
+    min_samples_leaf: int,
+    features_per_split: int,
+    seed: int,
     bootstrap: bool = True,
 ) -> RFModel:
     """Bagged CART trees with a uniform random feature subset at each split.
 
-    features_per_split defaults to ceil(m / 3); one outside [1, m] raises
+    features_per_split 0 means ceil(m / 3); one outside [1, m] raises
     ModelError. Prediction is the plain mean over trees, so it is
     independent of training order. The trees grow in ranges of
     TREES_PER_TASK on every CPU (see workers), and the ranges join in
@@ -363,7 +364,7 @@ class KNNModel:
         return out
 
 
-def fit_knn(X_std: np.ndarray, y: np.ndarray, k: int = 5) -> KNNModel:
+def fit_knn(X_std: np.ndarray, y: np.ndarray, *, k: int) -> KNNModel:
     """Memorize the (standardized) training set; predict the mean target
     of the k nearest rows by Euclidean distance."""
     X_std = np.asarray(X_std, dtype=np.float64)
@@ -392,10 +393,11 @@ class SVRModel:
 def fit_linear_svr(
     X_std: np.ndarray,
     y: np.ndarray,
-    epsilon: float = 0.5,
-    reg_lambda: float = 1e-4,
-    steps: int = 10_000,
-    step_size: float = 0.1,
+    *,
+    epsilon: float,
+    reg_lambda: float,
+    steps: int,
+    step_size: float,
 ) -> SVRModel:
     """Minimize lambda*||w||^2 + mean(max(0, |y - w.x - b| - epsilon)).
 
@@ -483,11 +485,12 @@ def mlp_gradients(
 def fit_mlp(
     X_std: np.ndarray,
     y: np.ndarray,
-    hidden_units: int = 64,
-    epochs: int = 200,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    seed: int = 0,
+    *,
+    hidden_units: int,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    seed: int,
 ) -> MLPModel:
     """Mini-batch gradient descent on mean squared error.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def true_segment_duration(segment: SegmentSpec, config: ChamberConfig, p_ss: flo
 
 def true_pressure_curve(t: np.ndarray, config: ChamberConfig, p_ss: float) -> np.ndarray:
     """Noiseless pressure at each sample time of the two-stage pumpdown."""
-    t_cross = config.tau_stage1 * math.log(config.p_atm / config.crossover_pressure)
+    t_cross = true_time_to_pressure(config.crossover_pressure, config, p_ss)
     stage1 = config.p_atm * np.exp(-t / config.tau_stage1)
     stage2 = p_ss + (config.crossover_pressure - p_ss) * np.exp(
         -(t - t_cross) / config.tau_stage2
@@ -236,7 +236,7 @@ def advance_contamination(
     state: ChamberState,
     recipe: RecipeSpec,
     maintenance_due: bool,
-    residual: float = 0.0,
+    residual: float,
 ) -> ChamberState:
     """State transition after one production run.
 
@@ -256,10 +256,10 @@ def simulate_run(
     state: ChamberState,
     recipe: RecipeSpec,
     config: ChamberConfig,
-    seed: Union[int, np.random.Generator],
-    run_id: str = "run-0",
-    asset_id: str = "asset1",
-    start_time: Optional[float] = None,
+    rng: np.random.Generator,
+    run_id: str,
+    asset_id: str,
+    start_time: float,
 ) -> RunRecord:
     """Simulate one pumpdown and return its RunRecord.
 
@@ -270,9 +270,8 @@ def simulate_run(
     each gauge's range. Ground truth (contamination, floor) is attached
     for ``ground_truth.csv``; ``true_pressure_curve(run.t, config,
     run.true_p_ss)`` recomputes the noiseless curve. Deterministic given
-    the seed.
+    the state of ``rng``, which it advances.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p_ss = config.steady_state_pressure(
         state.contamination, state.seasonal_phase, state.weather
     )
@@ -316,8 +315,6 @@ def simulate_run(
     )
     flow = flow_level + config.flow_sample_noise * rng.standard_normal(n_samples)
 
-    if start_time is None:
-        start_time = config.time_origin + state.seasonal_phase * config.seasonal_period_s
     return RunRecord(
         run_id=run_id,
         asset_id=asset_id,

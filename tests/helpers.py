@@ -1,8 +1,10 @@
 """The small config of the CLI tests, the default gauges and recipes
 with their noise or schedule shares evened out, test-only views of
 in-memory pipeline objects, in the shapes the program reads back from
-runs.csv and hi.csv, an editor of model files, the reference tree grower
-that the rank-code split search and the node tables are checked against,
+runs.csv and hi.csv, one simulated run from a seed, the fitters' keyword
+arguments at DEFAULT_HYPERPARAMS, an editor of model files, the
+reference tree grower that the rank-code split search and the node
+tables are checked against,
 the reference bm2 benchmark, the reference row-by-row supervised set
 and one-hot encoder, and the small pipeline whose artifact
 digests tests/golden/digests.json holds."""
@@ -22,7 +24,8 @@ from chamberhealth import cli
 from chamberhealth.core import RunChunk, composite_columns
 from chamberhealth.features import RowMeta, aggregate_runs
 from chamberhealth.hi import derive_hi, run_segment_durations
-from chamberhealth.simgen import default_recipes, default_sensors
+from chamberhealth.models import DEFAULT_HYPERPARAMS
+from chamberhealth.simgen import default_recipes, default_sensors, simulate_run
 
 # one asset, 100 runs, four maintenance cycles; small models
 SMALL_INI = """
@@ -53,6 +56,19 @@ def sensors_with_sigma(sigma: float = 0.0) -> tuple:
 def equal_share_recipes() -> tuple:
     """The default recipes with equal schedule shares: a uniform draw."""
     return tuple(replace(r, share=1.0) for r in default_recipes())
+
+
+def simulate_one(state, recipe, config, seed: int):
+    """``simulate_run`` from ``np.random.default_rng(seed)``, as run run-0
+    of asset1 at the config's time origin."""
+    return simulate_run(state, recipe, config, np.random.default_rng(seed), "run-0", "asset1",
+                        config.time_origin)
+
+
+def hyper(kind: str, **overrides) -> dict:
+    """The hyperparameters of ``kind``'s fitter, as keyword arguments:
+    ``DEFAULT_HYPERPARAMS[kind]`` with ``overrides`` in their place."""
+    return {**DEFAULT_HYPERPARAMS[kind], **overrides}
 
 
 def chunk_of(runs) -> RunChunk:

@@ -31,10 +31,9 @@ from chamberhealth.simgen import (
     RecipeSpec,
     default_segments,
     simulate_history,
-    simulate_run,
     true_segment_duration,
 )
-from helpers import derive_hi_of, sensors_with_sigma
+from helpers import derive_hi_of, sensors_with_sigma, simulate_one
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -119,7 +118,7 @@ def test_criterion_4_pumpdown_oracle_consistency():
         )
         c_max = (7.0e-5 - config.base_outgassing_q0) / config.outgassing_per_unit
         state = ChamberState(contamination=float(rng.uniform(0.0, max(c_max, 0.0))))
-        run = simulate_run(state, RecipeSpec("std", 0.8), config, seed=0)
+        run = simulate_one(state, RecipeSpec("std", 0.8), config, seed=0)
         curve = composite_curve(run, config.sensors)
         for seg in default_segments():
             measured = extract_segment_duration(run.t, curve, seg)

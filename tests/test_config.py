@@ -1,5 +1,7 @@
 """Config INI round-trip, overrides and fingerprint hashing."""
 
+import importlib
+import inspect
 import re
 from dataclasses import replace
 from fnmatch import fnmatch
@@ -218,3 +220,23 @@ def test_readme_config_table_names_every_setting():
     assert list(table) == list(SECTIONS)
     for section in SECTIONS:
         assert table[section] == {s.key for s in SETTINGS if s.section == section}, section
+
+
+# the library parameters whose values the config declares: callers pass them
+CONFIG_VALUED = {
+    "hi.impact": ("cycle_length",),
+    "hi.select_analysis_subset": ("limit",),
+    "hi.derive_hi": ("cycle_length", "analysis_limit"),
+    "features.build_supervised": ("horizon",),
+    "features.chrono_split": ("train_frac",),
+    "simgen.advance_contamination": ("residual",),
+    "simgen.simulate_run": ("rng", "run_id", "asset_id", "start_time"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_VALUED))
+def test_library_functions_repeat_no_config_default(name):
+    module, _, attr = name.partition(".")
+    function = getattr(importlib.import_module(f"chamberhealth.{module}"), attr)
+    params = inspect.signature(function).parameters
+    assert [p for p in CONFIG_VALUED[name] if params[p].default is not params[p].empty] == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberhealth.core import (
+    CHANNELS,
     RunChunk,
     RunMeta,
     RunRecord,
@@ -22,10 +23,9 @@ from chamberhealth.simgen import (
     ChamberConfig,
     ChamberState,
     RecipeSpec,
-    simulate_run,
     true_pressure_curve,
 )
-from helpers import chunk_of, sensors_with_sigma
+from helpers import chunk_of, sensors_with_sigma, simulate_one
 
 # -- scalar per-sample oracle for the vectorized composite_curve ---------------
 
@@ -112,7 +112,7 @@ def test_composite_is_pure():
 
 def test_composite_curve_matches_per_sample_rule():
     config = ChamberConfig()
-    run = simulate_run(ChamberState(contamination=30.0), RecipeSpec("std", 0.8), config, seed=3)
+    run = simulate_one(ChamberState(contamination=30.0), RecipeSpec("std", 0.8), config, seed=3)
     curve = composite_curve(run, config.sensors)
     assert np.isnan(run.readings).any()  # the rule must skip invalid readings
     for i in range(run.n_samples):
@@ -137,7 +137,7 @@ def test_composite_tracks_truth_within_one_percent():
     # derived check: against the generator's noiseless curve, with a
     # quiet gauge set every fused sample stays within 1%
     config = ChamberConfig(sensors=sensors_with_sigma(0.002))
-    run = simulate_run(ChamberState(contamination=50.0), RecipeSpec("std", 0.8), config, seed=11)
+    run = simulate_one(ChamberState(contamination=50.0), RecipeSpec("std", 0.8), config, seed=11)
     curve = composite_curve(run, config.sensors)
     rel = np.abs(curve / true_pressure_curve(run.t, config, run.true_p_ss) - 1.0)
     assert rel.max() < 0.01
@@ -147,7 +147,7 @@ def test_composite_curve_is_piecewise_continuous():
     # adjacent fused samples never jump by more than the decade of a
     # stage transition; catches accidental sentinel values
     config = ChamberConfig()
-    run = simulate_run(ChamberState(contamination=10.0), RecipeSpec("std", 0.8), config, seed=5)
+    run = simulate_one(ChamberState(contamination=10.0), RecipeSpec("std", 0.8), config, seed=5)
     curve = composite_curve(run, config.sensors)
     assert np.all(curve > 0)
     jumps = np.abs(np.diff(np.log(curve)))
@@ -265,3 +265,16 @@ def test_run_chunk_checks_name_the_first_run_at_fault():
     # within one run, the times are checked first
     with pytest.raises(DataError, match=r"^run r0: sample times"):
         chunk([0.5, 0.0, 0.0, 0.5, 0.0, 0.5], [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("column", ["t", *CHANNELS])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_run_chunk_refuses_non_finite_times_and_channels(column, value):
+    t = np.array([0.0, 0.5, 0.0, 0.5, 0.0, 0.0])  # run r2's times do not increase
+    readings = np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])  # nor is run r1's reading valid
+    channels = {name: np.ones(6) for name in CHANNELS}
+    (t if column == "t" else channels[column])[3] = value
+    # r1 is the first run at fault, and within it this is the first fault
+    with pytest.raises(DataError, match=r"^run r1: empty or non-finite t_s or channel cell$"):
+        RunChunk(run_ids=("r0", "r1", "r2"), starts=np.array([0, 2, 4]), t=t,
+                 readings=readings[:, None], channels=channels)

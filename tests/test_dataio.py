@@ -184,7 +184,7 @@ def test_supervised_roundtrip(tmp_path, small_dataset):
     fits, series = derive_hi_of(history, config.sensors, default_segments(),
                                 cycle_length=20, analysis_limit=400)
     sset = build_supervised(history, aggregates_of(history, config.sensors),
-                            hi_column(history, series))
+                            hi_column(history, series), horizon=10)
     train, test = chrono_split(sset, 0.7)
     dataio.write_supervised(tmp_path, train, test)
     train2, test2 = dataio.read_supervised(tmp_path)

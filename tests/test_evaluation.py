@@ -59,7 +59,7 @@ class OracleModel:
 def test_perfect_model_ranks_first():
     train, test = _toy_sets()
     dt = train_model(RegressorSpec("dt"), train)
-    report = evaluate_all({"oracle": OracleModel(), "dt": dt}, train, test)
+    report = evaluate_all({"oracle": OracleModel(), "dt": dt}, train, test, {})
     assert report.results[0][0] == "oracle"
     assert report.results[0][1] == pytest.approx(0.0, abs=1e-12)
     maes = [m for _, m in report.results]
@@ -68,7 +68,7 @@ def test_perfect_model_ranks_first():
 
 def test_bm1_identity_check():
     train, test = _toy_sets()
-    report = evaluate_all({}, train, test)
+    report = evaluate_all({}, train, test, {})
     expected = float(np.mean([abs(y - h) for y, h in zip(test.y, test.meta.hi_current)]))
     assert report.benchmarks["bm1"] == pytest.approx(expected, rel=1e-12)
     assert report.bm1_identity == pytest.approx(expected, rel=1e-12)
@@ -109,6 +109,6 @@ def test_report_json_shape():
 def test_predictions_are_kept():
     train, test = _toy_sets()
     models = {"dt": train_model(RegressorSpec("dt"), train)}
-    full = evaluate_all(models, train, test)
+    full = evaluate_all(models, train, test, {})
     assert set(full.predictions) == {"dt", "bm1", "bm2", "bm3"}
     assert full.predictions["dt"].shape == (20,)

@@ -98,10 +98,11 @@ def test_aggregates_constant_channel():
 
 def test_aggregates_match_two_pass_oracle():
     # derived: naive two-pass mean/std recomputation, exact to 1e-12
-    from chamberhealth.simgen import ChamberState, simulate_run
+    from chamberhealth.simgen import ChamberState
+    from helpers import simulate_one
 
     config = ChamberConfig()
-    run = simulate_run(ChamberState(contamination=20.0), RecipeSpec("std", 0.8),
+    run = simulate_one(ChamberState(contamination=20.0), RecipeSpec("std", 0.8),
                        config, seed=7)
     curve = composite_curve(run, config.sensors)
     aggs = aggregate_channels(run, curve)
@@ -224,7 +225,7 @@ def test_build_supervised_noiseless_target_matches_closed_form():
     config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     recipes = (RecipeSpec("std", 0.8),)
     history = tuple(simulate_history(config, recipes, 1, 60, 100, seed=0))
-    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
+    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100, 400)
     sset = build_supervised(history, _aggregates(history, config.sensors),
                             hi_column(history, series), horizon=10)
     seg = series.selected_segment

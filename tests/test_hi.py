@@ -23,10 +23,9 @@ from chamberhealth.simgen import (
     default_recipes,
     default_segments,
     simulate_history,
-    simulate_run,
     true_segment_duration,
 )
-from helpers import derive_hi_of, sensors_with_sigma
+from helpers import derive_hi_of, sensors_with_sigma, simulate_one
 
 T_NO_FLOOR = 5.41610040220442  # 2*ln(15), frozen independent value
 
@@ -69,7 +68,7 @@ def test_noisy_extraction_tracks_closed_form_within_3pct():
     worst = 0.0
     for seed in range(200):
         c = (seed * 7) % 80
-        run = simulate_run(ChamberState(contamination=float(c)), RecipeSpec("std", 0.8),
+        run = simulate_one(ChamberState(contamination=float(c)), RecipeSpec("std", 0.8),
                            config, seed=seed)
         measured = extract_segment_duration(run.t, composite_curve(run, config.sensors), seg2)
         expected = true_segment_duration(seg2, config, run.true_p_ss)
@@ -189,19 +188,19 @@ def test_clean_baseline_near_closed_form_on_tuned_default():
 
 def test_impact_reference_table_rows():
     # reference regression table, rows 1/2/5: printed alpha 5%, 55%, 12%
-    assert abs(impact(0.06, 139.0) - 5.0) <= 3.0
-    assert abs(impact(0.12, 21.0) - 55.0) <= 3.0
-    assert impact(0.12, 21.0) == pytest.approx(57.142857142857146, rel=1e-12)
-    assert abs(impact(0.19, 160.0) - 12.0) <= 3.0
+    assert abs(impact(0.06, 139.0, 100) - 5.0) <= 3.0
+    assert abs(impact(0.12, 21.0, 100) - 55.0) <= 3.0
+    assert impact(0.12, 21.0, 100) == pytest.approx(57.142857142857146, rel=1e-12)
+    assert abs(impact(0.19, 160.0, 100) - 12.0) <= 3.0
 
 
 def test_impact_zero_slope():
-    assert impact(0.0, 100.0) == 0.0
+    assert impact(0.0, 100.0, 100) == 0.0
 
 
 def test_impact_zero_baseline():
     with pytest.raises(DegenerateFit, match="clean baseline must be > 0"):
-        impact(0.1, 0.0)
+        impact(0.1, 0.0, 100)
 
 
 @given(
@@ -210,7 +209,7 @@ def test_impact_zero_baseline():
     s=st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_impact_is_scale_homogeneous(k, t_bar, s):
-    assert impact(s * k, s * t_bar) == pytest.approx(impact(k, t_bar), rel=1e-9, abs=1e-9)
+    assert impact(s * k, s * t_bar, 100) == pytest.approx(impact(k, t_bar, 100), rel=1e-9, abs=1e-9)
 
 
 def _synthetic_selection_case(duration_fn, n_runs=60, cycle=30):
@@ -251,7 +250,8 @@ def _wide_sensors():
 def test_derive_hi_single_segment_linear_data():
     runs = _synthetic_selection_case(lambda n: 2.0 + 0.01 * n)
     segments = [SegmentSpec(1, 0.03, 0.002)]
-    fits, series = derive_hi_of(runs, _wide_sensors(), segments, cycle_length=30)
+    fits, series = derive_hi_of(runs, _wide_sensors(), segments, cycle_length=30,
+                                analysis_limit=400)
     assert series.selected_segment.index == 1
     assert fits[0].r2 == pytest.approx(1.0, abs=1e-3)
     assert len(series.entries) == len(runs)
@@ -262,11 +262,12 @@ def test_derive_hi_skips_a_degenerate_segment():
     # n_runs = 0 runs reach 1e-8 mbar, so segment 2's fit has no spread in n_runs
     runs = _synthetic_selection_case(lambda n: 2.0 if n == 0 else 10.0)
     usable, degenerate = SegmentSpec(1, 0.03, 0.002), SegmentSpec(2, 0.03, 1e-8)
-    fits, series = derive_hi_of(runs, _wide_sensors(), [degenerate, usable], cycle_length=30)
+    fits, series = derive_hi_of(runs, _wide_sensors(), [degenerate, usable], cycle_length=30,
+                                analysis_limit=400)
     assert [f.segment.index for f in fits] == [1]
     assert series.selected_segment.index == 1
     with pytest.raises(DataError, match="every segment was degenerate"):
-        derive_hi_of(runs, _wide_sensors(), [degenerate], cycle_length=30)
+        derive_hi_of(runs, _wide_sensors(), [degenerate], cycle_length=30, analysis_limit=400)
 
 
 def test_derive_hi_fits_each_segment_on_its_own_durations():
@@ -275,7 +276,7 @@ def test_derive_hi_fits_each_segment_on_its_own_durations():
     runs = _synthetic_selection_case(lambda n: 4.0 + 0.2 * n)
     shallow, deep = SegmentSpec(2, 0.03, 0.002), SegmentSpec(2, 0.03, 1e-7)
     fits, series = derive_hi_of(runs, _wide_sensors(), [shallow, deep],
-                             cycle_length=30)
+                             cycle_length=30, analysis_limit=400)
     by_segment = {f.segment: f for f in fits}
     assert (by_segment[shallow].n_points, by_segment[deep].n_points) == (60, 52)
     assert by_segment[shallow].k == pytest.approx(0.2 * math.log(0.03 / 0.002), rel=1e-6)
@@ -292,7 +293,8 @@ def test_derive_hi_tie_break_prefers_larger_alpha():
         SegmentSpec(1, 0.03, 0.002),       # duration = tau*ln(15)
         SegmentSpec(2, 0.03, 0.03 / 225.0) # duration = tau*ln(225) = 2x
     ]
-    fits, series = derive_hi_of(runs, _wide_sensors(), segments, cycle_length=30)
+    fits, series = derive_hi_of(runs, _wide_sensors(), segments, cycle_length=30,
+                                analysis_limit=400)
     by_idx = {f.segment.index: f for f in fits}
     # scaling durations by a constant leaves r2 and alpha unchanged, so
     # the tie falls through to the lower segment index
@@ -334,7 +336,7 @@ def test_noiseless_degradation_gives_near_perfect_r2():
     # zero-noise world every segment fits essentially perfectly)
     config = ChamberConfig(sensors=sensors_with_sigma(), seasonal_amplitude=0.0, weather_sigma=0.0)
     history = tuple(simulate_history(config, (RecipeSpec("std", 0.8),), 1, 200, 100, seed=0))
-    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
+    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100, 400)
     by_idx = {f.segment.index: f for f in fits}
     assert by_idx[2].r2 > 1.0 - 1e-3
 
@@ -365,7 +367,7 @@ def test_selection_invariant_under_uniform_time_rescaling():
 
     def profile(scale):
         runs = _synthetic_selection_case(lambda n: scale * (2.0 + 0.01 * n + 0.3 * ((n * 7919) % 11) / 11))
-        fits, series = derive_hi_of(runs, _wide_sensors(), seg, cycle_length=30)
+        fits, series = derive_hi_of(runs, _wide_sensors(), seg, cycle_length=30, analysis_limit=400)
         return series.selected_segment.index, {f.segment.index: f.r2 for f in fits}
 
     sel1, r1 = profile(1.0)

@@ -1,5 +1,6 @@
 """Regressor and benchmark tests, including independent oracles."""
 
+import inspect
 import math
 from dataclasses import fields
 
@@ -29,6 +30,7 @@ from chamberhealth.models import (
 from helpers import (
     edited_npz,
     hi_column,
+    hyper,
     preorder,
     reference_bm2,
     reference_build_tree,
@@ -60,7 +62,7 @@ def test_tree_interpolates_training_data_exactly():
 
 def test_tree_empty_training():
     with pytest.raises(ModelError, match="decision tree needs at least one sample"):
-        fit_decision_tree(np.empty((0, 2)), np.array([]))
+        fit_decision_tree(np.empty((0, 2)), np.array([]), **hyper("dt"))
 
 
 def test_tree_constant_target_is_single_leaf():
@@ -189,7 +191,10 @@ def test_trees_refuse_non_finite_input(fit, bad, where):
     else:
         y[3] = bad
     with pytest.raises(ModelError, match="needs finite features and targets"):
-        fit(X, y, min_samples_leaf=1)
+        if fit is fit_decision_tree:
+            fit(X, y, **hyper("dt", min_samples_leaf=1))
+        else:
+            fit(X, y, **hyper("rf", min_samples_leaf=1), seed=0)
 
 
 def test_tree_depth_and_leaf_limits():
@@ -231,8 +236,8 @@ def test_forest_same_seed_same_predictions():
     X = rng.uniform(size=(80, 4))
     y = rng.normal(size=80)
     q = rng.uniform(size=(20, 4))
-    a = fit_random_forest(X, y, n_trees=12, seed=7)
-    b = fit_random_forest(X, y, n_trees=12, seed=7)
+    a = fit_random_forest(X, y, **hyper("rf", n_trees=12), seed=7)
+    b = fit_random_forest(X, y, **hyper("rf", n_trees=12), seed=7)
     assert np.array_equal(a.predict(q), b.predict(q))
 
 
@@ -250,8 +255,10 @@ def test_trees_invariant_under_monotone_feature_transform():
     tree_a = fit_decision_tree(X, y, max_depth=6, min_samples_leaf=3)
     tree_b = fit_decision_tree(warped, y, max_depth=6, min_samples_leaf=3)
     assert np.array_equal(tree_a.predict(X), tree_b.predict(warped))
-    rf_a = fit_random_forest(X, y, n_trees=10, seed=2, features_per_split=2, bootstrap=False)
-    rf_b = fit_random_forest(warped, y, n_trees=10, seed=2, features_per_split=2, bootstrap=False)
+    rf_a = fit_random_forest(X, y, **hyper("rf", n_trees=10, features_per_split=2), seed=2,
+                             bootstrap=False)
+    rf_b = fit_random_forest(warped, y, **hyper("rf", n_trees=10, features_per_split=2), seed=2,
+                             bootstrap=False)
     assert np.array_equal(rf_a.predict(X), rf_b.predict(warped))
 
 
@@ -262,34 +269,35 @@ def test_forest_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
     rng = np.random.default_rng(23)
     X = rng.uniform(size=(120, 5))
     y = rng.normal(size=120)
-    default = fit_random_forest(X, y, n_trees=7, seed=4)
+    default = fit_random_forest(X, y, **hyper("rf", n_trees=7), seed=4)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus)
-    forest = fit_random_forest(X, y, n_trees=7, seed=4)
+    forest = fit_random_forest(X, y, **hyper("rf", n_trees=7), seed=4)
     assert table_rows(forest) == table_rows(default)
     assert forest.roots.tolist() == default.roots.tolist()
 
 
 def test_forest_constant_target():
     X = np.arange(20, dtype=float)[:, None]
-    model = fit_random_forest(X, np.full(20, 7.5), n_trees=5, seed=0)
+    model = fit_random_forest(X, np.full(20, 7.5), **hyper("rf", n_trees=5), seed=0)
     assert np.all(model.predict(X) == 7.5)
 
 
 def test_forest_validation():
     with pytest.raises(ModelError, match="random forest needs at least one sample"):
-        fit_random_forest(np.empty((0, 1)), np.array([]))
+        fit_random_forest(np.empty((0, 1)), np.array([]), **hyper("rf"), seed=0)
     with pytest.raises(ConfigError):
-        fit_random_forest(np.ones((3, 1)), np.ones(3), n_trees=0)
+        fit_random_forest(np.ones((3, 1)), np.ones(3), **hyper("rf", n_trees=0), seed=0)
     for limits in ({"max_depth": -1}, {"min_samples_leaf": 0}):
         with pytest.raises(ConfigError, match="need max_depth >= 0 and min_samples_leaf >= 1"):
-            fit_random_forest(np.ones((3, 1)), np.ones(3), **limits)
+            fit_random_forest(np.ones((3, 1)), np.ones(3), **hyper("rf", **limits), seed=0)
     # a feature count outside [1, m] is refused, not clamped; m itself is kept
     X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
     for fps in (3, -1):
         refusal = rf"^features_per_split must be in \[1, 2\], got {fps}$"
         with pytest.raises(ModelError, match=refusal):
-            fit_random_forest(X, y, n_trees=1, features_per_split=fps)
-    assert fit_random_forest(X, y, n_trees=1, features_per_split=2).features_per_split == 2
+            fit_random_forest(X, y, **hyper("rf", n_trees=1, features_per_split=fps), seed=0)
+    assert fit_random_forest(X, y, **hyper("rf", n_trees=1, features_per_split=2),
+                             seed=0).features_per_split == 2
 
 
 # -- KNN ---------------------------------------------------------------------
@@ -350,7 +358,7 @@ def test_svr_dead_zone_keeps_weights_zero():
     rng = np.random.default_rng(9)
     X = rng.uniform(size=(50, 3))
     y = rng.uniform(0.0, 0.5, size=50)
-    model = fit_linear_svr(X, y, epsilon=10.0, steps=500)
+    model = fit_linear_svr(X, y, **hyper("svr", epsilon=10.0, steps=500))
     assert np.all(model.w == 0.0)
     assert model.b == pytest.approx(float(y.mean()))
     assert np.all(model.predict(X) == model.b)
@@ -360,8 +368,8 @@ def test_svr_invariant_under_row_duplication():
     rng = np.random.default_rng(10)
     X = rng.uniform(size=(40, 2))
     y = rng.normal(size=40)
-    a = fit_linear_svr(X, y, steps=300)
-    b = fit_linear_svr(np.vstack([X, X]), np.concatenate([y, y]), steps=300)
+    a = fit_linear_svr(X, y, **hyper("svr", steps=300))
+    b = fit_linear_svr(np.vstack([X, X]), np.concatenate([y, y]), **hyper("svr", steps=300))
     assert np.allclose(a.w, b.w, atol=1e-12)
     assert a.b == pytest.approx(b.b, abs=1e-12)
 
@@ -412,8 +420,8 @@ def test_mlp_same_seed_identical_weights():
     rng = np.random.default_rng(77)
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    a = fit_mlp(X, y, hidden_units=8, epochs=5, batch_size=8, seed=21)
-    b = fit_mlp(X, y, hidden_units=8, epochs=5, batch_size=8, seed=21)
+    a = fit_mlp(X, y, **hyper("mlp", hidden_units=8, epochs=5, batch_size=8), seed=21)
+    b = fit_mlp(X, y, **hyper("mlp", hidden_units=8, epochs=5, batch_size=8), seed=21)
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
 
@@ -495,18 +503,18 @@ def test_bm2_systematically_low_under_drift():
 
     config = ChamberConfig(weather_sigma=0.0)
     history = tuple(simulate_history(config, (default_recipes()[0],), 1, 400, 100, seed=0))
-    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100)
+    fits, series = derive_hi_of(history, config.sensors, default_segments(), 100, 400)
     sset = build_supervised(history, aggregates_of(history, config.sensors),
-                            hi_column(history, series))
+                            hi_column(history, series), horizon=10)
     train, test = chrono_split(sset, 0.7)
     pred = benchmark_predict("bm2", train, test)
     assert float(np.mean(pred - test.y)) < 0.0
 
     flat = ChamberConfig(weather_sigma=0.0, seasonal_amplitude=0.0)
     history2 = tuple(simulate_history(flat, (default_recipes()[0],), 1, 400, 100, seed=0))
-    fits2, series2 = derive_hi_of(history2, flat.sensors, default_segments(), 100)
+    fits2, series2 = derive_hi_of(history2, flat.sensors, default_segments(), 100, 400)
     sset2 = build_supervised(history2, aggregates_of(history2, flat.sensors),
-                             hi_column(history2, series2))
+                             hi_column(history2, series2), horizon=10)
     train2, test2 = chrono_split(sset2, 0.7)
     pred2 = benchmark_predict("bm2", train2, test2)
     # without drift the same benchmark is centered
@@ -770,3 +778,15 @@ def test_spec_refuses_a_value_of_another_type_than_its_default():
         RegressorSpec("dt", {"max_depth": 2.5})
     with pytest.raises(ConfigError, match=r"^wrong type for knn hyperparameters: \['k'\]$"):
         RegressorSpec("knn", {"k": 3.9})
+
+
+@pytest.mark.parametrize("kind", sorted(models._FITTERS))
+def test_each_fitter_takes_every_hyperparameter_without_a_default(kind):
+    # DEFAULT_HYPERPARAMS and RegressorSpec.seed declare the values a fit gets
+    params = inspect.signature(models._FITTERS[kind]).parameters.values()
+    keyword = {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+    if kind == "rf":
+        assert keyword.pop("bootstrap").default is True
+    seeded = "seed" in models._params(RegressorSpec(kind))
+    assert set(keyword) == set(models.DEFAULT_HYPERPARAMS[kind]) | ({"seed"} if seeded else set())
+    assert [name for name, p in keyword.items() if p.default is not p.empty] == []

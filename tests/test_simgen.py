@@ -17,11 +17,10 @@ from chamberhealth.simgen import (
     closed_form_segment_duration,
     default_segments,
     simulate_history,
-    simulate_run,
     true_segment_duration,
 )
 
-from helpers import chunk_of, equal_share_recipes, sensors_with_sigma
+from helpers import chunk_of, equal_share_recipes, sensors_with_sigma, simulate_one
 
 # frozen from an independent recomputation of the closed form
 T_NO_FLOOR = 5.41610040220442          # 2*ln(15)
@@ -67,7 +66,7 @@ def test_closed_form_strictly_increasing_in_floor(p_ss, delta):
 def test_noiseless_run_matches_closed_form_within_one_sample():
     config = quiet_config()
     state = ChamberState(contamination=40.0)
-    run = simulate_run(state, RecipeSpec("std", 0.8), config, seed=0)
+    run = simulate_one(state, RecipeSpec("std", 0.8), config, seed=0)
     curve = composite_curve(run, config.sensors)
     for seg in default_segments():
         measured = extract_segment_duration(run.t, curve, seg)
@@ -80,7 +79,7 @@ def test_contamination_slows_low_pressure_segment():
     seg2 = default_segments()[1]
     durations = []
     for c in (0.0, 30.0, 60.0):
-        run = simulate_run(ChamberState(contamination=c), RecipeSpec("std", 0.8), config, seed=0)
+        run = simulate_one(ChamberState(contamination=c), RecipeSpec("std", 0.8), config, seed=0)
         curve = composite_curve(run, config.sensors)
         durations.append(extract_segment_duration(run.t, curve, seg2))
     assert durations[0] < durations[1] < durations[2]
@@ -89,8 +88,8 @@ def test_contamination_slows_low_pressure_segment():
 def test_same_seed_gives_identical_run():
     config = ChamberConfig()
     state = ChamberState(contamination=12.0, n_runs=15, seasonal_phase=0.3)
-    a = simulate_run(state, RecipeSpec("std", 0.8), config, seed=42)
-    b = simulate_run(state, RecipeSpec("std", 0.8), config, seed=42)
+    a = simulate_one(state, RecipeSpec("std", 0.8), config, seed=42)
+    b = simulate_one(state, RecipeSpec("std", 0.8), config, seed=42)
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.readings, b.readings, equal_nan=True)
     for name in a.extra_channels:
@@ -101,15 +100,16 @@ def test_same_seed_gives_identical_run():
 def test_target_below_floor_is_config_error():
     config = quiet_config(base_outgassing_q0=1e-4)
     with pytest.raises(ConfigError):
-        simulate_run(ChamberState(), RecipeSpec("std", 0.8), config, seed=0)
+        simulate_one(ChamberState(), RecipeSpec("std", 0.8), config, seed=0)
 
 
 def test_advance_contamination():
     state = ChamberState(contamination=5.0, n_runs=7)
-    after = advance_contamination(state, RecipeSpec("std", 0.5), maintenance_due=False)
+    after = advance_contamination(state, RecipeSpec("std", 0.5), maintenance_due=False,
+                                  residual=0.0)
     assert after.contamination == 5.5 and after.n_runs == 8
     wiped = advance_contamination(
-        ChamberState(contamination=37.0, n_runs=99), RecipeSpec("std", 0.5), True
+        ChamberState(contamination=37.0, n_runs=99), RecipeSpec("std", 0.5), True, 0.0
     )
     assert wiped.contamination == 0.0 and wiped.n_runs == 0
 
@@ -117,7 +117,7 @@ def test_advance_contamination():
 def test_linear_accumulation_over_100_runs():
     state = ChamberState()
     for _ in range(100):
-        state = advance_contamination(state, RecipeSpec("std", 0.5), False)
+        state = advance_contamination(state, RecipeSpec("std", 0.5), False, 0.0)
     assert state.contamination == pytest.approx(50.0)
     assert state.n_runs == 100
 
