@@ -279,14 +279,16 @@ def apply_settings(cfg: PipelineConfig, values: Mapping[tuple[str, str], str]) -
     return replace(cfg, model_params=params, **top)
 
 
-def config_from_ini(text: str) -> PipelineConfig:
-    """Parse an INI string, starting from defaults and overriding present keys."""
+def config_from_ini(text: str, source: str) -> PipelineConfig:
+    """Parse the INI text of file ``source``, starting from defaults and
+    overriding present keys. Text that is not INI is one ConfigError line
+    naming ``source``."""
     # no default section: a [DEFAULT] is one more unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file: {exc}") from None
+        parser.read_string(text, source)
+    except configparser.Error as exc:  # its message names source, on up to three lines
+        raise ConfigError(f"bad config file: {' '.join(str(exc).split())}") from None
     unknown = set(parser.sections()) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -299,13 +301,8 @@ def config_from_ini(text: str) -> PipelineConfig:
 
 
 def load_config(path: Union[str, Path]) -> PipelineConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    if path.is_dir():
-        raise ConfigError(f"bad config file: {path} is a directory")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"bad config file: {path} is not UTF-8 text: {exc}") from None
-    return config_from_ini(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:  # not found, a directory, not UTF-8
+        raise ConfigError(f"bad config file {path}: {exc}") from None
+    return config_from_ini(text, str(path))

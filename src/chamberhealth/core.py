@@ -14,7 +14,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,10 +70,6 @@ class SegmentSpec:
             raise ConfigError(
                 f"segment {self.index}: need upper > lower > 0, got ({self.upper}, {self.lower})"
             )
-
-    @property
-    def name(self) -> str:
-        return f"dp{self.index}"
 
 
 @dataclass(frozen=True)
@@ -159,8 +155,9 @@ class RunChunk:
     are rows ``starts[k]`` up to the next start (or the end) of ``t``,
     ``readings`` and every channel, as in ``RunRecord``.
 
-    Its checks are the only sample checks: every time and channel value
-    is finite, times strictly increase within a run, and every valid
+    Its channels must be CHANNELS (DataError naming the first run). Its
+    checks are the only sample checks: every time and channel value is
+    finite, times strictly increase within a run, and every valid
     reading is finite and > 0. The first run that breaks one, in run
     order, raises DataError naming it; within one run, in that order.
     """
@@ -169,9 +166,11 @@ class RunChunk:
     starts: np.ndarray
     t: np.ndarray
     readings: np.ndarray
-    channels: Mapping[str, np.ndarray] = field(default_factory=dict)
+    channels: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        if (names := sorted(self.channels)) != sorted(CHANNELS):
+            raise DataError(f"run {self.run_ids[0]}: channels {names}, not {list(CHANNELS)}")
         finite = np.isfinite(self.t)
         for column in self.channels.values():
             finite &= np.isfinite(column)

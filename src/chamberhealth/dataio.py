@@ -63,7 +63,7 @@ import numpy as np
 
 from .core import CHANNELS, RunChunk, RunMeta, RunRecord
 from .errors import DataError
-from .features import PRESSURE, RowMeta, SupervisedSet, aggregate_names
+from .features import AGGREGATED, RowMeta, SupervisedSet, aggregate_names
 from .hi import DegradationFit, HiSeries
 from .workers import map_in_order
 
@@ -102,8 +102,7 @@ SCHEMAS: dict[str, dict[str, type]] = {
     },
     HI_CSV: {**{name: _RUN_META_TYPES[name] for name in HI_RUN_FIELDS}, "hi_s": float},
     # features.aggregate_runs' columns of the composite curve and every channel
-    RUN_AGGREGATES_CSV: {"run_id": str,
-                         **dict.fromkeys(aggregate_names(sorted([PRESSURE, *CHANNELS])), float)},
+    RUN_AGGREGATES_CSV: {"run_id": str, **dict.fromkeys(aggregate_names(AGGREGATED), float)},
     # RowMeta's columns, a plan's recipes joined by "|", then the split
     META_CSV: {**_ROW_META_TYPES, "split": str},
     PREDICTIONS_CSV: {"run_id": str, "target": float, "model": str, "prediction": float},
@@ -619,15 +618,15 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     if splits != ["train"] * n_train + ["test"] * (len(splits) - n_train):
         raise DataError(f"{META_CSV}'s split column is not every train row, then every test row")
 
-    def assemble(rows: slice) -> SupervisedSet:
+    def assemble(split: str, rows: slice) -> SupervisedSet:
         if not values[rows].size:
-            raise DataError("empty split in persisted supervised set")
+            raise DataError(f"{META_CSV} has no {split} rows")
         return SupervisedSet(
             X=values[rows, :-1].copy(), y=values[rows, -1].copy(), feature_names=names,
             meta=meta.take(rows),
         )
 
-    return assemble(slice(n_train)), assemble(slice(n_train, None))
+    return assemble("train", slice(n_train)), assemble("test", slice(n_train, None))
 
 
 # -- evaluation artifacts --------------------------------------------------------

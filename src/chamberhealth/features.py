@@ -17,11 +17,12 @@ from typing import Annotated, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import RunChunk, RunMeta, RunRecord
+from .core import CHANNELS, RunChunk, RunMeta, RunRecord
 from .errors import DataError
 
 AGGREGATE_SUFFIXES = ("mean", "min", "max", "std")
 PRESSURE = "pressure"  # the aggregates' name of a run's composite curve
+AGGREGATED = tuple(sorted([PRESSURE, *CHANNELS]))  # the composite curve and every channel
 
 
 # No stage calls it: it is the tests' per-run reference, and a name perfbench traces.
@@ -57,10 +58,9 @@ def aggregate_runs(chunk: RunChunk, pressure: np.ndarray) -> dict[str, np.ndarra
     bits of the per-run function.
     """
     channels = {PRESSURE: pressure, **chunk.channels}
-    names = sorted(channels)
-    values = np.stack([channels[name] for name in names])  # channel-major rows
+    values = np.stack([channels[name] for name in AGGREGATED])  # channel-major rows
     lengths = chunk.lengths
-    mean, std = np.empty((2, len(names), lengths.size))
+    mean, std = np.empty((2, len(AGGREGATED), lengths.size))
     for n in np.unique(lengths):
         runs = np.flatnonzero(lengths == n)
         # channels x runs x samples, C-contiguous: each run's samples are one row
@@ -70,7 +70,7 @@ def aggregate_runs(chunk: RunChunk, pressure: np.ndarray) -> dict[str, np.ndarra
     lo = np.minimum.reduceat(values, chunk.starts, axis=1)
     hi = np.maximum.reduceat(values, chunk.starts, axis=1)
     stats = np.stack([mean, lo, hi, std], axis=1)  # in AGGREGATE_SUFFIXES order
-    return dict(zip(aggregate_names(names), stats.reshape(-1, lengths.size)))
+    return dict(zip(aggregate_names(AGGREGATED), stats.reshape(-1, lengths.size)))
 
 
 def encode_recipe_plan(plans: np.ndarray, vocab: Sequence[str]) -> np.ndarray:

@@ -121,9 +121,7 @@ def _best_split(
     summed left+right SSE from prefix sums. SSE ties resolve to the lower
     feature, then the lower threshold: the first minimum, feature-major.
     """
-    n = rows.size
-    if n < 2 * min_leaf:
-        return None
+    n = rows.size  # at least 2 * min_leaf: grow() stops a smaller node
     key = codes[feats][:, rows] | np.arange(n, dtype=np.uint64)
     key.sort(axis=1)
     order = (key & np.uint64(0xFFFFFFFF)).astype(np.intp)

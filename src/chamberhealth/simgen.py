@@ -159,20 +159,15 @@ class ChamberConfig:
             )
         check_sensor_priorities(self.sensors)
 
-    def seasonal_drift(self, phase: float) -> float:
-        """Additive p_ss offset in mbar at a given fraction of the year."""
-        if self.seasonal_amplitude == 0:
-            return 0.0
-        return self.seasonal_amplitude * math.sin(2.0 * math.pi * phase + math.pi)
-
     def steady_state_pressure(
         self, contamination: float, phase: float = 0.0, weather: float = 0.0
     ) -> float:
-        """Outgassing floor p_ss(c) in mbar, clamped at >= 0."""
+        """Outgassing floor p_ss(c) in mbar, clamped at >= 0, at a given
+        fraction ``phase`` of the year."""
         p_ss = (
             self.base_outgassing_q0
             + self.outgassing_per_unit * contamination
-            + self.seasonal_drift(phase)
+            + self.seasonal_amplitude * math.sin(2.0 * math.pi * phase + math.pi)
             + weather
         )
         return max(p_ss, 0.0)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from chamberhealth import cli
-from chamberhealth.core import RunChunk, composite_columns
+from chamberhealth.core import CHANNELS, RunChunk, composite_columns
 from chamberhealth.features import RowMeta, aggregate_runs
 from chamberhealth.hi import derive_hi, run_segment_durations
 from chamberhealth.models import DEFAULT_HYPERPARAMS
@@ -81,7 +81,7 @@ def chunk_of(runs) -> RunChunk:
         t=np.concatenate([run.t for run in runs]),
         readings=np.concatenate([run.readings for run in runs]),
         channels={name: np.concatenate([run.extra_channels[name] for run in runs])
-                  for name in runs[0].extra_channels},
+                  for name in CHANNELS},
     )
 
 

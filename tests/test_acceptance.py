@@ -122,7 +122,7 @@ def test_criterion_4_pumpdown_oracle_consistency():
         curve = composite_curve(run, config.sensors)
         for seg in default_segments():
             measured = extract_segment_duration(run.t, curve, seg)
-            assert measured is not None, f"{seg.name} incomplete at p_ss={run.true_p_ss}"
+            assert measured is not None, f"dp{seg.index} incomplete at p_ss={run.true_p_ss}"
             expected = true_segment_duration(seg, config, run.true_p_ss)
             worst = max(worst, abs(measured - expected))
     verdict(4, worst <= 0.5, f"max |measured - closed form| = {worst:.4f}s (limit one 0.5s sample)")

@@ -160,14 +160,17 @@ def test_flag_value_uses_the_key_parser(small_config, capsys):
 
 
 def test_impact_alpha_is_per_simulated_maintenance_cycle(tmp_path, small_config, capsys):
-    # the small config without its cycle length, which the flag then sets
+    # the small config without its cycle length, which the flag then sets,
+    # and with a sixth segment, below the pumpdown target, that no run completes
     ini = tmp_path / "default-cycle.ini"
-    ini.write_text(SMALL_INI.replace("cycle_length = 25\n", ""))
+    ini.write_text(SMALL_INI.replace("cycle_length = 25\n", "") + (
+        "[hi]\nsegments = 1:1013.0:0.02, 2:0.03:0.002, 3:0.002:0.0005, 4:0.0005:0.0002, "
+        "5:0.0002:0.0001, 6:1e-5:1e-6\n"))
     out = tmp_path / "work"
     assert run_cli("pipeline", "--config", ini, "--out", out, "--cycle-length", 25) == 0
     assert "cycle_length = 25" in capsys.readouterr().out
     fits = dataio.read_table(out / dataio.FITS_CSV)
-    assert fits
+    assert [row[0] for row in fits] == [1, 2, 3, 4, 5]
     for _, k, _, t_bar, alpha, _, _ in fits:
         assert alpha == k * 25 / t_bar * 100.0
 
@@ -300,6 +303,7 @@ RUNS_CSV_CORRUPTIONS = {
         lines[0].replace("temp_c", "pressure")
     ] + lines[1:],
     "channel-renamed": lambda lines, b=0: [lines[0].replace("gas_flow", "bogus")] + lines[1:],
+    "cell-past-the-field-limit": _set_runs_cell("p1_mbar", "1" * (csv.field_size_limit() + 1)),
 }
 # the header every refused header is told it should have (four default sensors)
 RUNS_CSV_EXPECTED = str(
@@ -311,6 +315,7 @@ RUNS_CSV_REFUSALS = {
     "inf-sensor-cell": "valid readings must be finite",
     "empty-t-cell": "empty or non-finite t_s or channel cell",
     "empty-channel-cell": "empty or non-finite t_s or channel cell",
+    "cell-past-the-field-limit": "field larger than field limit (131072)",
     **dict.fromkeys(
         ["gauge-columns-swapped", "gauge-column-renamed", "channel-column-dropped",
          "channel-renamed-pressure", "channel-renamed"],
@@ -332,6 +337,14 @@ SUPERVISED_CORRUPTIONS = {
     "negative-n-runs-target": (dataio.META_CSV, _set_column(dataio.META_CSV, "n_runs_target", "-7")),
     # the second row, a train row, relabelled: a test row that predates train rows
     "test-row-among-train-rows": (dataio.META_CSV, lambda lines: _set_cell(lines, 2, -1, "test")),
+    "features-last-row-cut": (dataio.FEATURES_CSV, lambda lines: lines[:-1]),
+    "every-row-train": (dataio.META_CSV, lambda lines: [lines[0]] + [
+        line.rstrip("\n").rsplit(",", 1)[0] + ",train\n" for line in lines[1:]]),
+}
+# the refusal that a corruption must reach
+SUPERVISED_REFUSALS = {
+    "features-last-row-cut": "features.csv and meta.csv row counts differ",
+    "every-row-train": "meta.csv has no test rows",
 }
 
 
@@ -406,7 +419,9 @@ def test_malformed_supervised_set_is_data_error(tmp_path, pipelined, capsys, cor
     else:
         output.unlink()
     assert run_cli(command, "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError:") and err.count("\n") == 1
+    assert SUPERVISED_REFUSALS.get(corruption, "") in err
     assert not output.exists()
 
 
@@ -462,10 +477,22 @@ def _duplicate_first_meta_row(lines):
     return lines[:2] + [lines[1]] + lines[2:]
 
 
+# (the files corrupted, the corruption of each)
 DATASET_CORRUPTIONS = {
-    "run-meta-duplicate-run-id": (dataio.RUN_META_CSV, _duplicate_first_meta_row),
-    "run-meta-inf-start-time": (dataio.RUN_META_CSV, _set_column(
+    "run-meta-duplicate-run-id": ((dataio.RUN_META_CSV,), _duplicate_first_meta_row),
+    "run-meta-inf-start-time": ((dataio.RUN_META_CSV,), _set_column(
         dataio.RUN_META_CSV, "start_time", "inf")),
+    "no-runs": ((dataio.RUN_META_CSV, dataio.RUNS_CSV), lambda lines: lines[:1]),
+    "run-meta-empty": ((dataio.RUN_META_CSV,), lambda lines: []),
+    "run-meta-header-past-the-field-limit": ((dataio.RUN_META_CSV,), lambda lines: [
+        lines[0].rstrip("\n") + "x" * csv.field_size_limit() + "\n"] + lines[1:]),
+}
+# the refusal that a corruption must reach
+DATASET_REFUSALS = {
+    "no-runs": "no runs to derive a health index from",
+    "run-meta-empty": "empty file: ",
+    "run-meta-header-past-the-field-limit":
+        "run_meta.csv: unreadable text after line 1: field larger than field limit (131072)",
 }
 
 
@@ -473,10 +500,13 @@ DATASET_CORRUPTIONS = {
 def test_inconsistent_dataset_is_data_error(tmp_path, simulated, capsys, corruption):
     config, work = simulated
     out = shutil.copytree(work, tmp_path / "work")
-    name, corrupt = DATASET_CORRUPTIONS[corruption]
-    _corrupt(out / name, corrupt)
+    names, corrupt = DATASET_CORRUPTIONS[corruption]
+    for name in names:
+        _corrupt(out / name, corrupt)
     assert run_cli("derive-hi", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError:") and err.count("\n") == 1
+    assert DATASET_REFUSALS.get(corruption, "") in err
     assert not (out / dataio.HI_CSV).exists()
 
 
@@ -561,6 +591,8 @@ HI_CSV_CORRUPTIONS = {
     "wrong-header": lambda lines: [lines[0].replace("hi_s", "hi")] + lines[1:],
     # a second HI for the first run, which the last row would silently win
     "duplicate-run-id": lambda lines: lines + _set_cell(lines, 1, -1, "99.0")[1:2],
+    "hi-past-the-field-limit": _set_column(dataio.HI_CSV, "hi_s",
+                                           "1" * (csv.field_size_limit() + 1)),
 }
 
 
@@ -571,7 +603,8 @@ def test_bad_hi_csv_is_data_error(tmp_path, pipelined, capsys, corruption):
     _drop_outputs(out, *FEATURE_OUTPUTS)
     _corrupt(out / dataio.HI_CSV, HI_CSV_CORRUPTIONS[corruption])
     assert run_cli("build-features", "--config", config, "--out", out) == 3
-    assert capsys.readouterr().err.startswith("ERROR DataError:")
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR DataError:") and err.count("\n") == 1
     assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
@@ -701,27 +734,44 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
-# recipes that make no schedule, refused while the config is resolved
+# config files that make no schedule, no run or no config at all, each
+# refused before simulate writes a file: (the file's text, the refusal, in
+# which {path} stands for the file's path)
 INCONSISTENT_RECIPES = {
-    "duplicate-recipe-ids": ("recipes = std:0.8:1.0:0.5, std:0.0:0.85:0.3, heavy:2.4:1.25:0.2",
-                             "recipe ids must be unique"),
-    "probs-all-zero": ("recipes = std:0.8:1.0:0.0, light:0.0:0.85:0.0, heavy:2.4:1.25:0.0",
-                       "recipe probabilities must sum > 0"),
+    "duplicate-recipe-ids": ("[simgen]\nrecipes = std:0.8:1.0:0.5, std:0.0:0.85:0.3, "
+                             "heavy:2.4:1.25:0.2\n", "recipe ids must be unique"),
+    "probs-all-zero": ("[simgen]\nrecipes = std:0.8:1.0:0.0, light:0.0:0.85:0.0, "
+                       "heavy:2.4:1.25:0.0\n", "recipe probabilities must sum > 0"),
     # each share is finite, their sum is not
-    "shares-sum-past-float-max": ("recipes = std:0.8:1.0:1e308, light:0.0:0.85:1e308",
+    "shares-sum-past-float-max": ("[simgen]\nrecipes = std:0.8:1.0:1e308, light:0.0:0.85:1e308\n",
                                   "recipe shares must sum to a finite number"),
+    "duration-scale-zero": ("[simgen]\nrecipes = std:0.8:0:1\n",
+                            "recipe std: duration_scale must be > 0"),
+    "no-sensors": ("[simgen]\nsensors = , ,\n",
+                   "bad config value for [simgen] sensors: list must not be empty"),
+    # refused as the first run is generated, before simulate writes a file
+    "sample-dt-past-max-samples": ("[simgen]\nsample_dt = 1e-6\n",
+                                   "run would exceed max_samples (48667993 > 200000)"),
+    # configparser's errors span lines, and name the file
+    "no-section-header": ("garbage\n", "bad config file: File contains no section headers. "
+                          "file: '{path}', line: 1 'garbage\\n'"),
+    "duplicate-option": ("[cli]\nseed = 1\nseed = 2\n", "bad config file: While reading from "
+                         "'{path}' [line 3]: option 'seed' in section 'cli' already exists"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT_RECIPES))
 def test_inconsistent_recipes_are_config_error(tmp_path, capsys, case):
-    line, refusal = INCONSISTENT_RECIPES[case]
+    text, refusal = INCONSISTENT_RECIPES[case]
     bad = tmp_path / "bad.ini"
-    bad.write_text(f"[simgen]\n{line}\n")
+    bad.write_text(text)
     out = tmp_path / "work"
     assert run_cli("simulate", "--config", bad, "--seed", 0, "--out", out) == 2
-    assert capsys.readouterr().err == f"ERROR ConfigError: {refusal}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == f"ERROR ConfigError: {refusal.format(path=bad)}\n"
+    if case == "sample-dt-past-max-samples":  # simulate made --out, and nothing in it
+        assert list(out.iterdir()) == []
+    else:  # refused while the config is resolved, so --out is never made
+        assert not out.exists()
 
 
 def test_gauge_noise_that_overflows_a_reading_is_config_error(tmp_path, capsys):
@@ -968,7 +1018,8 @@ VERSION_2_JSON = json.dumps({
     "payload": {"W1": [[0.5]], "b1": [0.0], "W2": [[1.0]], "b2": [0.0]},
 }).encode()
 
-# (model kind, the file's new bytes as a function of its path)
+# (model kind, the file's new bytes as a function of its path, or None
+# once it has removed models/)
 MODEL_FILE_CORRUPTIONS = {
     "dt-cut-to-1000-bytes": ("dt", lambda path: path.read_bytes()[:1000]),
     "svr-without-payload-w": ("svr", _edited(lambda doc: doc.pop("payload.w"))),
@@ -982,6 +1033,15 @@ MODEL_FILE_CORRUPTIONS = {
     "mlp-not-an-object": ("mlp", lambda path: b"[]"),
     "mlp-version-2-json": ("mlp", lambda path: VERSION_2_JSON),
     "rf-is-a-copy-of-dt": ("rf", lambda path: path.with_name("dt.npz").read_bytes()),
+    "svr-of-another-format": ("svr", _edited(lambda doc: doc.update(format=np.asarray("other")))),
+    "svr-of-an-unknown-kind": ("svr", _edited(lambda doc: doc.update(kind=np.asarray("lstm")))),
+    "models-dir-removed": ("dt", lambda path: shutil.rmtree(path.parent)),
+}
+# the start of the refusal, if not "<kind>.npz: "
+MODEL_FILE_REFUSALS = {
+    "svr-of-another-format": "svr.npz: not a chamberhealth-model file\n",
+    "svr-of-an-unknown-kind": "svr.npz: unknown model kind 'lstm'\n",
+    "models-dir-removed": "no trained models (*.npz) found under ",
 }
 
 
@@ -992,10 +1052,12 @@ def test_malformed_model_file_is_model_error(tmp_path, pipelined, capsys, corrup
     _drop_outputs(out, *EVALUATE_OUTPUTS)
     kind, corrupt = MODEL_FILE_CORRUPTIONS[corruption]
     path = out / dataio.MODELS_DIR / f"{kind}.npz"
-    path.write_bytes(corrupt(path))
+    if (data := corrupt(path)) is not None:
+        path.write_bytes(data)
     assert run_cli("evaluate", "--config", config, "--out", out) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"ERROR ModelError: {kind}.npz: ") and err.count("\n") == 1
+    refusal = MODEL_FILE_REFUSALS.get(corruption, f"{kind}.npz: ")
+    assert err.startswith(f"ERROR ModelError: {refusal}") and err.count("\n") == 1
     assert not [o for o in EVALUATE_OUTPUTS if (out / o).exists()]
 
 

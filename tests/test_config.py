@@ -27,7 +27,7 @@ from chamberhealth.simgen import RecipeSpec
 def test_ini_roundtrip_is_identity():
     cfg = replace(default_config(), seed=7)
     text = config_to_ini(cfg)
-    back = config_from_ini(text)
+    back = config_from_ini(text, "test.ini")
     assert config_to_ini(back) == text
     assert back.chamber == cfg.chamber
     assert back.recipes == cfg.recipes
@@ -43,7 +43,7 @@ def test_ini_roundtrip_is_identity():
     text = config_to_ini(other)
     assert "sensors = g1:1e-06:2000.0:1:0.0\n" in text
     assert "recipes = a:0.8:1.0:3.0, b:0.0:0.85:0.0, c:2.4:1.25:1.5\n" in text
-    back = config_from_ini(text)
+    back = config_from_ini(text, "test.ini")
     assert config_to_ini(back) == text
     assert back.chamber == other.chamber
     assert back.recipes == other.recipes
@@ -66,7 +66,8 @@ horizon = 3
 
 [models]
 rf_n_trees = 10
-"""
+""",
+        "test.ini",
     )
     assert cfg.seed == 5 and cfg.out_dir == "work"
     assert cfg.n_assets == 2
@@ -81,66 +82,66 @@ rf_n_trees = 10
 
 def test_unknown_keys_and_sections_rejected():
     with pytest.raises(ConfigError):
-        config_from_ini("[simgen]\nbogus = 1\n")
+        config_from_ini("[simgen]\nbogus = 1\n", "test.ini")
     with pytest.raises(ConfigError):
-        config_from_ini("[nonsense]\nx = 1\n")
+        config_from_ini("[nonsense]\nx = 1\n", "test.ini")
     with pytest.raises(ConfigError):
-        config_from_ini("[models]\ndt_bogus = 1\n")
+        config_from_ini("[models]\ndt_bogus = 1\n", "test.ini")
     with pytest.raises(ConfigError):
-        config_from_ini("[hi]\nwhat = 1\n")
+        config_from_ini("[hi]\nwhat = 1\n", "test.ini")
     with pytest.raises(ConfigError):
-        config_from_ini("[cli]\nsed = 3\n")
+        config_from_ini("[cli]\nsed = 3\n", "test.ini")
     # the thread cap was removed; old config dumps still carrying it fail loudly
     with pytest.raises(ConfigError, match=r"unknown \[cli\] key: threads"):
-        config_from_ini("[cli]\nthreads = 1\n")
+        config_from_ini("[cli]\nthreads = 1\n", "test.ini")
     # and so was [hi] cycle_length: the impact's cycle is the one simgen cleans at
     with pytest.raises(ConfigError, match=r"unknown \[hi\] key: cycle_length"):
-        config_from_ini("[hi]\ncycle_length = 100\n")
+        config_from_ini("[hi]\ncycle_length = 100\n", "test.ini")
     # so was the [eval] section, whose one switch is now always on
     with pytest.raises(ConfigError, match=r"unknown config sections: \['eval'\]"):
-        config_from_ini("[eval]\ndump_predictions = true\n")
+        config_from_ini("[eval]\ndump_predictions = true\n", "test.ini")
     # [DEFAULT] is an ordinary, unknown section, never a fallback for every other
     with pytest.raises(ConfigError, match=r"unknown config sections: \['DEFAULT'\]"):
-        config_from_ini("[DEFAULT]\nn_assets = 2\n")
+        config_from_ini("[DEFAULT]\nn_assets = 2\n", "test.ini")
     # a gauge's noise and a recipe's share moved into their list entries; the
     # side tables of an old config dump are refused
     with pytest.raises(ConfigError, match=r"^unknown \[simgen\] key: noise_sigma$"):
-        config_from_ini("[simgen]\nnoise_sigma = s1:0.05, s2:0.0005, s3:0.05, s4:0.3\n")
+        config_from_ini("[simgen]\nnoise_sigma = s1:0.05, s2:0.0005, s3:0.05, s4:0.3\n", "test.ini")
     with pytest.raises(ConfigError, match=r"^unknown \[simgen\] key: recipe_probs$"):
-        config_from_ini("[simgen]\nrecipe_probs = std:0.5, light:0.3, heavy:0.2\n")
+        config_from_ini("[simgen]\nrecipe_probs = std:0.5, light:0.3, heavy:0.2\n", "test.ini")
 
 
 def test_bad_values_rejected():
     with pytest.raises(ConfigError):
-        config_from_ini("[features]\nhorizon = ten\n")
+        config_from_ini("[features]\nhorizon = ten\n", "test.ini")
     with pytest.raises(ConfigError):
-        config_from_ini("[simgen]\nsensors = bad\n")
+        config_from_ini("[simgen]\nsensors = bad\n", "test.ini")
     # integer keys take integers only, never a silently truncated float
     with pytest.raises(ConfigError):
-        config_from_ini("[models]\nrf_n_trees = 10.7\n")
+        config_from_ini("[models]\nrf_n_trees = 10.7\n", "test.ini")
     # a second entry under one identity would shadow the first
     with pytest.raises(ConfigError, match=r"segment indices must be unique, got \[2, 2\]"):
-        config_from_ini("[hi]\nsegments = 2:0.03:0.002, 2:1013.0:0.02\n")
+        config_from_ini("[hi]\nsegments = 2:0.03:0.002, 2:1013.0:0.02\n", "test.ini")
     with pytest.raises(ConfigError, match="sensor ids must be unique"):
-        config_from_ini("[simgen]\nsensors = s2:1e-3:5.0:1:0.0, s2:0.5:2000.0:2:0.0\n")
+        config_from_ini("[simgen]\nsensors = s2:1e-3:5.0:1:0.0, s2:0.5:2000.0:2:0.0\n", "test.ini")
     # an old config dump's entries lack the noise and share fields
     with pytest.raises(ConfigError, match=(
         r"^bad config value for \[simgen\] sensors: bad entry 's1:0.5:2000.0:4': "
         r"expected 5 ':'-separated fields$"
     )):
         config_from_ini("[simgen]\nsensors = s1:0.5:2000.0:4, s2:0.001:5.0:1, "
-                        "s3:0.00012:0.0015:2, s4:1e-06:0.0015:3\n")
+                        "s3:0.00012:0.0015:2, s4:1e-06:0.0015:3\n", "test.ini")
     with pytest.raises(ConfigError, match=(
         r"^bad config value for \[simgen\] recipes: bad entry 'std:0.8:1.0': "
         r"expected 4 ':'-separated fields$"
     )):
-        config_from_ini("[simgen]\nrecipes = std:0.8:1.0, light:0.0:0.85, heavy:2.4:1.25\n")
+        config_from_ini("[simgen]\nrecipes = std:0.8:1.0, light:0.0:0.85, heavy:2.4:1.25\n", "test.ini")
     # meta.csv joins a row's planned recipes with "|"
     for recipe_id in ("a|b", ""):
         with pytest.raises(ConfigError, match=(
             rf"^recipe {re.escape(repr(recipe_id))}: an id must be non-empty, without '\|'$"
         )):
-            config_from_ini(f"[simgen]\nrecipes = {recipe_id}:0.8:1.0:1.0\n")
+            config_from_ini(f"[simgen]\nrecipes = {recipe_id}:0.8:1.0:1.0\n", "test.ini")
 
 
 def test_sensor_segment_recipe_parsing():
@@ -152,7 +153,8 @@ recipes = only:1.5:1.0:1.0
 
 [hi]
 segments = 1:100.0:0.01
-"""
+""",
+        "test.ini",
     )
     assert len(cfg.chamber.sensors) == 1
     assert cfg.chamber.sensors[0].sensor_id == "g1"
@@ -160,6 +162,9 @@ segments = 1:100.0:0.01
     assert cfg.recipes[0].deposition_weight == 1.5
     assert cfg.recipes[0].share == 1.0
     assert cfg.segments[0].upper == 100.0
+    # a trailing comma parses as if it were absent
+    trailing = config_from_ini("[simgen]\nsensors = g1:1e-6:2000.0:1:0.01,\n", "test.ini")
+    assert trailing.chamber.sensors == cfg.chamber.sensors
 
 
 def test_hash_ignores_cli_section():
@@ -180,14 +185,14 @@ def test_hash_tracks_science_sections():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "none.ini")
-    with pytest.raises(ConfigError, match="is a directory"):
+    with pytest.raises(ConfigError, match="Is a directory"):
         load_config(tmp_path)
     path = tmp_path / "c.ini"
     path.write_text("[cli]\nseed = 3\n")
     assert load_config(path).seed == 3
     with open(path, "ab") as fh:
         fh.write(b"\xff")
-    with pytest.raises(ConfigError, match="c.ini is not UTF-8 text"):
+    with pytest.raises(ConfigError, match=r"c\.ini: 'utf-8' codec can't decode byte 0xff"):
         load_config(path)
 
 

@@ -1,5 +1,6 @@
 """Sensor fusion and domain type tests."""
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -174,8 +175,6 @@ def test_segment_spec_validation():
         SegmentSpec(1, 0.002, 0.03)
     with pytest.raises(ConfigError):
         SegmentSpec(1, 0.03, 0.0)
-    seg = SegmentSpec(2, 0.03, 0.002)
-    assert seg.name == "dp2"
 
 
 def test_pressure_sample_validation():
@@ -244,7 +243,8 @@ def test_composite_columns_equal_composite_curve_of_each_run(ranges, priorities,
     records = [
         RunRecord(run_id=f"r{k}", asset_id="a", start_time=0.0, recipe_id="std", n_runs=0,
                   t=np.arange(len(rows)) * 0.5, readings=np.array(rows)[:, : len(sensors)],
-                  extra_channels={}, true_c=0.0, true_p_ss=0.0)
+                  extra_channels={name: np.zeros(len(rows)) for name in CHANNELS},
+                  true_c=0.0, true_p_ss=0.0)
         for k, rows in enumerate(runs)
     ]
     expected = _fused(lambda: np.concatenate([composite_curve(r, sensors) for r in records]))
@@ -254,7 +254,9 @@ def test_composite_columns_equal_composite_curve_of_each_run(ranges, priorities,
 def test_run_chunk_checks_name_the_first_run_at_fault():
     def chunk(t, readings):
         return RunChunk(run_ids=("r0", "r1", "r2"), starts=np.array([0, 2, 4]),
-                        t=np.array(t, dtype=float), readings=np.array(readings, dtype=float)[:, None])
+                        t=np.array(t, dtype=float),
+                        readings=np.array(readings, dtype=float)[:, None],
+                        channels={name: np.ones(6) for name in CHANNELS})
 
     good_t, good = [0.0, 0.5, 0.0, 0.5, 0.0, 0.5], [1.0, np.nan, 2.0, 3.0, 4.0, 5.0]
     chunk(good_t, good)  # times restart with every run
@@ -278,3 +280,16 @@ def test_run_chunk_refuses_non_finite_times_and_channels(column, value):
     with pytest.raises(DataError, match=r"^run r1: empty or non-finite t_s or channel cell$"):
         RunChunk(run_ids=("r0", "r1", "r2"), starts=np.array([0, 2, 4]), t=t,
                  readings=readings[:, None], channels=channels)
+
+
+def test_run_chunk_takes_exactly_the_declared_channels():
+    columns = dict(run_ids=("r0", "r1"), starts=np.array([0, 1]), t=np.array([0.0, 0.0]),
+                   readings=np.ones((2, 1)))
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'channels'"):
+        RunChunk(**columns)
+    declared = {name: np.ones(2) for name in CHANNELS}
+    RunChunk(**columns, channels=declared)
+    for channels in ({"temp_c": np.ones(2)}, {**declared, "vibration": np.ones(2)}):
+        refusal = f"run r0: channels {sorted(channels)}, not ['gas_flow', 'temp_c']"
+        with pytest.raises(DataError, match=f"^{re.escape(refusal)}$"):
+            RunChunk(**columns, channels=channels)

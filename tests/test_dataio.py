@@ -34,6 +34,7 @@ from helpers import (
     equal_share_recipes,
     hi_column,
     same_column,
+    toy_meta,
 )
 
 
@@ -231,6 +232,22 @@ def test_failed_write_leaves_neither_temp_nor_target(tmp_path):
     column = [1.0] * dataio.ROWS_PER_BLOCK + [Failing()]
     with pytest.raises(RuntimeError, match="row source failed"):
         dataio.write_columns(tmp_path / "x.csv", ["a", "b"], [column, column])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writing_no_runs_is_refused(tmp_path):
+    # runs.csv's header takes its gauge count from the first run
+    with pytest.raises(DataError, match="^no runs to write$"):
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_split_of_other_features_is_refused(tmp_path):
+    # features.csv has one header for both splits
+    train, test = (SupervisedSet(X=np.zeros((1, 1)), y=np.zeros(1), feature_names=(name,),
+                                 meta=toy_meta([0], [10], [1.0])) for name in ("a", "b"))
+    with pytest.raises(DataError, match="^train/test feature names differ$"):
+        dataio.write_supervised(tmp_path, train, test)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chamberhealth.core import RunMeta, RunRecord, SensorSpec, composite_curve
+from chamberhealth.core import CHANNELS, RunMeta, RunRecord, SensorSpec, composite_curve
 from chamberhealth.errors import DataError
 from chamberhealth.features import (
     RowMeta,
@@ -56,10 +56,8 @@ def _aggregates(runs, sensors=WIDE):
 def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"):
     t = np.arange(4) * 0.5
     p = np.array([100.0, 10.0, 1.0, 0.1])
-    extra = {}
-    if channel is not None:
-        values = np.asarray(channel, dtype=float)
-        extra = {"ch": np.resize(values, t.size)}
+    # every channel of CHANNELS holds ``channel``'s values, repeated, or zeros
+    values = np.resize(np.asarray([0.0] if channel is None else channel, dtype=float), t.size)
     return RunRecord(
         run_id=run_id,
         asset_id=asset,
@@ -68,7 +66,7 @@ def make_run(run_id="r0", asset="a1", start=0.0, n=0, channel=None, recipe="std"
         n_runs=n,
         t=t,
         readings=p[:, None],
-        extra_channels=extra,
+        extra_channels=dict.fromkeys(CHANNELS, values),
         true_c=0.0,
         true_p_ss=0.0,
     )
@@ -323,6 +321,9 @@ def test_chrono_split_too_few_rows():
     sset = _supervised_fixture(19)  # 9 rows
     with pytest.raises(DataError, match="need >= 10 rows to split, got 9"):
         chrono_split(sset, 0.7)
+    # enough rows, but a fraction of them that rounds down to no train row
+    with pytest.raises(DataError, match=r"degenerate split sizes \(0, 10\)"):
+        chrono_split(_supervised_fixture(20), 0.05)
 
 
 def test_chrono_split_encodes_one_hot_blocks():
@@ -397,6 +398,12 @@ def test_standardize_constant_column_maps_to_zero():
     out = standardize(train, np.array([[3.0, 1.5], [99.0, 1.5]]))
     assert out[0, 0] == 0.0 and out[1, 0] == 0.0
     assert out[0, 1] == 0.0  # value equal to the train mean maps to 0
+
+
+def test_standardizer_refuses_an_empty_matrix():
+    # its mean would be NaN, with numpy's RuntimeWarning
+    with pytest.raises(DataError, match="cannot standardize an empty matrix"):
+        Standardizer.fit(np.empty((0, 3)))
 
 
 def test_standardizer_roundtrip_stats():

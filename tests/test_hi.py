@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chamberhealth.core import RunChunk, SegmentSpec, composite_curve
+from chamberhealth.core import CHANNELS, RunChunk, SegmentSpec, composite_curve
 from chamberhealth.errors import DataError, DegenerateFit
 from chamberhealth.hi import (
     clean_baseline,
@@ -93,6 +93,9 @@ def test_ols_degenerate_inputs():
         fit_ols(np.array([1]), np.array([2.0]))
     with pytest.raises(DegenerateFit, match="all n_runs values are equal"):
         fit_ols(np.array([3, 3, 3]), np.array([1.0, 2.0, 3.0]))
+    # one point has no spread about its mean: 0 / 0, not an R^2
+    with pytest.raises(DegenerateFit, match="need >= 2 points, got 1"):
+        r_squared(np.array([1]), np.array([2.0]), 0.0, 2.0)
 
 
 def test_ols_matches_normal_equations_oracle():
@@ -233,7 +236,7 @@ def _synthetic_selection_case(duration_fn, n_runs=60, cycle=30):
                 n_runs=n,
                 t=t,
                 readings=p[:, None],
-                extra_channels={},
+                extra_channels={name: np.zeros(t.size) for name in CHANNELS},
                 true_c=0.0,
                 true_p_ss=0.0,
             )
@@ -411,7 +414,8 @@ def test_run_segment_durations_equal_extract_segment_duration_of_each_run(segmen
     lengths = [len(run) for run in runs]
     chunk = RunChunk(run_ids=tuple(f"r{k}" for k in range(len(runs))),
                      starts=np.cumsum([0] + lengths[:-1]), t=np.concatenate(ts),
-                     readings=np.concatenate(pressures)[:, None])
+                     readings=np.concatenate(pressures)[:, None],
+                     channels={name: np.zeros(sum(lengths)) for name in CHANNELS})
     got = run_segment_durations(chunk, np.concatenate(pressures), segments)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()

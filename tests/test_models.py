@@ -65,6 +65,15 @@ def test_tree_empty_training():
         fit_decision_tree(np.empty((0, 2)), np.array([]), **hyper("dt"))
 
 
+@pytest.mark.parametrize("kind, fit, seeded", [
+    ("knn", fit_knn, {}), ("svr", fit_linear_svr, {}), ("mlp", fit_mlp, {"seed": 0})],
+    ids=["knn", "svr", "mlp"])
+def test_fits_on_no_rows_are_refused(kind, fit, seeded):
+    # the mean of no targets would be NaN, with numpy's RuntimeWarning
+    with pytest.raises(ModelError, match=f"^{kind} needs at least one sample$"):
+        fit(np.empty((0, 2)), np.array([]), **hyper(kind), **seeded)
+
+
 def test_tree_constant_target_is_single_leaf():
     X = np.arange(10, dtype=float)[:, None]
     model = fit_decision_tree(X, np.full(10, 3.0), max_depth=5, min_samples_leaf=1)
@@ -700,6 +709,14 @@ def test_older_model_format_is_refused(tmp_path):
             f"^dt.npz: unsupported model format version {version}; rerun train$"
         )):
             load_model(path)
+
+
+def test_predict_refuses_rows_of_another_feature_count():
+    # a standardizer of other length would broadcast, or fail inside numpy
+    model = train_model(RegressorSpec("knn", {"k": 3}), _train_fixture())
+    m = len(model.feature_names)
+    with pytest.raises(ModelError, match=f"^knn: expected {m} features, got {m + 1}$"):
+        model.predict(np.zeros((2, m + 1)))
 
 
 def test_standardized_kinds_carry_the_handle():

@@ -1,5 +1,6 @@
 """Physics oracle and generator tests."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,17 @@ def test_closed_form_floor_at_target_is_infeasible():
         closed_form_segment_duration(0.03, 0.002, 2.0, 0.002)
     with pytest.raises(DataError, match="at or below the steady-state floor"):
         closed_form_segment_duration(0.03, 0.002, 2.0, 0.01)
+
+
+def test_closed_form_refuses_a_time_constant_or_bounds_without_a_pumpdown():
+    for tau in (0.0, -2.0):
+        with pytest.raises(ConfigError, match=f"tau must be > 0, got {tau}"):
+            closed_form_segment_duration(0.03, 0.002, tau, 0.0)
+    # a log of 1 or less: no time, or a negative one, for a pressure that does not fall
+    for p_a, p_b in ((0.002, 0.002), (0.002, 0.03)):
+        with pytest.raises(ConfigError, match=re.escape(f"need p_a > p_b and p_ss >= 0, got "
+                                                        f"({p_a}, {p_b}, 0.0)")):
+            closed_form_segment_duration(p_a, p_b, 2.0, 0.0)
 
 
 @given(

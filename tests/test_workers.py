@@ -77,14 +77,16 @@ def test_the_first_failed_chunk_in_chunk_order_is_raised(two_cpus):
 
 
 def test_an_iterable_that_fails_raises_after_the_chunks_before_it(two_cpus):
-    def chunks():
-        yield from range(3)
-        raise KeyError("pulled too far")
+    # after three chunks on the workers; after one, here, as no second chunk waits for a worker
+    for n in (3, 1):
+        def chunks():
+            yield from range(n)
+            raise KeyError("pulled too far")
 
-    results = map_in_order(lambda chunk: -chunk, chunks())
-    assert [next(results) for _ in range(3)] == [0, -1, -2]
-    with pytest.raises(KeyError, match="pulled too far"):
-        next(results)
+        results = map_in_order(lambda chunk: -chunk, chunks())
+        assert [next(results) for _ in range(n)] == [0, -1, -2][:n]
+        with pytest.raises(KeyError, match="pulled too far"):
+            next(results)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
