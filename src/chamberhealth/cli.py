@@ -150,6 +150,9 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     best_kind = report.results[0][0]
     dataio.write_plot_hi_csv(out / dataio.PLOT_HI_CSV, test, best_kind, report.predictions)
     dataio.write_predictions_csv(out / dataio.PREDICTIONS_CSV, test, report.predictions)
+    # a model that learned nothing is named here, never in report.json
+    for line in report.degenerate():
+        sys.stderr.write(f"evaluate: {line}\n")
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:

@@ -52,6 +52,22 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
+    def degenerate(self) -> list[str]:
+        """One line per model, in kind order, whose test predictions are
+        constant or equal a benchmark's, as in "svr predictions are
+        constant and equal bm3's"."""
+        lines = []
+        for kind in sorted(kind for kind, _ in self.results):
+            pred = self.predictions[kind]
+            what = ["are constant"] if (pred == pred[0]).all() else []
+            same = [f"{bm}'s" for bm in BENCHMARK_KINDS
+                    if np.array_equal(pred, self.predictions[bm])]
+            if same:
+                what.append("equal " + " and ".join(same))
+            if what:
+                lines.append(f"{kind} predictions {' and '.join(what)}")
+        return lines
+
 
 def evaluate_all(
     models: Mapping[str, TrainedModel],

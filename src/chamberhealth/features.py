@@ -183,7 +183,9 @@ def chrono_split(
         raise DataError(f"need >= 10 rows to split, got {sset.n_rows}")
     n_train = int(np.floor(train_frac * sset.n_rows))
     if n_train == 0 or n_train == sset.n_rows:
-        raise DataError(f"degenerate split sizes ({n_train}, {sset.n_rows - n_train})")
+        # a DataError, not a ConfigError: whether a fraction works depends on the row count
+        raise DataError(f"train_frac {train_frac} of {sset.n_rows} rows gives degenerate split "
+                        f"sizes ({n_train}, {sset.n_rows - n_train}); each side needs a row")
 
     seen = sset.meta.take(slice(n_train))
     # column by column: all the train rows' cells at once as Python strings are ~3x their size

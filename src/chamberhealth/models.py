@@ -85,6 +85,11 @@ class RegressorSpec:
         return out
 
 
+# Test rows that one predict step holds at once: a forest walks a block
+# down every tree, and KNN bounds a block's distances to every train row
+FOREST_ROWS_PER_BLOCK = 128
+KNN_ROWS_PER_BLOCK = 8
+
 # -- CART regression tree -------------------------------------------------
 
 IntArray = npt.NDArray[np.intp]
@@ -255,7 +260,19 @@ class RFModel(_Trees):
     seed: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._leaf_values(X).mean(axis=0)
+        """The mean over trees, FOREST_ROWS_PER_BLOCK rows at a time. numpy
+        sums a (trees, rows) block down axis 0 one tree at a time, so each
+        row's mean has the bits of the whole walk's; a block of one row
+        would be summed pairwise, so a last block of one row takes one row
+        more."""
+        X = np.asarray(X, dtype=np.float64)
+        n = X.shape[0]
+        out = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, FOREST_ROWS_PER_BLOCK):
+            lo = min(lo, max(n - 2, 0))
+            out[lo : lo + FOREST_ROWS_PER_BLOCK] = self._leaf_values(
+                X[lo : lo + FOREST_ROWS_PER_BLOCK]).mean(axis=0)
+        return out
 
 
 def _grow_trees(
@@ -352,13 +369,55 @@ class KNNModel:
     k: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """The mean target of each row's k nearest train rows, by the
+        reference distance np.sum((self.X - q) ** 2, axis=1) with ties to
+        the lower train index, KNN_ROWS_PER_BLOCK test rows at a time.
+        Bounds from the GEMM form prune the train rows, and the reference
+        distance is computed only for the candidates left."""
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
-            d2 = np.sum((self.X - X[i]) ** 2, axis=1)
-            # stable sort: distance ties resolve to the lower train index
-            nearest = np.argsort(d2, kind="stable")[: self.k]
-            out[i] = self.y[nearest].mean()
+        m = self.X.shape[1]
+        # With u = eps / 2, gamma_n = n u / (1 - n u) and S = |q|^2 + |x|^2
+        # (Higham, Accuracy and Stability of Numerical Algorithms, chapters
+        # 3 and 4): the GEMM form a = (|q|^2 - 2 q.x) + |x|^2 is within
+        # (2 gamma_m + 4 u) S of the exact |q - x|^2 <= 2 S, whatever the
+        # order of the dot products' sums (|q|^2, |x|^2 and 2 q.x each
+        # within gamma_m of their share of S, and two more roundings of
+        # sums below 2 S), and the reference's m rounded squares of
+        # rounded differences sum to within gamma_(m+2) 2 S of it. So
+        # |a - d| <= 4 (m + 2) u S to first order, which delta covers twice
+        # over, plus 4 (m + 2) subnormal steps for products that underflow.
+        # Then T, the k-th smallest a + delta, bounds the k-th smallest d
+        # from above, and every row that can be among the k nearest, ties
+        # included, has a - delta <= d <= T. A row whose a + delta is not
+        # finite (an overflow, which a reference d that overflows implies,
+        # or a NaN) counts as +inf in T and is always a candidate.
+        slack = 4.0 * (m + 2) * np.finfo(np.float64).eps
+        floor = 4.0 * (m + 2) * np.finfo(np.float64).smallest_subnormal
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_sq = np.einsum("ij,ij->i", self.X, self.X)
+            for lo in range(0, X.shape[0], KNN_ROWS_PER_BLOCK):
+                Q = X[lo : lo + KNN_ROWS_PER_BLOCK]
+                q_sq = np.einsum("ij,ij->i", Q, Q)
+                bound = Q @ self.X.T
+                bound *= -2.0
+                bound += q_sq[:, None]
+                bound += train_sq  # the GEMM form a
+                delta = q_sq[:, None] + train_sq
+                delta *= slack
+                delta += floor
+                upper = bound + delta
+                bound -= delta  # now a - delta
+                forced = ~np.isfinite(upper)
+                upper[forced] = np.inf
+                T = np.partition(upper, self.k - 1, axis=1)[:, self.k - 1]
+                candidates = forced | (bound <= T[:, None])
+                for i, q in enumerate(Q):
+                    cand = np.flatnonzero(candidates[i])
+                    d2 = np.sum((self.X[cand] - q) ** 2, axis=1)
+                    # stable sort of candidates in index order: ties go to the lower train index
+                    nearest = cand[np.argsort(d2, kind="stable")[: self.k]]
+                    out[lo + i] = self.y[nearest].mean()
         return out
 
 

@@ -4,7 +4,7 @@ in-memory pipeline objects, in the shapes the program reads back from
 runs.csv and hi.csv, one simulated run from a seed, the fitters' keyword
 arguments at DEFAULT_HYPERPARAMS, an editor of model files, the
 reference tree grower that the rank-code split search and the node
-tables are checked against,
+tables are checked against, the reference forest and KNN predictions,
 the reference bm2 benchmark, the reference row-by-row supervised set
 and one-hot encoder, and the small pipeline whose artifact
 digests tests/golden/digests.json holds."""
@@ -253,6 +253,31 @@ def table_rows(trees, start: int = 0, stop: Optional[int] = None) -> list[tuple]
     columns = (trees.feature, trees.threshold, trees.value, trees.n, trees.right)
     return [(int(f), float(t).hex(), float(v).hex(), int(n), int(r))
             for f, t, v, n, r in zip(*(c[start:stop] for c in columns))]
+
+
+# -- reference predictions: the forest's whole (trees, rows) walk at once,
+# and KNN's full difference and stable argsort per test row;
+# RFModel.predict and KNNModel.predict must return the same bits
+
+
+def reference_forest_predict(forest, X) -> np.ndarray:
+    """The mean over trees of every row's leaf value, from one walk of all
+    the rows."""
+    return forest._leaf_values(X).mean(axis=0)
+
+
+def reference_knn_predict(knn, X) -> np.ndarray:
+    """The mean target of each row's k nearest train rows: the distance to
+    every train row, stable-sorted, so ties go to the lower train index.
+    A distance that overflows is +inf, without numpy's warning."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for i in range(X.shape[0]):
+            d2 = np.sum((knn.X - X[i]) ** 2, axis=1)
+            nearest = np.argsort(d2, kind="stable")[: knn.k]
+            out[i] = knn.y[nearest].mean()
+    return out
 
 
 # -- reference bm2: per-position sums in dicts and a per-row nearest-position

@@ -199,6 +199,19 @@ def test_evaluate_writes_every_prediction(tmp_path, pipelined):
     ]
 
 
+def test_evaluate_names_each_degenerate_model_on_stderr(tmp_path, pipelined, capsys):
+    # the small config's SVR never moves its weights from w = 0, b = mean(y),
+    # so it predicts bm3; the other four models print nothing
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    assert run_cli("evaluate", "--config", config, "--out", out) == 0
+    assert capsys.readouterr().err == "evaluate: svr predictions are constant and equal bm3's\n"
+    assert (out / dataio.REPORT_JSON).read_bytes() == (work / dataio.REPORT_JSON).read_bytes()
+    (out / dataio.MODELS_DIR / "svr.npz").unlink()
+    assert run_cli("evaluate", "--config", config, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_plot_csv_schema(tmp_path, small_config):
     out = tmp_path / "work"
     assert run_cli("pipeline", "--config", small_config, "--out", out) == 0
@@ -646,6 +659,27 @@ def test_every_fixed_header_csv_reads_back_through_its_schema(tmp_path, pipeline
         assert all(type(cell) is t for row in rows for cell, t in zip(row, schema.values())), name
         dataio.write_columns(tmp_path / name, schema, list(zip(*rows)))
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+
+# flag values within their keys' bounds that leave a side of the small
+# config's chronological split without rows: (flags, the refusal)
+SPLIT_REFUSALS = {
+    "train-frac-below-one-row": (("--train-frac", "0.001"), "train_frac 0.001 of 99 rows gives "
+                                 "degenerate split sizes (0, 99); each side needs a row"),
+    "horizon-past-all-but-five-runs": (("--horizon", "95"), "need >= 10 rows to split, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_REFUSALS))
+def test_split_without_rows_on_a_side_is_data_error(tmp_path, pipelined, capsys, case):
+    # a DataError: whether the value works depends on the row count
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    _drop_outputs(out, *FEATURE_OUTPUTS)
+    flags, refusal = SPLIT_REFUSALS[case]
+    assert run_cli("build-features", "--config", config, "--out", out, *flags) == 3
+    assert capsys.readouterr().err == f"ERROR DataError: {refusal}\n"
+    assert not [o for o in FEATURE_OUTPUTS if (out / o).exists()]
 
 
 # an out-of-range value for each bounded key, and a few non-finite floats:

@@ -112,3 +112,29 @@ def test_predictions_are_kept():
     full = evaluate_all(models, train, test, {})
     assert set(full.predictions) == {"dt", "bm1", "bm2", "bm3"}
     assert full.predictions["dt"].shape == (20,)
+
+
+class ConstantModel:
+    def __init__(self, value):
+        self.value = value
+
+    def predict(self, X):
+        return np.full(X.shape[0], self.value)
+
+
+class PersistenceModel:
+    def predict(self, X):
+        return (2.0 + X[:, 0]) - 0.1  # _toy_sets' hi_current, bit for bit
+
+
+def test_degenerate_models_are_named_and_no_other():
+    train, test = _toy_sets()
+    models = {"oracle": OracleModel(), "dt": train_model(RegressorSpec("dt"), train),
+              "seven": ConstantModel(7.0), "persist": PersistenceModel(),
+              "mean": ConstantModel(float(train.y.mean()))}
+    report = evaluate_all(models, train, test, {})
+    assert report.degenerate() == [
+        "mean predictions are constant and equal bm3's",
+        "persist predictions equal bm1's",
+        "seven predictions are constant",
+    ]

@@ -34,7 +34,9 @@ from helpers import (
     preorder,
     reference_bm2,
     reference_build_tree,
+    reference_forest_predict,
     reference_forest_tree,
+    reference_knn_predict,
     table_rows,
     toy_meta,
 )
@@ -285,6 +287,22 @@ def test_forest_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
     assert forest.roots.tolist() == default.roots.tolist()
 
 
+B = models.FOREST_ROWS_PER_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_forest_predicts_in_blocks_with_the_bits_of_one_walk(n):
+    # B + 1 rows leave a last block of one row, which numpy would sum pairwise
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(300, 4))
+    y = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
+    forest = fit_random_forest(X, y, **hyper("rf", n_trees=40, min_samples_leaf=1), seed=5)
+    q = rng.normal(size=(n, 4))
+    predicted = forest.predict(q)
+    assert predicted.shape == (n,)
+    assert predicted.tobytes() == reference_forest_predict(forest, q).tobytes()
+
+
 def test_forest_constant_target():
     X = np.arange(20, dtype=float)[:, None]
     model = fit_random_forest(X, np.full(20, 7.5), **hyper("rf", n_trees=5), seed=0)
@@ -338,6 +356,58 @@ def test_knn_distance_tie_prefers_lower_index():
     model = fit_knn(X, np.array([10.0, 20.0, 30.0]), k=1)
     # query 0: rows 0,1,2 all at distance 1; stable order picks row 0
     assert model.predict(np.array([[0.0]]))[0] == 10.0
+
+
+# row scales: squared norms that are exact, past float max, or a few
+# subnormal steps, where a product's rounding error is a step of its own;
+# shifts of 2**26 and 2**30 put |x|^2 near 2**52 and 2**60, whose rounding
+# blurs the small integer distances
+KNN_SCALES = (1.0, 1e160, 1e-162)
+KNN_SHIFTS = (0.0, 2.0**26, 2.0**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), m=st.integers(1, 10),
+       n_test=st.integers(0, 3 * models.KNN_ROWS_PER_BLOCK + 1), width=st.sampled_from([2, 50]),
+       scales=st.lists(st.sampled_from(KNN_SCALES), min_size=1, max_size=2, unique=True),
+       shift=st.sampled_from(KNN_SHIFTS))
+def test_knn_pruning_has_the_reference_bits(data, n, m, n_test, width, scales, shift):
+    # integer features in [-width, width] and train rows drawn from a small
+    # pool, so distances tie often; each row is scaled as a whole, by one
+    # of the example's scales, and every row shifted alike, so ties survive
+    # in large-norm rows, where the pruning bound is tight, and in rows
+    # whose squared norms overflow or underflow
+    cells = st.lists(st.integers(-width, width).map(float), min_size=m, max_size=m)
+    pool = data.draw(st.lists(cells, min_size=1, max_size=8), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n),
+                      label="train rows")
+
+    def rows(cells_of_rows, label):
+        row_scales = data.draw(st.lists(st.sampled_from(scales), min_size=len(cells_of_rows),
+                                        max_size=len(cells_of_rows)), label=f"{label} scales")
+        out = np.array(cells_of_rows, dtype=np.float64).reshape(-1, m)
+        return out * np.array(row_scales)[:, None] + shift
+
+    X = rows([pool[i] for i in picks], "train")
+    q = rows(data.draw(st.lists(cells, min_size=n_test, max_size=n_test), label="test"), "test")
+    y = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n), label="y"))
+    knn = fit_knn(X, y, k=data.draw(st.integers(1, n), label="k"))
+    assert knn.predict(q).tobytes() == reference_knn_predict(knn, q).tobytes()
+
+
+@pytest.mark.parametrize("shift, scale, width", [(2.0**26, 1.0, 2), (2.0**30, 1.0, 50),
+                                                  (0.0, 1e-162, 2)])
+def test_knn_pruning_has_the_reference_bits_where_the_bound_is_tight(shift, scale, width):
+    # rounding errors of the size of the distances themselves: here a
+    # bound without its eps term, or without its subnormal term, picks
+    # other neighbours in about half of the draws
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        n, m = rng.integers(1, 13), rng.integers(1, 11)
+        X = rng.integers(-width, width + 1, size=(n, m)) * scale + shift
+        q = rng.integers(-width, width + 1, size=(10, m)) * scale + shift
+        knn = fit_knn(X, rng.normal(size=n), k=int(rng.integers(1, n + 1)))
+        assert knn.predict(q).tobytes() == reference_knn_predict(knn, q).tobytes()
 
 
 def test_knn_k_bounds():
