@@ -115,35 +115,52 @@ def _tree_data(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, ...
 
 def _best_split(
     X: np.ndarray, codes: np.ndarray, rows: np.ndarray, yn: np.ndarray, feats: np.ndarray,
-    min_leaf: int,
+    min_leaf: int, ramp: np.ndarray, counts: np.ndarray,
 ) -> Optional[tuple[int, float, float]]:
     """Exhaustive threshold search over a node's ``rows`` (targets ``yn``)
-    and the given (ascending) feature ids.
+    and the given (ascending) feature ids; ``ramp`` is 0, 1, ... as uint64
+    and ``counts`` the same as float64, each at least ``rows.size`` long.
 
     Sorting the unique keys ``code | position`` orders each feature's rows
     as a stable argsort of its values would. Candidate thresholds are
     midpoints between consecutive distinct sorted values, scored by the
     summed left+right SSE from prefix sums. SSE ties resolve to the lower
     feature, then the lower threshold: the first minimum, feature-major.
+    Only the drawn features' keys of the node's rows are gathered, and the
+    SSE is formed in place with the operations, in the order, of
+    ``(s2l - s1l*s1l/nl) + ((total2 - s2l) - (total1 - s1l)*(total1 - s1l)/nr)``.
     """
     n = rows.size  # at least 2 * min_leaf: grow() stops a smaller node
-    key = codes[feats][:, rows] | np.arange(n, dtype=np.uint64)
+    key = codes[feats[:, None], rows]
+    key |= ramp[:n]
     key.sort(axis=1)
-    order = (key & np.uint64(0xFFFFFFFF)).astype(np.intp)
-    ys = yn[order]
-    s1 = np.cumsum(ys, axis=1)
-    s2 = np.cumsum(ys * ys, axis=1)
+    order = (key & np.uint64(0xFFFFFFFF)).view(np.int64)
+    # the sorted targets above their squares, prefix-summed along each row by one call
+    k = feats.size
+    s = np.empty((2 * k, n))
+    yn.take(order, out=s[:k])
+    np.multiply(s[:k], s[:k], out=s[k:])
+    np.add.accumulate(s, axis=1, out=s)
+    s1, s2 = s[:k], s[k:]
     total1, total2 = s1[:, -1:], s2[:, -1:]
     # candidate i puts sorted rows 0..i left; both sides keep min_leaf rows
     lo, hi = min_leaf - 1, n - min_leaf
-    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    nr = n - nl
-    s1l, s2l = s1[:, lo:hi], s2[:, lo:hi]
-    sse = (s2l - s1l * s1l / nl) + ((total2 - s2l) - (total1 - s1l) * (total1 - s1l) / nr)
-    code = key >> np.uint64(32)
-    sse = np.where(code[:, lo:hi] != code[:, lo + 1 : hi + 1], sse, np.inf)
+    nl = counts[lo + 1 : hi + 1]
+    nr = counts[n - lo - 1 : n - hi - 1 : -1]  # n - nl; n - hi - 1 = min_leaf - 1 >= 0
+    s1l, s2l = s1[:, lo:hi], s2[:, lo:hi]  # hi < n: neither holds the totals' column
+    sse = s1l * s1l
+    sse /= nl
+    np.subtract(s2l, sse, out=sse)
+    np.subtract(total1, s1l, out=s1l)
+    s1l *= s1l
+    s1l /= nr
+    np.subtract(total2, s2l, out=s2l)
+    s2l -= s1l
+    sse += s2l
+    key >>= np.uint64(32)  # the rank codes, in sorted order
+    np.putmask(sse, key[:, lo:hi] == key[:, lo + 1 : hi + 1], np.inf)
 
-    j, i = divmod(int(np.argmin(sse)), hi - lo)
+    j, i = divmod(int(sse.argmin()), hi - lo)
     score = float(sse[j, i])
     if not math.isfinite(score):
         return None
@@ -164,22 +181,27 @@ def _build_tree(
         raise ConfigError("need max_depth >= 0 and min_samples_leaf >= 1")
     m = X.shape[1]
     nodes: list[list] = []
+    # built per tree, not per module: a ramp for the largest fit would stay resident
+    ramp = np.arange(rows.size, dtype=np.uint64)
+    counts = ramp.astype(np.float64)
 
     def grow(rows: np.ndarray, depth: int) -> None:
         yn = y[rows]
-        node = [-1, 0.0, float(yn.mean()), int(yn.size), -1]
+        n = yn.size
+        # the bits of yn.mean(); on finite targets max == min is np.ptp(yn) == 0.0
+        node = [-1, 0.0, float(np.add.reduce(yn)) / n, n, -1]
         nodes.append(node)
-        if depth >= max_depth or yn.size < 2 * min_leaf or float(np.ptp(yn)) == 0.0:
+        if depth >= max_depth or n < 2 * min_leaf or yn.max() == yn.min():
             return
         if features_per_split is None:
             feats = np.arange(m)
         else:
             feats = np.sort(rng.choice(m, size=features_per_split, replace=False))
-        split = _best_split(X, codes, rows, yn, feats, min_leaf)
+        split = _best_split(X, codes, rows, yn, feats, min_leaf, ramp, counts)
         if split is None:
             return
         node[0], node[1], _ = split
-        mask = X[rows, node[0]] <= node[1]
+        mask = X[:, node[0]][rows] <= node[1]  # a 1-d gather, cheaper than X[rows, f]
         grow(rows[mask], depth + 1)
         node[4] = len(nodes)
         grow(rows[~mask], depth + 1)
@@ -260,18 +282,16 @@ class RFModel(_Trees):
     seed: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """The mean over trees, FOREST_ROWS_PER_BLOCK rows at a time. numpy
-        sums a (trees, rows) block down axis 0 one tree at a time, so each
-        row's mean has the bits of the whole walk's; a block of one row
-        would be summed pairwise, so a last block of one row takes one row
-        more."""
+        """The mean over trees, FOREST_ROWS_PER_BLOCK rows at a time. Each
+        row's leaf values are summed in tree order, one tree at a time
+        (a cumulative sum, which numpy never reorders, where a reduction
+        of a one-row block would go pairwise), so a row's mean does not
+        depend on the rows predicted with it."""
         X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, FOREST_ROWS_PER_BLOCK):
-            lo = min(lo, max(n - 2, 0))
-            out[lo : lo + FOREST_ROWS_PER_BLOCK] = self._leaf_values(
-                X[lo : lo + FOREST_ROWS_PER_BLOCK]).mean(axis=0)
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for lo in range(0, X.shape[0], FOREST_ROWS_PER_BLOCK):
+            leaf = self._leaf_values(X[lo : lo + FOREST_ROWS_PER_BLOCK])
+            out[lo : lo + FOREST_ROWS_PER_BLOCK] = np.cumsum(leaf, axis=0)[-1] / leaf.shape[0]
         return out
 
 
@@ -460,6 +480,11 @@ def fit_linear_svr(
 
     Full-batch subgradient descent with step decay step_size/sqrt(1+t),
     starting from w = 0, b = mean(y); the final iterate is returned.
+    A step whose subgradient is all zeros and that changes no bit of w
+    and b is a fixed point: every later step computes the same
+    residuals, the same zero subgradient, and changes nothing, so the
+    descent stops there with the bits the last step would return (at
+    once, when every target is within epsilon of the mean).
     The loss is a mean, so duplicating every row leaves the fit
     unchanged. Full-batch updates are deterministic, so no seed is needed.
     Raises ModelError if the final iterate is not finite.
@@ -480,8 +505,13 @@ def fit_linear_svr(
             grad_w = 2.0 * reg_lambda * w - (X.T @ sign) / n
             grad_b = -float(sign.sum()) / n
             step = step_size / math.sqrt(1.0 + t)
-            w -= step * grad_w
-            b -= step * grad_b
+            w_next = w - step * grad_w
+            b_next = b - step * grad_b
+            # NaN is truthy, and hex() tells -0.0 from 0.0
+            if (not (grad_b or grad_w.any()) and w_next.tobytes() == w.tobytes()
+                    and b_next.hex() == b.hex()):
+                break
+            w, b = w_next, b_next
     if not (np.isfinite(w).all() and math.isfinite(b)):
         raise ModelError("svr weights became non-finite; lower the step size")
     return SVRModel(w=w, b=b, epsilon=epsilon, reg_lambda=reg_lambda)
@@ -553,7 +583,10 @@ def fit_mlp(
 
     Batch order is a seeded permutation per epoch (the final partial
     batch is kept), so the whole trajectory is reproducible from the
-    seed. Raises ModelError as soon as the loss goes non-finite.
+    seed; each epoch's batches are slices of one permuted copy of the
+    rows. Raises ModelError as soon as the loss goes non-finite: after
+    each epoch, the full-set loss is computed only when _loss_bound
+    cannot prove it finite.
     """
     X = np.asarray(X_std, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -562,18 +595,39 @@ def fit_mlp(
     params = list(mlp_init(X.shape[1], hidden_units, seed))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     n = y.size
+    x_max, y_max = _max_abs(X), _max_abs(y)
     # a diverging fit is this ModelError alone, without numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             perm = rng.permutation(n)
+            Xp, yp = X[perm], y[perm]
             for lo in range(0, n, batch_size):
-                idx = perm[lo : lo + batch_size]
-                grads = mlp_gradients(params, X[idx], y[idx])
+                grads = mlp_gradients(params, Xp[lo : lo + batch_size], yp[lo : lo + batch_size])
                 for p, g in zip(params, grads):
-                    p -= learning_rate * g
-            if not math.isfinite(mlp_loss(params, X, y)):
+                    g *= learning_rate
+                    p -= g
+            if not (_loss_bound(params, x_max, y_max, n) < 1e300
+                    or math.isfinite(mlp_loss(params, X, y))):
                 raise ModelError("mlp loss became non-finite; lower the learning rate")
     return MLPModel(*params)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, 0 for an empty array, NaN if a holds NaN."""
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _loss_bound(params: Sequence[np.ndarray], x_max: float, y_max: float, n: int) -> float:
+    """A bound on every intermediate of mlp_loss over n rows with |X| <=
+    x_max and |y| <= y_max: |z| <= m x_max max|W1| + max|b1| (every
+    partial sum too), relu keeps it, |pred| <= h |z| max|W2| + max|b2|,
+    and the summed squared errors are <= n (|pred| + y_max)^2. Below
+    1e300 rounding cannot carry an intermediate past the largest float,
+    so the loss is finite; NaN or a larger bound proves nothing."""
+    W1, b1, W2, b2 = (_max_abs(p) for p in params)
+    m, h = params[0].shape
+    err = h * (m * x_max * W1 + b1) * W2 + b2 + y_max
+    return n * err * err  # not err ** 2, which raises OverflowError on a Python float
 
 
 # -- naive benchmarks ---------------------------------------------------------
@@ -674,8 +728,9 @@ def _fit_tasks(
                                               standardizer=None, seed=spec.seed)
 
 
-# sent before every other task, in this order: the two longest whole fits,
-# which sent last would end the map with every worker but one idle
+# sent before every other task, in this order: the whole fits that can take
+# longest (the SVR's only when its descent moves), which sent last would end
+# the map with every worker but one idle
 _SENT_FIRST = {"mlp": 0, "svr": 1}
 
 

@@ -5,7 +5,7 @@ runs.csv and hi.csv, one simulated run from a seed, the fitters' keyword
 arguments at DEFAULT_HYPERPARAMS, an editor of model files, the
 reference tree grower that the rank-code split search and the node
 tables are checked against, the reference forest and KNN predictions,
-the reference bm2 benchmark, the reference row-by-row supervised set
+the reference SVR and MLP fits, the reference bm2 benchmark, the reference row-by-row supervised set
 and one-hot encoder, and the small pipeline whose artifact
 digests tests/golden/digests.json holds."""
 
@@ -24,7 +24,15 @@ from chamberhealth import cli
 from chamberhealth.core import CHANNELS, RunChunk, composite_columns
 from chamberhealth.features import RowMeta, aggregate_runs
 from chamberhealth.hi import derive_hi, run_segment_durations
-from chamberhealth.models import DEFAULT_HYPERPARAMS
+from chamberhealth.errors import ModelError
+from chamberhealth.models import (
+    DEFAULT_HYPERPARAMS,
+    MLPModel,
+    SVRModel,
+    mlp_gradients,
+    mlp_init,
+    mlp_loss,
+)
 from chamberhealth.simgen import default_recipes, default_sensors, simulate_run
 
 # one asset, 100 runs, four maintenance cycles; small models
@@ -262,8 +270,12 @@ def table_rows(trees, start: int = 0, stop: Optional[int] = None) -> list[tuple]
 
 def reference_forest_predict(forest, X) -> np.ndarray:
     """The mean over trees of every row's leaf value, from one walk of all
-    the rows."""
-    return forest._leaf_values(X).mean(axis=0)
+    the rows, summed one tree at a time in tree order."""
+    leaf = forest._leaf_values(X)
+    total = leaf[0].copy()
+    for values in leaf[1:]:
+        total += values
+    return total / leaf.shape[0]
 
 
 def reference_knn_predict(knn, X) -> np.ndarray:
@@ -278,6 +290,55 @@ def reference_knn_predict(knn, X) -> np.ndarray:
             nearest = np.argsort(d2, kind="stable")[: knn.k]
             out[i] = knn.y[nearest].mean()
     return out
+
+
+# -- reference SVR and MLP fits: every step of the descent, fresh arrays for
+# every batch and update, and the full-set loss after every epoch;
+# models.fit_linear_svr and fit_mlp must return the same bits
+
+
+def reference_fit_linear_svr(X_std, y, *, epsilon, reg_lambda, steps, step_size) -> SVRModel:
+    """All ``steps`` subgradient steps of ``fit_linear_svr``'s descent."""
+    X = np.asarray(X_std, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size
+    w = np.zeros(X.shape[1], dtype=np.float64)
+    b = float(y.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            r = y - (X @ w + b)
+            active = np.abs(r) > epsilon
+            sign = np.sign(r) * active
+            grad_w = 2.0 * reg_lambda * w - (X.T @ sign) / n
+            grad_b = -float(sign.sum()) / n
+            step = step_size / math.sqrt(1.0 + t)
+            w -= step * grad_w
+            b -= step * grad_b
+    if not (np.isfinite(w).all() and math.isfinite(b)):
+        raise ModelError("svr weights became non-finite; lower the step size")
+    return SVRModel(w=w, b=b, epsilon=epsilon, reg_lambda=reg_lambda)
+
+
+def reference_fit_mlp(X_std, y, *, hidden_units, epochs, batch_size, learning_rate,
+                      seed) -> MLPModel:
+    """``fit_mlp``'s descent with each batch gathered by its row ids and
+    the full-set loss computed after every epoch."""
+    X = np.asarray(X_std, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    params = list(mlp_init(X.shape[1], hidden_units, seed))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    n = y.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            for lo in range(0, n, batch_size):
+                idx = perm[lo : lo + batch_size]
+                grads = mlp_gradients(params, X[idx], y[idx])
+                for p, g in zip(params, grads):
+                    p -= learning_rate * g
+            if not math.isfinite(mlp_loss(params, X, y)):
+                raise ModelError("mlp loss became non-finite; lower the learning rate")
+    return MLPModel(*params)
 
 
 # -- reference bm2: per-position sums in dicts and a per-row nearest-position

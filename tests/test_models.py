@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chamberhealth import models
 from chamberhealth.errors import ConfigError, ModelError
@@ -34,6 +34,8 @@ from helpers import (
     preorder,
     reference_bm2,
     reference_build_tree,
+    reference_fit_linear_svr,
+    reference_fit_mlp,
     reference_forest_predict,
     reference_forest_tree,
     reference_knn_predict,
@@ -292,7 +294,7 @@ B = models.FOREST_ROWS_PER_BLOCK
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
 def test_forest_predicts_in_blocks_with_the_bits_of_one_walk(n):
-    # B + 1 rows leave a last block of one row, which numpy would sum pairwise
+    # B + 1 rows leave a last block of one row, which a numpy reduction would sum pairwise
     rng = np.random.default_rng(29)
     X = rng.normal(size=(300, 4))
     y = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
@@ -301,6 +303,17 @@ def test_forest_predicts_in_blocks_with_the_bits_of_one_walk(n):
     predicted = forest.predict(q)
     assert predicted.shape == (n,)
     assert predicted.tobytes() == reference_forest_predict(forest, q).tobytes()
+
+
+def test_forest_predicts_a_row_alone_with_the_bits_of_the_batch():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(300, 4))
+    y = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
+    forest = fit_random_forest(X, y, **hyper("rf", min_samples_leaf=1), seed=5)
+    q = rng.normal(size=(200, 4))
+    batch = forest.predict(q)
+    alone = np.concatenate([forest.predict(q[i : i + 1]) for i in range(q.shape[0])])
+    assert alone.tobytes() == batch.tobytes()
 
 
 def test_forest_constant_target():
@@ -443,6 +456,60 @@ def test_svr_dead_zone_keeps_weights_zero():
     assert np.all(model.predict(X) == model.b)
 
 
+def _fitted_or_refused(fit, *args, **kwargs):
+    """The bytes of every array of the fitted model, or the ModelError's
+    message."""
+    try:
+        model = fit(*args, **kwargs)
+    except ModelError as exc:
+        return str(exc)
+    return [np.asarray(getattr(model, f.name)).tobytes() for f in fields(model)]
+
+
+def _matrix(data, n, m, scale=1.0):
+    return np.array(data.draw(st.lists(st.floats(-3, 3), min_size=n * m, max_size=n * m)),
+                    dtype=np.float64).reshape(n, m) * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 5),
+       center=st.sampled_from([0.0, -0.0, 2.5, -1e6]), epsilon=st.sampled_from([0.0, 0.5, 10.0]),
+       steps=st.integers(1, 1500))
+def test_svr_in_the_dead_zone_has_the_bits_of_every_step(data, n, m, center, epsilon, steps):
+    # every target within epsilon of the mean: no step moves w, and the
+    # descent stops after the first step that changes no bit
+    X = _matrix(data, n, m)
+    y = center + np.array(data.draw(st.lists(st.floats(-epsilon / 2, epsilon / 2), min_size=n,
+                                             max_size=n)))
+    params = dict(epsilon=epsilon, reg_lambda=1e-4, steps=steps, step_size=0.1)
+    assert (_fitted_or_refused(fit_linear_svr, X, y, **params)
+            == _fitted_or_refused(reference_fit_linear_svr, X, y, **params))
+
+
+def test_svr_stop_waits_for_a_step_that_changes_no_bit():
+    # b starts at -0.0, and the first step's -0.0 - -0.0 makes it 0.0
+    X = np.ones((3, 2))
+    y = np.full(3, -0.0)
+    params = hyper("svr", steps=50)
+    assert math.copysign(1.0, fit_linear_svr(X, y, **params).b) == 1.0
+    assert (_fitted_or_refused(fit_linear_svr, X, y, **params)
+            == _fitted_or_refused(reference_fit_linear_svr, X, y, **params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 5), steps=st.integers(1, 300),
+       reg_lambda=st.sampled_from([0.0, 1e-4, 0.5]),
+       step_size=st.sampled_from([1e-3, 0.1, 2.0, 1e300]))
+def test_svr_that_moves_has_the_bits_of_every_step(data, n, m, steps, reg_lambda, step_size):
+    # no dead zone, so every step moves b; 1e300 diverges and is refused by both
+    X = _matrix(data, n, m)
+    y = np.array(data.draw(st.lists(st.floats(-100, 100).filter(bool), min_size=n,
+                                    max_size=n)))
+    params = dict(epsilon=0.0, reg_lambda=reg_lambda, steps=steps, step_size=step_size)
+    assert (_fitted_or_refused(fit_linear_svr, X, y, **params)
+            == _fitted_or_refused(reference_fit_linear_svr, X, y, **params))
+
+
 def test_svr_invariant_under_row_duplication():
     rng = np.random.default_rng(10)
     X = rng.uniform(size=(40, 2))
@@ -503,6 +570,59 @@ def test_mlp_same_seed_identical_weights():
     b = fit_mlp(X, y, **hyper("mlp", hidden_units=8, epochs=5, batch_size=8), seed=21)
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
     assert np.array_equal(a.b1, b.b1) and np.array_equal(a.b2, b.b2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 4), hidden=st.integers(1, 6),
+       epochs=st.integers(1, 4), batches=st.sampled_from(["divide n", "leave a part", "exceed n"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mlp_has_the_bits_of_the_gathered_batches(data, n, m, hidden, epochs, batches, seed):
+    if batches == "divide n":
+        batch_size = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    elif batches == "leave a part":
+        sizes = [d for d in range(2, n) if n % d]
+        assume(sizes)
+        batch_size = data.draw(st.sampled_from(sizes))
+    else:
+        batch_size = data.draw(st.integers(n + 1, 2 * n + 5))
+    X = _matrix(data, n, m)
+    y = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    params = dict(hidden_units=hidden, epochs=epochs, batch_size=batch_size,
+                  learning_rate=data.draw(st.sampled_from([1e-3, 0.05])), seed=seed)
+    assert (_fitted_or_refused(fit_mlp, X, y, **params)
+            == _fitted_or_refused(reference_fit_mlp, X, y, **params))
+
+
+@pytest.mark.parametrize("y_scale, loss_checks", [(1.0, 0), (1e150, 3)])
+def test_mlp_computes_the_loss_only_when_its_bound_proves_nothing(monkeypatch, y_scale,
+                                                                  loss_checks):
+    # |y| near 1e150 puts the bound n (|pred| + max|y|)^2 past 1e300 with
+    # the loss still finite: each epoch's full-set loss runs and passes
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(30, 3))
+    y = rng.normal(size=30) * y_scale
+    params = hyper("mlp", hidden_units=4, epochs=3, batch_size=8, learning_rate=1e-300)
+    calls = []
+    monkeypatch.setattr(models, "mlp_loss", lambda *args: calls.append(1) or mlp_loss(*args))
+    fitted = _fitted_or_refused(fit_mlp, X, y, **params, seed=0)
+    assert len(calls) == loss_checks
+    assert fitted == _fitted_or_refused(reference_fit_mlp, X, y, **params, seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 20), learning_rate=st.floats(0.2, 20),
+       y_scale=st.sampled_from([1.0, 30.0, 1e4]), seed=st.integers(0, 2**32 - 1))
+def test_diverging_mlp_is_refused_after_the_reference_s_epochs(data, n, learning_rate, y_scale,
+                                                                seed):
+    # the loss bound passes early epochs, then grows past 1e300 and leaves
+    # the refusal to the full-set loss, at the epoch the reference refuses
+    X = _matrix(data, n, 3)
+    y = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))) * y_scale
+    for epochs in range(1, 9):
+        params = dict(hidden_units=3, epochs=epochs, batch_size=4, learning_rate=learning_rate,
+                      seed=seed)
+        assert (_fitted_or_refused(fit_mlp, X, y, **params)
+                == _fitted_or_refused(reference_fit_mlp, X, y, **params))
 
 
 # -- benchmarks ---------------------------------------------------------------
