@@ -56,7 +56,7 @@ def stage_simulate(cfg: PipelineConfig) -> None:
         cycle_length=cfg.cycle_length,
         seed=seed,
     )
-    dataio.write_dataset(out, runs)
+    dataio.write_dataset(out, runs, len(cfg.chamber.sensors))
 
 
 def _summarize_chunk(sensors, segments, chunk: RunChunk) -> tuple[np.ndarray, dict]:

@@ -290,7 +290,7 @@ def _csv_line(cells: Sequence[str]) -> str:
 RUNS_PER_CHUNK = 20
 
 
-def _render_runs(runs: Sequence[RunRecord]) -> str:
+def _render_runs(n_sensors: int, runs: Sequence[RunRecord]) -> str:
     """The runs.csv rows of ``runs``, rendered column by column: per run,
     the quoted run_id prefix once, then repr() of every value, NaN as an
     empty cell."""
@@ -298,6 +298,9 @@ def _render_runs(runs: Sequence[RunRecord]) -> str:
     for run in runs:
         if (names := sorted(run.extra_channels)) != sorted(CHANNELS):
             raise ValueError(f"run {run.run_id}: channels {names}, not {list(CHANNELS)}")
+        if run.readings.shape[1:] != (n_sensors,):
+            raise ValueError(f"run {run.run_id}: readings of shape {run.readings.shape}, "
+                             f"not samples x {n_sensors} sensors")
         columns = [run.t, *run.readings.T, *(run.extra_channels[name] for name in CHANNELS)]
         # v != v only for NaN
         cells = [["" if v != v else repr(v) for v in column.tolist()] for column in columns]
@@ -312,31 +315,33 @@ def runs_csv_header(n_sensors: int) -> list[str]:
     return ["run_id", "t_s", *(f"p{j + 1}_mbar" for j in range(n_sensors)), *CHANNELS]
 
 
-def write_runs_csv(path: PathLike, runs: Iterable[RunRecord]) -> None:
-    """``runs_csv_header``, then one row per sample.
+def write_runs_csv(path: PathLike, runs: Iterable[RunRecord], n_sensors: int) -> None:
+    """``runs_csv_header(n_sensors)``, the layout ``read_dataset`` expects
+    of the configured sensors, then one row per sample.
 
     ``runs`` is pulled as the writing goes, in chunks of RUNS_PER_CHUNK
     runs that are rendered on every CPU (see workers) and written in run
     order as they arrive, so no more than a few chunks are held at a
     time. The bytes are the ones csv.writer would write cell by cell,
     except that NaN is an empty cell. A run whose channels are not the
-    CHANNELS (naming the run), or whose readings or a channel has other
-    than one row per sample, raises ValueError, leaving no file.
+    CHANNELS, or whose readings are not samples x ``n_sensors``, raises
+    ValueError naming the run, and so does one whose readings or a
+    channel has other than one row per sample; no runs at all raise
+    DataError. Either way no file is left.
     """
     runs = iter(runs)
-    first = next(runs, None)
-    if first is None:
-        raise DataError("no runs to write")
-    runs = chain([first], runs)
     chunks = iter(lambda: list(islice(runs, RUNS_PER_CHUNK)), [])
     with atomic_open(path) as fh:
-        fh.write(_csv_line(runs_csv_header(first.readings.shape[1])) + "\r\n")
-        fh.writelines(map_in_order(_render_runs, chunks))
+        fh.write(_csv_line(runs_csv_header(n_sensors)) + "\r\n")
+        # a rendered chunk is never empty text
+        if not sum(map(fh.write, map_in_order(partial(_render_runs, n_sensors), chunks))):
+            raise DataError("no runs to write")
 
 
-def write_dataset(out_dir: PathLike, runs: Iterable[RunRecord]) -> None:
-    """``runs.csv``, then ``run_meta.csv`` and ``ground_truth.csv``, from
-    one pass over ``runs``: only the columns of the last two are kept."""
+def write_dataset(out_dir: PathLike, runs: Iterable[RunRecord], n_sensors: int) -> None:
+    """``runs.csv`` of ``n_sensors`` gauge columns (see write_runs_csv),
+    then ``run_meta.csv`` and ``ground_truth.csv``, from one pass over
+    ``runs``: only the columns of the last two are kept."""
     out = Path(out_dir)
     meta_fields = attrgetter(*SCHEMAS[RUN_META_CSV])
     meta = [[] for _ in SCHEMAS[RUN_META_CSV]]
@@ -350,7 +355,7 @@ def write_dataset(out_dir: PathLike, runs: Iterable[RunRecord]) -> None:
                     column.append(cell)
             yield run
 
-    write_runs_csv(out / RUNS_CSV, kept(runs))
+    write_runs_csv(out / RUNS_CSV, kept(runs), n_sensors)
     write_columns(out / RUN_META_CSV, SCHEMAS[RUN_META_CSV], meta)
     write_columns(out / GROUND_TRUTH_CSV, SCHEMAS[GROUND_TRUTH_CSV], truth)
 
@@ -605,7 +610,26 @@ def _read_meta(path: Path) -> tuple[RowMeta, list[str]]:
     return meta, splits
 
 
+def _check_targets(targets: np.ndarray, meta: RowMeta) -> None:
+    """Each row whose target run is another row's current run must hold
+    that row's hi_current as its target, bit for bit: both are the same
+    hi.csv float, so a meta.csv of another build is refused, not paired."""
+    order = meta.run_id.argsort()
+    found = order[np.searchsorted(meta.run_id, meta.run_id_target, sorter=order)
+                  .clip(max=order.size - 1)]
+    r = np.flatnonzero(meta.run_id[found] == meta.run_id_target)
+    s = found[r]
+    bad = np.flatnonzero(targets[r].view(np.int64) != meta.hi_current[s].view(np.int64))
+    if bad.size:
+        r, s = r[bad[0]], s[bad[0]]
+        raise DataError(f"{FEATURES_CSV} line {r + 2}'s target is not the hi_current of run "
+                        f"{meta.run_id[s]} in {META_CSV} line {s + 2}; rerun build-features")
+
+
 def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
+    """The train and test sets of ``features.csv`` and ``meta.csv``, which
+    must hold the same rows: as many, every train row before every test
+    row, and each target that is another row's current HI equal to it."""
     in_dir = Path(in_dir)
     f_header, values = read_csv(in_dir / FEATURES_CSV)
     if len(f_header) < 2 or f_header[-1] != "target":
@@ -617,6 +641,7 @@ def read_supervised(in_dir: PathLike) -> tuple[SupervisedSet, SupervisedSet]:
     n_train = splits.count("train")
     if splits != ["train"] * n_train + ["test"] * (len(splits) - n_train):
         raise DataError(f"{META_CSV}'s split column is not every train row, then every test row")
+    _check_targets(values[:, -1], meta)
 
     def assemble(split: str, rows: slice) -> SupervisedSet:
         if not values[rows].size:

@@ -16,7 +16,7 @@ Tree splits are the exact greedy CART search, no binning: a node sorts
 (rank code, position) integer keys and takes one first-minimum over its
 feature-major SSE matrix. A tree is a flat node table grown in preorder
 (a forest keeps all its trees in one table with root offsets), and
-prediction walks every row down it at once by index arrays.
+prediction walks blocks of rows down it by index arrays.
 
 A model file is an .npz archive of one array per value, each of the
 one dtype and rank its declared type is stored with. Loading casts
@@ -90,23 +90,32 @@ class RegressorSpec:
 FOREST_ROWS_PER_BLOCK = 128
 KNN_ROWS_PER_BLOCK = 8
 
+
+def _samples(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64, checked the same for every fitter: at least one
+    target, a 2-d X with one row per target, and finite values only."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
+        raise ModelError(f"{what} needs at least one sample")
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ModelError(f"{what} needs a 2-d X with one row per target, got {X.shape}, {y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ModelError(f"{what} needs finite features and targets")
+    return X, y
+
+
 # -- CART regression tree -------------------------------------------------
 
 IntArray = npt.NDArray[np.intp]
 
 
 def _tree_data(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, ...]:
-    """X and y as float64, and X's feature-major uint64 rank codes shifted
+    """_samples' X and y, and X's feature-major uint64 rank codes shifted
     left 32 bits: equal values (-0.0 and 0.0 too) share a code, and codes
     keep the values' order. Nodes put positions in the low 32 bits, so a
-    fit takes fewer than 2**32 rows. NaN and inf are refused: a NaN would
-    get a code, and so a threshold, of its own."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise ModelError(f"{what} needs at least one sample")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ModelError(f"{what} needs finite features and targets")
+    fit takes fewer than 2**32 rows."""
+    X, y = _samples(X, y, what)
     codes = np.empty((X.shape[1], X.shape[0]), dtype=np.uint64)
     for j in range(X.shape[1]):
         codes[j] = np.unique(X[:, j], return_inverse=True)[1]
@@ -231,11 +240,23 @@ class _Trees:
     n: IntArray
     right: IntArray
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The mean over trees, FOREST_ROWS_PER_BLOCK rows at a time, each
+        row's leaf values summed in tree order by a cumulative sum (numpy
+        never reorders one, where it reduces a one-row block pairwise): a
+        row's mean does not depend on the rows predicted with it, and one
+        tree's mean is its leaf value, bit for bit."""
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for lo in range(0, X.shape[0], FOREST_ROWS_PER_BLOCK):
+            leaf = self._leaf_values(X[lo : lo + FOREST_ROWS_PER_BLOCK])
+            out[lo : lo + FOREST_ROWS_PER_BLOCK] = np.cumsum(leaf, axis=0)[-1] / leaf.shape[0]
+        return out
+
     def _leaf_values(self, X: np.ndarray) -> np.ndarray:
         """The leaf value that each tree gives each row of X, shape
         (trees, rows). Every (tree, row) pair steps down one level per
         pass until all stand on leaves."""
-        X = np.asarray(X, dtype=np.float64)
         node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
         rows = np.arange(X.shape[0])
         while True:
@@ -253,9 +274,6 @@ class DTModel(_Trees):
     min_samples_leaf: int
 
     roots = np.zeros(1, dtype=np.intp)  # not a field: one tree, at row 0
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._leaf_values(X)[0]
 
 
 def fit_decision_tree(
@@ -280,19 +298,6 @@ class RFModel(_Trees):
     features_per_split: int
     bootstrap: bool
     seed: int
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """The mean over trees, FOREST_ROWS_PER_BLOCK rows at a time. Each
-        row's leaf values are summed in tree order, one tree at a time
-        (a cumulative sum, which numpy never reorders, where a reduction
-        of a one-row block would go pairwise), so a row's mean does not
-        depend on the rows predicted with it."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for lo in range(0, X.shape[0], FOREST_ROWS_PER_BLOCK):
-            leaf = self._leaf_values(X[lo : lo + FOREST_ROWS_PER_BLOCK])
-            out[lo : lo + FOREST_ROWS_PER_BLOCK] = np.cumsum(leaf, axis=0)[-1] / leaf.shape[0]
-        return out
 
 
 def _grow_trees(
@@ -444,10 +449,7 @@ class KNNModel:
 def fit_knn(X_std: np.ndarray, y: np.ndarray, *, k: int) -> KNNModel:
     """Memorize the (standardized) training set; predict the mean target
     of the k nearest rows by Euclidean distance."""
-    X_std = np.asarray(X_std, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise ModelError("knn needs at least one sample")
+    X_std, y = _samples(X_std, y, "knn")
     if not 1 <= k <= y.size:
         raise ModelError(f"k must be in [1, {y.size}], got {k}")
     return KNNModel(X=X_std.copy(), y=y.copy(), k=k)
@@ -489,10 +491,7 @@ def fit_linear_svr(
     unchanged. Full-batch updates are deterministic, so no seed is needed.
     Raises ModelError if the final iterate is not finite.
     """
-    X = np.asarray(X_std, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise ModelError("svr needs at least one sample")
+    X, y = _samples(X_std, y, "svr")
     n = y.size
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = float(y.mean())
@@ -588,10 +587,7 @@ def fit_mlp(
     each epoch, the full-set loss is computed only when _loss_bound
     cannot prove it finite.
     """
-    X = np.asarray(X_std, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise ModelError("mlp needs at least one sample")
+    X, y = _samples(X_std, y, "mlp")
     params = list(mlp_init(X.shape[1], hidden_units, seed))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     n = y.size

@@ -231,6 +231,18 @@ def _set_column(name, column, value):
     return lambda lines: _set_cell(lines, 1, list(dataio.SCHEMAS[name]).index(column), value)
 
 
+def _edit_column(name, column, edit):
+    """A corruption that applies ``edit`` to every row's cell of a SCHEMAS file's column."""
+    j = list(dataio.SCHEMAS[name]).index(column)
+
+    def corrupt(lines):
+        for i in range(1, len(lines)):
+            lines = _set_cell(lines, i, j, edit(lines[i].split(",")[j]))
+        return lines
+
+    return corrupt
+
+
 def _block_start(lines, b):
     """The index of the first line of runs.csv block b: 0 the first, -1 the last."""
     keys = [line.split(",", 1)[0] for line in lines]
@@ -353,11 +365,15 @@ SUPERVISED_CORRUPTIONS = {
     "features-last-row-cut": (dataio.FEATURES_CSV, lambda lines: lines[:-1]),
     "every-row-train": (dataio.META_CSV, lambda lines: [lines[0]] + [
         line.rstrip("\n").rsplit(",", 1)[0] + ",train\n" for line in lines[1:]]),
+    # the meta.csv of another build (another seed): same runs and rows, other HIs
+    "meta-of-another-build": (dataio.META_CSV, _edit_column(
+        dataio.META_CSV, "hi_current", lambda cell: repr(float(cell) + 1.0))),
 }
 # the refusal that a corruption must reach
 SUPERVISED_REFUSALS = {
     "features-last-row-cut": "features.csv and meta.csv row counts differ",
     "every-row-train": "meta.csv has no test rows",
+    "meta-of-another-build": "features.csv line 2's target is not the hi_current of run ",
 }
 
 

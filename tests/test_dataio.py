@@ -53,7 +53,7 @@ def small_dataset():
 
 def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset, monkeypatch):
     config, history = small_dataset
-    dataio.write_dataset(tmp_path, history)
+    dataio.write_dataset(tmp_path, history, len(config.sensors))
     monkeypatch.setattr(dataio, "RUNS_CSV_CHUNK_BYTES", 20_000)  # a few runs per chunk
     runs, chunks = dataio.read_dataset(tmp_path, len(config.sensors), _chunks)
     assert len(chunks) > 1
@@ -72,7 +72,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path, small_dataset, monkeypatch):
 
 
 def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
-    _, history = small_dataset
+    config, history = small_dataset
     # invalid readings in the first and the last sensor column, and ids that need quoting
     base = history[0]
     readings = np.nan_to_num(base.readings, nan=1.0)
@@ -88,7 +88,7 @@ def test_runs_csv_lines_match_per_cell_rendering(tmp_path, small_dataset):
     ]
     assert len(runs) > 2 * k
     path = tmp_path / dataio.RUNS_CSV
-    dataio.write_runs_csv(path, runs)
+    dataio.write_runs_csv(path, runs, len(config.sensors))
     channels = sorted(base.extra_channels)
     header = ["run_id", "t_s", "p1_mbar", "p2_mbar", "p3_mbar", "p4_mbar"] + channels
     expected = io.StringIO()
@@ -117,7 +117,7 @@ def test_read_dataset_peak_memory_does_not_grow_with_the_run_count(tmp_path, mon
         out.mkdir()
         history = simulate_history(config, equal_share_recipes(), n_assets=2, n_runs_total=n_runs,
                                    cycle_length=20, seed=5)
-        dataio.write_dataset(out, history)
+        dataio.write_dataset(out, history, len(config.sensors))
         del history
         tracemalloc.start()
         try:
@@ -134,8 +134,8 @@ def test_read_dataset_peak_memory_does_not_grow_with_the_run_count(tmp_path, mon
 def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_sensors):
     # four gauge columns on disk: with three configured sensors p4_mbar must
     # not pass for a process channel
-    _, history = small_dataset
-    dataio.write_dataset(tmp_path, history)
+    config, history = small_dataset
+    dataio.write_dataset(tmp_path, history, len(config.sensors))
     expected = dataio.runs_csv_header(n_sensors)
     with pytest.raises(DataError, match=f"{n_sensors} configured sensors need "
                                         f"{re.escape(str(expected))}; rerun simulate$"):
@@ -144,7 +144,7 @@ def test_runs_csv_of_another_sensor_count_is_refused(tmp_path, small_dataset, n_
 
 def test_invalid_readings_roundtrip_as_empty_fields(tmp_path, small_dataset):
     config, history = small_dataset
-    dataio.write_dataset(tmp_path, history)
+    dataio.write_dataset(tmp_path, history, len(config.sensors))
     text = (tmp_path / dataio.RUNS_CSV).read_text()
     assert ",," in text  # clipped readings serialize as empty cells
     _, chunks = dataio.read_dataset(tmp_path, len(config.sensors), _chunks)
@@ -219,7 +219,7 @@ def test_float_cells_use_shortest_roundtrip_form(tmp_path):
 
 def test_no_tmp_files_left_behind(tmp_path, small_dataset):
     config, history = small_dataset
-    dataio.write_dataset(tmp_path, history)
+    dataio.write_dataset(tmp_path, history, len(config.sensors))
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -236,9 +236,8 @@ def test_failed_write_leaves_neither_temp_nor_target(tmp_path):
 
 
 def test_writing_no_runs_is_refused(tmp_path):
-    # runs.csv's header takes its gauge count from the first run
     with pytest.raises(DataError, match="^no runs to write$"):
-        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [])
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [], 4)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -253,19 +252,19 @@ def test_a_split_of_other_features_is_refused(tmp_path):
 
 def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_dataset,
                                                                monkeypatch):
-    _, history = small_dataset
+    config, history = small_dataset
     second = history[dataio.RUNS_PER_CHUNK].run_id
     render = dataio._render_runs
 
-    def failing_render(runs):
+    def failing_render(n_sensors, runs):
         # decided by the chunk's content, so it holds in whichever worker renders it
         if runs[0].run_id == second:
             raise DataError("second chunk failed")
-        return render(runs)
+        return render(n_sensors, runs)
 
     monkeypatch.setattr(dataio, "_render_runs", failing_render)
     with pytest.raises(DataError, match="second chunk failed"):
-        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, history)
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, history, len(config.sensors))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -273,7 +272,7 @@ def test_failed_runs_csv_render_leaves_neither_temp_nor_target(tmp_path, small_d
 def test_a_run_with_a_short_column_fails_the_runs_csv_write(tmp_path, small_dataset, short):
     # a RunRecord checks no samples: the writer refuses a column one row
     # shorter than t, in the second chunk, instead of writing a short block
-    _, history = small_dataset
+    config, history = small_dataset
     k = dataio.RUNS_PER_CHUNK
     run = history[k]
     if short == "readings":
@@ -282,7 +281,8 @@ def test_a_run_with_a_short_column_fails_the_runs_csv_write(tmp_path, small_data
         bad = replace(run, extra_channels={**run.extra_channels,
                                            "temp_c": run.extra_channels["temp_c"][:-1]})
     with pytest.raises(ValueError, match=r"^zip\(\) argument \d+ is shorter than argument"):
-        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]])
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]],
+                              len(config.sensors))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -294,13 +294,33 @@ def test_a_run_with_other_channels_fails_the_runs_csv_write(tmp_path, small_data
     # runs.csv holds CHANNELS: a run in the second chunk that lacks one, or
     # has one more, is refused by name instead of being written without it
     monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
-    _, history = small_dataset
+    config, history = small_dataset
     k = dataio.RUNS_PER_CHUNK
     run = history[k]
     bad = replace(run, extra_channels={name: run.t for name in channels})
     with pytest.raises(ValueError, match=f"^run {run.run_id}: channels {re.escape(str(channels))}, "
                                          r"not \['gas_flow', 'temp_c'\]$"):
-        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]])
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]],
+                              len(config.sensors))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("at", ["first", "second-chunk"])
+@pytest.mark.parametrize("gauges", [3, 5])
+def test_a_run_of_another_gauge_count_fails_the_runs_csv_write(tmp_path, small_dataset,
+                                                               monkeypatch, gauges, at, cpus):
+    # the header follows the configured sensors, not the first run: a run
+    # with a gauge more or less is refused by name, also the first one
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    config, history = small_dataset
+    k = {"first": 0, "second-chunk": dataio.RUNS_PER_CHUNK}[at]
+    run = history[k]
+    bad = replace(run, readings=np.resize(run.readings, (run.t.size, gauges)))
+    with pytest.raises(ValueError, match=rf"^run {run.run_id}: readings of shape "
+                                         rf"\({run.t.size}, {gauges}\), not samples x 4 sensors$"):
+        dataio.write_runs_csv(tmp_path / dataio.RUNS_CSV, [*history[:k], bad, *history[k + 1 :]],
+                              len(config.sensors))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -407,10 +427,14 @@ def test_table_readers_peak_memory_is_a_small_multiple_of_what_they_return(tmp_p
     dataio.write_run_aggregates_csv(tmp_path / dataio.RUN_AGGREGATES_CSV, runs, aggregates)
     columns = {name: np.array([getattr(r, name) for r in runs])
                for name in ("asset_id", "run_id", "start_time", "n_runs", "recipe_id")}
-    meta = RowMeta(**columns, run_id_target=columns["run_id"],
-                   n_runs_target=columns["n_runs"] + 10, hi_current=10.0 + rng.random(n),
+    # row i's target run is its asset's 10th run on, row i + 50's current
+    # run while there is one, with that row's HI as its target
+    hi = 10.0 + rng.random(n + 50)
+    meta = RowMeta(**columns, run_id_target=np.array([f"asset{i % 5 + 1}-{i // 5 + 10:05d}"
+                                                      for i in range(n)]),
+                   n_runs_target=columns["n_runs"] + 10, hi_current=hi[:n],
                    plan=np.array(recipes)[rng.integers(0, 3, (n, 10))])
-    sset = SupervisedSet(X=rng.normal(size=(n, 46)), y=rng.normal(size=n),
+    sset = SupervisedSet(X=rng.normal(size=(n, 46)), y=hi[50:],
                          feature_names=tuple(f"f{j}" for j in range(46)), meta=meta)
     train, test = (replace(sset, X=sset.X[rows], y=sset.y[rows], meta=meta.take(rows))
                    for rows in (slice(1400), slice(1400, None)))

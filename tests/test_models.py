@@ -193,10 +193,21 @@ def test_trees_match_the_float_argsort_reference_node_for_node(
         assert table_rows(forest, start, stop) == preorder(reference, start)
 
 
+def _fit(fit, X, y):
+    """``fit`` (one of models._FITTERS) with its kind's defaults and seed 0."""
+    kind = next(kind for kind, f in models._FITTERS.items() if f is fit)
+    return fit(X, y, **models._params(RegressorSpec(kind)))
+
+
+FITS = list(models._FITTERS.values())
+
+
 @pytest.mark.parametrize("where", ["X", "y"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("fit", [fit_decision_tree, fit_random_forest])
+@pytest.mark.parametrize("fit", FITS)
 def test_trees_refuse_non_finite_input(fit, bad, where):
+    # and so does every other fitter: a NaN would not be named for what it
+    # is, but as a split of its own or a descent's step too large
     X = np.arange(12, dtype=float).reshape(6, 2)
     y = np.arange(6, dtype=float)
     if where == "X":
@@ -204,10 +215,18 @@ def test_trees_refuse_non_finite_input(fit, bad, where):
     else:
         y[3] = bad
     with pytest.raises(ModelError, match="needs finite features and targets"):
-        if fit is fit_decision_tree:
-            fit(X, y, **hyper("dt", min_samples_leaf=1))
-        else:
-            fit(X, y, **hyper("rf", min_samples_leaf=1), seed=0)
+        _fit(fit, X, y)
+
+
+@pytest.mark.parametrize("shape", ["one-target-short", "one-target-over", "1-d-X"])
+@pytest.mark.parametrize("fit", FITS)
+def test_fits_refuse_an_x_without_one_row_per_target(fit, shape):
+    # unchecked, a short y would drop X's last rows, and a long one give knn targets of no row
+    X = np.arange(60, dtype=float).reshape(30, 2)
+    X, y = {"one-target-short": (X, np.arange(29.0)), "one-target-over": (X, np.arange(31.0)),
+            "1-d-X": (X[:, 0], np.arange(30.0))}[shape]
+    with pytest.raises(ModelError, match=r"needs a 2-d X with one row per target, got \("):
+        _fit(fit, X, y)
 
 
 def test_tree_depth_and_leaf_limits():
@@ -306,14 +325,18 @@ def test_forest_predicts_in_blocks_with_the_bits_of_one_walk(n):
 
 
 def test_forest_predicts_a_row_alone_with_the_bits_of_the_batch():
+    # and so does a tree, whose mean over its one tree is its leaf value
     rng = np.random.default_rng(31)
     X = rng.normal(size=(300, 4))
     y = rng.normal(size=300) * 10.0 ** rng.integers(-3, 4, size=300)
     forest = fit_random_forest(X, y, **hyper("rf", min_samples_leaf=1), seed=5)
+    tree = fit_decision_tree(X, y, **hyper("dt", min_samples_leaf=1))
     q = rng.normal(size=(200, 4))
-    batch = forest.predict(q)
-    alone = np.concatenate([forest.predict(q[i : i + 1]) for i in range(q.shape[0])])
-    assert alone.tobytes() == batch.tobytes()
+    for model in (forest, tree):
+        batch = model.predict(q)
+        alone = np.concatenate([model.predict(q[i : i + 1]) for i in range(q.shape[0])])
+        assert alone.tobytes() == batch.tobytes()
+    assert batch.tobytes() == tree._leaf_values(q)[0].tobytes()
 
 
 def test_forest_constant_target():
