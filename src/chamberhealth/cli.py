@@ -105,31 +105,34 @@ def stage_build_features(cfg: PipelineConfig) -> None:
     dataio.write_supervised(out, train, test)
 
 
-def stage_train(cfg: PipelineConfig, kinds: Optional[Sequence[str]] = None) -> None:
-    """Make models/, fit every requested kind, then save them all: no kind
-    is fitted into a models/ that cannot be made, and a failed fit changes
-    no file. ``models.train_models`` fits the kinds side by side on every
-    CPU, and reports the first failing kind in the requested order."""
+def stage_train(cfg: PipelineConfig) -> None:
+    """Make models/, fit every kind in ``MODEL_KINDS``, then save them all:
+    no kind is fitted into a models/ that cannot be made, a failed fit
+    changes no file, and every model file comes from the same features.
+    ``models.train_models`` fits the kinds side by side on every CPU, and
+    reports the first failing kind in ``MODEL_KINDS`` order."""
     seed = cfg.require_seed()
     out = Path(cfg.out_dir)
     train, _ = dataio.read_supervised(out)
     models_dir = out / dataio.MODELS_DIR
     models_dir.mkdir(parents=True, exist_ok=True)
     specs = [RegressorSpec(kind, dict(cfg.model_params.get(kind, {})), seed=seed)
-             for kind in kinds or MODEL_KINDS]
+             for kind in MODEL_KINDS]
     for model in train_models(specs, train):
         save_model(model, models_dir / f"{model.kind}.npz")
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
+    """Score ``models/<kind>.npz`` for exactly the kinds in ``MODEL_KINDS``,
+    and the benchmarks; a missing file is refused by name, before any output."""
     seed = cfg.require_seed()
     out = Path(cfg.out_dir)
     train, test = dataio.read_supervised(out)
     models_dir = out / dataio.MODELS_DIR
-    paths = sorted(models_dir.glob("*.npz")) if models_dir.is_dir() else []
-    if not paths:
-        raise ModelError(f"no trained models (*.npz) found under {models_dir}; run train")
-    models = {p.stem: load_model(p) for p in paths}
+    paths = {kind: models_dir / f"{kind}.npz" for kind in MODEL_KINDS}
+    if missing := [path.name for path in paths.values() if not path.is_file()]:
+        raise ModelError(f"{', '.join(missing)}: not found under {models_dir}; run train")
+    models = {kind: load_model(path) for kind, path in paths.items()}
     for kind, model in models.items():
         if model.kind != kind:
             raise ModelError(f"{kind}.npz: holds a {model.kind} model, not {kind}; rerun train")
@@ -156,46 +159,39 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:
-    """All five stages in order over one working directory."""
-    stage_simulate(cfg)
-    stage_derive_hi(cfg)
-    stage_build_features(cfg)
-    stage_train(cfg)
-    stage_evaluate(cfg)
+    """Every stage of ``STAGES``, in order, over one working directory."""
+    for _, _, stage in STAGES.values():
+        stage(cfg)
 
 
-# Each subcommand's help, its override flags as the (section, key) each one
-# sets, and the function it runs (train --model <kind> passes its kind).
-# The flag is the key with dashes; its value goes through the key's own
-# parser, exactly like a file value. Every subcommand also takes
-# --seed and --out; show-config takes every flag, to preview any command,
-# and runs nothing.
-_CLI_FLAGS = (("cli", "seed"), ("cli", "out"))
-_SIMULATE_FLAGS = (("simgen", "n_assets"), ("simgen", "n_runs_total"), ("simgen", "cycle_length"))
-_FEATURE_FLAGS = (("features", "horizon"), ("features", "train_frac"))
-_TRAIN_FLAGS = tuple(
-    ("models", key)
-    for key in (
+# The five stage commands in pipeline order: each one's help, its override
+# flags as the (section, key) each one sets, and the stage it runs. The flag
+# is the key with dashes; its value goes through the key's own parser,
+# exactly like a file value. Every command also takes --seed and --out.
+# pipeline runs every stage and takes every stage's flags; show-config
+# takes the same flags, to preview any command, and runs nothing.
+STAGES = {
+    "simulate": ("generate the synthetic dataset CSVs",
+                 (("simgen", "n_assets"), ("simgen", "n_runs_total"), ("simgen", "cycle_length")),
+                 stage_simulate),
+    "derive-hi": ("fit segments and extract the health index", (("hi", "analysis_limit"),),
+                  stage_derive_hi),
+    "build-features": ("build the horizon-N supervised split",
+                       (("features", "horizon"), ("features", "train_frac")),
+                       stage_build_features),
+    "train": ("train every model kind", tuple(("models", key) for key in (
         "dt_max_depth", "dt_min_samples_leaf", "rf_n_trees", "rf_max_depth",
         "rf_features_per_split", "knn_k", "svr_epsilon", "svr_steps",
         "mlp_hidden_units", "mlp_epochs",
-    )
-)
-COMMANDS = {
-    "simulate": ("generate the synthetic dataset CSVs", _SIMULATE_FLAGS, stage_simulate),
-    "derive-hi": ("fit segments and extract the health index", (("hi", "analysis_limit"),),
-                  stage_derive_hi),
-    "build-features": ("build the horizon-N supervised split", _FEATURE_FLAGS,
-                       stage_build_features),
-    "train": ("train forecasting models", _TRAIN_FLAGS, stage_train),
+    )), stage_train),
     "evaluate": ("score models and benchmarks, write report.json", (), stage_evaluate),
-    "pipeline": ("run all stages in order", _SIMULATE_FLAGS + _FEATURE_FLAGS, run_pipeline),
 }
-COMMANDS["show-config"] = (
-    "print the fully resolved configuration",
-    tuple(dict.fromkeys(flag for _, flags, _ in COMMANDS.values() for flag in flags)),
-    None,
-)
+_STAGE_FLAGS = tuple(flag for _, flags, _ in STAGES.values() for flag in flags)
+COMMANDS = {
+    **STAGES,
+    "pipeline": ("run every stage in order", _STAGE_FLAGS, run_pipeline),
+    "show-config": ("print the fully resolved configuration", _STAGE_FLAGS, None),
+}
 
 
 def _add_override(parser: argparse.ArgumentParser, section: str, key: str) -> None:
@@ -212,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=str, default=None, help="INI config file")
-        if command == "train":
-            p.add_argument("--model", choices=list(MODEL_KINDS) + ["all"], default="all")
-        for section, key in _CLI_FLAGS + flags:
+        for section, key in (("cli", "seed"), ("cli", "out")) + flags:
             _add_override(p, section, key)
     return parser
 
@@ -238,11 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(config_to_ini(cfg))
         sys.stdout.flush()
         _, _, stage = COMMANDS[args.command]
-        if stage is None:
-            return 0
-        if args.command == "train" and args.model != "all":
-            stage_train(cfg, [args.model])
-        else:
+        if stage is not None:  # show-config runs nothing
             stage(cfg)
     except tuple(EXIT_CODES) as exc:
         cls = next(cls for cls in EXIT_CODES if isinstance(exc, cls))

@@ -117,7 +117,8 @@ def _bounded(fmt: Format, bound: str, ok: Callable[[float], bool]) -> Format:
     return Format(fmt.write, parse)
 
 
-INT = Format(str, int)
+# model files store the seed and the tree hyperparameters as int64
+INT = _bounded(Format(str, int), "in [-2**63, 2**63)", lambda v: -2**63 <= v < 2**63)
 FLOAT = _bounded(Format(repr, float), "finite", math.isfinite)
 TEXT = Format(str, str)
 NONNEG_INT = _bounded(INT, ">= 0", lambda v: v >= 0)

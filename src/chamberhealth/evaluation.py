@@ -55,11 +55,12 @@ class EvalReport:
     def degenerate(self) -> list[str]:
         """One line per model, in kind order, whose test predictions are
         constant or equal a benchmark's, as in "svr predictions are
-        constant and equal bm3's"."""
+        constant and equal bm3's". One test row is no evidence of a
+        constant model, so "constant" needs at least two."""
         lines = []
         for kind in sorted(kind for kind, _ in self.results):
             pred = self.predictions[kind]
-            what = ["are constant"] if (pred == pred[0]).all() else []
+            what = ["are constant"] if pred.size > 1 and (pred == pred[0]).all() else []
             same = [f"{bm}'s" for bm in BENCHMARK_KINDS
                     if np.array_equal(pred, self.predictions[bm])]
             if same:

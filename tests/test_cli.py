@@ -132,17 +132,29 @@ def test_error_line_is_machine_parsable(tmp_path, small_config, capsys):
     assert err.startswith("ERROR DataError:") or err.startswith("ERROR ModelError:")
 
 
-def _override_flags() -> dict[str, argparse.Action]:
-    """Every flag of every subcommand that sets a config key."""
+def _command_flags() -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's flags that set a config key."""
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {}
-    for command in sub.choices.values():
-        for action in command._actions:
-            for flag in action.option_strings:
-                if flag.startswith("--") and flag not in ("--help", "--config", "--model"):
-                    flags[flag] = action
-    return flags
+    return {name: {flag: action for action in command._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag not in ("--help", "--config")}
+            for name, command in sub.choices.items()}
+
+
+def _override_flags() -> dict[str, argparse.Action]:
+    """Every flag of every subcommand that sets a config key."""
+    return {flag: action for flags in _command_flags().values() for flag, action in flags.items()}
+
+
+def test_pipeline_and_show_config_take_every_stage_flag():
+    flags = {name: set(command_flags) for name, command_flags in _command_flags().items()}
+    stages = ("simulate", "derive-hi", "build-features", "train", "evaluate")
+    assert set(flags) == {*stages, "pipeline", "show-config"}
+    assert flags["pipeline"] == flags["show-config"] == set().union(*(flags[s] for s in stages))
+    # train fits every kind: a one-kind option is an unknown flag like any other
+    with pytest.raises(SystemExit) as refused:
+        run_cli("train", "--model", "dt")
+    assert refused.value.code == 2
 
 
 @pytest.mark.parametrize("flag", sorted(_override_flags()))
@@ -157,6 +169,35 @@ def test_flag_overrides_config(small_config, capsys, flag):
 def test_flag_value_uses_the_key_parser(small_config, capsys):
     assert run_cli("show-config", "--config", small_config, "--rf-n-trees", "10.7") == 2
     assert capsys.readouterr().err.startswith("ERROR ConfigError:")
+
+
+def _is_int_key(setting) -> bool:
+    try:
+        return type(setting.fmt.parse("2")) is int
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("setting", [s for s in SETTINGS if _is_int_key(s)], ids=lambda s: s.key)
+def test_int_key_past_int64_is_config_error(tmp_path, capsys, setting):
+    # model files store the seed and the tree hyperparameters as int64, so
+    # every int key stops there; show-config resolves and runs nothing
+    ini = tmp_path / "huge.ini"
+    ini.write_text(f"[{setting.section}]\n{setting.key} = {2**63}\n")
+    assert run_cli("show-config", "--config", ini) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"ERROR ConfigError: bad config value for [{setting.section}] {setting.key}: "
+        f"must be in [-2**63, 2**63), got {2**63}\n"
+    )
+
+
+def test_largest_int64_seed_trains_and_evaluates(tmp_path, pipelined):
+    config, work = pipelined
+    out = shutil.copytree(work, tmp_path / "work")
+    for command in ("train", "evaluate"):
+        assert run_cli(command, "--config", config, "--out", out, "--seed", 2**63 - 1) == 0
+    assert json.loads((out / dataio.REPORT_JSON).read_text())["dataset"]["seed"] == 2**63 - 1
 
 
 def test_impact_alpha_is_per_simulated_maintenance_cycle(tmp_path, small_config, capsys):
@@ -207,7 +248,8 @@ def test_evaluate_names_each_degenerate_model_on_stderr(tmp_path, pipelined, cap
     assert run_cli("evaluate", "--config", config, "--out", out) == 0
     assert capsys.readouterr().err == "evaluate: svr predictions are constant and equal bm3's\n"
     assert (out / dataio.REPORT_JSON).read_bytes() == (work / dataio.REPORT_JSON).read_bytes()
-    (out / dataio.MODELS_DIR / "svr.npz").unlink()
+    # without an epsilon tube every residual moves the SVR's weights
+    assert run_cli("train", "--config", config, "--out", out, "--svr-epsilon", 0) == 0
     assert run_cli("evaluate", "--config", config, "--out", out) == 0
     assert capsys.readouterr().err == ""
 
@@ -893,10 +935,6 @@ def test_train_outputs_do_not_depend_on_the_cpu_count(tmp_path, pipelined, monke
     # the pipeline's models and report came from the host's own CPUs
     assert outputs[1] == outputs[2] == outputs[3] == {name: (work / name).read_bytes()
                                                      for name in names}
-    rf = f"{dataio.MODELS_DIR}/rf.npz"
-    (out / rf).unlink()
-    assert run_cli("train", "--config", config, "--out", out, "--model", "rf") == 0
-    assert (out / rf).read_bytes() == outputs[1][rf]
 
 
 def test_out_that_is_a_file_is_data_error(tmp_path, small_config, capsys):
@@ -1069,7 +1107,7 @@ VERSION_2_JSON = json.dumps({
 }).encode()
 
 # (model kind, the file's new bytes as a function of its path, or None
-# once it has removed models/)
+# once it has removed the file or models/)
 MODEL_FILE_CORRUPTIONS = {
     "dt-cut-to-1000-bytes": ("dt", lambda path: path.read_bytes()[:1000]),
     "svr-without-payload-w": ("svr", _edited(lambda doc: doc.pop("payload.w"))),
@@ -1086,12 +1124,14 @@ MODEL_FILE_CORRUPTIONS = {
     "svr-of-another-format": ("svr", _edited(lambda doc: doc.update(format=np.asarray("other")))),
     "svr-of-an-unknown-kind": ("svr", _edited(lambda doc: doc.update(kind=np.asarray("lstm")))),
     "models-dir-removed": ("dt", lambda path: shutil.rmtree(path.parent)),
+    **{f"{kind}-file-removed": (kind, lambda path: path.unlink()) for kind in MODEL_KINDS},
 }
 # the start of the refusal, if not "<kind>.npz: "
 MODEL_FILE_REFUSALS = {
     "svr-of-another-format": "svr.npz: not a chamberhealth-model file\n",
     "svr-of-an-unknown-kind": "svr.npz: unknown model kind 'lstm'\n",
-    "models-dir-removed": "no trained models (*.npz) found under ",
+    "models-dir-removed": ", ".join(f"{kind}.npz" for kind in MODEL_KINDS) + ": not found under ",
+    **{f"{kind}-file-removed": f"{kind}.npz: not found under " for kind in MODEL_KINDS},
 }
 
 

@@ -138,3 +138,6 @@ def test_degenerate_models_are_named_and_no_other():
         "persist predictions equal bm1's",
         "seven predictions are constant",
     ]
+    # one test row is no evidence of a constant model; equal to a benchmark still is
+    one_row = evaluate_all(models, train, _toy_sets(n_test=1)[1], {})
+    assert one_row.degenerate() == ["mean predictions equal bm3's", "persist predictions equal bm1's"]
